@@ -15,8 +15,10 @@
 #ifndef WIDIR_MEM_CACHE_ARRAY_H
 #define WIDIR_MEM_CACHE_ARRAY_H
 
+#include <bit>
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "mem/address.h"
@@ -49,7 +51,17 @@ struct CacheEntry
     LineData data;
 };
 
-/** Set-associative, LRU, single-cycle-lookup cache array model. */
+/**
+ * Set-associative, LRU, single-cycle-lookup cache array model.
+ *
+ * Sets are initialised on first use: construction allocates raw frame
+ * storage and a one-bit-per-set "initialised" bitmap, and a set's
+ * frames are constructed the first time pickVictim() is asked for a
+ * victim there. Until then lookup() misses without touching the
+ * storage, and forEach()/occupancy() skip the set. Building a machine
+ * therefore costs O(sets / 64) per array instead of a memset of every
+ * frame, and the end-of-run walks cost O(sets touched).
+ */
 class CacheArray
 {
   public:
@@ -67,14 +79,16 @@ class CacheArray
           numSets_(static_cast<std::uint32_t>(
               size_bytes / (static_cast<std::uint64_t>(assoc) *
                             kLineBytes))),
-          indexDivisor_(index_divisor)
+          indexDivisor_(index_divisor),
+          frames_(allocateFrames(static_cast<std::size_t>(numSets_) *
+                                 assoc_)),
+          initBits_((numSets_ + 63) / 64, 0)
     {
         WIDIR_ASSERT(indexDivisor_ > 0, "index divisor must be positive");
         WIDIR_ASSERT(assoc_ > 0, "associativity must be positive");
         WIDIR_ASSERT(numSets_ > 0, "cache must hold at least one set");
         WIDIR_ASSERT((numSets_ & (numSets_ - 1)) == 0,
                      "number of sets must be a power of two");
-        frames_.resize(static_cast<std::size_t>(numSets_) * assoc_);
     }
 
     std::uint32_t numSets() const { return numSets_; }
@@ -85,10 +99,13 @@ class CacheArray
     lookup(Addr addr)
     {
         Addr line = lineAlign(addr);
-        auto [begin, end] = setRange(line);
-        for (std::size_t i = begin; i < end; ++i) {
-            if (frames_[i].valid && frames_[i].line == line)
-                return &frames_[i];
+        std::uint32_t set = setOf(line);
+        if (!initialised(set))
+            return nullptr;
+        CacheEntry *begin = setBegin(set);
+        for (CacheEntry *f = begin; f != begin + assoc_; ++f) {
+            if (f->valid && f->line == line)
+                return f;
         }
         return nullptr;
     }
@@ -108,23 +125,29 @@ class CacheArray
 
     /**
      * Choose a victim frame in @p addr's set: an invalid frame if one
-     * exists, else the least recently used unlocked frame.
+     * exists, else the least recently used unlocked frame. The first
+     * call for a set constructs its frames (all invalid).
      * @return nullptr if every frame in the set is locked.
      */
     CacheEntry *
     pickVictim(Addr addr)
     {
-        Addr line = lineAlign(addr);
-        auto [begin, end] = setRange(line);
+        std::uint32_t set = setOf(lineAlign(addr));
+        CacheEntry *begin = setBegin(set);
+        if (!initialised(set)) {
+            for (CacheEntry *f = begin; f != begin + assoc_; ++f)
+                std::construct_at(f);
+            initBits_[set / 64] |= std::uint64_t{1} << (set % 64);
+            return begin;
+        }
         CacheEntry *victim = nullptr;
-        for (std::size_t i = begin; i < end; ++i) {
-            CacheEntry &f = frames_[i];
-            if (!f.valid)
-                return &f;
-            if (f.locked)
+        for (CacheEntry *f = begin; f != begin + assoc_; ++f) {
+            if (!f->valid)
+                return f;
+            if (f->locked)
                 continue;
-            if (victim == nullptr || f.lruStamp < victim->lruStamp)
-                victim = &f;
+            if (victim == nullptr || f->lruStamp < victim->lruStamp)
+                victim = f;
         }
         return victim;
     }
@@ -160,14 +183,20 @@ class CacheArray
         frame->locked = false;
     }
 
-    /** Visit every valid entry (for checkers, flushes and reports). */
+    /**
+     * Visit every valid entry in frame order (for checkers, flushes
+     * and reports). Only initialised sets are walked.
+     */
+    template <typename Fn>
     void
-    forEach(const std::function<void(CacheEntry &)> &fn)
+    forEach(Fn &&fn)
     {
-        for (auto &f : frames_) {
-            if (f.valid)
-                fn(f);
-        }
+        forEachInitialisedSet([&](CacheEntry *begin) {
+            for (CacheEntry *f = begin; f != begin + assoc_; ++f) {
+                if (f->valid)
+                    fn(*f);
+            }
+        });
     }
 
     /** Count of valid entries. */
@@ -175,28 +204,86 @@ class CacheArray
     occupancy() const
     {
         std::size_t n = 0;
-        for (const auto &f : frames_) {
-            if (f.valid)
-                ++n;
-        }
+        forEachInitialisedSet([&](const CacheEntry *begin) {
+            for (const CacheEntry *f = begin; f != begin + assoc_; ++f)
+                n += f->valid;
+        });
+        return n;
+    }
+
+    /** Sets whose frames have been constructed (see the class note). */
+    std::size_t
+    initialisedSets() const
+    {
+        std::size_t n = 0;
+        for (std::uint64_t w : initBits_)
+            n += static_cast<std::size_t>(std::popcount(w));
         return n;
     }
 
   private:
-    /** [first, last) frame indices of the set for @p line. */
-    std::pair<std::size_t, std::size_t>
-    setRange(Addr line) const
+    static_assert(std::is_trivially_destructible_v<CacheEntry>,
+                  "frames are released without running destructors");
+
+    /** Returns the raw frame storage to the allocator. */
+    struct FrameFree
     {
-        std::uint32_t set = static_cast<std::uint32_t>(
+        std::size_t n;
+        void
+        operator()(CacheEntry *p) const
+        {
+            std::allocator<CacheEntry>().deallocate(p, n);
+        }
+    };
+    using FramePtr = std::unique_ptr<CacheEntry[], FrameFree>;
+
+    /** Raw storage for @p n frames; no frame is constructed. */
+    static FramePtr
+    allocateFrames(std::size_t n)
+    {
+        return FramePtr(std::allocator<CacheEntry>().allocate(n),
+                        FrameFree{n});
+    }
+
+    std::uint32_t
+    setOf(Addr line) const
+    {
+        return static_cast<std::uint32_t>(
             (lineNumber(line) / indexDivisor_) & (numSets_ - 1));
-        std::size_t begin = static_cast<std::size_t>(set) * assoc_;
-        return {begin, begin + assoc_};
+    }
+
+    /** First frame of @p set (storage only until the set is initialised). */
+    CacheEntry *
+    setBegin(std::size_t set) const
+    {
+        return &frames_[set * assoc_];
+    }
+
+    bool
+    initialised(std::uint32_t set) const
+    {
+        return (initBits_[set / 64] >> (set % 64)) & 1;
+    }
+
+    /** Call @p fn with the first frame of each initialised set, in order. */
+    template <typename Fn>
+    void
+    forEachInitialisedSet(Fn &&fn) const
+    {
+        for (std::size_t w = 0; w < initBits_.size(); ++w) {
+            for (std::uint64_t bits = initBits_[w]; bits != 0;
+                 bits &= bits - 1) {
+                fn(setBegin(w * 64 + std::countr_zero(bits)));
+            }
+        }
     }
 
     std::uint32_t assoc_;
     std::uint32_t numSets_;
     std::uint64_t indexDivisor_;
-    std::vector<CacheEntry> frames_;
+    /** numSets_ * assoc_ frames; a set's frames are live once its bit is. */
+    FramePtr frames_;
+    std::vector<std::uint64_t> initBits_; ///< one bit per set
     std::uint64_t lruCounter_ = 0;
 };
 

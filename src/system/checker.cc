@@ -1,7 +1,7 @@
 #include "system/checker.h"
 
 #include <algorithm>
-#include <map>
+#include <span>
 
 #include "sim/log.h"
 #include "system/manycore.h"
@@ -15,14 +15,20 @@ using sim::NodeId;
 
 namespace {
 
-struct LineView
+/** One cached L1 copy, as gathered for the cross-checks. */
+struct Copy
 {
-    std::vector<NodeId> holdersS;
-    std::vector<NodeId> holdersE;
-    std::vector<NodeId> holdersM;
-    std::vector<NodeId> holdersW;
-    std::map<NodeId, mem::LineData> data;
+    Addr line;
+    NodeId node;
+    L1State state;
+    const mem::CacheEntry *frame;
 };
+
+bool
+lineLess(const Copy &a, const Copy &b)
+{
+    return a.line < b.line;
+}
 
 } // namespace
 
@@ -32,36 +38,46 @@ checkCoherence(Manycore &m)
     std::vector<std::string> bad;
     auto complain = [&bad](std::string s) { bad.push_back(std::move(s)); };
 
-    // Gather every cached line.
-    std::map<Addr, LineView> lines;
+    // Gather every cached line, then group the copies by line. The
+    // stable sort keeps each line's copies in node order.
+    std::vector<Copy> copies;
     for (NodeId n = 0; n < m.numCores(); ++n) {
         m.l1(n).array().forEach([&](mem::CacheEntry &e) {
-            LineView &view = lines[e.line];
-            switch (static_cast<L1State>(e.state)) {
-              case L1State::S: view.holdersS.push_back(n); break;
-              case L1State::E: view.holdersE.push_back(n); break;
-              case L1State::M: view.holdersM.push_back(n); break;
-              case L1State::W: view.holdersW.push_back(n); break;
-              case L1State::I: return;
-            }
-            view.data[n] = e.data;
-            if (e.locked) {
+            auto state = static_cast<L1State>(e.state);
+            copies.push_back({e.line, n, state, &e});
+            if (state != L1State::I && e.locked) {
                 complain(sim::strfmt(
                     "node %u: line %#llx still locked at quiescence", n,
                     static_cast<unsigned long long>(e.line)));
             }
         });
-        if (m.l1(n).stats().loads + 1 == 0) // keep -Wunused quiet
-            return bad;
     }
+    std::stable_sort(copies.begin(), copies.end(), lineLess);
 
-    for (auto &[line, view] : lines) {
+    for (auto group = copies.begin(); group != copies.end();) {
+        const Addr line = group->line;
+        const auto group_end =
+            std::upper_bound(group, copies.end(), *group, lineLess);
+        const std::span<const Copy> view(group, group_end);
+        group = group_end;
+
+        std::size_t num_s = 0, num_e = 0, num_m = 0, num_w = 0;
+        NodeId cached_owner = sim::kNodeNone; // read only when unique
+        for (const Copy &c : view) {
+            switch (c.state) {
+              case L1State::S: ++num_s; break;
+              case L1State::E: ++num_e; cached_owner = c.node; break;
+              case L1State::M: ++num_m; cached_owner = c.node; break;
+              case L1State::W: ++num_w; break;
+              case L1State::I: break;
+            }
+        }
+
         NodeId home = m.fabric().homeOf(line);
         auto &dir = m.dir(home);
         const auto *entry = dir.entryOf(line);
         auto *llc = dir.llc().lookup(line);
-        std::size_t exclusive =
-            view.holdersE.size() + view.holdersM.size();
+        std::size_t exclusive = num_e + num_m;
 
         if (dir.busy(line)) {
             complain(sim::strfmt(
@@ -73,16 +89,14 @@ checkCoherence(Manycore &m)
 
         // SWMR.
         if (exclusive > 1 ||
-            (exclusive == 1 &&
-             (!view.holdersS.empty() || !view.holdersW.empty()))) {
+            (exclusive == 1 && (num_s != 0 || num_w != 0))) {
             complain(sim::strfmt(
                 "line %#llx: SWMR violated (%zu E, %zu M, %zu S, %zu W)",
-                static_cast<unsigned long long>(line),
-                view.holdersE.size(), view.holdersM.size(),
-                view.holdersS.size(), view.holdersW.size()));
+                static_cast<unsigned long long>(line), num_e, num_m,
+                num_s, num_w));
             continue;
         }
-        if (!view.holdersS.empty() && !view.holdersW.empty()) {
+        if (num_s != 0 && num_w != 0) {
             complain(sim::strfmt(
                 "line %#llx: mixed S and W copies",
                 static_cast<unsigned long long>(line)));
@@ -103,18 +117,16 @@ checkCoherence(Manycore &m)
                     static_cast<unsigned long long>(line), exclusive));
                 break;
             }
-            NodeId owner = view.holdersE.empty() ? view.holdersM[0]
-                                                 : view.holdersE[0];
-            if (entry->owner != owner) {
+            if (entry->owner != cached_owner) {
                 complain(sim::strfmt(
                     "line %#llx: dir owner %u but cached owner %u",
                     static_cast<unsigned long long>(line), entry->owner,
-                    owner));
+                    cached_owner));
             }
             break;
           }
           case DirState::S: {
-            if (exclusive != 0 || !view.holdersW.empty()) {
+            if (exclusive != 0 || num_w != 0) {
                 complain(sim::strfmt(
                     "line %#llx: dir S but non-S copies exist",
                     static_cast<unsigned long long>(line)));
@@ -125,45 +137,47 @@ checkCoherence(Manycore &m)
                 // may be stale-present for a copy evicted with a PutS
                 // still in flight -- but at quiescence nothing is in
                 // flight.)
-                for (NodeId n : view.holdersS) {
-                    if (std::find(entry->sharers.begin(),
+                for (const Copy &c : view) {
+                    if (c.state == L1State::S &&
+                        std::find(entry->sharers.begin(),
                                   entry->sharers.end(),
-                                  n) == entry->sharers.end()) {
+                                  c.node) == entry->sharers.end()) {
                         complain(sim::strfmt(
                             "line %#llx: sharer %u missing from "
                             "directory pointers",
-                            static_cast<unsigned long long>(line), n));
+                            static_cast<unsigned long long>(line),
+                            c.node));
                     }
                 }
             }
             // Data agreement: S copies equal the LLC copy.
-            for (NodeId n : view.holdersS) {
-                if (!(view.data[n] == llc->data)) {
+            for (const Copy &c : view) {
+                if (c.state == L1State::S && !(c.frame->data == llc->data)) {
                     complain(sim::strfmt(
                         "line %#llx: S copy at %u differs from LLC",
-                        static_cast<unsigned long long>(line), n));
+                        static_cast<unsigned long long>(line), c.node));
                 }
             }
             break;
           }
           case DirState::W: {
-            if (exclusive != 0 || !view.holdersS.empty()) {
+            if (exclusive != 0 || num_s != 0) {
                 complain(sim::strfmt(
                     "line %#llx: dir W but wired copies exist",
                     static_cast<unsigned long long>(line)));
                 break;
             }
-            if (entry->sharerCount != view.holdersW.size()) {
+            if (entry->sharerCount != num_w) {
                 complain(sim::strfmt(
                     "line %#llx: SharerCount %u but %zu W copies",
                     static_cast<unsigned long long>(line),
-                    entry->sharerCount, view.holdersW.size()));
+                    entry->sharerCount, num_w));
             }
-            for (NodeId n : view.holdersW) {
-                if (!(view.data[n] == llc->data)) {
+            for (const Copy &c : view) {
+                if (c.state == L1State::W && !(c.frame->data == llc->data)) {
                     complain(sim::strfmt(
                         "line %#llx: W copy at %u differs from LLC",
-                        static_cast<unsigned long long>(line), n));
+                        static_cast<unsigned long long>(line), c.node));
                 }
             }
             break;
@@ -201,7 +215,9 @@ checkCoherence(Manycore &m)
             // re-establishes precision).
             bool imprecise = entry->state == DirState::S && entry->bcast;
             if (entry->state != DirState::I && !imprecise &&
-                lines.find(e.line) == lines.end()) {
+                !std::binary_search(copies.begin(), copies.end(),
+                                    Copy{e.line, 0, L1State::I, nullptr},
+                                    lineLess)) {
                 complain(sim::strfmt(
                     "line %#llx: directory %s but no cached copies",
                     static_cast<unsigned long long>(e.line),

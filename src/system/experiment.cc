@@ -173,6 +173,14 @@ resolveSimThreads(unsigned from_spec)
     return 0;
 }
 
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
+
 } // namespace
 
 ExperimentResult
@@ -256,7 +264,9 @@ runExperiment(const ExperimentSpec &spec)
     cfg.wnoc.numChannels = wchan;
     cfg.protocol.homeMap = home_map;
 
+    auto build_start = std::chrono::steady_clock::now();
     Manycore m(cfg);
+    const double build_seconds = secondsSince(build_start);
     if (fk != frontend::FrontendKind::Coroutine) {
         frontend::FrontendSpec fs;
         fs.kind = fk;
@@ -304,10 +314,9 @@ runExperiment(const ExperimentSpec &spec)
         program = workload::makeProgram(*spec.app, params);
     auto host_start = std::chrono::steady_clock::now();
     r.cycles = m.run(program, 2'000'000'000ull);
-    std::chrono::duration<double> host_elapsed =
-        std::chrono::steady_clock::now() - host_start;
     r.executedEvents = m.simulator().executedEvents();
-    r.hostSeconds = host_elapsed.count();
+    r.hostSeconds = secondsSince(host_start);
+    r.hostBuildSeconds = build_seconds;
     r.hostEventsPerSec = r.hostSeconds > 0.0
         ? static_cast<double>(r.executedEvents) / r.hostSeconds
         : 0.0;
@@ -334,7 +343,9 @@ runExperiment(const ExperimentSpec &spec)
                        werr.c_str());
     }
 
+    auto check_start = std::chrono::steady_clock::now();
     auto violations = checkCoherence(m);
+    r.hostCheckSeconds = secondsSince(check_start);
     if (!violations.empty()) {
         sim::fatal("experiment %s left the machine incoherent: %s",
                    app_name.c_str(), violations.front().c_str());

@@ -130,6 +130,8 @@ struct ExperimentResult
     /// @{
     std::uint64_t executedEvents = 0; ///< simulator events run
     double hostSeconds = 0.0;         ///< wall time of the run() call
+    double hostBuildSeconds = 0.0;    ///< wall time of building the machine
+    double hostCheckSeconds = 0.0;    ///< wall time of checkCoherence
     double hostEventsPerSec = 0.0;    ///< executedEvents / hostSeconds
     std::uint64_t hostMsgpoolGrew = 0;  ///< MsgPool growth past reserve
     std::uint64_t hostMapRehashes = 0;  ///< FlatAddrMap index rehashes

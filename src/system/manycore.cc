@@ -195,14 +195,9 @@ Manycore::sharersUpdatedTotals() const
     sim::BinnedHistogram total({5, 10, 25, 49}, true);
     for (const auto &dir : dirs_) {
         const auto &h = dir->sharersUpdatedHistogram();
-        const auto &bins = h.bins();
-        for (const auto &bin : bins) {
-            // Re-sample by bin midpoint weight-preserving: bins are
-            // identical across slices, so add counts directly.
-            (void)bin;
-        }
-        // Identical binning: merge counts via sample() of lower bound.
-        for (const auto &bin : bins) {
+        // Bins are identical across slices: merge counts via sample()
+        // of each bin's lower bound.
+        for (const auto &bin : h.bins()) {
             if (bin.count > 0)
                 total.sample(bin.lo, bin.count);
         }

@@ -170,6 +170,12 @@ resultToJson(const ExperimentResult &r, int indent)
     w.field("executed_events", r.executedEvents);
     w.field("host_wall_seconds", r.hostSeconds);
     w.field("host_events_per_sec", r.hostEventsPerSec);
+    if (r.hostSeconds != 0.0) {
+        // Phase timings accompany a timed run: zeroing hostSeconds,
+        // as every run-to-run comparison does, drops them as well.
+        w.field("host_build_seconds", r.hostBuildSeconds);
+        w.field("host_check_seconds", r.hostCheckSeconds);
+    }
     w.field("host_msgpool_grew", r.hostMsgpoolGrew);
     w.field("host_map_rehashes", r.hostMapRehashes);
     if (r.frontendKind != frontend::FrontendKind::Coroutine) {

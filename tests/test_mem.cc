@@ -1,16 +1,22 @@
 /**
  * @file
  * Unit tests for the memory substrate: address math, cache array
- * (lookup, LRU, locking), MSHRs and the main-memory timing model.
+ * (lookup, LRU, locking, lazy set initialisation), MSHRs and the
+ * main-memory timing model.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "mem/address.h"
 #include "mem/cache_array.h"
 #include "mem/main_memory.h"
 #include "mem/mshr.h"
 #include "sim/simulator.h"
+#include "system/manycore.h"
 
 namespace {
 
@@ -111,6 +117,222 @@ TEST(CacheArray, OccupancyAndForEach)
     int seen = 0;
     c.forEach([&](CacheEntry &) { ++seen; });
     EXPECT_EQ(seen, 2);
+}
+
+TEST(CacheArray, FreshArrayIsEmptyAndUninitialised)
+{
+    CacheArray c(64 * 1024, 2);
+    EXPECT_EQ(c.initialisedSets(), 0u);
+    EXPECT_EQ(c.lookup(0x0), nullptr);
+    EXPECT_EQ(c.lookup(0x12340), nullptr);
+    EXPECT_EQ(c.occupancy(), 0u);
+    int seen = 0;
+    c.forEach([&](CacheEntry &) { ++seen; });
+    EXPECT_EQ(seen, 0);
+
+    // Asking for a victim initialises exactly that set, and its frames
+    // start invalid.
+    CacheEntry *v = c.pickVictim(0x12340);
+    ASSERT_NE(v, nullptr);
+    EXPECT_FALSE(v->valid);
+    EXPECT_EQ(c.initialisedSets(), 1u);
+    EXPECT_EQ(c.occupancy(), 0u);
+    EXPECT_EQ(c.lookup(0x12340), nullptr);
+}
+
+/**
+ * Reference model: the cache array as it was before lazy set
+ * initialisation, with every frame constructed up front and frames
+ * named by index.
+ */
+class EagerArray
+{
+  public:
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    EagerArray(std::uint64_t size_bytes, std::uint32_t assoc,
+               std::uint64_t divisor)
+        : assoc_(assoc),
+          numSets_(size_bytes / (assoc * mem::kLineBytes)),
+          divisor_(divisor),
+          frames_(numSets_ * assoc)
+    {
+    }
+
+    std::size_t
+    lookup(sim::Addr addr) const
+    {
+        sim::Addr line = mem::lineAlign(addr);
+        for (std::size_t i = begin(line); i < begin(line) + assoc_; ++i) {
+            if (frames_[i].valid && frames_[i].line == line)
+                return i;
+        }
+        return kNone;
+    }
+
+    std::size_t
+    pickVictim(sim::Addr addr) const
+    {
+        sim::Addr line = mem::lineAlign(addr);
+        std::size_t victim = kNone;
+        for (std::size_t i = begin(line); i < begin(line) + assoc_; ++i) {
+            const CacheEntry &f = frames_[i];
+            if (!f.valid)
+                return i;
+            if (f.locked)
+                continue;
+            if (victim == kNone || f.lruStamp < frames_[victim].lruStamp)
+                victim = i;
+        }
+        return victim;
+    }
+
+    void
+    fill(std::size_t i, sim::Addr line, std::uint8_t state,
+         const LineData &d)
+    {
+        CacheEntry &f = frames_[i];
+        f = CacheEntry{};
+        f.line = mem::lineAlign(line);
+        f.valid = true;
+        f.state = state;
+        f.data = d;
+        f.lruStamp = ++lru_;
+    }
+
+    void touch(std::size_t i) { frames_[i].lruStamp = ++lru_; }
+
+    void
+    invalidate(std::size_t i)
+    {
+        CacheEntry &f = frames_[i];
+        f.valid = false;
+        f.line = sim::kAddrNone;
+        f.state = 0;
+        f.dirty = false;
+        f.updateCount = 0;
+        f.locked = false;
+    }
+
+    CacheEntry &at(std::size_t i) { return frames_[i]; }
+
+    /** Valid frames in index order: what forEach must visit. */
+    std::vector<const CacheEntry *>
+    valid() const
+    {
+        std::vector<const CacheEntry *> out;
+        for (const CacheEntry &f : frames_) {
+            if (f.valid)
+                out.push_back(&f);
+        }
+        return out;
+    }
+
+  private:
+    std::size_t
+    begin(sim::Addr line) const
+    {
+        return ((mem::lineNumber(line) / divisor_) & (numSets_ - 1)) *
+               assoc_;
+    }
+
+    std::size_t assoc_;
+    std::size_t numSets_;
+    std::uint64_t divisor_;
+    std::vector<CacheEntry> frames_;
+    std::uint64_t lru_ = 0;
+};
+
+void
+expectSameFrame(const CacheEntry &lazy, const CacheEntry &ref)
+{
+    EXPECT_EQ(lazy.valid, ref.valid);
+    EXPECT_EQ(lazy.line, ref.line);
+    EXPECT_EQ(lazy.state, ref.state);
+    EXPECT_EQ(lazy.locked, ref.locked);
+    EXPECT_EQ(lazy.lruStamp, ref.lruStamp);
+    EXPECT_TRUE(lazy.data == ref.data);
+}
+
+TEST(CacheArray, LazySetsMatchEagerReferenceUnderChurn)
+{
+    // 16 sets x 4 ways, LLC-style index divisor; 200 lines contend.
+    CacheArray lazy(4096, 4, 3);
+    EagerArray ref(4096, 4, 3);
+    std::mt19937_64 rng(12345);
+    for (int step = 0; step < 20000; ++step) {
+        SCOPED_TRACE(step);
+        sim::Addr addr = (rng() % 200) * mem::kLineBytes + (rng() % 8) * 8;
+        CacheEntry *hit = lazy.lookup(addr);
+        std::size_t ref_hit = ref.lookup(addr);
+        ASSERT_EQ(hit == nullptr, ref_hit == EagerArray::kNone);
+        if (hit != nullptr)
+            expectSameFrame(*hit, ref.at(ref_hit));
+
+        switch (rng() % 4) {
+          case 0: { // fill on a miss, into the chosen victim
+            if (hit != nullptr)
+                break;
+            CacheEntry *victim = lazy.pickVictim(addr);
+            std::size_t ref_victim = ref.pickVictim(addr);
+            ASSERT_EQ(victim == nullptr, ref_victim == EagerArray::kNone);
+            if (victim == nullptr)
+                break;
+            expectSameFrame(*victim, ref.at(ref_victim));
+            LineData d;
+            d.setWordAt(0, static_cast<std::uint64_t>(step));
+            auto state = static_cast<std::uint8_t>(1 + rng() % 4);
+            lazy.fill(victim, addr, state, d);
+            ref.fill(ref_victim, addr, state, d);
+            break;
+          }
+          case 1:
+            if (hit != nullptr) {
+                lazy.invalidate(hit);
+                ref.invalidate(ref_hit);
+            }
+            break;
+          case 2:
+            if (hit != nullptr) {
+                hit->locked = !hit->locked;
+                ref.at(ref_hit).locked = hit->locked;
+            }
+            break;
+          case 3:
+            if (hit != nullptr) {
+                lazy.touch(hit, 0);
+                ref.touch(ref_hit);
+            }
+            break;
+        }
+
+        // forEach visits the same frames in the same (frame) order.
+        std::vector<const CacheEntry *> want = ref.valid();
+        std::vector<const CacheEntry *> got;
+        lazy.forEach([&](CacheEntry &e) { got.push_back(&e); });
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(lazy.occupancy(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            expectSameFrame(*got[i], *want[i]);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    EXPECT_EQ(lazy.initialisedSets(), lazy.numSets());
+}
+
+TEST(CacheArray, FreshManycoreHasNoInitialisedSets)
+{
+    // Guards against sliding back to eager initialisation: building the
+    // 256-tile machine must not construct a single cache set.
+    sys::Manycore m(sys::SystemConfig::widir(256));
+    std::size_t sets = 0, initialised = 0;
+    for (sim::NodeId n = 0; n < m.numCores(); ++n) {
+        sets += m.l1(n).array().numSets() + m.dir(n).llc().numSets();
+        initialised += m.l1(n).array().initialisedSets() +
+                       m.dir(n).llc().initialisedSets();
+    }
+    EXPECT_EQ(sets, 256u * (512 + 1024));
+    EXPECT_EQ(initialised, 0u);
 }
 
 TEST(Mshr, AllocateFindRelease)

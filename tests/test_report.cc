@@ -17,6 +17,7 @@
 
 #include "system/report.h"
 #include "system/sweep.h"
+#include "temp_path.h"
 #include "workload/registry.h"
 
 namespace {
@@ -63,6 +64,8 @@ fakeResult()
     r.executedEvents = 424242;
     r.hostSeconds = 0.5;
     r.hostEventsPerSec = 848484.0;
+    r.hostBuildSeconds = 0.125;
+    r.hostCheckSeconds = 0.0078125;
     r.hostMsgpoolGrew = 3;
     r.hostMapRehashes = 9;
     return r;
@@ -134,6 +137,10 @@ expectRoundTrips(const ExperimentResult &r, const sys::json::Value &v)
     EXPECT_EQ(v.find("host_wall_seconds")->number, r.hostSeconds);
     EXPECT_EQ(v.find("host_events_per_sec")->number,
               r.hostEventsPerSec);
+    ASSERT_NE(v.find("host_build_seconds"), nullptr);
+    EXPECT_EQ(v.find("host_build_seconds")->number, r.hostBuildSeconds);
+    ASSERT_NE(v.find("host_check_seconds"), nullptr);
+    EXPECT_EQ(v.find("host_check_seconds")->number, r.hostCheckSeconds);
     EXPECT_EQ(v.find("host_msgpool_grew")->asUint(), r.hostMsgpoolGrew);
     EXPECT_EQ(v.find("host_map_rehashes")->asUint(), r.hostMapRehashes);
 
@@ -168,8 +175,8 @@ TEST(Report, EveryFieldRoundTrips)
 
 TEST(Report, WriteCreatesDirectoriesAndValidJson)
 {
-    auto dir = std::filesystem::temp_directory_path() /
-               "widir_test_report" / "nested";
+    auto dir =
+        std::filesystem::path(test::testTempPath("report")) / "nested";
     std::filesystem::remove_all(dir.parent_path());
     auto path = (dir / "sweep.json").string();
 
@@ -237,6 +244,29 @@ TEST(Report, NonFiniteNumbersAreClamped)
     EXPECT_EQ(res.find("host_wall_seconds")->number, 0.0);
     EXPECT_EQ(res.find("host_events_per_sec")->number, 0.0);
     EXPECT_EQ(res.find("collision_probability")->number, 0.0);
+}
+
+TEST(Report, PhaseTimingsFollowTheRunTiming)
+{
+    // A live run times its build and check phases.
+    ExperimentResult live = realResult();
+    EXPECT_GT(live.hostBuildSeconds, 0.0);
+    EXPECT_GT(live.hostCheckSeconds, 0.0);
+
+    // Zeroing hostSeconds -- what every run-to-run comparison does --
+    // drops the phase timings from the document too, so two runs of
+    // one configuration serialize identically.
+    ExperimentResult r = fakeResult();
+    r.hostSeconds = 0.0;
+    sys::json::Value doc;
+    std::string err;
+    ASSERT_TRUE(sys::json::parse(sys::resultsToJson("untimed", {r}), doc,
+                                 &err))
+        << err;
+    const auto &res = doc.find("results")->array[0];
+    EXPECT_EQ(res.find("host_build_seconds"), nullptr);
+    EXPECT_EQ(res.find("host_check_seconds"), nullptr);
+    EXPECT_NE(res.find("host_wall_seconds"), nullptr);
 }
 
 TEST(Report, FaultBlockRoundTripsOnlyWhenArmed)

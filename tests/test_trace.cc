@@ -27,6 +27,7 @@
 #include "system/manycore.h"
 #include "system/report.h"
 #include "system/trace_sinks.h"
+#include "temp_path.h"
 #include "workload/registry.h"
 
 namespace {
@@ -192,7 +193,7 @@ TEST(Tracer, TracingDoesNotPerturbStats)
 
 TEST(Tracer, ChromeExportIsValidTraceEventJson)
 {
-    std::string path = testing::TempDir() + "widir_trace_test.json";
+    std::string path = test::testTempPath("chrome.json");
     sys::ExperimentSpec spec;
     spec.app = workload::findApp("fft");
     ASSERT_NE(spec.app, nullptr);
