@@ -12,9 +12,6 @@
  * Every bench accepts the same command line, parsed by bench::Options
  * from one declarative flag table (--help prints it):
  *   --jobs N              worker threads for the sweep
- *   --sim-threads N       host threads for the bound/weave parallel
- *                         kernel inside each simulation (docs/PERF.md;
- *                         0 = classic single-queue kernel)
  *   --trace               capture a protocol trace per configuration
  *                         and export Chrome trace-event JSON files
  *                         next to the stats (docs/TRACING.md)
@@ -37,21 +34,18 @@
  *   --home-map M          directory sharding: interleave | hash
  *   --record DIR          record a widir-mtrace-v1 trace per
  *                         configuration into DIR (docs/FRONTEND.md)
- *   --replay full|fast    replay trace-driven apps through the core
- *                         model (full) or straight into the L1s (fast)
  *   --trace-in FILE       register FILE (mtrace or text format) as
- *                         workload "trace:<stem>" and select it via
+ *                         workload "trace:<stem>" (replayed through the
+ *                         core model) and select it via
  *                         WIDIR_BENCH_APPS when that is unset
  *
  * Environment (flags win over environment):
  *   WIDIR_BENCH_SCALE   work multiplier (default per bench)
  *   WIDIR_BENCH_CORES   override the core count where applicable
- *   WIDIR_BENCH_APPS    comma-separated subset of app names
+ *   WIDIR_BENCH_APPS    comma-separated subset of app names (exit 2
+ *                       on any unknown name)
  *   WIDIR_BENCH_JOBS    worker threads (--jobs wins; default: all
  *                       hardware threads)
- *   WIDIR_SIM_THREADS   bound/weave kernel threads per simulation
- *                       (--sim-threads wins; default 0 = classic
- *                       kernel)
  *   WIDIR_BENCH_OUT     JSON output directory (default bench/out)
  *   WIDIR_TRACE         non-empty and not "0": same as --trace
  *   WIDIR_TRACE_WINDOW  LO:HI cycle window (same as --trace-window)
@@ -82,7 +76,11 @@ using sys::ExperimentResult;
 using sys::ExperimentSpec;
 using workload::AppInfo;
 
-/** Apps to run: all 20, or the WIDIR_BENCH_APPS subset. */
+/**
+ * Apps to run: all of them, or the WIDIR_BENCH_APPS subset. Any name
+ * that is not a known app exits 2 before anything runs, so a typo
+ * never silently shrinks a sweep.
+ */
 inline std::vector<const AppInfo *>
 benchApps()
 {
@@ -93,7 +91,7 @@ benchApps()
             selected.push_back(&app);
         return selected;
     }
-    bool any_requested = false;
+    bool any_unknown = false;
     std::string list(env);
     std::size_t pos = 0;
     while (pos <= list.size()) {
@@ -108,19 +106,20 @@ benchApps()
             ? std::string()
             : name.substr(b, e - b + 1);
         if (!name.empty()) {
-            any_requested = true;
-            if (const AppInfo *app = workload::findApp(name))
+            if (const AppInfo *app = workload::findApp(name)) {
                 selected.push_back(app);
-            else
+            } else {
                 std::fprintf(stderr, "unknown app '%s'\n", name.c_str());
+                any_unknown = true;
+            }
         }
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
     }
-    if (any_requested && selected.empty()) {
+    if (any_unknown) {
         std::fprintf(stderr,
-                     "WIDIR_BENCH_APPS='%s' matched no known app\n", env);
+                     "WIDIR_BENCH_APPS='%s' names an unknown app\n", env);
         std::exit(2);
     }
     return selected;
@@ -177,16 +176,6 @@ class Options
                  if (!sys::parseEnvInt(v, 1, 4096, n))
                      die("invalid --jobs value '%s'", v);
                  jobs_ = static_cast<unsigned>(n);
-             }},
-            {"--sim-threads", "N",
-             "bound/weave kernel threads inside each simulation "
-             "(0 = classic kernel)",
-             [this](const char *v) {
-                 long n = 0;
-                 if (!sys::parseEnvInt(v, 0, 4096, n))
-                     die("invalid --sim-threads value '%s'", v);
-                 simThreads_ = static_cast<unsigned>(n);
-                 simThreadsSet_ = true;
              }},
             {"--trace", nullptr,
              "capture + export a protocol trace per configuration",
@@ -272,19 +261,6 @@ class Options
                      die("--record wants a directory");
                  recordDir_ = v;
              }},
-            {"--replay", "full|fast",
-             "replay trace-driven apps through the core model (full) "
-             "or straight into the L1s (fast)",
-             [this](const char *v) {
-                 if (!std::strcmp(v, "full"))
-                     replayKind_ = frontend::FrontendKind::ReplayFull;
-                 else if (!std::strcmp(v, "fast"))
-                     replayKind_ = frontend::FrontendKind::ReplayFast;
-                 else
-                     die("invalid --replay value '%s' (want full|fast)",
-                         v);
-                 replaySet_ = true;
-             }},
             {"--trace-in", "FILE",
              "register FILE (mtrace or text format) as workload "
              "'trace:<stem>'; selected via WIDIR_BENCH_APPS when unset",
@@ -338,19 +314,11 @@ class Options
         if (std::string err = fault_.validate(); !err.empty())
             die("invalid fault options: %s", err.c_str());
 
-        // --sim-threads wins over WIDIR_SIM_THREADS, including an
-        // explicit 0 (classic kernel): clear the env knob so
-        // runExperiment's fallback cannot re-enable the domain
-        // kernel. Runs before any sweep worker exists, so mutating
-        // the environment is safe.
-        if (simThreadsSet_ && simThreads_ == 0)
-            unsetenv("WIDIR_SIM_THREADS");
-
         // --trace-in makes the external trace a first-class workload:
         // register it as "trace:<stem>" and, when the user did not
         // pick an app subset, select exactly it -- so any bench runs
-        // the external trace through its standard sweep. Like
-        // --sim-threads above, this env write precedes the workers.
+        // the external trace through its standard sweep. The env
+        // write precedes any sweep worker, so it is safe.
         if (!traceIn_.empty()) {
             std::string stem = traceIn_;
             if (std::size_t slash = stem.find_last_of('/');
@@ -370,12 +338,6 @@ class Options
     const std::string &name() const { return name_; }
     /** Worker threads; 0 lets SweepRunner pick sys::defaultJobs(). */
     unsigned jobs() const { return jobs_; }
-    /**
-     * Bound/weave kernel threads per simulation; 0 defers to
-     * WIDIR_SIM_THREADS (or the classic kernel) in runExperiment.
-     */
-    unsigned simThreads() const { return simThreads_; }
-
     /// @name Tracing (mapped onto sys::TraceOptions per spec)
     /// @{
     bool traceOn() const { return traceOn_; }
@@ -409,9 +371,6 @@ class Options
     /// @{
     /** Trace output directory; empty when --record was not given. */
     const std::string &recordDir() const { return recordDir_; }
-    /** True when --replay was given (replayKind() is then valid). */
-    bool replaySet() const { return replaySet_; }
-    frontend::FrontendKind replayKind() const { return replayKind_; }
     /** Registered app name for --trace-in, "" without the flag. */
     const std::string &traceApp() const { return traceApp_; }
     /// @}
@@ -493,8 +452,6 @@ class Options
 
     std::string name_;
     unsigned jobs_ = 0;
-    unsigned simThreads_ = 0;
-    bool simThreadsSet_ = false;
     bool traceOn_ = false;
     sim::Tick traceLo_ = 0;
     sim::Tick traceHi_ = sim::kTickNever;
@@ -505,9 +462,6 @@ class Options
     std::uint32_t wirelessChannels_ = 1;
     mem::HomeMap homeMap_ = mem::HomeMap::Interleave;
     std::string recordDir_;
-    bool replaySet_ = false;
-    frontend::FrontendKind replayKind_ =
-        frontend::FrontendKind::ReplayFull;
     std::string traceIn_;
     std::string traceApp_;
 };
@@ -528,11 +482,9 @@ class Sweep
         : runner_(opt.jobs()), name_(opt.name()),
           traceOn_(opt.traceOn()), traceLo_(opt.traceStart()),
           traceHi_(opt.traceEnd()), fault_(opt.fault()),
-          simThreads_(opt.simThreads()),
           meshConcentration_(opt.meshConcentration()),
           wirelessChannels_(opt.wirelessChannels()),
-          homeMap_(opt.homeMap()), recordDir_(opt.recordDir()),
-          replaySet_(opt.replaySet()), replayKind_(opt.replayKind())
+          homeMap_(opt.homeMap()), recordDir_(opt.recordDir())
     {
     }
 
@@ -561,8 +513,6 @@ class Sweep
     std::size_t
     addSpec(ExperimentSpec spec)
     {
-        if (spec.simThreads == 0)
-            spec.simThreads = simThreads_; // --sim-threads sweep-wide
         // Topology flags apply sweep-wide unless the spec already
         // carries a non-default value of its own.
         if (spec.meshConcentration == 1)
@@ -571,26 +521,19 @@ class Sweep
             spec.wirelessChannels = wirelessChannels_;
         if (spec.homeMap == mem::HomeMap::Interleave)
             spec.homeMap = homeMap_;
-        // Frontend flags apply sweep-wide where they make sense:
-        // --record to kernel apps (a trace app has nothing to record),
-        // --replay to trace-driven apps (their trace supplies the
-        // machine-or-text input; kernel apps have no trace to replay).
+        // --record applies sweep-wide to kernel apps (a trace-driven
+        // app has nothing to record; runExperiment replays it).
         if (spec.frontend == frontend::FrontendKind::Coroutine &&
-            spec.app != nullptr) {
-            const bool trace_app = spec.app->traceSource != nullptr;
-            if (!recordDir_.empty() && !trace_app) {
-                spec.frontend = frontend::FrontendKind::Record;
-                char tag[64];
-                std::snprintf(tag, sizeof(tag), "%zu_%s_%s_%uc",
-                              specs_.size(), spec.app->name,
-                              spec.protocol == Protocol::WiDir
-                                  ? "widir"
-                                  : "baseline",
-                              spec.cores);
-                spec.recordPath = recordDir_ + "/" + tag + ".mtrace";
-            }
-            if (replaySet_ && trace_app)
-                spec.frontend = replayKind_;
+            spec.app != nullptr && spec.app->traceSource == nullptr &&
+            !recordDir_.empty()) {
+            spec.frontend = frontend::FrontendKind::Record;
+            char tag[64];
+            std::snprintf(tag, sizeof(tag), "%zu_%s_%s_%uc",
+                          specs_.size(), spec.app->name,
+                          spec.protocol == Protocol::WiDir ? "widir"
+                                                           : "baseline",
+                          spec.cores);
+            spec.recordPath = recordDir_ + "/" + tag + ".mtrace";
         }
         if (traceOn_) {
             spec.trace.enabled = true;
@@ -655,13 +598,10 @@ class Sweep
     sim::Tick traceLo_;
     sim::Tick traceHi_;
     fault::FaultSpec fault_;
-    unsigned simThreads_;
     std::uint32_t meshConcentration_;
     std::uint32_t wirelessChannels_;
     mem::HomeMap homeMap_;
     std::string recordDir_;
-    bool replaySet_;
-    frontend::FrontendKind replayKind_;
     std::vector<ExperimentSpec> specs_;
     std::vector<ExperimentResult> results_;
 };

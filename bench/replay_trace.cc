@@ -1,17 +1,17 @@
 /**
  * @file
  * Standalone record/replay driver (docs/FRONTEND.md): runs one trace
- * file -- widir-mtrace-v1 or the text ingestion format -- through a
- * replay frontend and optionally byte-diffs the resulting stats
- * against a reference widir-sweep-v1 document (e.g. the one the
- * recording run wrote). The full-fidelity contract is that the diff is
+ * file -- widir-mtrace-v1 or the text ingestion format -- through the
+ * full-fidelity replay frontend and optionally byte-diffs the
+ * resulting stats against a reference widir-sweep-v1 document (e.g.
+ * the one the recording run wrote). The full-fidelity contract is that the diff is
  * empty modulo the host_* fields and the frontend echo block, which
  * describe the host process and the stimulus plumbing rather than the
  * simulated machine.
  *
- *   replay_trace --trace-in FILE [--replay full|fast]
- *                [--protocol widir|baseline] [--tiles N] [--scale N]
- *                [--sim-threads N] [--out FILE.json] [--diff REF.json]
+ *   replay_trace --trace-in FILE [--protocol widir|baseline]
+ *                [--tiles N] [--scale N] [--out FILE.json]
+ *                [--diff REF.json]
  *
  * The machine flags only matter for headerless text traces; a recorded
  * trace carries its machine and overrides them. Exits 0 on success,
@@ -37,10 +37,8 @@ usage(const char *why)
     std::fprintf(stderr,
                  "replay_trace: %s\n"
                  "usage: replay_trace --trace-in FILE "
-                 "[--replay full|fast]\n"
-                 "       [--protocol widir|baseline] [--tiles N] "
-                 "[--scale N]\n"
-                 "       [--sim-threads N] [--out FILE.json] "
+                 "[--protocol widir|baseline]\n"
+                 "       [--tiles N] [--scale N] [--out FILE.json] "
                  "[--diff REF.json]\n",
                  why);
     std::exit(2);
@@ -114,14 +112,11 @@ int
 main(int argc, char **argv)
 {
     using namespace widir;
-    using frontend::FrontendKind;
 
     std::string trace_in, out_path, diff_path;
-    FrontendKind kind = FrontendKind::ReplayFull;
     coherence::Protocol proto = coherence::Protocol::WiDir;
     std::uint32_t tiles = 64;
     std::uint32_t scale = 1;
-    unsigned sim_threads = 0;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -132,14 +127,6 @@ main(int argc, char **argv)
         };
         if (!std::strcmp(arg, "--trace-in")) {
             trace_in = operand();
-        } else if (!std::strcmp(arg, "--replay")) {
-            const char *v = operand();
-            if (!std::strcmp(v, "full"))
-                kind = FrontendKind::ReplayFull;
-            else if (!std::strcmp(v, "fast"))
-                kind = FrontendKind::ReplayFast;
-            else
-                usage("--replay wants full|fast");
         } else if (!std::strcmp(arg, "--protocol")) {
             const char *v = operand();
             if (!std::strcmp(v, "widir"))
@@ -158,11 +145,6 @@ main(int argc, char **argv)
             if (!sys::parseEnvInt(operand(), 1, 1'000'000, n))
                 usage("invalid --scale value");
             scale = static_cast<std::uint32_t>(n);
-        } else if (!std::strcmp(arg, "--sim-threads")) {
-            long n = 0;
-            if (!sys::parseEnvInt(operand(), 0, 4096, n))
-                usage("invalid --sim-threads value");
-            sim_threads = static_cast<unsigned>(n);
         } else if (!std::strcmp(arg, "--out")) {
             out_path = operand();
         } else if (!std::strcmp(arg, "--diff")) {
@@ -182,8 +164,7 @@ main(int argc, char **argv)
     spec.protocol = proto;
     spec.cores = tiles;
     spec.scale = scale;
-    spec.frontend = kind;
-    spec.simThreads = sim_threads;
+    spec.frontend = frontend::FrontendKind::ReplayFull;
     sys::ExperimentResult r = sys::runExperiment(spec);
 
     std::printf("%s %s: %s replay of %s\n", r.app.c_str(),

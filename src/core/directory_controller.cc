@@ -1,8 +1,6 @@
 #include "core/directory_controller.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "mem/address.h"
 #include "sim/log.h"
@@ -142,13 +140,6 @@ void
 DirectoryController::nack(const Msg &msg)
 {
     ++stats_.nacksSent;
-    if (const char *env = std::getenv("WIDIR_NACK_DEBUG")) {
-        (void)env;
-        DirTxn *t = txnOf(msg.line);
-        std::fprintf(stderr, "NACK line=%llx txn=%d\n",
-                     (unsigned long long)lineAlign(msg.line),
-                     t ? (int)t->type : -1);
-    }
     Msg resp;
     resp.type = MsgType::Nack;
     resp.dst = msg.src;
@@ -982,27 +973,11 @@ DirectoryController::maybeFinishToShared(Addr line)
         // transaction open until our own delivery resolves it --
         // completing now would orphan a chip-wide downgrade that could
         // land in the middle of this line's next wireless epoch.
-        //
-        // The cancel-or-continue is phrased through cancelPendingOr so
-        // it also works from a bound-phase domain, where the outcome
-        // only exists once the weave replays the cancel. The callback
-        // re-validates the transaction: by replay time our own
-        // delivery may already have resolved it (then the cancel
-        // fails and nothing runs), and duplicate deferred cancels are
-        // harmless because only the first one succeeds.
-        fabric_.dataChannel()->cancelPendingOr(
-            txn->frameToken, [this, line] {
-                DirTxn *t = txnOf(line);
-                if (!t || t->type != TxnType::ToShared ||
-                    t->frameResolved) {
-                    return;
-                }
-                if (t->acksReceived < t->acksExpected)
-                    return;
-                t->frameResolved = true;
-                finishToShared(line);
-            });
-        return; // the cancel callback or handleFrame(WirDwgr) finishes
+        if (fabric_.dataChannel()->cancelPending(txn->frameToken)) {
+            txn->frameResolved = true;
+            finishToShared(line);
+        }
+        return; // otherwise handleFrame(WirDwgr) finishes
     }
     finishToShared(line);
 }

@@ -28,15 +28,6 @@ CoherenceFabric::sendWired(const Msg &msg, sim::Tick delay)
 {
     WIDIR_ASSERT(msg.src != sim::kNodeNone && msg.dst != sim::kNodeNone,
                  "wired message without endpoints");
-    if (sim::boundContext()) {
-        // Bound phase of the domain scheduler: the fabric is a
-        // boundary object (shared message pool, per-pair order clamps,
-        // the mesh), so replay this send in the weave. The weave runs
-        // at the same tick the caller saw, and the delay is relative,
-        // so message timing is unchanged.
-        sim::deferOp([this, msg, delay] { sendWired(msg, delay); });
-        return;
-    }
     if (trace_) {
         std::fprintf(stderr, "%10llu  %2u -> %2u  %-10s line=%#llx%s\n",
                      static_cast<unsigned long long>(sim_.now()),
@@ -100,14 +91,7 @@ CoherenceFabric::sendWired(const Msg &msg, sim::Tick delay)
                 dir(dm.dst).receive(dm);
             else
                 l1(dm.dst).receive(dm);
-            if (sim::boundContext()) {
-                // Domain mode delivers inside the receiver's bound
-                // phase; the pool is shared, so the release waits for
-                // the weave (reads of a live slot stay race-free).
-                sim::deferOp([this, slot] { pool_.release(slot); });
-            } else {
-                pool_.release(slot);
-            }
+            pool_.release(slot);
         };
         static_assert(sim::InlineEvent::fitsInline<decltype(deliver)>(),
                       "mesh delivery closure must stay inline");

@@ -24,10 +24,7 @@ Core::start(std::function<Task(Thread &)> body,
     WIDIR_ASSERT(!started_, "core %u started twice", node_);
     started_ = true;
     body_ = std::move(body);
-    // The kickoff -- and therefore the whole coroutine/ROB event chain
-    // it seeds -- belongs to this core's tile, so in domain mode it
-    // must enter the core's own sub-queue.
-    sim_.scheduleForNodeAt(node_, start, [this, num_threads] {
+    sim_.scheduleAt(start, [this, num_threads] {
         thread_ = std::make_unique<Thread>(*this, node_, num_threads);
         task_ = body_(*thread_);
         task_.resume(); // run to the first suspension

@@ -65,26 +65,8 @@ frontendKindName(FrontendKind kind)
         return "record";
     case FrontendKind::ReplayFull:
         return "replay-full";
-    case FrontendKind::ReplayFast:
-        return "replay-fast";
     }
     return "?";
-}
-
-bool
-parseFrontendKind(std::string_view name, FrontendKind &out)
-{
-    for (FrontendKind k :
-         {FrontendKind::Coroutine, FrontendKind::Record,
-          FrontendKind::ReplayFull, FrontendKind::ReplayFast})
-    {
-        if (name == frontendKindName(k))
-        {
-            out = k;
-            return true;
-        }
-    }
-    return false;
 }
 
 // ---------------------------------------------------------------------
@@ -221,360 +203,82 @@ makeReplayProgram(const MemTrace &trace, ReplayGate *gate)
     };
 }
 
-namespace {
-
 // ---------------------------------------------------------------------
-// Coroutine frontend (also hosts Record and ReplayFull)
+// Frontend
 // ---------------------------------------------------------------------
 
-class CoroutineFrontend final : public Frontend
+Frontend::Frontend(const FrontendSpec &spec, sim::Simulator &sim,
+                   const std::vector<coherence::L1Controller *> &l1s,
+                   const cpu::CoreConfig &core_cfg)
+    : kind_(spec.kind), trace_(spec.trace)
 {
-  public:
-    CoroutineFrontend(FrontendKind kind, sim::Simulator &sim,
-                      const std::vector<coherence::L1Controller *> &l1s,
-                      const cpu::CoreConfig &core_cfg,
-                      const MemTrace *trace)
-        : kind_(kind), trace_(trace)
+    const auto n = static_cast<std::uint32_t>(l1s.size());
+    if (kind_ == FrontendKind::Record)
+        recorder_ = std::make_unique<Recorder>(n);
+    if (kind_ == FrontendKind::ReplayFull)
     {
-        const auto n = static_cast<std::uint32_t>(l1s.size());
-        if (kind_ == FrontendKind::Record)
-            recorder_ = std::make_unique<Recorder>(n);
-        if (kind_ == FrontendKind::ReplayFull && trace_ != nullptr &&
-            !trace_->header.hasMachine && trace_->hasSync())
+        WIDIR_ASSERT(trace_ != nullptr,
+                     "replay-full frontend needs a trace");
+        if (!trace_->header.hasMachine && trace_->hasSync())
             gate_ = std::make_unique<ReplayGate>(*trace_);
-        cores_.reserve(n);
-        for (sim::NodeId node = 0; node < n; ++node)
-        {
-            cores_.push_back(std::make_unique<cpu::Core>(
-                sim, *l1s[node], node, core_cfg));
-            if (recorder_)
-                cores_.back()->setOpSink(&recorder_->sink(node));
-        }
     }
-
-    FrontendKind kind() const override { return kind_; }
-
-    void
-    start(const cpu::Program &program) override
+    cores_.reserve(n);
+    for (sim::NodeId node = 0; node < n; ++node)
     {
-        cpu::Program p = program;
-        if (kind_ == FrontendKind::ReplayFull)
-        {
-            WIDIR_ASSERT(trace_ != nullptr,
-                         "replay frontend without a trace");
-            p = makeReplayProgram(*trace_, gate_.get());
-        }
-        WIDIR_ASSERT(static_cast<bool>(p),
-                     "coroutine frontend started without a program");
-        const auto n = static_cast<std::uint32_t>(cores_.size());
-        for (auto &core : cores_)
-            core->start(p, n, 0);
+        cores_.push_back(std::make_unique<cpu::Core>(
+            sim, *l1s[node], node, core_cfg));
+        if (recorder_)
+            cores_.back()->setOpSink(&recorder_->sink(node));
     }
+}
 
-    bool
-    allFinished() const override
-    {
-        for (const auto &core : cores_)
-            if (!core->finished())
-                return false;
-        return true;
-    }
-
-    sim::Tick
-    finishTick() const override
-    {
-        sim::Tick end = 0;
-        for (const auto &core : cores_)
-            end = std::max(end, core->finishTick());
-        return end;
-    }
-
-    cpu::Core::Stats
-    cpuTotals() const override
-    {
-        cpu::Core::Stats total;
-        for (const auto &core : cores_)
-        {
-            const auto &s = core->stats();
-            total.instructions += s.instructions;
-            total.loads += s.loads;
-            total.stores += s.stores;
-            total.rmws += s.rmws;
-            total.memStallCycles += s.memStallCycles;
-            total.loadLatencySum += s.loadLatencySum;
-            total.storeLatencySum += s.storeLatencySum;
-        }
-        return total;
-    }
-
-    cpu::Core *
-    core(sim::NodeId n) override
-    {
-        return cores_.at(n).get();
-    }
-
-    Recorder *recorder() override { return recorder_.get(); }
-
-  private:
-    FrontendKind kind_;
-    const MemTrace *trace_;
-    // Cores hold the replay coroutines, which reference the gate:
-    // declare the gate first so the cores are destroyed before it.
-    std::unique_ptr<ReplayGate> gate_;
-    std::unique_ptr<Recorder> recorder_;
-    std::vector<std::unique_ptr<cpu::Core>> cores_;
-};
-
-// ---------------------------------------------------------------------
-// Fast direct-to-L1 replay
-// ---------------------------------------------------------------------
-
-/**
- * Drives each tile's op stream straight into its L1 controller with a
- * small window of outstanding operations, skipping the ROB/retirement
- * model entirely. RMWs and fences drain the window first (atomics
- * fence the stream, as in the core model); Idle records are skipped;
- * Sync records serialize through the ReplayGate.
- */
-class DirectReplayFrontend final : public Frontend
+void
+Frontend::start(const cpu::Program &program)
 {
-  public:
-    DirectReplayFrontend(
-        sim::Simulator &sim,
-        const std::vector<coherence::L1Controller *> &l1s,
-        const MemTrace *trace)
-        : sim_(sim), trace_(trace), gate_(*trace)
-    {
-        // The tiles share the gate and the aggregate stats; the domain
-        // kernel would run them from different host threads.
-        WIDIR_ASSERT(!sim.domainMode(),
-                     "fast replay requires the classic kernel "
-                     "(sim-threads 0)");
-        tiles_.resize(l1s.size());
-        for (std::size_t i = 0; i < l1s.size(); ++i)
-        {
-            tiles_[i].l1 = l1s[i];
-            tiles_[i].ops = i < trace_->threads.size()
-                                ? &trace_->threads[i]
-                                : nullptr;
-        }
-    }
+    cpu::Program p = kind_ == FrontendKind::ReplayFull
+                         ? makeReplayProgram(*trace_, gate_.get())
+                         : program;
+    WIDIR_ASSERT(static_cast<bool>(p),
+                 "frontend started without a program");
+    const auto n = static_cast<std::uint32_t>(cores_.size());
+    for (auto &core : cores_)
+        core->start(p, n, 0);
+}
 
-    FrontendKind kind() const override
-    {
-        return FrontendKind::ReplayFast;
-    }
-
-    void
-    start(const cpu::Program &) override
-    {
-        for (std::size_t i = 0; i < tiles_.size(); ++i)
-        {
-            Tile &t = tiles_[i];
-            if (t.ops == nullptr || t.ops->empty())
-            {
-                t.finished = true;
-                ++finished_;
-                continue;
-            }
-            t.l1->setCompletion(
-                [this, i](std::uint64_t, std::uint64_t) {
-                    onComplete(i);
-                });
-            sim_.scheduleForNodeAt(static_cast<sim::NodeId>(i), 0,
-                                   [this, i] { pump(i); });
-        }
-    }
-
-    bool
-    allFinished() const override
-    {
-        return finished_ == tiles_.size();
-    }
-
-    sim::Tick finishTick() const override { return finishTick_; }
-
-    cpu::Core::Stats cpuTotals() const override { return stats_; }
-
-    cpu::Core *core(sim::NodeId) override { return nullptr; }
-
-    Recorder *recorder() override { return nullptr; }
-
-  private:
-    struct Tile
-    {
-        coherence::L1Controller *l1 = nullptr;
-        const std::vector<Op> *ops = nullptr;
-        std::size_t next = 0;
-        std::uint32_t outstanding = 0;
-        std::uint64_t tokenNext = 1;
-        bool atSync = false;
-        bool finished = false;
-    };
-
-    static constexpr std::uint32_t kWindow = 8;
-
-    void
-    onComplete(std::size_t i)
-    {
-        Tile &t = tiles_[i];
-        WIDIR_ASSERT(t.outstanding > 0, "fast replay drain underflow");
-        --t.outstanding;
-        pump(i);
-    }
-
-    void
-    finishTile(Tile &t)
-    {
-        t.finished = true;
-        ++finished_;
-        finishTick_ = std::max(finishTick_, sim_.now());
-    }
-
-    void
-    scheduleWake()
-    {
-        if (wakeScheduled_)
-            return;
-        wakeScheduled_ = true;
-        sim_.scheduleInline(0, [this] { gateWake(); });
-    }
-
-    /** Wake parked tiles whose gate turn has arrived, to fixpoint. */
-    void
-    gateWake()
-    {
-        wakeScheduled_ = false;
-        bool progress = true;
-        while (progress)
-        {
-            progress = false;
-            for (std::size_t i = 0; i < tiles_.size(); ++i)
-            {
-                Tile &t = tiles_[i];
-                if (t.atSync &&
-                    gate_.tryPass(static_cast<std::uint32_t>(i)))
-                {
-                    t.atSync = false;
-                    ++t.next;
-                    progress = true;
-                    pump(i);
-                }
-            }
-        }
-    }
-
-    void
-    pump(std::size_t i)
-    {
-        Tile &t = tiles_[i];
-        if (t.finished || t.atSync)
-            return;
-        const std::vector<Op> &ops = *t.ops;
-        for (;;)
-        {
-            if (t.next >= ops.size())
-            {
-                if (t.outstanding == 0)
-                    finishTile(t);
-                return;
-            }
-            const Op &op = ops[t.next];
-            switch (op.kind)
-            {
-            case OpKind::Compute:
-                stats_.instructions += op.a;
-                ++t.next;
-                continue;
-            case OpKind::Idle:
-                // Fast mode models no pipeline pauses.
-                ++t.next;
-                continue;
-            case OpKind::Load:
-            case OpKind::LoadNb:
-                if (t.outstanding >= kWindow)
-                    return;
-                ++stats_.loads;
-                ++stats_.instructions;
-                ++t.next;
-                ++t.outstanding;
-                t.l1->read(op.addr, t.tokenNext++);
-                continue;
-            case OpKind::Store:
-                if (t.outstanding >= kWindow)
-                    return;
-                ++stats_.stores;
-                ++stats_.instructions;
-                ++t.next;
-                ++t.outstanding;
-                t.l1->write(op.addr, op.a, t.tokenNext++);
-                continue;
-            case OpKind::Rmw:
-            {
-                if (t.outstanding != 0)
-                    return; // atomics fence the stream
-                ++stats_.rmws;
-                ++stats_.instructions;
-                ++t.next;
-                ++t.outstanding;
-                t.l1->rmw(op.addr, replayModify(op), t.tokenNext++);
-                return; // serialized: resume from the completion
-            }
-            case OpKind::Fence:
-                if (t.outstanding != 0)
-                    return;
-                ++t.next;
-                continue;
-            case OpKind::Sync:
-                if (t.outstanding != 0)
-                    return; // publish prior ops before the token
-                if (!gate_.tryPass(static_cast<std::uint32_t>(i)))
-                {
-                    t.atSync = true;
-                    return;
-                }
-                ++t.next;
-                scheduleWake();
-                continue;
-            }
-        }
-    }
-
-    sim::Simulator &sim_;
-    const MemTrace *trace_;
-    ReplayGate gate_;
-    std::vector<Tile> tiles_;
-    std::size_t finished_ = 0;
-    sim::Tick finishTick_ = 0;
-    cpu::Core::Stats stats_;
-    bool wakeScheduled_ = false;
-};
-
-} // namespace
-
-std::unique_ptr<Frontend>
-makeFrontend(const FrontendSpec &spec, sim::Simulator &sim,
-             const std::vector<coherence::L1Controller *> &l1s,
-             const cpu::CoreConfig &core_cfg)
+bool
+Frontend::allFinished() const
 {
-    switch (spec.kind)
+    for (const auto &core : cores_)
+        if (!core->finished())
+            return false;
+    return true;
+}
+
+sim::Tick
+Frontend::finishTick() const
+{
+    sim::Tick end = 0;
+    for (const auto &core : cores_)
+        end = std::max(end, core->finishTick());
+    return end;
+}
+
+cpu::Core::Stats
+Frontend::cpuTotals() const
+{
+    cpu::Core::Stats total;
+    for (const auto &core : cores_)
     {
-    case FrontendKind::Coroutine:
-    case FrontendKind::Record:
-    case FrontendKind::ReplayFull:
-        if (spec.kind == FrontendKind::ReplayFull)
-            WIDIR_ASSERT(spec.trace != nullptr,
-                         "replay-full frontend needs a trace");
-        return std::make_unique<CoroutineFrontend>(
-            spec.kind, sim, l1s, core_cfg, spec.trace);
-    case FrontendKind::ReplayFast:
-        WIDIR_ASSERT(spec.trace != nullptr,
-                     "replay-fast frontend needs a trace");
-        return std::make_unique<DirectReplayFrontend>(sim, l1s,
-                                                      spec.trace);
+        const auto &s = core->stats();
+        total.instructions += s.instructions;
+        total.loads += s.loads;
+        total.stores += s.stores;
+        total.rmws += s.rmws;
+        total.memStallCycles += s.memStallCycles;
+        total.loadLatencySum += s.loadLatencySum;
+        total.storeLatencySum += s.storeLatencySum;
     }
-    sim::fatal("unknown frontend kind");
-    return nullptr;
+    return total;
 }
 
 } // namespace widir::frontend

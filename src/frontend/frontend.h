@@ -1,9 +1,10 @@
 /**
  * @file
- * Frontend: the pluggable stimulus source of a simulated machine.
+ * Frontend: the stimulus source of a simulated machine.
  *
  * The timing side (L1 controllers, directories, NoCs, memory) is fixed
- * by the Manycore; what *drives* it is a Frontend:
+ * by the Manycore; what *drives* it is a Frontend -- one core model
+ * per tile, in one of three configurations:
  *
  *  - Coroutine: the out-of-order core model executing a workload
  *    program (the classic configuration -- byte-identical to the
@@ -11,9 +12,7 @@
  *  - Record: Coroutine plus an OpSink tap writing widir-mtrace-v1
  *    (pure observation: stats identical to an unrecorded run);
  *  - ReplayFull: the core model re-driven from a recorded trace --
- *    reproduces the recording's stats byte-identically;
- *  - ReplayFast: a direct-to-L1 driver that skips the ROB model for
- *    large sweeps (deterministic, but not timing-faithful).
+ *    reproduces the recording's stats byte-identically.
  *
  * Fidelity contracts are specified in docs/FRONTEND.md.
  */
@@ -39,18 +38,14 @@ enum class FrontendKind : std::uint8_t
     Coroutine,  ///< coroutine CPU model running a workload program
     Record,     ///< Coroutine + widir-mtrace-v1 recorder tap
     ReplayFull, ///< trace re-driven through the core timing model
-    ReplayFast, ///< trace driven directly into the L1s (no ROB)
 };
 
-/** Stable lowercase name (JSON echo, bench flags). */
+/** Stable lowercase name (JSON echo). */
 const char *frontendKindName(FrontendKind kind);
 
-/** Parse a frontendKindName() string; false on unknown name. */
-bool parseFrontendKind(std::string_view name, FrontendKind &out);
-
 /**
- * Frontend construction request. For the replay kinds @p trace must
- * point at a trace that outlives the frontend.
+ * Frontend construction request. For ReplayFull @p trace must point at
+ * a trace that outlives the frontend.
  */
 struct FrontendSpec
 {
@@ -62,9 +57,9 @@ struct FrontendSpec
  * Serializes the sync-event tokens of a trace into their recorded
  * global order: a thread may pass its next token only when every
  * earlier token (ordered by recorded key, then thread, then index) has
- * been passed. This is how the fast replayer -- and full replay of
- * headerless text traces -- preserves the inter-thread ordering the
- * annotations encode without a timing-faithful core.
+ * been passed. This is how full replay of headerless text traces
+ * preserves the inter-thread ordering the annotations encode without
+ * a recorded timing to reproduce it.
  */
 class ReplayGate
 {
@@ -116,45 +111,49 @@ std::string validateTrace(const MemTrace &trace,
  */
 cpu::Program makeReplayProgram(const MemTrace &trace, ReplayGate *gate);
 
-/** One stimulus source bound to a machine's L1 controllers. */
+/** The cores driving a machine's L1 controllers. */
 class Frontend
 {
   public:
-    virtual ~Frontend() = default;
-
-    virtual FrontendKind kind() const = 0;
-
     /**
-     * Start the stimulus at tick 0 (schedules the kickoff events; the
-     * caller then runs the simulator). The replay kinds ignore
-     * @p program.
+     * Build one core per L1 controller (core id == tile id). @p l1s
+     * and @p spec.trace must outlive the frontend.
      */
-    virtual void start(const cpu::Program &program) = 0;
-
-    /** Every stimulus stream ran to completion and drained. */
-    virtual bool allFinished() const = 0;
-
-    /** Max finish tick over all streams (valid once allFinished()). */
-    virtual sim::Tick finishTick() const = 0;
-
-    /** CPU-side statistics summed over all streams. */
-    virtual cpu::Core::Stats cpuTotals() const = 0;
-
-    /** The core model of tile @p n, or null for core-less frontends. */
-    virtual cpu::Core *core(sim::NodeId n) = 0;
-
-    /** The recorder (Record kind only, else null). */
-    virtual Recorder *recorder() = 0;
-};
-
-/**
- * Build the frontend selected by @p spec for a machine with one L1
- * controller per tile. @p l1s and @p trace must outlive the frontend.
- */
-std::unique_ptr<Frontend>
-makeFrontend(const FrontendSpec &spec, sim::Simulator &sim,
+    Frontend(const FrontendSpec &spec, sim::Simulator &sim,
              const std::vector<coherence::L1Controller *> &l1s,
              const cpu::CoreConfig &core_cfg);
+
+    /**
+     * Start every core at tick 0 (schedules the kickoff events; the
+     * caller then runs the simulator). ReplayFull ignores @p program
+     * and runs the trace's replay program instead.
+     */
+    void start(const cpu::Program &program);
+
+    /** Every core ran its program to completion. */
+    bool allFinished() const;
+
+    /** Max finish tick over all cores (valid once allFinished()). */
+    sim::Tick finishTick() const;
+
+    /** CPU-side statistics summed over all cores. */
+    cpu::Core::Stats cpuTotals() const;
+
+    /** The core model of tile @p n. */
+    cpu::Core &core(sim::NodeId n) { return *cores_.at(n); }
+
+    /** The recorder (Record kind only, else null). */
+    Recorder *recorder() { return recorder_.get(); }
+
+  private:
+    FrontendKind kind_;
+    const MemTrace *trace_;
+    // Cores hold the replay coroutines, which reference the gate:
+    // declare the gate first so the cores are destroyed before it.
+    std::unique_ptr<ReplayGate> gate_;
+    std::unique_ptr<Recorder> recorder_;
+    std::vector<std::unique_ptr<cpu::Core>> cores_;
+};
 
 } // namespace widir::frontend
 

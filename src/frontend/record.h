@@ -2,9 +2,7 @@
  * @file
  * Recorder: the cpu::OpSink implementation behind the recording
  * frontend. One ThreadRecorder per core appends to a private op
- * buffer; under the bound/weave domain kernel each core's events run
- * in that core's own domain, so the per-thread buffers stay
- * single-writer without locks.
+ * buffer.
  *
  * Recording is pure observation (see cpu/op_sink.h): the recorded run
  * is byte-identical to the same run unrecorded.
@@ -148,9 +146,8 @@ class Recorder
         sync(cpu::SyncNote kind, sim::Addr addr,
              sim::Tick now) override
         {
-            // The completion tick is the ordering key the fast
-            // replayer's gate sorts on -- deterministic under both
-            // event kernels.
+            // The completion tick is the ordering key the replay
+            // gate sorts on.
             ops.push_back({OpKind::Sync, kind, addr, now, 0, {}});
         }
     };

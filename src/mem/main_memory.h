@@ -74,16 +74,6 @@ class MainMemory
     void
     readLine(Addr addr, std::function<void(const LineData &)> done)
     {
-        if (sim::boundContext()) {
-            // Bound phase: the store and the controller queues are
-            // shared across domains, so replay in the weave (same
-            // tick, so queuing order and latency are unchanged). The
-            // completion then fires on the boundary queue.
-            sim::deferOp([this, addr, done = std::move(done)]() mutable {
-                readLine(addr, std::move(done));
-            });
-            return;
-        }
         Tick latency = serviceLatency(addr);
         ++reads_;
         Addr line = lineAlign(addr);
@@ -102,13 +92,6 @@ class MainMemory
     writeLine(Addr addr, const LineData &data,
               std::function<void()> done = nullptr)
     {
-        if (sim::boundContext()) {
-            sim::deferOp(
-                [this, addr, data, done = std::move(done)]() mutable {
-                    writeLine(addr, data, std::move(done));
-                });
-            return;
-        }
         Tick latency = serviceLatency(addr);
         ++writes_;
         Addr line = lineAlign(addr);

@@ -148,12 +148,7 @@ Mesh::send(NodeId src, NodeId dst, std::uint32_t bits,
         r.arg = total; // tail-arrival latency incl. contention
         tracer.emit(r);
     }
-    // Delivery belongs to the destination tile: in domain mode this
-    // schedules into dst's sub-queue so the receiving controller runs
-    // in its own bound phase (the mesh itself is only ever called from
-    // the weave, where sendWired replays). total >= hopLatency >= 1,
-    // so the event lands in a strictly later window.
-    sim_.scheduleForNode(dst, total, std::move(deliver));
+    sim_.schedule(total, std::move(deliver));
 }
 
 void

@@ -148,31 +148,6 @@ class EventQueue
     std::uint64_t executedEvents() const { return executed_; }
 
     /**
-     * Earliest pending tick (kTickNever when empty). The bound/weave
-     * domain scheduler polls every sub-queue's nextTick() to find the
-     * global window tick; see sim/domains.h.
-     */
-    Tick nextTick() const { return nextEventTick(); }
-
-    /**
-     * Advance the clock to @p when without executing anything. Only
-     * legal when no event is pending before @p when: the domain
-     * scheduler uses this to keep idle sub-queues (and the boundary
-     * queue) in lockstep with the window tick so that relative
-     * schedule(delay) calls made during the weave phase are computed
-     * against the window, not against a stale clock.
-     */
-    void
-    advanceTo(Tick when)
-    {
-        WIDIR_ASSERT(nextEventTick() >= when,
-                     "advanceTo(%llu) would skip a pending event at %llu",
-                     static_cast<unsigned long long>(when),
-                     static_cast<unsigned long long>(nextEventTick()));
-        now_ = std::max(now_, when);
-    }
-
-    /**
      * Test-only hook: route every future schedule to the far-future
      * heap, bypassing the calendar wheel. The (tick, seq) order is
      * identical either way; the cross-scheduler determinism test runs

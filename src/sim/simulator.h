@@ -11,11 +11,9 @@
 #define WIDIR_SIM_SIMULATOR_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 
-#include "sim/domains.h"
 #include "sim/event_queue.h"
 #include "sim/log.h"
 #include "sim/rng.h"
@@ -40,64 +38,14 @@ class Simulator
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    /**
-     * The simulator's root event queue. In classic (single-queue)
-     * mode, every event lives here; in domain mode it is the
-     * *boundary* queue (chip-wide objects and the window clock), and
-     * per-tile events live in the DomainRuntime's sub-queues -- use
-     * executedEvents() rather than queue().executedEvents() for
-     * whole-run counts.
-     */
+    /** The simulator's event queue. */
     EventQueue &queue() { return queue_; }
 
-    /**
-     * Current simulated cycle: the executing domain's clock during a
-     * bound phase, the root queue's clock otherwise. The two agree at
-     * every point where cross-domain work is initiated (the weave
-     * keeps all queues in tick lockstep).
-     */
-    Tick
-    now() const
-    {
-        if (const BoundContext *b = boundContext())
-            return b->queue->now();
-        return queue_.now();
-    }
+    /** Current simulated cycle. */
+    Tick now() const { return queue_.now(); }
 
-    /**
-     * Switch this simulation to the bound/weave domain scheduler (see
-     * sim/domains.h): @p num_domains per-tile sub-queues executed by
-     * @p threads host threads. Must be called before anything is
-     * scheduled. The merged event order depends on the domain
-     * partition only, so any thread count (including 1) yields
-     * byte-identical results; classic mode (never calling this)
-     * remains the default and keeps the original schedule.
-     */
-    void
-    enableDomains(std::uint32_t num_domains, unsigned threads)
-    {
-        WIDIR_ASSERT(!domains_, "domain mode already enabled");
-        WIDIR_ASSERT(queue_.empty() && queue_.executedEvents() == 0,
-                     "enableDomains must precede all scheduling");
-        domains_ = std::make_unique<DomainRuntime>(queue_, tracer_,
-                                                   num_domains, threads);
-    }
-
-    /** True when the bound/weave domain scheduler is active. */
-    bool domainMode() const { return domains_ != nullptr; }
-
-    /** The domain runtime, or nullptr in classic mode. */
-    DomainRuntime *domains() { return domains_.get(); }
-
-    /** Events executed across every queue this simulator owns. */
-    std::uint64_t
-    executedEvents() const
-    {
-        std::uint64_t n = queue_.executedEvents();
-        if (domains_)
-            n += domains_->executedEvents();
-        return n;
-    }
+    /** Events executed so far. */
+    std::uint64_t executedEvents() const { return queue_.executedEvents(); }
 
     /** Root seed of this run. */
     std::uint64_t seed() const { return seed_; }
@@ -124,43 +72,14 @@ class Simulator
     void
     schedule(Tick delay, EventFn fn)
     {
-        activeQueue().schedule(delay, std::move(fn));
+        queue_.schedule(delay, std::move(fn));
     }
 
     /** Convenience: schedule @p fn at absolute cycle @p when. */
     void
     scheduleAt(Tick when, EventFn fn)
     {
-        activeQueue().scheduleAt(when, std::move(fn));
-    }
-
-    /**
-     * Schedule @p fn @p delay cycles from now on @p node's queue: the
-     * domain sub-queue in domain mode (so the node's next window
-     * executes it in the bound phase), the root queue otherwise. This
-     * is how boundary objects (mesh delivery, wireless frame receive)
-     * hand work back to a tile. Weave-phase/classic only -- bound-
-     * phase code reaches boundary objects through their own deferring
-     * entry points instead.
-     */
-    void
-    scheduleForNode(NodeId node, Tick delay, EventFn fn)
-    {
-        scheduleForNodeAt(node, queue_.now() + delay, std::move(fn));
-    }
-
-    /** Absolute-time variant of scheduleForNode(). */
-    void
-    scheduleForNodeAt(NodeId node, Tick when, EventFn fn)
-    {
-        if (!domains_) {
-            queue_.scheduleAt(when, std::move(fn));
-            return;
-        }
-        WIDIR_ASSERT(!boundContext(),
-                     "scheduleForNode from the bound phase (defer the "
-                     "boundary call instead)");
-        domains_->scheduleForNode(node, when, std::move(fn));
+        queue_.scheduleAt(when, std::move(fn));
     }
 
     /**
@@ -179,7 +98,7 @@ class Simulator
                       "hot-path event capture exceeds the 48-byte "
                       "inline budget; shrink the capture (pool the "
                       "payload) or use schedule()");
-        activeQueue().schedule(delay, std::forward<F>(fn));
+        queue_.schedule(delay, std::forward<F>(fn));
     }
 
     /** Absolute-time variant of scheduleInline(). */
@@ -191,7 +110,7 @@ class Simulator
                       "hot-path event capture exceeds the 48-byte "
                       "inline budget; shrink the capture (pool the "
                       "payload) or use scheduleAt()");
-        activeQueue().scheduleAt(when, std::forward<F>(fn));
+        queue_.scheduleAt(when, std::forward<F>(fn));
     }
 
     /**
@@ -211,8 +130,7 @@ class Simulator
         // run's trace; restore afterwards so nested/serial runs on
         // the same thread stay correctly attributed.
         Tracer *prev = Tracer::setThreadActive(&tracer_);
-        bool drained =
-            domains_ ? domains_->run(limit) : queue_.run(limit);
+        bool drained = queue_.run(limit);
         Tracer::setThreadActive(prev);
         return drained;
     }
@@ -233,25 +151,9 @@ class Simulator
     }
 
   private:
-    /**
-     * The queue this thread should schedule into right now: the
-     * executing domain's sub-queue during a bound phase, the root
-     * (boundary) queue otherwise. One thread runs one simulation at a
-     * time, so a non-null bound context always belongs to this
-     * simulator.
-     */
-    EventQueue &
-    activeQueue()
-    {
-        if (BoundContext *b = boundContext())
-            return *b->queue;
-        return queue_;
-    }
-
     EventQueue queue_;
     std::uint64_t seed_;
     Tracer tracer_;
-    std::unique_ptr<DomainRuntime> domains_;
 };
 
 } // namespace widir::sim

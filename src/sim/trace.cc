@@ -27,8 +27,6 @@ Tracer::threadActive()
 Tick
 Tracer::clockNow() const
 {
-    if (t_clock_)
-        return t_clock_->now();
     return clock_ ? clock_->now() : 0;
 }
 

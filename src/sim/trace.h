@@ -170,62 +170,9 @@ class Tracer
     {
         if (r.tick < windowLo_ || r.tick > windowHi_)
             return;
-        if (t_buffer_) {
-            // Bound phase of the domain scheduler: sinks are not
-            // thread-safe, so park the record in this domain's private
-            // buffer. The weave phase flush()es buffers in domain
-            // order, which is what makes the merged stream identical
-            // at every thread count (see sim/domains.h).
-            t_buffer_->push_back(r);
-            return;
-        }
         ++emitted_;
         for (const Sink &sink : sinks_)
             sink(r);
-    }
-
-    /**
-     * Deliver buffered bound-phase records to the sinks in buffer
-     * order, then clear @p buf. Records were window-filtered at emit()
-     * time. Weave-phase only (single-threaded).
-     */
-    void
-    flush(std::vector<TraceRecord> &buf)
-    {
-        for (const TraceRecord &r : buf) {
-            ++emitted_;
-            for (const Sink &sink : sinks_)
-                sink(r);
-        }
-        buf.clear();
-    }
-
-    /**
-     * Redirect this thread's emit()s into @p buf (nullptr: straight to
-     * the sinks, the default). Set by the domain scheduler around each
-     * bound-phase sub-queue run; returns the previous buffer so nested
-     * scopes restore correctly.
-     */
-    static std::vector<TraceRecord> *
-    setThreadBuffer(std::vector<TraceRecord> *buf)
-    {
-        std::vector<TraceRecord> *prev = t_buffer_;
-        t_buffer_ = buf;
-        return prev;
-    }
-
-    /**
-     * Override the clock clockNow() reads on this thread (nullptr:
-     * fall back to the simulator-wide clock). During the bound phase
-     * each domain's sub-queue is the authoritative clock for code --
-     * like sim::warn() -- that stamps records outside a component.
-     */
-    static const EventQueue *
-    setThreadClock(const EventQueue *queue)
-    {
-        const EventQueue *prev = t_clock_;
-        t_clock_ = queue;
-        return prev;
     }
 
     /**
@@ -251,10 +198,6 @@ class Tracer
     Tick clockNow() const;
 
   private:
-    inline static thread_local std::vector<TraceRecord> *t_buffer_ =
-        nullptr;
-    inline static thread_local const EventQueue *t_clock_ = nullptr;
-
     const EventQueue *clock_ = nullptr;
     bool enabled_ = false;
     Tick windowLo_ = 0;

@@ -90,9 +90,7 @@ ExperimentSpec::validate() const
         add("meshConcentration must divide cores");
     if (wirelessChannels == 0)
         add("wirelessChannels must be positive");
-    const bool is_replay =
-        frontend == frontend::FrontendKind::ReplayFull ||
-        frontend == frontend::FrontendKind::ReplayFast;
+    const bool is_replay = frontend == frontend::FrontendKind::ReplayFull;
     const bool trace_app = app != nullptr && app->traceSource != nullptr;
     if (frontend == frontend::FrontendKind::Record) {
         if (recordPath.empty())
@@ -107,7 +105,7 @@ ExperimentSpec::validate() const
             add("replay frontend needs a replayPath "
                 "(or a trace-driven app)");
     } else if (!replayPath.empty()) {
-        add("replayPath set but frontend is not a replay kind");
+        add("replayPath set but frontend is not replay-full");
     }
     if (trace_app && !replayPath.empty())
         add("trace-driven app already supplies its trace; "
@@ -152,27 +150,6 @@ benchScale(std::uint32_t fallback)
 
 namespace {
 
-/**
- * Resolve the kernel choice for one run: an explicit spec value wins;
- * otherwise WIDIR_SIM_THREADS selects the bound/weave kernel for the
- * whole process (0 or unset keeps the classic kernel). Invalid values
- * warn and fall back to classic rather than silently picking a thread
- * count the user never asked for.
- */
-unsigned
-resolveSimThreads(unsigned from_spec)
-{
-    if (from_spec > 0)
-        return from_spec;
-    if (const char *env = std::getenv("WIDIR_SIM_THREADS")) {
-        long v = 0;
-        if (parseEnvInt(env, 0, 4096, v))
-            return static_cast<unsigned>(v);
-        sim::warn("ignoring invalid WIDIR_SIM_THREADS='%s'", env);
-    }
-    return 0;
-}
-
 double
 secondsSince(std::chrono::steady_clock::time_point start)
 {
@@ -198,8 +175,7 @@ runExperiment(const ExperimentSpec &spec)
         if (fk == frontend::FrontendKind::Coroutine)
             fk = frontend::FrontendKind::ReplayFull;
     }
-    const bool is_replay = fk == frontend::FrontendKind::ReplayFull ||
-                           fk == frontend::FrontendKind::ReplayFast;
+    const bool is_replay = fk == frontend::FrontendKind::ReplayFull;
 
     // Effective machine knobs: the spec's, unless a replayed trace
     // carries the recorded machine -- then the recording wins so the
@@ -252,14 +228,6 @@ runExperiment(const ExperimentSpec &spec)
     cfg.protocol.dirPointers =
         std::max(cfg.protocol.dirPointers, max_wired);
     cfg.fault = spec.fault;
-    cfg.simThreads = resolveSimThreads(spec.simThreads);
-    // The fast replayer's gate and stats -- and full replay's gate for
-    // headerless synced traces -- are shared across every tile, so
-    // those modes require the classic single-queue kernel.
-    if (fk == frontend::FrontendKind::ReplayFast ||
-        (fk == frontend::FrontendKind::ReplayFull &&
-         !trace.header.hasMachine && trace.hasSync()))
-        cfg.simThreads = 0;
     cfg.mesh.concentration = mesh_conc;
     cfg.wnoc.numChannels = wchan;
     cfg.protocol.homeMap = home_map;

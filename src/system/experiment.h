@@ -209,26 +209,13 @@ struct ExperimentSpec
      */
     fault::FaultSpec fault;
 
-    /**
-     * Host threads for the bound/weave parallel kernel (sim/domains.h,
-     * `--sim-threads`). 0 (the default) defers to the WIDIR_SIM_THREADS
-     * environment variable, and falls back to the classic single-queue
-     * kernel when that is unset too. Any value >= 1 selects the domain
-     * kernel; results are byte-identical across all >= 1 values (and
-     * deterministic, but a *different* -- equally valid -- event
-     * schedule from the classic kernel, see docs/PERF.md). Not part of
-     * the widir-sweep-v1 result schema: like forceHeapForTest, it
-     * selects an execution strategy, not an experiment.
-     */
-    unsigned simThreads = 0;
-
     /// @name Frontend selection (docs/FRONTEND.md)
     /// @{
     /**
      * Stimulus source. Coroutine (default) runs the app's kernel on
      * the core model; Record does the same while writing a
-     * widir-mtrace-v1 op stream to recordPath; the replay kinds drive
-     * the machine from replayPath (or the app's trace source). An app
+     * widir-mtrace-v1 op stream to recordPath; ReplayFull drives the
+     * machine from replayPath (or the app's trace source). An app
      * registered from an external trace (registerTraceApp /
      * `--trace-in`) auto-upgrades Coroutine to ReplayFull. When a
      * replayed trace carries a machine header, its machine knobs
@@ -242,8 +229,8 @@ struct ExperimentSpec
     std::string recordPath;
 
     /**
-     * Trace input path (mtrace or text format); required for the
-     * replay kinds unless the app itself is trace-driven.
+     * Trace input path (mtrace or text format); required for
+     * ReplayFull unless the app itself is trace-driven.
      */
     std::string replayPath;
     /// @}
@@ -270,9 +257,8 @@ std::uint32_t benchScale(std::uint32_t fallback = 1);
  * else) that fits in [@p min, @p max]. Rejects empty strings, trailing
  * garbage ("4abc"), and out-of-range values -- including the ones
  * strtol silently saturates -- and returns false without touching
- * @p out. Shared by benchScale, sweep::defaultJobs, and the
- * WIDIR_SIM_THREADS resolution so every env knob fails loudly the
- * same way.
+ * @p out. Shared by benchScale and sweep::defaultJobs so every env
+ * knob fails loudly the same way.
  */
 bool parseEnvInt(const char *text, long min, long max, long &out);
 

@@ -13,13 +13,6 @@ Manycore::Manycore(const SystemConfig &cfg) : cfg_(cfg)
                  "(Section III-B)");
 
     sim_ = std::make_unique<sim::Simulator>(cfg_.seed);
-    if (cfg_.simThreads > 0) {
-        // Bound/weave parallel kernel: one domain per tile, executed
-        // by min(simThreads, numCores) host threads. Must precede all
-        // component construction so nothing schedules into the
-        // single-queue layout first.
-        sim_->enableDomains(cfg_.numCores, cfg_.simThreads);
-    }
 
     cfg_.mesh.numNodes = cfg_.numCores;
     mesh_ = std::make_unique<noc::Mesh>(*sim_, cfg_.mesh);
@@ -86,19 +79,15 @@ Manycore::installFrontend(const frontend::FrontendSpec &spec)
     l1_ptrs.reserve(l1s_.size());
     for (const auto &l1 : l1s_)
         l1_ptrs.push_back(l1.get());
-    frontend_ =
-        frontend::makeFrontend(spec, *sim_, l1_ptrs, cfg_.core);
+    frontend_ = std::make_unique<frontend::Frontend>(spec, *sim_, l1_ptrs,
+                                                     cfg_.core);
 }
 
 cpu::Core &
 Manycore::core(sim::NodeId n)
 {
     WIDIR_ASSERT(frontend_, "no frontend installed");
-    cpu::Core *c = frontend_->core(n);
-    WIDIR_ASSERT(c != nullptr,
-                 "frontend '%s' has no core models",
-                 frontend::frontendKindName(frontend_->kind()));
-    return *c;
+    return frontend_->core(n);
 }
 
 sim::Tick

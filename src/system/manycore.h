@@ -55,16 +55,6 @@ struct SystemConfig
      */
     fault::FaultSpec fault;
 
-    /**
-     * Host threads for the bound/weave domain scheduler
-     * (sim/domains.h): 0 (default) keeps the classic single-queue
-     * kernel with its original event order; any value >= 1 partitions
-     * the machine into one domain per tile and runs bound phases on
-     * min(simThreads, numCores) threads. Every simThreads >= 1 value
-     * produces byte-identical results to simThreads == 1.
-     */
-    unsigned simThreads = 0;
-
     /** Convenience: baseline (wired-only MESI Dir_3_B) machine. */
     static SystemConfig
     baseline(std::uint32_t cores = 64)
@@ -114,7 +104,7 @@ class Manycore
     {
         return *dirs_.at(n);
     }
-    /** Tile @p n's core model (coroutine-family frontends only). */
+    /** Tile @p n's core model (once a frontend is installed). */
     cpu::Core &core(sim::NodeId n);
     std::uint32_t numCores() const { return cfg_.numCores; }
 
@@ -131,8 +121,8 @@ class Manycore
 
     /**
      * Run @p program on every core (thread id == core id) until all
-     * cores finish and the machine quiesces. Replay frontends ignore
-     * @p program and drive their installed trace instead.
+     * cores finish and the machine quiesces. A ReplayFull frontend
+     * ignores @p program and replays its installed trace instead.
      *
      * @param watchdog_cycles fatal() if the machine has not quiesced
      *        by this simulated cycle (protocol hang detector).

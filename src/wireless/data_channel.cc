@@ -40,8 +40,7 @@ DataChannel::traceFrame(sim::TraceKind kind, const Frame &frame,
 
 DataChannel::DataChannel(Simulator &sim, const DataChannelConfig &cfg)
     : sim_(sim), cfg_(cfg), rng_(sim.makeRng(0x57a7e1e55ULL)),
-      receivers_(cfg.numNodes), reservedTokenSeq_(cfg.numNodes, 0),
-      reservedJamSeq_(cfg.numNodes, 0)
+      receivers_(cfg.numNodes)
 {
     WIDIR_ASSERT(cfg_.commitOffset <= frameCycles(),
                  "commit point must be inside the frame");
@@ -90,32 +89,7 @@ DataChannel::transmit(const Frame &frame, sim::EventFn on_commit,
 {
     WIDIR_ASSERT(frame.src < cfg_.numNodes,
                  "frame source out of range");
-    if (sim::boundContext()) {
-        // Bound phase: reserve the token from the sender's private
-        // counter (only frame.src's own domain sends with that src,
-        // so the counter is domain-confined), then enqueue in the
-        // weave at the same tick.
-        std::uint64_t token =
-            reservedId(frame.src, ++reservedTokenSeq_[frame.src]);
-        sim::deferOp([this, token, frame,
-                      on_commit = std::move(on_commit),
-                      on_fail = std::move(on_fail)]() mutable {
-            transmitWithToken(token, frame, std::move(on_commit),
-                              std::move(on_fail));
-        });
-        return token;
-    }
     std::uint64_t token = nextToken_++;
-    transmitWithToken(token, frame, std::move(on_commit),
-                      std::move(on_fail));
-    return token;
-}
-
-void
-DataChannel::transmitWithToken(std::uint64_t token, const Frame &frame,
-                               sim::EventFn on_commit,
-                               sim::EventFn on_fail)
-{
     PendingTx tx;
     tx.token = token;
     tx.frame = frame;
@@ -126,17 +100,12 @@ DataChannel::transmitWithToken(std::uint64_t token, const Frame &frame,
     std::uint32_t ch = channelOf(frame.lineAddr);
     channels_[ch].pending.push_back(std::move(tx));
     scheduleEval(ch);
+    return token;
 }
 
 bool
 DataChannel::cancelPending(std::uint64_t token)
 {
-    if (sim::boundContext()) {
-        // The outcome is unknowable until the weave replays the
-        // cancel; callers that need it use cancelPendingOr().
-        sim::deferOp([this, token] { cancelPending(token); });
-        return false;
-    }
     for (Channel &ch : channels_) {
         for (auto &tx : ch.pending) {
             if (tx.token == token && !tx.cancelled) {
@@ -150,53 +119,20 @@ DataChannel::cancelPending(std::uint64_t token)
     return false;
 }
 
-void
-DataChannel::cancelPendingOr(std::uint64_t token,
-                             sim::EventFn on_cancelled)
-{
-    if (sim::boundContext()) {
-        sim::deferOp([this, token,
-                      on_cancelled = std::move(on_cancelled)]() mutable {
-            cancelPendingOr(token, std::move(on_cancelled));
-        });
-        return;
-    }
-    if (cancelPending(token) && on_cancelled)
-        on_cancelled();
-}
-
 JamId
 DataChannel::startJamming(sim::NodeId owner, sim::Addr line)
 {
-    if (sim::boundContext()) {
-        JamId id = reservedId(owner, ++reservedJamSeq_[owner]);
-        sim::deferOp(
-            [this, id, owner, line] { startJammingWithId(id, owner, line); });
-        return id;
-    }
-    JamId id = nextJamId_++;
-    startJammingWithId(id, owner, line);
-    return id;
-}
-
-void
-DataChannel::startJammingWithId(JamId id, sim::NodeId owner,
-                                sim::Addr line)
-{
     JamFilter filter;
-    filter.id = id;
+    filter.id = nextJamId_++;
     filter.owner = owner;
     filter.maskedLine = signature(line);
     jams_.push_back(filter);
+    return filter.id;
 }
 
 void
 DataChannel::stopJamming(JamId id)
 {
-    if (sim::boundContext()) {
-        sim::deferOp([this, id] { stopJamming(id); });
-        return;
-    }
     auto it = std::find_if(jams_.begin(), jams_.end(),
                            [id](const JamFilter &f) {
                                return f.id == id;
@@ -389,15 +325,10 @@ DataChannel::evaluate(std::uint32_t ch)
                 traceFrame(sim::TraceKind::FrameFaultDrop, tx.frame,
                            tx.faultRetries);
                 sim::EventFn on_fail = std::move(tx.onFail);
-                sim::NodeId src = tx.frame.src;
                 c.pending.erase(c.pending.begin() +
                                 static_cast<std::ptrdiff_t>(idx));
-                if (on_fail) {
-                    // The fallback is sender-side protocol code: run
-                    // it in the sender's domain.
-                    sim_.scheduleForNodeAt(src, after,
-                                           std::move(on_fail));
-                }
+                if (on_fail)
+                    sim_.scheduleAt(after, std::move(on_fail));
             } else {
                 ++faultRetries_;
                 ++tx.attempt;
@@ -431,11 +362,8 @@ DataChannel::evaluate(std::uint32_t ch)
 
     if (tx.onCommit) {
         // Already an EventFn: scheduling it directly keeps the commit
-        // inline (wrapping it in another lambda would not fit). The
-        // commit is sender-side protocol code, so in domain mode it
-        // runs in the sender's own bound phase.
-        sim_.scheduleForNodeAt(tx.frame.src, now + cfg_.commitOffset,
-                               std::move(tx.onCommit));
+        // inline (wrapping it in another lambda would not fit).
+        sim_.scheduleAt(now + cfg_.commitOffset, std::move(tx.onCommit));
     }
     Frame frame = tx.frame;
     c.deliveryPending = true;
@@ -443,32 +371,11 @@ DataChannel::evaluate(std::uint32_t ch)
     sim_.scheduleAtInline(end, [this, ch, frame] {
         channels_[ch].deliveryPending = false;
         traceFrame(sim::TraceKind::FrameDelivered, frame);
-        if (!sim_.domainMode()) {
-            for (auto &rx : receivers_) {
-                if (rx)
-                    rx(frame);
-            }
+        for (auto &rx : receivers_) {
+            if (rx)
+                rx(frame);
         }
-        // Domain mode: receivers got their own per-node events below;
-        // this boundary event keeps the channel bookkeeping (and runs
-        // after the bound phase of tick `end`, so the next arbitration
-        // still starts only once every receiver has the frame).
     });
-    if (sim_.domainMode()) {
-        // Fan the broadcast out as one event per receiving tile so
-        // the receive handlers (L1 + directory frame processing) run
-        // inside their own domains, in parallel. Scheduling happens
-        // here, in deterministic channel order, so each domain sees
-        // the same (tick, seq) schedule at every thread count.
-        for (sim::NodeId n = 0;
-             n < static_cast<sim::NodeId>(receivers_.size()); ++n) {
-            if (!receivers_[n])
-                continue;
-            sim_.scheduleForNodeAt(n, end, [this, frame, n] {
-                receivers_[n](frame);
-            });
-        }
-    }
     scheduleEval(ch);
 }
 

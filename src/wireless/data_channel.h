@@ -117,13 +117,6 @@ class DataChannel
      * @param on_fail   Runs if the fault-retry budget is exhausted
      *                  (never with faults disabled); may be null.
      * @return a token that can cancel the pending transmission.
-     *
-     * Callable from a bound-phase domain: the enqueue is deferred to
-     * the weave (same tick, so arbitration is unchanged) and the
-     * returned token is pre-reserved from the calling node's private
-     * counter -- deterministic, and disjoint from the weave-path
-     * token sequence. on_commit / on_fail later run in frame.src's
-     * domain.
      */
     std::uint64_t transmit(const Frame &frame, sim::EventFn on_commit,
                            sim::EventFn on_fail = {});
@@ -137,22 +130,9 @@ class DataChannel
     /**
      * Cancel a transmission that has not yet committed (used when a
      * WirInv squashes a pending wireless write, Section IV-C).
-     * @return true if the transmission was still pending. From a
-     * bound-phase domain the cancel is deferred to the weave and this
-     * returns false unconditionally -- callers that branch on the
-     * outcome must use cancelPendingOr() instead.
+     * @return true if the transmission was still pending.
      */
     bool cancelPending(std::uint64_t token);
-
-    /**
-     * Cancel @p token and, IF the transmission was still pending, run
-     * @p on_cancelled (may be null). This is the bound-phase-safe form
-     * of `if (cancelPending(t)) ...`: from a domain both the cancel
-     * and the conditional continuation are deferred to the weave,
-     * where the race between the cancel and the frame's commit
-     * resolves in deterministic replay order.
-     */
-    void cancelPendingOr(std::uint64_t token, sim::EventFn on_cancelled);
 
     /**
      * Activate a jam filter for @p line owned by node @p owner. The
@@ -253,30 +233,6 @@ class DataChannel
     /** Low-bit line-number signature used for jam matching. */
     std::uint64_t signature(sim::Addr line) const;
 
-    /**
-     * Tokens and jam ids handed out from a bound-phase domain are
-     * composed as ((node + 1) << kReservedShift) | per-node counter:
-     * unique across nodes, deterministic (each node's counter is only
-     * ever advanced by that node's own domain), and disjoint from the
-     * weave-path sequences, which stay far below 2^kReservedShift.
-     */
-    static constexpr unsigned kReservedShift = 40;
-
-    static std::uint64_t
-    reservedId(sim::NodeId node, std::uint64_t seq)
-    {
-        return ((static_cast<std::uint64_t>(node) + 1)
-                << kReservedShift) |
-               seq;
-    }
-
-    /** Weave-side enqueue with a caller-chosen token. */
-    void transmitWithToken(std::uint64_t token, const Frame &frame,
-                           sim::EventFn on_commit, sim::EventFn on_fail);
-
-    /** Weave-side filter activation with a caller-chosen id. */
-    void startJammingWithId(JamId id, sim::NodeId owner, sim::Addr line);
-
     /** True if some other node's filter matches this frame. */
     bool jammedBy(const PendingTx &tx) const;
 
@@ -305,13 +261,6 @@ class DataChannel
     std::vector<JamFilter> jams_;
     std::uint64_t nextToken_ = 1;
     JamId nextJamId_ = 1;
-    /**
-     * Per-node counters behind reservedId(). Indexed by the sending
-     * node, and only ever written from that node's domain (or the
-     * weave), so parallel bound phases never race on an element.
-     */
-    std::vector<std::uint64_t> reservedTokenSeq_;
-    std::vector<std::uint64_t> reservedJamSeq_;
     bool trace_ = false;
 
     std::uint64_t successes_ = 0;

@@ -60,15 +60,6 @@ class ToneChannel
     beginCensus(std::uint32_t participants,
                 std::function<void()> on_silent)
     {
-        if (sim::boundContext()) {
-            // Bound phase: the wired-OR state is chip-wide, so the
-            // census opens in the weave at the same tick.
-            sim::deferOp([this, participants,
-                          on_silent = std::move(on_silent)]() mutable {
-                beginCensus(participants, std::move(on_silent));
-            });
-            return;
-        }
         ++censuses_;
         ++activeCensuses_;
         outstanding_ += participants;
@@ -90,10 +81,6 @@ class ToneChannel
     void
     raise()
     {
-        if (sim::boundContext()) {
-            sim::deferOp([this] { raise(); });
-            return;
-        }
         ++raised_;
     }
 
@@ -101,14 +88,6 @@ class ToneChannel
     void
     drop()
     {
-        if (sim::boundContext()) {
-            // Deferred drops from different domains replay in domain
-            // order within the same tick, so "who dropped the last
-            // tone" -- and therefore the silence instant -- is the
-            // same at every thread count.
-            sim::deferOp([this] { drop(); });
-            return;
-        }
         WIDIR_ASSERT(outstanding_ > 0, "tone underflow");
         if (--outstanding_ == 0)
             finish();

@@ -2,23 +2,21 @@
  * @file
  * Frontend subsystem tests (docs/FRONTEND.md):
  *
- *  - extraction gate: the coroutine frontend behind the Frontend
- *    interface is byte-identical to a plain run, recording is pure
- *    observation, and full-fidelity replay reproduces the recording --
- *    all pinned across apps x protocols x sim-thread counts;
+ *  - extraction gate: recording is pure observation, and
+ *    full-fidelity replay reproduces the recording -- both pinned
+ *    across apps x protocols;
  *  - widir-mtrace-v1: every record kind round-trips; bad magic, bad
  *    version, unknown kinds, and truncation are rejected loudly;
  *  - text ingestion: the documented grammar parses, and a garbage
  *    matrix (parseEnvInt style) fails with line-numbered errors;
- *  - fast replay: op-exact stats, and external text traces run as
- *    first-class registry workloads under both replay frontends.
+ *  - external text traces run as first-class registry workloads,
+ *    replayed through the core model.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -59,42 +57,18 @@ statsJson(ExperimentResult r)
     return sys::resultToJson(r);
 }
 
-/**
- * Identity matrix fixture: spec.simThreads drives the kernel choice
- * directly, so WIDIR_SIM_THREADS must not leak in (spec value 0 defers
- * to the environment). Saved and restored around each test.
- *
- * The app name is a std::string, not a const char *: gtest prints a
- * char pointer parameter with its address, which would put a per-process
- * pointer into the listed test names.
- */
-using IdentityParam = std::tuple<std::string, coherence::Protocol, unsigned>;
+// The app name is a std::string, not a const char *: gtest prints a
+// char pointer parameter with its address, which would put a
+// per-process pointer into the listed test names.
+using IdentityParam = std::tuple<std::string, coherence::Protocol>;
 
 class FrontendIdentity : public ::testing::TestWithParam<IdentityParam>
 {
-  protected:
-    void
-    SetUp() override
-    {
-        if (const char *e = std::getenv("WIDIR_SIM_THREADS"))
-            saved_ = e;
-        unsetenv("WIDIR_SIM_THREADS");
-    }
-
-    void
-    TearDown() override
-    {
-        if (saved_)
-            setenv("WIDIR_SIM_THREADS", saved_->c_str(), 1);
-    }
-
-  private:
-    std::optional<std::string> saved_;
 };
 
 TEST_P(FrontendIdentity, RecordThenReplayReproducesTheRun)
 {
-    auto [app_name, proto, sim_threads] = GetParam();
+    auto [app_name, proto] = GetParam();
     const AppInfo *app = workload::findApp(app_name);
     ASSERT_NE(app, nullptr);
     std::string path = testTempPath("identity.mtrace");
@@ -104,7 +78,6 @@ TEST_P(FrontendIdentity, RecordThenReplayReproducesTheRun)
     base.protocol = proto;
     base.cores = 16;
     base.scale = 1;
-    base.simThreads = sim_threads;
     ExperimentResult plain = sys::runExperiment(base);
 
     // Recording is pure observation: stats byte-identical to plain.
@@ -124,7 +97,6 @@ TEST_P(FrontendIdentity, RecordThenReplayReproducesTheRun)
     rep_spec.replayPath = path;
     rep_spec.protocol = proto;
     rep_spec.cores = 16;
-    rep_spec.simThreads = sim_threads;
     ExperimentResult full = sys::runExperiment(rep_spec);
     EXPECT_EQ(statsJson(plain), statsJson(full));
     EXPECT_EQ(full.frontendKind, FrontendKind::ReplayFull);
@@ -137,14 +109,12 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::string("radiosity")),
                        ::testing::Values(
                            coherence::Protocol::BaselineMESI,
-                           coherence::Protocol::WiDir),
-                       ::testing::Values(0u, 4u)),
+                           coherence::Protocol::WiDir)),
     [](const ::testing::TestParamInfo<IdentityParam> &info) {
         std::string name = std::get<0>(info.param);
         name += std::get<1>(info.param) == coherence::Protocol::WiDir
             ? "_widir"
             : "_baseline";
-        name += "_st" + std::to_string(std::get<2>(info.param));
         for (auto &c : name)
             if (c == '-')
                 c = '_';
@@ -345,20 +315,6 @@ TEST(TextTrace, GarbageMatrixFailsWithLineNumbers)
     EXPECT_NE(err.find("line 3"), std::string::npos) << err;
 }
 
-TEST(Frontend, KindNamesRoundTrip)
-{
-    for (FrontendKind k :
-         {FrontendKind::Coroutine, FrontendKind::Record,
-          FrontendKind::ReplayFull, FrontendKind::ReplayFast}) {
-        FrontendKind back{};
-        ASSERT_TRUE(frontend::parseFrontendKind(
-            frontend::frontendKindName(k), back));
-        EXPECT_EQ(back, k);
-    }
-    FrontendKind out{};
-    EXPECT_FALSE(frontend::parseFrontendKind("turbo", out));
-}
-
 TEST(Frontend, ValidateTraceRejectsUnreplayable)
 {
     MemTrace t;
@@ -412,7 +368,7 @@ TEST(Frontend, SpecValidationCatchesBadCombinations)
 
     s = ExperimentSpec{};
     s.app = fft;
-    s.frontend = FrontendKind::ReplayFast; // no trace at all
+    s.frontend = FrontendKind::ReplayFull; // no trace at all
     EXPECT_FALSE(s.validate().empty());
 
     s = ExperimentSpec{};
@@ -428,63 +384,12 @@ TEST(Frontend, SpecValidationCatchesBadCombinations)
     EXPECT_FALSE(s.validate().empty());
 }
 
-TEST(FastReplay, StatsAreOpExact)
-{
-    // Record a real run, then fast-replay it: the direct-to-L1 driver
-    // issues exactly the recorded ops, so loads/stores/instructions
-    // are trace-countable.
-    const AppInfo *fft = workload::findApp("fft");
-    ASSERT_NE(fft, nullptr);
-    std::string path = testTempPath("fast.mtrace");
-    ExperimentSpec rec;
-    rec.app = fft;
-    rec.protocol = coherence::Protocol::WiDir;
-    rec.cores = 16;
-    rec.frontend = FrontendKind::Record;
-    rec.recordPath = path;
-    ExperimentResult recorded = sys::runExperiment(rec);
-
-    MemTrace t;
-    std::string err;
-    ASSERT_TRUE(frontend::readMtrace(path, t, err)) << err;
-    std::uint64_t loads = 0, stores = 0, rmws = 0, compute = 0;
-    for (const auto &ops : t.threads) {
-        for (const Op &op : ops) {
-            switch (op.kind) {
-              case OpKind::Load:
-              case OpKind::LoadNb: ++loads; break;
-              case OpKind::Store: ++stores; break;
-              case OpKind::Rmw: ++rmws; break;
-              case OpKind::Compute: compute += op.a; break;
-              default: break;
-            }
-        }
-    }
-
-    ExperimentSpec rep;
-    rep.app = fft;
-    rep.frontend = FrontendKind::ReplayFast;
-    rep.replayPath = path;
-    ExperimentResult fast = sys::runExperiment(rep);
-    EXPECT_EQ(fast.frontendKind, FrontendKind::ReplayFast);
-    EXPECT_EQ(fast.loads, loads);
-    EXPECT_EQ(fast.stores, stores + rmws);
-    EXPECT_EQ(fast.instructions,
-              compute + loads + stores + rmws);
-    EXPECT_GT(fast.cycles, 0u);
-    // Same ops, same machine: the miss totals agree with the recorded
-    // run's memory-system footprint in kind (nonzero), though not in
-    // timing.
-    EXPECT_GT(fast.readMisses + fast.writeMisses, 0u);
-    EXPECT_EQ(recorded.loads, fast.loads);
-    EXPECT_EQ(recorded.stores, fast.stores);
-}
-
 TEST(TextTrace, RunsAsRegistryWorkloadUnderBothReplayers)
 {
     // An external text trace is a first-class workload: registered,
-    // found, and runnable -- full fidelity re-drives the core model,
-    // fast drives the L1s, both honoring the S-token global order.
+    // found, and runnable both ways -- explicitly as replay-full, and
+    // through the default frontend's auto-upgrade. Either way the core
+    // model re-drives it, honoring the S-token global order.
     std::string path = testTempPath("external.txt");
     {
         std::ofstream f(path, std::ios::trunc);
@@ -501,29 +406,26 @@ TEST(TextTrace, RunsAsRegistryWorkloadUnderBothReplayers)
     ASSERT_NE(app, nullptr);
     ASSERT_EQ(workload::findApp("trace:external"), app);
 
-    for (FrontendKind kind :
-         {FrontendKind::ReplayFull, FrontendKind::ReplayFast}) {
-        ExperimentSpec s;
-        s.app = app;
-        s.frontend = kind;
-        s.protocol = coherence::Protocol::WiDir;
-        s.cores = 4;
-        ExperimentResult r = sys::runExperiment(s);
-        EXPECT_EQ(r.frontendKind, kind);
-        EXPECT_EQ(r.replayPath, path);
-        EXPECT_EQ(r.app, "trace:external");
-        EXPECT_EQ(r.loads, 2u) << frontend::frontendKindName(kind);
-        EXPECT_EQ(r.stores, 2u) << frontend::frontendKindName(kind);
-        EXPECT_GT(r.cycles, 0u);
-    }
+    ExperimentSpec full;
+    full.app = app;
+    full.frontend = FrontendKind::ReplayFull;
+    full.protocol = coherence::Protocol::WiDir;
+    full.cores = 4;
+    ExperimentResult r = sys::runExperiment(full);
+    EXPECT_EQ(r.frontendKind, FrontendKind::ReplayFull);
+    EXPECT_EQ(r.replayPath, path);
+    EXPECT_EQ(r.app, "trace:external");
+    EXPECT_EQ(r.loads, 2u);
+    EXPECT_EQ(r.stores, 2u);
+    EXPECT_GT(r.cycles, 0u);
 
     // The default frontend auto-upgrades to full replay for trace
     // apps -- `--trace-in` workloads run without any extra flags.
     ExperimentSpec s;
     s.app = app;
     s.cores = 4;
-    ExperimentResult r = sys::runExperiment(s);
-    EXPECT_EQ(r.frontendKind, FrontendKind::ReplayFull);
+    ExperimentResult def = sys::runExperiment(s);
+    EXPECT_EQ(def.frontendKind, FrontendKind::ReplayFull);
 }
 
 } // namespace

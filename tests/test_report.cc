@@ -355,14 +355,14 @@ TEST(Report, FrontendBlockRoundTripsOnlyWhenNonDefault)
 
     // Replay run: kind + replay_path, no record_path.
     ExperimentResult rep = fakeResult();
-    rep.frontendKind = frontend::FrontendKind::ReplayFast;
+    rep.frontendKind = frontend::FrontendKind::ReplayFull;
     rep.replayPath = "out/traces/fft.mtrace";
     ASSERT_TRUE(sys::json::parse(sys::resultsToJson("rep", {rep}), doc,
                                  &err))
         << err;
     fb = doc.find("results")->array[0].find("frontend");
     ASSERT_TRUE(fb && fb->isObject());
-    EXPECT_EQ(fb->find("kind")->string, "replay-fast");
+    EXPECT_EQ(fb->find("kind")->string, "replay-full");
     EXPECT_EQ(fb->find("replay_path")->string, rep.replayPath);
     EXPECT_EQ(fb->find("record_path"), nullptr);
 }

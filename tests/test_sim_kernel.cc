@@ -355,8 +355,7 @@ TEST(EventQueue, RunLimitExecutesEventExactlyAtLimit)
 {
     // The limit is inclusive: an event at exactly the limit tick runs
     // in this call, and now() lands on the limit whether or not the
-    // queue drained. The bound/weave window loop leans on this --
-    // every bound phase is run(m) with the window's events at m.
+    // queue drained.
     sim::EventQueue q;
     int fired = 0;
     q.scheduleAt(50, [&] { ++fired; });
@@ -403,30 +402,6 @@ TEST(EventQueue, WheelRevolutionBoundaryEvent)
     }
     EXPECT_TRUE(q.run());
     EXPECT_EQ(order, (std::vector<int>{0, 1}));
-}
-
-TEST(EventQueue, AdvanceToMovesIdleClockForward)
-{
-    // advanceTo is the domain scheduler's clock-lockstep primitive: it
-    // may only move an idle queue's clock up to (not past) its next
-    // event, and never backwards.
-    sim::EventQueue q;
-    q.scheduleAt(100, [] {});
-    q.advanceTo(40);
-    EXPECT_EQ(q.now(), 40u);
-    q.advanceTo(10); // never backwards
-    EXPECT_EQ(q.now(), 40u);
-    q.advanceTo(100); // exactly onto the pending event is legal
-    EXPECT_EQ(q.now(), 100u);
-    EXPECT_TRUE(q.run());
-    EXPECT_EQ(q.executedEvents(), 1u);
-}
-
-TEST(EventQueueDeathTest, AdvanceToPastPendingEventPanics)
-{
-    sim::EventQueue q;
-    q.scheduleAt(100, [] {});
-    EXPECT_DEATH(q.advanceTo(101), "skip a pending event");
 }
 
 TEST(EventQueue, WheelSlotsReusedAcrossRevolutions)

@@ -3,11 +3,13 @@
 # user-facing enums -- docs/PROTOCOL.md for the protocol, docs/TRACING.md
 # for the trace schema, docs/FAULTS.md for the fault model -- and the
 # generated transition-table section of PROTOCOL.md must match the
-# protocol table compiled into the simulator. Run from anywhere: pass
-# the repo root as $1 and (optionally) the built gen_protocol_docs
-# binary as $2. Registered as the `docs_check` CTest
-# (tests/CMakeLists.txt) so the references cannot drift when a message
-# type, state, trace kind, or fault knob is added.
+# protocol table compiled into the simulator. Every environment knob
+# the prose docs name must also still exist in the code, so a removed
+# knob cannot linger in a table. Run from anywhere: pass the repo root
+# as $1 and (optionally) the built gen_protocol_docs binary as $2.
+# Registered as the `docs_check` CTest (tests/CMakeLists.txt) so the
+# references cannot drift when a message type, state, trace kind,
+# fault knob or environment knob is added or removed.
 set -u
 
 root="${1:-.}"
@@ -89,6 +91,21 @@ check_enum src/frontend/mtrace.h OpKind docs/FRONTEND.md
 check_enum src/cpu/op_sink.h SyncNote docs/FRONTEND.md
 check_enum src/frontend/frontend.h FrontendKind docs/FRONTEND.md
 
+# Every WIDIR_* name in the prose docs must occur (as a whole word)
+# somewhere in the code, the tools, the tests or CI.
+knobs=$(cat "$root/README.md" "$root/DESIGN.md" "$root/EXPERIMENTS.md" \
+            "$root"/docs/*.md | grep -oE 'WIDIR_[A-Z0-9_]+' | sort -u)
+for knob in $knobs; do
+    if ! grep -rqsw -- "$knob" "$root/src" "$root/bench" "$root/tools" \
+            "$root/tests" "$root/examples" "$root/CMakeLists.txt" \
+            "$root/.github"; then
+        echo "docs-check: $knob is documented but occurs nowhere in" \
+             "src/, bench/, tools/, tests/, examples/, CMakeLists.txt" \
+             "or .github/" >&2
+        fail=1
+    fi
+done
+
 # The generated transition-relation section must be byte-identical to
 # what the compiled-in protocol table renders (docs == code).
 if [ -n "$gen" ]; then
@@ -100,7 +117,7 @@ if [ -n "$gen" ]; then
 fi
 
 if [ "$fail" -ne 0 ]; then
-    echo "docs-check: FAILED (update docs/PROTOCOL.md)" >&2
+    echo "docs-check: FAILED (update the docs named above)" >&2
     exit 1
 fi
 echo "docs-check: OK"

@@ -7,12 +7,9 @@
 # the replayed stats against the recording run's own sweep document
 # (bench/replay_trace --diff; host_* and frontend fields excluded).
 # Any divergence fails: full-fidelity replay is contractually
-# byte-identical to the recorded run. The fast direct-to-L1 replayer
-# then re-drives the same trace as a liveness check -- its contract is
-# the op mix, not cycle timing, so it is not diffed here (the
-# FastReplay tests pin the op counts).
+# byte-identical to the recorded run.
 #
-# WORK_DIR keeps the trace and all three JSON documents; the CI
+# WORK_DIR keeps the trace and both JSON documents; the CI
 # replay-smoke lane publishes it as an artifact.
 set -eu
 
@@ -43,11 +40,7 @@ if [ -z "$trace" ] || [ ! -f "$ref" ]; then
 fi
 
 echo "== replay (full fidelity): $trace"
-"$replay" --trace-in "$trace" --replay full \
+"$replay" --trace-in "$trace" \
     --out "$work/replay_full.json" --diff "$ref"
-
-echo "== replay (fast, direct-to-L1): $trace"
-"$replay" --trace-in "$trace" --replay fast \
-    --out "$work/replay_fast.json"
 
 echo "replay_check: OK ($work)"

@@ -2,17 +2,17 @@
 # san_check.sh SOURCE_DIR [BUILD_DIR] [MODE]
 #
 # Sanitizer gate: configures a dedicated build tree for MODE, builds
-# it, and runs the default tier-1 ctest suite inside it. Opt-in
-# configurations (`perf`, `asan`, `tsan`) are skipped automatically
-# because a plain `ctest` run never selects them.
+# it, and runs ctest inside it. Opt-in configurations (`perf`, `asan`,
+# `tsan`) are skipped automatically because a plain `ctest` run never
+# selects them.
 #
 # MODE:
-#   asan (default)  -DWIDIR_SANITIZE=ON: AddressSanitizer + UBSan.
-#   tsan            -DWIDIR_SANITIZE_THREAD=ON: ThreadSanitizer, and
-#                   the suite runs with WIDIR_SIM_THREADS=4 so every
-#                   runExperiment-backed test exercises the bound/weave
-#                   parallel kernel's worker pool (src/sim/domains.h)
-#                   on top of the SweepRunner pool.
+#   asan (default)  -DWIDIR_SANITIZE=ON: AddressSanitizer + UBSan over
+#                   the whole tier-1 suite.
+#   tsan            -DWIDIR_SANITIZE_THREAD=ON: ThreadSanitizer over
+#                   the SweepRunner tests (tests/test_sweep.cc), which
+#                   run whole experiments on multi-worker pools -- the
+#                   only host threading in the simulator.
 #
 # Registered as the `san_check` CTest (CONFIGURATIONS asan) and
 # `tsan_check` (CONFIGURATIONS tsan): run with
@@ -40,16 +40,17 @@ echo "configuring $MODE build in $BUILD..."
 cmake -S "$SRC" -B "$BUILD" "$CONFIG_FLAG" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 
-echo "building ($JOBS jobs)..."
-cmake --build "$BUILD" -j "$JOBS" >/dev/null
-
 cd "$BUILD"
 if [ "$MODE" = tsan ]; then
-    echo "running tier-1 tests under TSan (WIDIR_SIM_THREADS=4)..."
+    echo "building test_sweep ($JOBS jobs)..."
+    cmake --build . -j "$JOBS" --target test_sweep >/dev/null
+    echo "running the SweepRunner tests under TSan..."
     TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1} \
-    WIDIR_SIM_THREADS=4 \
-        ctest --output-on-failure -j "$JOBS"
+        ctest --output-on-failure -j "$JOBS" --no-tests=error \
+            -R '^SweepRunner\.'
 else
+    echo "building ($JOBS jobs)..."
+    cmake --build . -j "$JOBS" >/dev/null
     echo "running tier-1 tests under ASan+UBSan..."
     # halt_on_error: UBSan findings must fail the run, not just print.
     ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=0} \
