@@ -244,17 +244,20 @@ runExperiment(const ExperimentSpec &spec)
     workload::WorkloadParams params;
     params.scale = scale;
 
-    // Tracing: a ring buffer always feeds the legality checker; the
-    // Chrome exporter is attached only when an output path was given.
-    // Tracing never touches the RNG streams, so a traced run's stats
-    // are bit-identical to the same run untraced.
-    TraceRing ring;
+    // Tracing: the legality checker sees every record as it is emitted,
+    // and is strict (continuity and SWMR) whenever the window covers
+    // the whole run; the Chrome exporter is attached only when an
+    // output path was given. Tracing never touches the RNG streams, so
+    // a traced run's stats are bit-identical to the same run untraced.
+    std::unique_ptr<TraceLegalityChecker> legality;
     std::unique_ptr<ChromeTraceWriter> chrome;
     if (spec.trace.enabled) {
         sim::Tracer &tracer = m.simulator().tracer();
         tracer.setEnabled(true);
         tracer.setWindow(spec.trace.start, spec.trace.end);
-        tracer.addSink(ring.sink());
+        legality = std::make_unique<TraceLegalityChecker>(
+            spec.trace.start == 0 && spec.trace.end == sim::kTickNever);
+        tracer.addSink(legality->sink());
         if (!spec.trace.file.empty()) {
             chrome = std::make_unique<ChromeTraceWriter>();
             tracer.addSink(chrome->sink());
@@ -319,13 +322,8 @@ runExperiment(const ExperimentSpec &spec)
                    app_name.c_str(), violations.front().c_str());
     }
 
-    if (spec.trace.enabled) {
-        // Continuity and SWMR need the whole history: only apply them
-        // when the window covered the full run and nothing fell out of
-        // the ring.
-        bool strict = ring.dropped() == 0 && spec.trace.start == 0 &&
-                      spec.trace.end == sim::kTickNever;
-        auto trace_violations = checkTraceLegality(ring, strict);
+    if (legality) {
+        const auto &trace_violations = legality->violations();
         if (!trace_violations.empty()) {
             sim::fatal("experiment %s produced an illegal trace: %s",
                        app_name.c_str(),
@@ -334,7 +332,6 @@ runExperiment(const ExperimentSpec &spec)
         if (chrome)
             chrome->write(spec.trace.file);
         r.traceRecords = m.simulator().tracer().emitted();
-        r.traceDropped = ring.dropped();
     }
 
     auto cpu = m.cpuTotals();

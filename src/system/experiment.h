@@ -101,7 +101,6 @@ struct ExperimentResult
     /// @name Tracing (not part of the widir-sweep-v1 JSON schema)
     /// @{
     std::uint64_t traceRecords = 0; ///< records past the window filter
-    std::uint64_t traceDropped = 0; ///< ring-buffer overwrites
     /// @}
 
     /// @name Fault injection and resilience (docs/FAULTS.md)

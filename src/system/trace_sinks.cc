@@ -1,9 +1,9 @@
 #include "system/trace_sinks.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <filesystem>
 #include <fstream>
-#include <unordered_map>
 
 #include "core/directory_controller.h"
 #include "core/l1_controller.h"
@@ -213,114 +213,140 @@ trackKey(sim::NodeId node, sim::Addr line)
            static_cast<std::uint64_t>(line);
 }
 
+bool
+isExclusive(L1State s)
+{
+    return s == L1State::M || s == L1State::E;
+}
+
 } // namespace
+
+void
+TraceLegalityChecker::flag(std::string v)
+{
+    if (violations_.size() < kMaxViolations)
+        violations_.push_back(std::move(v));
+}
+
+void
+TraceLegalityChecker::observeL1(const sim::TraceRecord &r)
+{
+    auto from = static_cast<L1State>(r.from);
+    auto to = static_cast<L1State>(r.to);
+    if (!l1EdgeLegal(from, to)) {
+        flag(sim::strfmt(
+            "illegal L1 transition %s->%s (node %u line "
+            "%#" PRIx64 " tick %" PRIu64 " note %s)",
+            r.fromName, r.toName, r.node,
+            static_cast<std::uint64_t>(r.line),
+            static_cast<std::uint64_t>(r.tick), r.note ? r.note : "-"));
+    }
+    if (!strict_)
+        return;
+
+    // Continuity. `prev` is the node's traced state before this
+    // record; a node that never traced the line holds no copy of it.
+    L1State prev = L1State::I;
+    auto [it, fresh] = l1Last_.try_emplace(trackKey(r.node, r.line), r.to);
+    if (!fresh) {
+        prev = static_cast<L1State>(it->second);
+        if (prev != from) {
+            flag(sim::strfmt(
+                "L1 continuity break: node %u line %#" PRIx64
+                " was traced %s but transitions from %s at tick %" PRIu64,
+                r.node, static_cast<std::uint64_t>(r.line),
+                l1StateName(prev), r.fromName,
+                static_cast<std::uint64_t>(r.tick)));
+        }
+        it->second = r.to;
+    }
+
+    // SWMR: move this node's contribution from `prev` to `to` in the
+    // line's holder counts, then test the other holders by count.
+    if (to == L1State::I) {
+        if (prev == L1State::I)
+            return;
+        auto h = holders_.find(r.line);
+        WIDIR_ASSERT(h != holders_.end(), "holder counts out of step");
+        Holders &c = h->second;
+        --c.valid;
+        c.exclusive -= isExclusive(prev) ? 1 : 0;
+        if (c.valid == 0)
+            holders_.erase(h);
+        return;
+    }
+    Holders &c = holders_[r.line];
+    c.valid += prev == L1State::I ? 1 : 0;
+    c.exclusive += isExclusive(to) ? 1 : 0;
+    c.exclusive -= isExclusive(prev) ? 1 : 0;
+    maxL1Node_ = std::max(maxL1Node_, r.node);
+    bool self_exclusive = isExclusive(to);
+    std::uint32_t other_valid = c.valid - 1;
+    std::uint32_t other_exclusive = c.exclusive - (self_exclusive ? 1 : 0);
+    if (other_exclusive > 0 || (self_exclusive && other_valid > 0))
+        reportSwmr(r, self_exclusive);
+}
+
+void
+TraceLegalityChecker::reportSwmr(const sim::TraceRecord &r,
+                                 bool self_exclusive)
+{
+    // Rare path: name every conflicting holder, in node order.
+    for (sim::NodeId n = 0;
+         n <= maxL1Node_ && violations_.size() < kMaxViolations; ++n) {
+        if (n == r.node)
+            continue;
+        auto it = l1Last_.find(trackKey(n, r.line));
+        if (it == l1Last_.end())
+            continue;
+        auto st = static_cast<L1State>(it->second);
+        if (st == L1State::I || !(isExclusive(st) || self_exclusive))
+            continue;
+        flag(sim::strfmt(
+            "SWMR violation: line %#" PRIx64
+            " is %s at node %u while %s at node %u (tick %" PRIu64 ")",
+            static_cast<std::uint64_t>(r.line), r.toName, r.node,
+            l1StateName(st), n, static_cast<std::uint64_t>(r.tick)));
+    }
+}
+
+void
+TraceLegalityChecker::observeDir(const sim::TraceRecord &r)
+{
+    auto from = static_cast<DirState>(r.from);
+    auto to = static_cast<DirState>(r.to);
+    if (!dirEdgeLegal(from, to)) {
+        flag(sim::strfmt(
+            "illegal directory transition %s->%s (home %u "
+            "line %#" PRIx64 " tick %" PRIu64 " note %s)",
+            r.fromName, r.toName, r.node,
+            static_cast<std::uint64_t>(r.line),
+            static_cast<std::uint64_t>(r.tick), r.note ? r.note : "-"));
+    }
+    if (!strict_)
+        return;
+    auto [it, fresh] = dirLast_.try_emplace(trackKey(r.node, r.line), r.to);
+    if (fresh)
+        return;
+    auto prev = static_cast<DirState>(it->second);
+    if (prev != from) {
+        flag(sim::strfmt(
+            "directory continuity break: home %u line %#" PRIx64
+            " was traced %s but transitions from %s at tick %" PRIu64,
+            r.node, static_cast<std::uint64_t>(r.line),
+            dirStateName(prev), r.fromName,
+            static_cast<std::uint64_t>(r.tick)));
+    }
+    it->second = r.to;
+}
 
 std::vector<std::string>
 checkTraceLegality(const TraceRing &ring, bool strict)
 {
-    std::vector<std::string> violations;
-    auto flag = [&](std::string v) {
-        if (violations.size() < 16)
-            violations.push_back(std::move(v));
-    };
-
-    // Last traced `to` per (node, line) / per (home, line).
-    std::unordered_map<std::uint64_t, L1State> l1Last;
-    std::unordered_map<std::uint64_t, DirState> dirLast;
-    // Trace-visible L1 copies per line (strict SWMR only).
-    std::unordered_map<sim::Addr,
-                       std::unordered_map<sim::NodeId, L1State>>
-        copies;
-
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-        const sim::TraceRecord &r = ring.at(i);
-        if (r.kind == sim::TraceKind::L1Transition) {
-            auto from = static_cast<L1State>(r.from);
-            auto to = static_cast<L1State>(r.to);
-            if (!l1EdgeLegal(from, to)) {
-                flag(sim::strfmt(
-                    "illegal L1 transition %s->%s (node %u line "
-                    "%#" PRIx64 " tick %" PRIu64 " note %s)",
-                    r.fromName, r.toName, r.node,
-                    static_cast<std::uint64_t>(r.line),
-                    static_cast<std::uint64_t>(r.tick),
-                    r.note ? r.note : "-"));
-            }
-            if (strict) {
-                auto [it, fresh] = l1Last.try_emplace(
-                    trackKey(r.node, r.line), to);
-                if (!fresh) {
-                    if (it->second != from) {
-                        flag(sim::strfmt(
-                            "L1 continuity break: node %u line "
-                            "%#" PRIx64 " was traced %s but "
-                            "transitions from %s at tick %" PRIu64,
-                            r.node,
-                            static_cast<std::uint64_t>(r.line),
-                            l1StateName(it->second), r.fromName,
-                            static_cast<std::uint64_t>(r.tick)));
-                    }
-                    it->second = to;
-                }
-                auto &line = copies[r.line];
-                if (to == L1State::I)
-                    line.erase(r.node);
-                else
-                    line[r.node] = to;
-                if (to == L1State::M || to == L1State::E ||
-                    to == L1State::S || to == L1State::W) {
-                    for (const auto &[n, st] : line) {
-                        if (n == r.node)
-                            continue;
-                        bool other_excl = st == L1State::M ||
-                                          st == L1State::E;
-                        bool self_excl = to == L1State::M ||
-                                         to == L1State::E;
-                        if (other_excl || (self_excl &&
-                                           st != L1State::I)) {
-                            flag(sim::strfmt(
-                                "SWMR violation: line %#" PRIx64
-                                " is %s at node %u while %s at node "
-                                "%u (tick %" PRIu64 ")",
-                                static_cast<std::uint64_t>(r.line),
-                                r.toName, r.node, l1StateName(st), n,
-                                static_cast<std::uint64_t>(r.tick)));
-                        }
-                    }
-                }
-            }
-        } else if (r.kind == sim::TraceKind::DirTransition) {
-            auto from = static_cast<DirState>(r.from);
-            auto to = static_cast<DirState>(r.to);
-            if (!dirEdgeLegal(from, to)) {
-                flag(sim::strfmt(
-                    "illegal directory transition %s->%s (home %u "
-                    "line %#" PRIx64 " tick %" PRIu64 " note %s)",
-                    r.fromName, r.toName, r.node,
-                    static_cast<std::uint64_t>(r.line),
-                    static_cast<std::uint64_t>(r.tick),
-                    r.note ? r.note : "-"));
-            }
-            if (strict) {
-                auto [it, fresh] = dirLast.try_emplace(
-                    trackKey(r.node, r.line), to);
-                if (!fresh) {
-                    if (it->second != from) {
-                        flag(sim::strfmt(
-                            "directory continuity break: home %u "
-                            "line %#" PRIx64 " was traced %s but "
-                            "transitions from %s at tick %" PRIu64,
-                            r.node,
-                            static_cast<std::uint64_t>(r.line),
-                            dirStateName(it->second), r.fromName,
-                            static_cast<std::uint64_t>(r.tick)));
-                    }
-                    it->second = to;
-                }
-            }
-        }
-    }
-    return violations;
+    TraceLegalityChecker checker(strict);
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        checker.observe(ring.at(i));
+    return checker.violations();
 }
 
 } // namespace widir::sys

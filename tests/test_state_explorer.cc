@@ -16,8 +16,9 @@
  *
  * `kRuleUnreachable` rows carry no note, so they have no coverage key;
  * their handlers assert they never fire, which every run here
- * exercises implicitly. Every run also ends with `sys::checkCoherence`
- * and replays its trace through `sys::checkTraceLegality`.
+ * exercises implicitly. Every run also streams its trace through a
+ * strict `sys::TraceLegalityChecker` and ends with
+ * `sys::checkCoherence`.
  */
 
 #include <gtest/gtest.h>
@@ -52,7 +53,7 @@ using sim::TraceRecord;
 using sys::Manycore;
 using sys::Program;
 using sys::SystemConfig;
-using sys::TraceRing;
+using sys::TraceLegalityChecker;
 
 /** One coverage target: a traced transition with its exact note. */
 using EdgeKey = std::tuple<bool /*dirSide*/, std::uint8_t /*from*/,
@@ -115,10 +116,10 @@ class Explorer
     run(const SystemConfig &cfg, const Program &program)
     {
         Manycore m(cfg);
-        TraceRing ring(1u << 20);
+        TraceLegalityChecker legality(true);
         sim::Tracer &tracer = m.simulator().tracer();
         tracer.setEnabled(true);
-        tracer.addSink(ring.sink());
+        tracer.addSink(legality.sink());
         tracer.addSink([this](const TraceRecord &r) {
             if (r.kind == TraceKind::L1Transition)
                 observed.insert({false, r.from, r.to,
@@ -132,7 +133,7 @@ class Explorer
         auto violations = sys::checkCoherence(m);
         EXPECT_TRUE(violations.empty())
             << "run " << runs << ": " << violations.front();
-        auto illegal = sys::checkTraceLegality(ring, ring.dropped() == 0);
+        const auto &illegal = legality.violations();
         EXPECT_TRUE(illegal.empty())
             << "run " << runs << ": " << illegal.front();
     }

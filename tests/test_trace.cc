@@ -10,8 +10,10 @@
  *  - the window filter, warn() routing, ring overflow and the
  *    transition-legality checker behave as documented in
  *    docs/TRACING.md;
- *  - the legality checker accepts the traces of every registered
- *    workload under WiDir.
+ *  - the streaming legality checker is strict over arbitrarily long
+ *    traces and agrees with a replay of the same records from a ring;
+ *  - the legality checker strictly accepts the traces of every
+ *    registered workload under both protocols at 8 and 64 tiles.
  */
 
 #include <gtest/gtest.h>
@@ -44,9 +46,26 @@ using sim::TraceRecord;
 using sim::Tracer;
 using sys::Manycore;
 using sys::SystemConfig;
+using sys::TraceLegalityChecker;
 using sys::TraceRing;
 
 constexpr Addr kA = 0x100000; // line-aligned shared word
+
+/** A hand-built L1 transition record on @p line. */
+TraceRecord
+l1Transition(sim::NodeId node, Addr line, L1State from, L1State to)
+{
+    TraceRecord r;
+    r.kind = TraceKind::L1Transition;
+    r.comp = TraceComponent::L1;
+    r.node = node;
+    r.line = line;
+    r.from = static_cast<std::uint8_t>(from);
+    r.to = static_cast<std::uint8_t>(to);
+    r.fromName = coherence::l1StateName(from);
+    r.toName = coherence::l1StateName(to);
+    return r;
+}
 
 TEST(Tracer, DisabledEmitsNothing)
 {
@@ -87,9 +106,11 @@ TEST(Tracer, ScriptedFalseSharingTransitionSequence)
 {
     Manycore m(SystemConfig::baseline(4));
     TraceRing ring;
+    TraceLegalityChecker checker(true);
     Tracer &tracer = m.simulator().tracer();
     tracer.setEnabled(true);
     tracer.addSink(ring.sink());
+    tracer.addSink(checker.sink());
 
     // Core 0 writes the line, then core 1 steals ownership: the
     // documented Table I / Table II sequence is
@@ -159,11 +180,37 @@ TEST(Tracer, ScriptedFalseSharingTransitionSequence)
     EXPECT_EQ(dir[1].to, dls(DirState::EM));
     EXPECT_EQ(dir[1].note, "FwdGetX");
 
-    // The full scripted trace is strictly legal.
+    // The full scripted trace is strictly legal, streamed or replayed.
     EXPECT_EQ(ring.dropped(), 0u);
     auto violations = sys::checkTraceLegality(ring, true);
     EXPECT_TRUE(violations.empty())
         << (violations.empty() ? "" : violations.front());
+    EXPECT_EQ(checker.violations(), violations);
+
+    // Forge a third writer while core 1 still holds the line in M, and
+    // an illegal W->E edge: both paths report the same complaints.
+    TraceRecord forged = l1Transition(2, kA, L1State::I, L1State::M);
+    TraceRecord illegal = l1Transition(3, kA, L1State::W, L1State::E);
+    for (const TraceRecord &r : {forged, illegal}) {
+        ring.push(r);
+        checker.observe(r);
+    }
+    auto replayed = sys::checkTraceLegality(ring, true);
+    EXPECT_EQ(checker.violations(), replayed);
+    // Node 3's E also conflicts with the M copies at nodes 1 and 2.
+    ASSERT_EQ(replayed.size(), 4u);
+    EXPECT_NE(replayed[0].find("is M at node 2 while M at node 1"),
+              std::string::npos)
+        << replayed[0];
+    EXPECT_NE(replayed[1].find("illegal L1 transition W->E"),
+              std::string::npos)
+        << replayed[1];
+    EXPECT_NE(replayed[2].find("is E at node 3 while M at node 1"),
+              std::string::npos)
+        << replayed[2];
+    EXPECT_NE(replayed[3].find("is E at node 3 while M at node 2"),
+              std::string::npos)
+        << replayed[3];
 }
 
 TEST(Tracer, TracingDoesNotPerturbStats)
@@ -285,64 +332,131 @@ TEST(TraceRing, OverflowKeepsNewestAndCountsDrops)
 
 TEST(TraceLegality, RejectsIllegalAndBrokenTraces)
 {
-    auto l1rec = [](sim::NodeId node, L1State from, L1State to) {
-        TraceRecord r;
-        r.kind = TraceKind::L1Transition;
-        r.comp = TraceComponent::L1;
-        r.node = node;
-        r.line = kA;
-        r.from = static_cast<std::uint8_t>(from);
-        r.to = static_cast<std::uint8_t>(to);
-        r.fromName = coherence::l1StateName(from);
-        r.toName = coherence::l1StateName(to);
-        return r;
-    };
-
     {
         // W->E is not an edge of Table I: flagged even non-strict.
         TraceRing ring;
-        ring.push(l1rec(0, L1State::W, L1State::E));
+        ring.push(l1Transition(0, kA, L1State::W, L1State::E));
         EXPECT_FALSE(sys::checkTraceLegality(ring, false).empty());
     }
     {
         // Continuity break: node 0 traced to M, next record claims
         // it was in S. Legal edges, so only strict mode flags it.
         TraceRing ring;
-        ring.push(l1rec(0, L1State::I, L1State::M));
-        ring.push(l1rec(0, L1State::S, L1State::I));
+        ring.push(l1Transition(0, kA, L1State::I, L1State::M));
+        ring.push(l1Transition(0, kA, L1State::S, L1State::I));
         EXPECT_TRUE(sys::checkTraceLegality(ring, false).empty());
         EXPECT_FALSE(sys::checkTraceLegality(ring, true).empty());
     }
     {
         // SWMR: two nodes in M on the same line at once.
         TraceRing ring;
-        ring.push(l1rec(0, L1State::I, L1State::M));
-        ring.push(l1rec(1, L1State::I, L1State::M));
+        ring.push(l1Transition(0, kA, L1State::I, L1State::M));
+        ring.push(l1Transition(1, kA, L1State::I, L1State::M));
         EXPECT_FALSE(sys::checkTraceLegality(ring, true).empty());
     }
     {
         // The same sequence with a hand-off in between is fine.
         TraceRing ring;
-        ring.push(l1rec(0, L1State::I, L1State::M));
-        ring.push(l1rec(0, L1State::M, L1State::I));
-        ring.push(l1rec(1, L1State::I, L1State::M));
+        ring.push(l1Transition(0, kA, L1State::I, L1State::M));
+        ring.push(l1Transition(0, kA, L1State::M, L1State::I));
+        ring.push(l1Transition(1, kA, L1State::I, L1State::M));
         EXPECT_TRUE(sys::checkTraceLegality(ring, true).empty());
+    }
+}
+
+TEST(TraceLegality, StreamingCheckerStaysStrictPastRingCapacity)
+{
+    // More legal records than the default ring holds, then a
+    // continuity break: a ring would have dropped the history the
+    // break contradicts, the streaming checker still flags it.
+    TraceLegalityChecker checker(true);
+    std::size_t n = 0;
+    for (Addr line = kA; n < TraceRing::kDefaultCapacity; line += 64) {
+        checker.observe(l1Transition(n % 8, line, L1State::I, L1State::E));
+        checker.observe(l1Transition(n % 8, line, L1State::E, L1State::M));
+        n += 2;
+    }
+    EXPECT_TRUE(checker.violations().empty());
+    checker.observe(l1Transition(0, kA, L1State::S, L1State::I));
+    ASSERT_EQ(checker.violations().size(), 1u);
+    EXPECT_NE(checker.violations()[0].find("L1 continuity break: node 0"),
+              std::string::npos)
+        << checker.violations()[0];
+}
+
+TEST(TraceLegality, StreamingCheckerFlagsSwmrViolations)
+{
+    {
+        // A reader joins while another node holds the line in M.
+        TraceLegalityChecker checker(true);
+        checker.observe(l1Transition(0, kA, L1State::I, L1State::M));
+        checker.observe(l1Transition(1, kA, L1State::I, L1State::S));
+        ASSERT_EQ(checker.violations().size(), 1u);
+        EXPECT_NE(checker.violations()[0].find(
+                      "is S at node 1 while M at node 0"),
+                  std::string::npos)
+            << checker.violations()[0];
+    }
+    {
+        // A writer takes E while two readers still hold S: one
+        // complaint per conflicting holder.
+        TraceLegalityChecker checker(true);
+        checker.observe(l1Transition(3, kA, L1State::I, L1State::S));
+        checker.observe(l1Transition(1, kA, L1State::I, L1State::S));
+        checker.observe(l1Transition(2, kA, L1State::I, L1State::E));
+        ASSERT_EQ(checker.violations().size(), 2u);
+        EXPECT_NE(checker.violations()[0].find("while S at node 1"),
+                  std::string::npos);
+        EXPECT_NE(checker.violations()[1].find("while S at node 3"),
+                  std::string::npos);
+    }
+    {
+        // Release then acquire, W copies coexisting, and readers
+        // draining before an upgrade are all clean.
+        TraceLegalityChecker checker(true);
+        checker.observe(l1Transition(0, kA, L1State::I, L1State::M));
+        checker.observe(l1Transition(0, kA, L1State::M, L1State::I));
+        checker.observe(l1Transition(1, kA, L1State::I, L1State::M));
+        checker.observe(l1Transition(1, kA, L1State::M, L1State::S));
+        checker.observe(l1Transition(2, kA, L1State::I, L1State::S));
+        checker.observe(l1Transition(1, kA, L1State::S, L1State::W));
+        checker.observe(l1Transition(2, kA, L1State::S, L1State::W));
+        checker.observe(l1Transition(1, kA, L1State::W, L1State::I));
+        checker.observe(l1Transition(2, kA, L1State::W, L1State::S));
+        checker.observe(l1Transition(2, kA, L1State::S, L1State::M));
+        EXPECT_TRUE(checker.violations().empty())
+            << checker.violations().front();
+    }
+    {
+        // Non-strict checking keeps no per-line state.
+        TraceLegalityChecker checker(false);
+        checker.observe(l1Transition(0, kA, L1State::I, L1State::M));
+        checker.observe(l1Transition(1, kA, L1State::I, L1State::M));
+        EXPECT_TRUE(checker.violations().empty());
     }
 }
 
 TEST(TraceLegality, AllWorkloadsProduceLegalTraces)
 {
-    // Every registered workload, traced under WiDir: runExperiment
-    // fatal()s on an illegal trace, so reaching the end is the pass.
-    for (const auto &app : workload::allApps()) {
-        sys::ExperimentSpec spec;
-        spec.app = &app;
-        spec.protocol = coherence::Protocol::WiDir;
-        spec.cores = 8;
-        spec.scale = 1;
-        spec.trace.enabled = true;
-        sys::ExperimentResult r = sys::runExperiment(spec);
-        EXPECT_GT(r.traceRecords, 0u) << app.name;
+    // Every registered workload, traced over the whole run on both
+    // protocols: the checker is strict (continuity and SWMR) and
+    // runExperiment fatal()s on an illegal trace, so reaching the end
+    // is the pass.
+    for (coherence::Protocol protocol : {coherence::Protocol::BaselineMESI,
+                                         coherence::Protocol::WiDir}) {
+        for (std::uint32_t cores : {8u, 64u}) {
+            for (const auto &app : workload::allApps()) {
+                sys::ExperimentSpec spec;
+                spec.app = &app;
+                spec.protocol = protocol;
+                spec.cores = cores;
+                spec.scale = 1;
+                spec.trace.enabled = true;
+                sys::ExperimentResult r = sys::runExperiment(spec);
+                EXPECT_GT(r.traceRecords, 0u)
+                    << app.name << " " << cores << " tiles";
+            }
+        }
     }
 }
 
