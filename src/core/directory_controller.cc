@@ -21,13 +21,6 @@ DirectoryController::DirectoryController(CoherenceFabric &fabric,
 {
     WIDIR_ASSERT(fabric.config().dirPointers <= SharerPtrs::kCapacity,
                  "dirPointers exceeds the inline sharer-pointer width");
-    // The LLC slice is inclusive, so live directory entries are
-    // bounded by the bank's line count: one reserve at construction
-    // keeps the flat index rehash-free for the whole run. The
-    // blocking directory holds at most a handful of in-flight
-    // transactions per bank.
-    entries_.reserve(llc_cfg.sizeBytes / mem::kLineBytes);
-    txns_.reserve(256);
 }
 
 const DirEntry *

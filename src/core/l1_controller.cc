@@ -19,12 +19,6 @@ L1Controller::L1Controller(CoherenceFabric &fabric, sim::NodeId node,
       array_(cache_cfg.sizeBytes, cache_cfg.assoc),
       rng_(fabric.simulator().makeRng(0x11C0DE0000ULL + node))
 {
-    // Live transactions are bounded by the lines this cache can pin
-    // (a txn locks its resident line), so the cache geometry gives a
-    // rehash-free reserve for both flat maps.
-    std::size_t lines = cache_cfg.sizeBytes / mem::kLineBytes;
-    txns_.reserve(std::min<std::size_t>(lines, 1024));
-    wirelessTxns_.reserve(std::min<std::size_t>(lines, 1024));
 }
 
 void

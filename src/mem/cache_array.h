@@ -54,13 +54,17 @@ struct CacheEntry
 /**
  * Set-associative, LRU, single-cycle-lookup cache array model.
  *
- * Sets are initialised on first use: construction allocates raw frame
- * storage and a one-bit-per-set "initialised" bitmap, and a set's
- * frames are constructed the first time pickVictim() is asked for a
- * victim there. Until then lookup() misses without touching the
- * storage, and forEach()/occupancy() skip the set. Building a machine
- * therefore costs O(sets / 64) per array instead of a memset of every
- * frame, and the end-of-run walks cost O(sets touched).
+ * Host memory follows occupancy. Each set keeps a tag per way
+ * (kAddrNone for an invalid or never-used way) and a frame pointer per
+ * way (null until the way is first used); both arrays sit in raw
+ * storage and are written the first time a set is used, tracked by a
+ * one-bit-per-set "initialised" bitmap. Frames come from a chunked slab
+ * that never moves or frees them, and a way gets its frame the first
+ * time pickVictim() reaches it. Until then lookup() misses without
+ * touching the set, and forEach()/occupancy() skip it. The victim is
+ * always the first invalid way, so never-used ways form a suffix of
+ * each set: victim choice and visiting order equal those of an array
+ * whose frames were all constructed up front.
  */
 class CacheArray
 {
@@ -80,8 +84,10 @@ class CacheArray
               size_bytes / (static_cast<std::uint64_t>(assoc) *
                             kLineBytes))),
           indexDivisor_(index_divisor),
-          frames_(allocateFrames(static_cast<std::size_t>(numSets_) *
-                                 assoc_)),
+          tags_(allocateRaw<Addr>(static_cast<std::size_t>(numSets_) *
+                                  assoc_)),
+          ways_(allocateRaw<CacheEntry *>(
+              static_cast<std::size_t>(numSets_) * assoc_)),
           initBits_((numSets_ + 63) / 64, 0)
     {
         WIDIR_ASSERT(indexDivisor_ > 0, "index divisor must be positive");
@@ -99,13 +105,13 @@ class CacheArray
     lookup(Addr addr)
     {
         Addr line = lineAlign(addr);
-        std::uint32_t set = setOf(line);
+        std::size_t set = setOf(line);
         if (!initialised(set))
             return nullptr;
-        CacheEntry *begin = setBegin(set);
-        for (CacheEntry *f = begin; f != begin + assoc_; ++f) {
-            if (f->valid && f->line == line)
-                return f;
+        const Addr *tags = tagsOf(set);
+        for (std::uint32_t w = 0; w < assoc_; ++w) {
+            if (tags[w] == line)
+                return waysOf(set)[w];
         }
         return nullptr;
     }
@@ -125,24 +131,24 @@ class CacheArray
 
     /**
      * Choose a victim frame in @p addr's set: an invalid frame if one
-     * exists, else the least recently used unlocked frame. The first
-     * call for a set constructs its frames (all invalid).
+     * exists, else the least recently used unlocked frame. Reaching a
+     * never-used way allocates its frame (invalid).
      * @return nullptr if every frame in the set is locked.
      */
     CacheEntry *
     pickVictim(Addr addr)
     {
-        std::uint32_t set = setOf(lineAlign(addr));
-        CacheEntry *begin = setBegin(set);
-        if (!initialised(set)) {
-            for (CacheEntry *f = begin; f != begin + assoc_; ++f)
-                std::construct_at(f);
-            initBits_[set / 64] |= std::uint64_t{1} << (set % 64);
-            return begin;
-        }
+        std::size_t set = setOf(lineAlign(addr));
+        if (!initialised(set))
+            initialiseSet(set);
+        const Addr *tags = tagsOf(set);
+        CacheEntry **ways = waysOf(set);
         CacheEntry *victim = nullptr;
-        for (CacheEntry *f = begin; f != begin + assoc_; ++f) {
-            if (!f->valid)
+        for (std::uint32_t w = 0; w < assoc_; ++w) {
+            if (ways[w] == nullptr)
+                return ways[w] = allocateFrame();
+            CacheEntry *f = ways[w];
+            if (tags[w] == sim::kAddrNone)
                 return f;
             if (f->locked)
                 continue;
@@ -161,7 +167,9 @@ class CacheArray
     fill(CacheEntry *frame, Addr line, std::uint8_t state,
          const LineData &data)
     {
-        frame->line = lineAlign(line);
+        line = lineAlign(line);
+        tagsOf(setOf(line))[wayOf(frame, line)] = line;
+        frame->line = line;
         frame->valid = true;
         frame->state = state;
         frame->dirty = false;
@@ -175,6 +183,9 @@ class CacheArray
     void
     invalidate(CacheEntry *frame)
     {
+        if (frame->valid)
+            tagsOf(setOf(frame->line))[wayOf(frame, frame->line)] =
+                sim::kAddrNone;
         frame->valid = false;
         frame->line = sim::kAddrNone;
         frame->state = 0;
@@ -184,18 +195,15 @@ class CacheArray
     }
 
     /**
-     * Visit every valid entry in frame order (for checkers, flushes
-     * and reports). Only initialised sets are walked.
+     * Visit every valid entry in set-then-way order (for checkers,
+     * flushes and reports). Only initialised sets are walked.
      */
     template <typename Fn>
     void
     forEach(Fn &&fn)
     {
-        forEachInitialisedSet([&](CacheEntry *begin) {
-            for (CacheEntry *f = begin; f != begin + assoc_; ++f) {
-                if (f->valid)
-                    fn(*f);
-            }
+        forEachValid([&](std::size_t set, std::uint32_t w) {
+            fn(*waysOf(set)[w]);
         });
     }
 
@@ -204,14 +212,11 @@ class CacheArray
     occupancy() const
     {
         std::size_t n = 0;
-        forEachInitialisedSet([&](const CacheEntry *begin) {
-            for (const CacheEntry *f = begin; f != begin + assoc_; ++f)
-                n += f->valid;
-        });
+        forEachValid([&](std::size_t, std::uint32_t) { ++n; });
         return n;
     }
 
-    /** Sets whose frames have been constructed (see the class note). */
+    /** Sets whose tag and way arrays have been written (class note). */
     std::size_t
     initialisedSets() const
     {
@@ -221,59 +226,100 @@ class CacheArray
         return n;
     }
 
-  private:
-    static_assert(std::is_trivially_destructible_v<CacheEntry>,
-                  "frames are released without running destructors");
+    /** Frames handed out by the slab (class note). */
+    std::size_t allocatedFrames() const { return framesUsed_; }
 
-    /** Returns the raw frame storage to the allocator. */
-    struct FrameFree
+  private:
+    /** Slab chunk size (frames); chunks are never moved or freed. */
+    static constexpr std::size_t kChunkFrames = 64;
+
+    /** Returns raw storage to the allocator without destroying. */
+    template <typename T>
+    struct RawFree
     {
         std::size_t n;
         void
-        operator()(CacheEntry *p) const
+        operator()(T *p) const
         {
-            std::allocator<CacheEntry>().deallocate(p, n);
+            std::allocator<T>().deallocate(p, n);
         }
     };
-    using FramePtr = std::unique_ptr<CacheEntry[], FrameFree>;
+    template <typename T>
+    using RawPtr = std::unique_ptr<T[], RawFree<T>>;
 
-    /** Raw storage for @p n frames; no frame is constructed. */
-    static FramePtr
-    allocateFrames(std::size_t n)
+    /** Raw storage for @p n trivial objects; nothing is written. */
+    template <typename T>
+    static RawPtr<T>
+    allocateRaw(std::size_t n)
     {
-        return FramePtr(std::allocator<CacheEntry>().allocate(n),
-                        FrameFree{n});
+        static_assert(std::is_trivially_destructible_v<T>);
+        return RawPtr<T>(std::allocator<T>().allocate(n), RawFree<T>{n});
     }
 
-    std::uint32_t
+    std::size_t
     setOf(Addr line) const
     {
-        return static_cast<std::uint32_t>(
+        return static_cast<std::size_t>(
             (lineNumber(line) / indexDivisor_) & (numSets_ - 1));
     }
 
-    /** First frame of @p set (storage only until the set is initialised). */
-    CacheEntry *
-    setBegin(std::size_t set) const
+    Addr *tagsOf(std::size_t set) const { return &tags_[set * assoc_]; }
+    CacheEntry **
+    waysOf(std::size_t set) const
     {
-        return &frames_[set * assoc_];
+        return &ways_[set * assoc_];
+    }
+
+    /** Way of @p frame in @p line's set. */
+    std::uint32_t
+    wayOf(const CacheEntry *frame, Addr line) const
+    {
+        CacheEntry *const *ways = waysOf(setOf(line));
+        for (std::uint32_t w = 0; w < assoc_; ++w) {
+            if (ways[w] == frame)
+                return w;
+        }
+        WIDIR_ASSERT(false, "frame does not belong to the line's set");
+        return 0;
     }
 
     bool
-    initialised(std::uint32_t set) const
+    initialised(std::size_t set) const
     {
         return (initBits_[set / 64] >> (set % 64)) & 1;
     }
 
-    /** Call @p fn with the first frame of each initialised set, in order. */
+    void
+    initialiseSet(std::size_t set)
+    {
+        std::uninitialized_fill_n(tagsOf(set), assoc_, sim::kAddrNone);
+        std::uninitialized_fill_n(waysOf(set), assoc_, nullptr);
+        initBits_[set / 64] |= std::uint64_t{1} << (set % 64);
+    }
+
+    /** A fresh (invalid) frame from the slab. */
+    CacheEntry *
+    allocateFrame()
+    {
+        if (framesUsed_ % kChunkFrames == 0)
+            chunks_.push_back(std::make_unique<CacheEntry[]>(kChunkFrames));
+        return &chunks_.back()[framesUsed_++ % kChunkFrames];
+    }
+
+    /** Call @p fn(set, way) for each valid way, sets in order. */
     template <typename Fn>
     void
-    forEachInitialisedSet(Fn &&fn) const
+    forEachValid(Fn &&fn) const
     {
-        for (std::size_t w = 0; w < initBits_.size(); ++w) {
-            for (std::uint64_t bits = initBits_[w]; bits != 0;
+        for (std::size_t i = 0; i < initBits_.size(); ++i) {
+            for (std::uint64_t bits = initBits_[i]; bits != 0;
                  bits &= bits - 1) {
-                fn(setBegin(w * 64 + std::countr_zero(bits)));
+                std::size_t set = i * 64 + std::countr_zero(bits);
+                const Addr *tags = tagsOf(set);
+                for (std::uint32_t w = 0; w < assoc_; ++w) {
+                    if (tags[w] != sim::kAddrNone)
+                        fn(set, w);
+                }
             }
         }
     }
@@ -281,9 +327,12 @@ class CacheArray
     std::uint32_t assoc_;
     std::uint32_t numSets_;
     std::uint64_t indexDivisor_;
-    /** numSets_ * assoc_ frames; a set's frames are live once its bit is. */
-    FramePtr frames_;
+    /** numSets_ * assoc_ each; a set's slots are live once its bit is. */
+    RawPtr<Addr> tags_;
+    RawPtr<CacheEntry *> ways_;
     std::vector<std::uint64_t> initBits_; ///< one bit per set
+    std::vector<std::unique_ptr<CacheEntry[]>> chunks_; ///< frame slab
+    std::size_t framesUsed_ = 0;
     std::uint64_t lruCounter_ = 0;
 };
 

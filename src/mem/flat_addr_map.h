@@ -4,7 +4,7 @@
  * state (docs/PERF.md, "Flat hot-state layouts").
  *
  * The protocol's per-line bookkeeping (directory entries, in-flight
- * transactions, MSHRs, the functional memory store) is keyed by line
+ * transactions, the functional memory store) is keyed by line
  * address and hit on nearly every simulated memory operation.
  * std::unordered_map pays a node allocation per entry and a pointer
  * chase per lookup; at 256-1024 tiles that dominates both host time
@@ -21,15 +21,17 @@
  *    mutations. Freed slots are recycled through a free list.
  *
  * The API is the std::unordered_map subset the controllers use
- * (find/count/try_emplace/operator[]/erase/size/reserve/iteration);
+ * (find/count/try_emplace/operator[]/erase/size/iteration);
  * iterators yield `.first`/`.second` through an arrow proxy.
  * Iteration order is index order, not insertion order -- no simulation
  * path iterates these maps (tests/test_flat_map.cc pins the container
  * semantics instead).
  *
- * reserve() sizes the index from cache geometry at construction
- * (e.g. the LLC slice's line count bounds a directory bank's live
- * entries) so steady state never rehashes.
+ * Host memory follows occupancy: a new map has no index, the first
+ * insert allocates 16 slots, and the index doubles whenever an insert
+ * would pass 3/4 load. A map of n live entries therefore costs
+ * O(n) however large the cache geometry behind it. rehashes() counts
+ * index allocations: the first insert's and one per doubling.
  */
 
 #ifndef WIDIR_MEM_FLAT_ADDR_MAP_H
@@ -122,20 +124,6 @@ class FlatAddrMap
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    /**
-     * Pre-size the index for @p n live entries without rehashing.
-     * Call once at construction with the geometry-derived bound.
-     */
-    void
-    reserve(std::size_t n)
-    {
-        std::size_t cap = kMinCapacity;
-        while (n > loadLimit(cap))
-            cap <<= 1;
-        if (cap > keys_.size())
-            rehash(cap);
-    }
-
     iterator find(Addr key) { return {this, findPos(key)}; }
     const_iterator find(Addr key) const { return {this, findPos(key)}; }
     std::size_t count(Addr key) const
@@ -200,7 +188,7 @@ class FlatAddrMap
         size_ = 0;
     }
 
-    /** Index rehashes since construction (0 after a right-sized reserve). */
+    /** Index allocations: the first insert's plus one per doubling. */
     std::uint64_t rehashes() const { return rehashes_; }
 
   private:

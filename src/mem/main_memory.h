@@ -43,9 +43,6 @@ class MainMemory
         : sim_(sim), cfg_(cfg),
           nextFree_(cfg.numControllers, 0)
     {
-        // The store grows with the touched footprint; seed the flat
-        // index so small and medium runs never rehash mid-flight.
-        store_.reserve(4096);
     }
 
     /**

@@ -148,19 +148,23 @@ TEST(FlatAddrMap, ReferencesSurviveRehashAndErase)
     EXPECT_EQ(&m.find(0x100000)->second, &first);
 }
 
-/** A geometry-derived reserve means steady state never rehashes. */
-TEST(FlatAddrMap, ReserveAvoidsRehash)
+/**
+ * The index starts empty and doubles at 3/4 load, so n entries cost
+ * O(log n) growth steps, and churn below the high-water mark none.
+ */
+TEST(FlatAddrMap, GrowthIsGeometric)
 {
     FlatAddrMap<Payload> m;
-    m.reserve(1024);
-    EXPECT_EQ(m.rehashes(), 1u); // the reserve itself
+    EXPECT_EQ(m.rehashes(), 0u);
     for (Addr k = 0; k < 1024; ++k)
         m[k << 6].tag = k;
+    EXPECT_EQ(m.rehashes(), 8u); // 16 -> 32 -> ... -> 2048 slots
     for (Addr k = 0; k < 1024; k += 2)
         m.erase(k << 6);
     for (Addr k = 0; k < 1024; k += 2)
         m[k << 6].tag = k;
-    EXPECT_EQ(m.rehashes(), 1u);
+    EXPECT_EQ(m.rehashes(), 8u);
+    EXPECT_EQ(m.size(), 1024u);
 }
 
 /** Recycled slots hand back a freshly-constructed value. */

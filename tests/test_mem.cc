@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the memory substrate: address math, cache array
- * (lookup, LRU, locking, lazy set initialisation), MSHRs and the
+ * (lookup, LRU, locking, lazy sets and per-way frames) and the
  * main-memory timing model.
  */
 
@@ -14,7 +14,6 @@
 #include "mem/address.h"
 #include "mem/cache_array.h"
 #include "mem/main_memory.h"
-#include "mem/mshr.h"
 #include "sim/simulator.h"
 #include "system/manycore.h"
 
@@ -140,9 +139,41 @@ TEST(CacheArray, FreshArrayIsEmptyAndUninitialised)
     EXPECT_EQ(c.lookup(0x12340), nullptr);
 }
 
+TEST(CacheArray, FramesAreAllocatedPerWayOnFirstFill)
+{
+    CacheArray c(64 * 1024, 8); // 128 sets, 8 ways
+    LineData d;
+    auto same_set = [&](sim::Addr i) {
+        return i * c.numSets() * mem::kLineBytes;
+    };
+    EXPECT_EQ(c.allocatedFrames(), 0u);
+
+    c.fill(c.pickVictim(same_set(0)), same_set(0), 1, d);
+    EXPECT_EQ(c.allocatedFrames(), 1u);
+    EXPECT_EQ(c.initialisedSets(), 1u);
+
+    for (sim::Addr i = 1; i < 8; ++i)
+        c.fill(c.pickVictim(same_set(i)), same_set(i), 1, d);
+    EXPECT_EQ(c.allocatedFrames(), 8u);
+    EXPECT_EQ(c.occupancy(), 8u);
+
+    // A freed way is reused; the full set evicts in place.
+    CacheEntry *e = c.lookup(same_set(3));
+    ASSERT_NE(e, nullptr);
+    c.invalidate(e);
+    EXPECT_EQ(c.lookup(same_set(3)), nullptr);
+    CacheEntry *v = c.pickVictim(same_set(8));
+    EXPECT_EQ(v, e);
+    c.fill(v, same_set(8), 1, d);
+    EXPECT_EQ(c.lookup(same_set(8)), e);
+    c.fill(c.pickVictim(same_set(9)), same_set(9), 1, d);
+    EXPECT_EQ(c.allocatedFrames(), 8u);
+    EXPECT_EQ(c.occupancy(), 8u);
+}
+
 /**
- * Reference model: the cache array as it was before lazy set
- * initialisation, with every frame constructed up front and frames
+ * Reference model: the cache array as it was before lazy sets and
+ * per-way frames, with every frame constructed up front and frames
  * named by index.
  */
 class EagerArray
@@ -192,6 +223,8 @@ class EagerArray
          const LineData &d)
     {
         CacheEntry &f = frames_[i];
+        if (f.lruStamp == 0)
+            ++everFilled_;
         f = CacheEntry{};
         f.line = mem::lineAlign(line);
         f.valid = true;
@@ -215,6 +248,9 @@ class EagerArray
     }
 
     CacheEntry &at(std::size_t i) { return frames_[i]; }
+
+    /** Frames filled at least once: what the lazy array may allocate. */
+    std::size_t everFilled() const { return everFilled_; }
 
     /** Valid frames in index order: what forEach must visit. */
     std::vector<const CacheEntry *>
@@ -241,6 +277,7 @@ class EagerArray
     std::uint64_t divisor_;
     std::vector<CacheEntry> frames_;
     std::uint64_t lru_ = 0;
+    std::size_t everFilled_ = 0;
 };
 
 void
@@ -254,11 +291,17 @@ expectSameFrame(const CacheEntry &lazy, const CacheEntry &ref)
     EXPECT_TRUE(lazy.data == ref.data);
 }
 
-TEST(CacheArray, LazySetsMatchEagerReferenceUnderChurn)
+/**
+ * Random fill/invalidate/lock/touch churn over 200 lines, mirrored into
+ * the eager reference: every lookup, victim, forEach walk and occupancy
+ * must agree, and only frames the reference ever filled are allocated.
+ */
+void
+churnAgainstEagerReference(std::uint64_t size_bytes, std::uint32_t assoc,
+                           std::uint64_t divisor)
 {
-    // 16 sets x 4 ways, LLC-style index divisor; 200 lines contend.
-    CacheArray lazy(4096, 4, 3);
-    EagerArray ref(4096, 4, 3);
+    CacheArray lazy(size_bytes, assoc, divisor);
+    EagerArray ref(size_bytes, assoc, divisor);
     std::mt19937_64 rng(12345);
     for (int step = 0; step < 20000; ++step) {
         SCOPED_TRACE(step);
@@ -318,46 +361,39 @@ TEST(CacheArray, LazySetsMatchEagerReferenceUnderChurn)
             return;
     }
     EXPECT_EQ(lazy.initialisedSets(), lazy.numSets());
+    EXPECT_EQ(lazy.allocatedFrames(), ref.everFilled());
+}
+
+TEST(CacheArray, LazySetsMatchEagerReferenceUnderChurn)
+{
+    // 16 sets x 4 ways, LLC-style index divisor; 200 lines contend.
+    churnAgainstEagerReference(4096, 4, 3);
+}
+
+TEST(CacheArray, LazyFramesMatchEagerReferenceInL1Shape)
+{
+    // 16 sets x 2 ways, no index divisor: the private L1's shape.
+    churnAgainstEagerReference(2048, 2, 1);
 }
 
 TEST(CacheArray, FreshManycoreHasNoInitialisedSets)
 {
-    // Guards against sliding back to eager initialisation: building the
-    // 256-tile machine must not construct a single cache set.
+    // Guards against sliding back to capacity-sized host state:
+    // building the 256-tile machine must not initialise a single cache
+    // set, allocate a frame or give any flat map an index.
     sys::Manycore m(sys::SystemConfig::widir(256));
-    std::size_t sets = 0, initialised = 0;
+    std::size_t sets = 0, initialised = 0, frames = 0;
     for (sim::NodeId n = 0; n < m.numCores(); ++n) {
         sets += m.l1(n).array().numSets() + m.dir(n).llc().numSets();
         initialised += m.l1(n).array().initialisedSets() +
                        m.dir(n).llc().initialisedSets();
+        frames += m.l1(n).array().allocatedFrames() +
+                  m.dir(n).llc().allocatedFrames();
     }
     EXPECT_EQ(sets, 256u * (512 + 1024));
     EXPECT_EQ(initialised, 0u);
-}
-
-TEST(Mshr, AllocateFindRelease)
-{
-    mem::MshrFile m(4);
-    EXPECT_EQ(m.find(0x40), nullptr);
-    auto &e = m.allocate(0x44, false);
-    e.waiters.push_back(11);
-    ASSERT_EQ(m.find(0x80), nullptr); // different line
-    ASSERT_EQ(m.find(0x7c), &e);      // same line (0x40..0x7f)
-    auto waiters = m.release(0x40);
-    ASSERT_EQ(waiters.size(), 1u);
-    EXPECT_EQ(waiters[0], 11u);
-    EXPECT_EQ(m.find(0x40), nullptr);
-}
-
-TEST(Mshr, CapacityTracking)
-{
-    mem::MshrFile m(2);
-    m.allocate(0x000, false);
-    EXPECT_FALSE(m.full());
-    m.allocate(0x040, true);
-    EXPECT_TRUE(m.full());
-    m.release(0x000);
-    EXPECT_FALSE(m.full());
+    EXPECT_EQ(frames, 0u);
+    EXPECT_EQ(m.hostMapRehashes(), 0u);
 }
 
 TEST(MainMemory, FunctionalPeekPoke)
