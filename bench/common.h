@@ -371,8 +371,6 @@ class Options
     /// @{
     /** Trace output directory; empty when --record was not given. */
     const std::string &recordDir() const { return recordDir_; }
-    /** Registered app name for --trace-in, "" without the flag. */
-    const std::string &traceApp() const { return traceApp_; }
     /// @}
 
   private:
@@ -570,14 +568,6 @@ class Sweep
         return results_.at(i);
     }
 
-    const std::vector<ExperimentResult> &results() const
-    {
-        return results_;
-    }
-
-    std::size_t size() const { return specs_.size(); }
-    unsigned jobs() const { return runner_.jobs(); }
-
     /**
      * Dump every result to <WIDIR_BENCH_OUT|bench/out>/<name>.json
      * and report where it went.
@@ -605,20 +595,6 @@ class Sweep
     std::vector<ExperimentSpec> specs_;
     std::vector<ExperimentResult> results_;
 };
-
-/** Run one app under one protocol with bench-standard settings. */
-inline ExperimentResult
-run(const AppInfo &app, Protocol proto, std::uint32_t cores,
-    std::uint32_t scale, std::uint32_t max_wired_sharers = 3)
-{
-    ExperimentSpec spec;
-    spec.app = &app;
-    spec.protocol = proto;
-    spec.cores = cores;
-    spec.scale = scale;
-    spec.maxWiredSharers = max_wired_sharers;
-    return sys::runExperiment(spec);
-}
 
 /** Header banner naming the experiment being regenerated. */
 inline void

@@ -2,12 +2,12 @@
  * @file
  * Standalone record/replay driver (docs/FRONTEND.md): runs one trace
  * file -- widir-mtrace-v1 or the text ingestion format -- through the
- * full-fidelity replay frontend and optionally byte-diffs the
- * resulting stats against a reference widir-sweep-v1 document (e.g.
- * the one the recording run wrote). The full-fidelity contract is that the diff is
- * empty modulo the host_* fields and the frontend echo block, which
- * describe the host process and the stimulus plumbing rather than the
- * simulated machine.
+ * full-fidelity replay frontend and optionally diffs the resulting
+ * stats against a reference widir-sweep-v1 document (e.g. the one the
+ * recording run wrote). The full-fidelity contract is that every
+ * machine field of the report schema (sys::reportFields() rows not
+ * marked host) matches exactly; the host rows describe the host
+ * process and the stimulus plumbing rather than the simulated machine.
  *
  *   replay_trace --trace-in FILE [--protocol widir|baseline]
  *                [--tiles N] [--scale N] [--out FILE.json]
@@ -44,66 +44,24 @@ usage(const char *why)
     std::exit(2);
 }
 
-/** Result-object fields excluded from the fidelity diff. */
-bool
-ignoredKey(const std::string &key)
-{
-    return key.rfind("host_", 0) == 0 || key == "frontend";
-}
-
 /**
- * First differing path between two result objects ("" when equal).
- * Ignored keys are skipped at every object level (they only occur at
- * the top, but skipping everywhere keeps the walk uniform).
+ * First machine field (a non-host row of the report schema) where the
+ * replay @p r differs from the reference result object @p want, as
+ * "/block/key"; "" when they agree.
  */
 std::string
-firstDiff(const Value &a, const Value &b, const std::string &path)
+firstDiff(const widir::sys::ExperimentResult &r, const Value &want)
 {
-    if (a.type != b.type)
-        return path + " (type)";
-    switch (a.type) {
-      case Value::Type::Object: {
-        for (const auto &[key, av] : a.object) {
-            if (ignoredKey(key))
-                continue;
-            const Value *bv = b.find(key);
-            if (bv == nullptr)
-                return path + "/" + key + " (missing in reference)";
-            if (std::string d = firstDiff(av, *bv, path + "/" + key);
-                !d.empty())
-                return d;
-        }
-        for (const auto &[key, bv] : b.object) {
-            if (!ignoredKey(key) && a.find(key) == nullptr)
-                return path + "/" + key + " (missing in replay)";
-        }
-        return "";
-      }
-      case Value::Type::Array: {
-        if (a.array.size() != b.array.size())
-            return path + " (length)";
-        for (std::size_t i = 0; i < a.array.size(); ++i) {
-            std::string elem =
-                path + "[" + std::to_string(i) + "]";
-            if (std::string d = firstDiff(a.array[i], b.array[i], elem);
-                !d.empty())
-                return d;
-        }
-        return "";
-      }
-      case Value::Type::Number:
-        // %.17g round-trips doubles exactly, so equality is exact.
-        return a.number == b.number && a.uinteger == b.uinteger
-            ? ""
-            : path;
-      case Value::Type::String:
-        return a.string == b.string ? "" : path;
-      case Value::Type::Bool:
-        return a.boolean == b.boolean ? "" : path;
-      case Value::Type::Null:
-        return "";
+    for (const widir::sys::ReportField &f : widir::sys::reportFields()) {
+        if (f.host)
+            continue;
+        const Value *ref = f.lookup(want);
+        if (f.written(r) ? ref == nullptr || f.get(r) != *ref
+                         : ref != nullptr)
+            return std::string(*f.block ? "/" : "") + f.block + "/" +
+                   f.name;
     }
-    return path;
+    return "";
 }
 
 } // namespace
@@ -204,20 +162,14 @@ main(int argc, char **argv)
                 !results->array.empty()
             ? &results->array.front()
             : &ref; // allow a bare result object too
-        Value got;
-        if (!sys::json::parse(resultToJson(r), got, &err)) {
-            std::fprintf(stderr, "replay_trace: self-parse: %s\n",
-                         err.c_str());
-            return 2;
-        }
-        std::string diff = firstDiff(got, *want, "");
+        std::string diff = firstDiff(r, *want);
         if (!diff.empty()) {
             std::fprintf(stderr,
                          "replay_trace: stats diverge from %s at %s\n",
                          diff_path.c_str(), diff.c_str());
             return 1;
         }
-        std::printf("  stats match %s (modulo host_*/frontend)\n",
+        std::printf("  stats match %s (machine fields)\n",
                     diff_path.c_str());
     }
     return 0;

@@ -12,6 +12,7 @@
  * applications.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,6 +54,17 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Whole-token decimal in [lo, hi]: "4abc" is an error, not 4.
+        auto number = [&](const char *what, long lo, long hi) {
+            const char *text = next(what);
+            long v = 0;
+            if (!sys::parseEnvInt(text, lo, hi, v)) {
+                std::fprintf(stderr, "invalid %s value '%s'\n", what,
+                             text);
+                std::exit(1);
+            }
+            return static_cast<std::uint64_t>(v);
+        };
         if (arg == "--app") {
             app_name = next("--app");
         } else if (arg == "--protocol") {
@@ -67,16 +79,14 @@ main(int argc, char **argv)
                 return 1;
             }
         } else if (arg == "--cores") {
-            spec.cores = static_cast<std::uint32_t>(
-                std::strtoul(next("--cores"), nullptr, 10));
+            spec.cores = number("--cores", 1, 1'000'000);
         } else if (arg == "--scale") {
-            spec.scale = static_cast<std::uint32_t>(
-                std::strtoul(next("--scale"), nullptr, 10));
+            spec.scale = number("--scale", 1, 1'000'000);
         } else if (arg == "--seed") {
-            spec.seed = std::strtoull(next("--seed"), nullptr, 10);
+            spec.seed = number("--seed", 0, LONG_MAX);
         } else if (arg == "--max-wired-sharers") {
-            spec.maxWiredSharers = static_cast<std::uint32_t>(
-                std::strtoul(next("--max-wired-sharers"), nullptr, 10));
+            spec.maxWiredSharers =
+                number("--max-wired-sharers", 0, 1'000'000);
         } else if (arg == "--list") {
             for (const auto &a : workload::allApps()) {
                 std::printf("%-14s %-9s paper-mpki=%5.2f  %s\n", a.name,

@@ -8,10 +8,11 @@
  *
  * A trace is one op stream per thread. Record kinds (OpKind) mirror
  * the Thread awaitables one-to-one, so full-fidelity replay re-drives
- * the core timing model through the identical call sequence; Sync
- * records carry the annotations the workload sync library volunteers
- * so the fast direct-to-L1 replayer can preserve inter-thread ordering
- * constraints without a core model.
+ * the core timing model through the identical call sequence. Sync
+ * records carry the annotations the workload sync library volunteers:
+ * a recorded trace's replayed timing already reproduces their
+ * ordering, and a headerless text trace, which has no recorded timing,
+ * is serialized through them instead.
  */
 
 #ifndef WIDIR_FRONTEND_MTRACE_H

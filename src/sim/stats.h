@@ -4,14 +4,13 @@
  *
  * Components own their counters/histograms directly (no global registry
  * indirection); the system layer aggregates them into reports. The
- * containers here keep the arithmetic (means, distributions, binning)
- * in one audited place.
+ * containers here keep the arithmetic (means, binning) in one audited
+ * place.
  */
 
 #ifndef WIDIR_SIM_STATS_H
 #define WIDIR_SIM_STATS_H
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -158,66 +157,6 @@ class BinnedHistogram
     std::uint64_t total_ = 0;
     unsigned __int128 weighted_sum_ = 0;
     std::uint64_t clamped_ = 0;
-};
-
-/** Full-resolution distribution: keeps min/max/mean plus percentiles. */
-class Distribution
-{
-  public:
-    void
-    sample(double v)
-    {
-        values_.push_back(v);
-        sortedValid_ = false;
-    }
-
-    std::uint64_t count() const { return values_.size(); }
-
-    double
-    mean() const
-    {
-        if (values_.empty())
-            return 0.0;
-        double s = 0.0;
-        for (double v : values_)
-            s += v;
-        return s / static_cast<double>(values_.size());
-    }
-
-    double
-    percentile(double p) const
-    {
-        WIDIR_ASSERT(p >= 0.0 && p <= 1.0, "percentile must be in [0,1]");
-        if (values_.empty())
-            return 0.0;
-        // Sort once per batch of samples: min()/max()/multi-percentile
-        // reports all share the cached order instead of re-sorting
-        // O(n log n) on every call.
-        if (!sortedValid_) {
-            sorted_ = values_;
-            std::sort(sorted_.begin(), sorted_.end());
-            sortedValid_ = true;
-        }
-        auto idx = static_cast<std::size_t>(
-            p * static_cast<double>(sorted_.size() - 1) + 0.5);
-        return sorted_[std::min(idx, sorted_.size() - 1)];
-    }
-
-    double min() const { return percentile(0.0); }
-    double max() const { return percentile(1.0); }
-
-    void
-    reset()
-    {
-        values_.clear();
-        sorted_.clear();
-        sortedValid_ = false;
-    }
-
-  private:
-    std::vector<double> values_;
-    mutable std::vector<double> sorted_;
-    mutable bool sortedValid_ = false;
 };
 
 } // namespace widir::sim

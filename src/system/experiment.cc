@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "core/sharer_set.h"
 #include "frontend/mtrace.h"
 #include "sim/log.h"
 #include "system/checker.h"
@@ -90,6 +91,11 @@ ExperimentSpec::validate() const
         add("meshConcentration must divide cores");
     if (wirelessChannels == 0)
         add("wirelessChannels must be positive");
+    // runExperiment grows Dir_iB to maxWiredSharers pointers, which
+    // must fit the directory's inline sharer-pointer array.
+    if (maxWiredSharers > coherence::SharerPtrs::kCapacity)
+        add(sim::strfmt("maxWiredSharers must be at most %u",
+                        coherence::SharerPtrs::kCapacity));
     const bool is_replay = frontend == frontend::FrontendKind::ReplayFull;
     const bool trace_app = app != nullptr && app->traceSource != nullptr;
     if (frontend == frontend::FrontendKind::Record) {

@@ -28,7 +28,10 @@
 
 namespace widir::sys {
 
-/** Everything measured in one run. */
+/**
+ * Everything measured in one run. sys::reportFields() (report.h) maps
+ * it onto the widir-sweep-v1 result object, presence rules included.
+ */
 struct ExperimentResult
 {
     std::string app;
@@ -40,10 +43,6 @@ struct ExperimentResult
     std::uint32_t updateCountThreshold = 0; ///< effective value
 
     /// @name Scale-out topology knobs (all defaulted: classic machine)
-    ///
-    /// Serialized into widir-sweep-v1 as a "topology" object only when
-    /// any knob is non-default, so existing sweeps stay byte-identical
-    /// to documents written before these knobs existed.
     /// @{
     std::uint32_t meshConcentration = 1; ///< tiles per mesh router
     std::uint32_t wirelessChannels = 1;  ///< frequency-multiplexed bands
@@ -104,10 +103,6 @@ struct ExperimentResult
     /// @}
 
     /// @name Fault injection and resilience (docs/FAULTS.md)
-    ///
-    /// Serialized into widir-sweep-v1 as a "fault" object only when
-    /// faultInjection is true, so clean sweeps stay byte-identical to
-    /// outputs produced before fault injection existed.
     /// @{
     bool faultInjection = false;  ///< fault layer armed for this run
     fault::FaultSpec fault;       ///< echo of the injected spec
@@ -122,10 +117,9 @@ struct ExperimentResult
     /// @name Host performance (docs/PERF.md)
     ///
     /// executedEvents is deterministic for a given configuration; the
-    /// host_* figures are wall-clock or host-allocator measurements
-    /// and are stripped before diffing sweep outputs for bit-identity
-    /// (the watermarks are deterministic, but they describe the host
-    /// process, not the simulated machine).
+    /// host* figures are wall-clock or host-allocator measurements
+    /// that machineJson() leaves out (the watermarks are deterministic,
+    /// but they describe the host process, not the simulated machine).
     /// @{
     std::uint64_t executedEvents = 0; ///< simulator events run
     double hostSeconds = 0.0;         ///< wall time of the run() call
@@ -137,16 +131,11 @@ struct ExperimentResult
     /// @}
 
     /// @name Frontend echo (docs/FRONTEND.md)
-    ///
-    /// Serialized into widir-sweep-v1 as a "frontend" object only when
-    /// the run used a non-default stimulus source, so classic sweeps
-    /// stay byte-identical to documents written before frontends
-    /// existed.
     /// @{
     frontend::FrontendKind frontendKind =
         frontend::FrontendKind::Coroutine;
     std::string recordPath; ///< mtrace written (Record only)
-    std::string replayPath; ///< trace replayed (Replay* only)
+    std::string replayPath; ///< trace replayed (ReplayFull only)
     /// @}
 };
 

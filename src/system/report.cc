@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
+#include <utility>
 
 #include "core/protocol_table.h"
 #include "sim/log.h"
@@ -37,199 +39,263 @@ appendEscaped(std::string &out, const std::string &s)
     out += '"';
 }
 
-struct ObjectWriter
+using R = ExperimentResult;
+using json::Value;
+
+bool
+topologySet(const R &r)
 {
-    std::string &out;
-    std::string pad;
-    bool first = true;
+    return r.meshConcentration != 1 || r.wirelessChannels != 1 ||
+           r.homeMap != mem::HomeMap::Interleave;
+}
 
-    ObjectWriter(std::string &o, int indent)
-        : out(o), pad(static_cast<std::size_t>(indent), ' ')
-    {
-        out += "{";
-    }
+// Phase timings accompany a timed run only: perfbench zeroes
+// hostSeconds and compares whole documents across repetitions.
+bool timed(const R &r) { return r.hostSeconds != 0.0; }
 
-    void
-    key(const char *k)
-    {
-        if (!first)
-            out += ",";
-        first = false;
-        out += "\n" + pad + "  ";
-        appendEscaped(out, k);
-        out += ": ";
-    }
+bool
+frontendSet(const R &r)
+{
+    return r.frontendKind != frontend::FrontendKind::Coroutine;
+}
 
-    void
-    field(const char *k, std::uint64_t v)
-    {
-        key(k);
-        out += sim::strfmt("%" PRIu64, v);
-    }
+bool recorded(const R &r) { return frontendSet(r) && !r.recordPath.empty(); }
+bool replayed(const R &r) { return frontendSet(r) && !r.replayPath.empty(); }
+bool faulted(const R &r) { return r.faultInjection; }
 
-    void
-    field(const char *k, double v)
-    {
-        key(k);
-        // JSON has no NaN/Infinity literals; clamp so the document
-        // stays parseable by any reader (and by json::parse below).
-        if (!std::isfinite(v))
-            v = 0.0;
-        // %.17g round-trips doubles exactly; trim to readable forms
-        // where possible.
-        out += sim::strfmt("%.17g", v);
-    }
+// GET(expr): a getter returning Value(expr) of the result `r`.
+#define GET(expr) [](const R &r) { return Value(expr); }
 
-    void
-    field(const char *k, const std::string &v)
-    {
-        key(k);
-        appendEscaped(out, v);
-    }
-
-    void
-    field(const char *k, const std::vector<std::uint64_t> &v)
-    {
-        key(k);
-        out += "[";
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += sim::strfmt("%" PRIu64, v[i]);
-        }
-        out += "]";
-    }
-
-    void
-    close()
-    {
-        out += "\n" + pad + "}";
-    }
+// The topology, frontend and fault blocks are written only when their
+// knobs are non-default, so classic sweeps stay byte-identical to
+// documents written before those knobs existed.
+const ReportField kFields[] = {
+    {"", "app", false, GET(r.app), nullptr, "workload name"},
+    {"", "protocol", false, GET(protocolName(r.protocol)), nullptr,
+     "`baseline` (MESI Dir_iB) or `widir`"},
+    {"", "cores", false, GET(r.cores), nullptr,
+     "tiles (one core + L1 + directory/LLC bank each)"},
+    {"", "seed", false, GET(r.seed), nullptr, "RNG seed of the run"},
+    {"", "scale", false, GET(r.scale), nullptr, "workload work multiplier"},
+    {"", "max_wired_sharers", false, GET(r.maxWiredSharers), nullptr,
+     "MaxWiredSharers: wired sharers before a line goes wireless"},
+    {"", "update_count_threshold", false, GET(r.updateCountThreshold), nullptr,
+     "effective UpdateCount self-invalidation threshold"},
+    {"", "cycles", false, GET(r.cycles), nullptr,
+     "simulated cycles until every core finished"},
+    {"", "instructions", false, GET(r.instructions), nullptr,
+     "retired instructions, all cores"},
+    {"", "loads", false, GET(r.loads), nullptr, "retired loads"},
+    {"", "stores", false, GET(r.stores), nullptr, "retired stores"},
+    {"", "read_misses", false, GET(r.readMisses), nullptr,
+     "L1 read misses (Fig. 6)"},
+    {"", "write_misses", false, GET(r.writeMisses), nullptr,
+     "L1 write misses (Fig. 6)"},
+    {"", "mpki", false, GET(r.mpki()), nullptr,
+     "L1 misses per kilo-instruction"},
+    {"", "read_mpki", false, GET(r.readMpki()), nullptr,
+     "read misses per kilo-instruction"},
+    {"", "write_mpki", false, GET(r.writeMpki()), nullptr,
+     "write misses per kilo-instruction"},
+    {"", "mem_stall_cycles", false, GET(r.memStallCycles), nullptr,
+     "core cycles stalled on memory, summed over cores (Fig. 8)"},
+    {"", "total_core_cycles", false, GET(r.totalCoreCycles), nullptr,
+     "cycles x cores"},
+    {"", "mem_stall_fraction", false, GET(r.memStallFraction()), nullptr,
+     "mem_stall_cycles / total_core_cycles"},
+    {"", "load_latency_sum", false, GET(r.loadLatencySum), nullptr,
+     "summed load latency, ROB entry to retire (Fig. 7)"},
+    {"", "store_latency_sum", false, GET(r.storeLatencySum), nullptr,
+     "summed store latency, ROB entry to retire (Fig. 7)"},
+    {"", "hop_bin_counts", false, GET(r.hopBinCounts), nullptr,
+     "wired message legs by hops: 0-2, 3-5, 6-8, 9-11, 12-16 (Table V)"},
+    {"", "wired_messages", false, GET(r.wiredMessages), nullptr,
+     "messages sent on the wired mesh"},
+    {"", "sharers_updated_bins", false, GET(r.sharersUpdatedBins), nullptr,
+     "wireless updates by sharers reached: <=5, 6-10, 11-25, 26-49, 50+"
+     " (Fig. 5)"},
+    {"", "wireless_writes", false, GET(r.wirelessWrites), nullptr,
+     "committed wireless updates"},
+    {"", "self_invalidations", false, GET(r.selfInvalidations), nullptr,
+     "W-state copies dropped on UpdateCount expiry"},
+    {"", "collision_probability", false, GET(r.collisionProbability), nullptr,
+     "data-channel collision probability (Table VI)"},
+    {"", "to_wireless", false, GET(r.toWireless), nullptr,
+     "directory S -> W transitions"},
+    {"", "to_shared", false, GET(r.toShared), nullptr,
+     "directory W -> S transitions"},
+    {"topology", "mesh_concentration", false,
+     GET(r.meshConcentration), topologySet,
+     "tiles per mesh router"},
+    {"topology", "wireless_channels", false,
+     GET(r.wirelessChannels), topologySet,
+     "frequency-multiplexed wireless data sub-channels"},
+    {"topology", "home_map", false,
+     GET(r.homeMap == mem::HomeMap::Hash ? "hash" : "interleave"), topologySet,
+     "directory home of a line: `interleave` or `hash`"},
+    {"", "executed_events", false, GET(r.executedEvents), nullptr,
+     "events the kernel ran"},
+    {"", "host_wall_seconds", true, GET(r.hostSeconds), nullptr,
+     "wall time of the run phase"},
+    {"", "host_events_per_sec", true, GET(r.hostEventsPerSec), nullptr,
+     "executed_events / host_wall_seconds"},
+    {"", "host_build_seconds", true, GET(r.hostBuildSeconds), timed,
+     "wall time of building the machine"},
+    {"", "host_check_seconds", true, GET(r.hostCheckSeconds), timed,
+     "wall time of the end-of-run coherence check"},
+    {"", "host_msgpool_grew", true, GET(r.hostMsgpoolGrew), nullptr,
+     "fabric message-pool slots grown past the reserve"},
+    {"", "host_map_rehashes", true, GET(r.hostMapRehashes), nullptr,
+     "FlatAddrMap index allocations (first insert + one per doubling)"},
+    {"frontend", "kind", true,
+     GET(frontendKindName(r.frontendKind)), frontendSet,
+     "stimulus source: `record` or `replay-full`"},
+    {"frontend", "record_path", true, GET(r.recordPath), recorded,
+     "widir-mtrace-v1 file written"},
+    {"frontend", "replay_path", true, GET(r.replayPath), replayed,
+     "trace file replayed"},
+    {"fault", "ber", false, GET(r.fault.ber), faulted,
+     "data-channel bit error rate (good state)"},
+    {"fault", "preamble_loss_prob", false,
+     GET(r.fault.preambleLossProb), faulted,
+     "probability a lone acquisition loses its preamble"},
+    {"fault", "tone_loss_prob", false, GET(r.fault.toneLossProb), faulted,
+     "probability a census initiator misses the silence tone"},
+    {"fault", "burst_ber", false, GET(r.fault.burstBer), faulted,
+     "bit error rate in the Gilbert-Elliott bad state"},
+    {"fault", "burst_enter_prob", false, GET(r.fault.burstEnterProb), faulted,
+     "good -> bad, per sampled frame"},
+    {"fault", "burst_exit_prob", false, GET(r.fault.burstExitProb), faulted,
+     "bad -> good, per sampled frame"},
+    {"fault", "frame_bits", false, GET(r.fault.frameBits), faulted,
+     "bits protected by the frame CRC"},
+    {"fault", "retry_budget", false, GET(r.fault.retryBudget), faulted,
+     "fault retries allowed per transmission"},
+    {"fault", "fault_seed", false, GET(r.fault.seed), faulted,
+     "fault RNG stream perturbation"},
+    {"fault", "frame_crc_errors", false, GET(r.frameCrcErrors), faulted,
+     "corrupted data frames"},
+    {"fault", "frame_preamble_losses", false,
+     GET(r.framePreambleLosses), faulted,
+     "undetected frame starts"},
+    {"fault", "fault_retries", false, GET(r.faultRetries), faulted,
+     "frame re-transmissions after a fault"},
+    {"fault", "frame_fault_drops", false, GET(r.frameFaultDrops), faulted,
+     "frames dropped with the retry budget exhausted"},
+    {"fault", "tone_retries", false, GET(r.toneRetries), faulted,
+     "tone-channel re-polls after a missed silence"},
+    {"fault", "wireless_fallbacks", false, GET(r.wirelessFallbacks), faulted,
+     "L1 and directory transactions re-routed onto the mesh"},
+    {"energy", "core", false, GET(r.energy.core), nullptr,
+     "core energy, pJ (Fig. 9)"},
+    {"energy", "l1", false, GET(r.energy.l1), nullptr, "L1 energy, pJ"},
+    {"energy", "l2dir", false, GET(r.energy.l2dir), nullptr,
+     "LLC and directory energy, pJ"},
+    {"energy", "noc", false, GET(r.energy.noc), nullptr,
+     "wired mesh energy, pJ"},
+    {"energy", "wnoc", false, GET(r.energy.wnoc), nullptr,
+     "wireless NoC energy, pJ"},
+    {"energy", "total", false, GET(r.energy.total()), nullptr,
+     "sum of the five components, pJ"},
 };
 
+#undef GET
+
+/** Append a key at one level of the object being written. */
+void
+appendKey(std::string &out, const std::string &pad, bool &first,
+          const char *key)
+{
+    if (!first)
+        out += ",";
+    first = false;
+    out += "\n" + pad + "  ";
+    appendEscaped(out, key);
+    out += ": ";
+}
+
+/** Append a getter's value: a number, a string or a number list. */
+void
+appendValue(std::string &out, const Value &v)
+{
+    if (v.isString()) {
+        appendEscaped(out, v.string);
+    } else if (v.isArray()) {
+        out += "[";
+        for (std::size_t i = 0; i < v.array.size(); ++i) {
+            if (i)
+                out += ", ";
+            appendValue(out, v.array[i]);
+        }
+        out += "]";
+    } else if (v.isInteger) {
+        out += sim::strfmt("%" PRIu64, v.uinteger);
+    } else {
+        // %.17g round-trips doubles exactly.
+        out += sim::strfmt("%.17g", v.number);
+    }
+}
+
+/** The result object at @p indent, host rows included or not. */
+std::string
+writeObject(const R &r, int indent, bool with_host)
+{
+    const std::string pad(static_cast<std::size_t>(indent), ' ');
+    const std::string inner = pad + "  ";
+    std::string out = "{";
+    std::string_view open; // the block whose object is open
+    bool first = true;
+    bool first_in_block = true;
+    for (const ReportField &f : kFields) {
+        if (!open.empty() && open != f.block) {
+            out += "\n" + inner + "}";
+            open = {};
+        }
+        if ((f.host && !with_host) || !f.written(r))
+            continue;
+        if (*f.block != '\0' && open.empty()) {
+            appendKey(out, pad, first, f.block);
+            out += "{";
+            open = f.block;
+            first_in_block = true;
+        }
+        if (open.empty())
+            appendKey(out, pad, first, f.name);
+        else
+            appendKey(out, inner, first_in_block, f.name);
+        appendValue(out, f.get(r));
+    }
+    if (!open.empty())
+        out += "\n" + inner + "}";
+    out += "\n" + pad + "}";
+    return out;
+}
+
 } // namespace
+
+const json::Value *
+ReportField::lookup(const json::Value &result) const
+{
+    const json::Value *obj = *block != '\0' ? result.find(block) : &result;
+    return obj != nullptr ? obj->find(name) : nullptr;
+}
+
+std::span<const ReportField>
+reportFields()
+{
+    return kFields;
+}
 
 std::string
 resultToJson(const ExperimentResult &r, int indent)
 {
-    std::string out;
-    ObjectWriter w(out, indent);
-    w.field("app", r.app);
-    w.field("protocol", std::string(protocolName(r.protocol)));
-    w.field("cores", static_cast<std::uint64_t>(r.cores));
-    w.field("seed", r.seed);
-    w.field("scale", static_cast<std::uint64_t>(r.scale));
-    w.field("max_wired_sharers",
-            static_cast<std::uint64_t>(r.maxWiredSharers));
-    w.field("update_count_threshold",
-            static_cast<std::uint64_t>(r.updateCountThreshold));
-    w.field("cycles", static_cast<std::uint64_t>(r.cycles));
-    w.field("instructions", r.instructions);
-    w.field("loads", r.loads);
-    w.field("stores", r.stores);
-    w.field("read_misses", r.readMisses);
-    w.field("write_misses", r.writeMisses);
-    w.field("mpki", r.mpki());
-    w.field("read_mpki", r.readMpki());
-    w.field("write_mpki", r.writeMpki());
-    w.field("mem_stall_cycles", r.memStallCycles);
-    w.field("total_core_cycles", r.totalCoreCycles);
-    w.field("mem_stall_fraction", r.memStallFraction());
-    w.field("load_latency_sum", r.loadLatencySum);
-    w.field("store_latency_sum", r.storeLatencySum);
-    w.field("hop_bin_counts", r.hopBinCounts);
-    w.field("wired_messages", r.wiredMessages);
-    w.field("sharers_updated_bins", r.sharersUpdatedBins);
-    w.field("wireless_writes", r.wirelessWrites);
-    w.field("self_invalidations", r.selfInvalidations);
-    w.field("collision_probability", r.collisionProbability);
-    w.field("to_wireless", r.toWireless);
-    w.field("to_shared", r.toShared);
-    if (r.meshConcentration != 1 || r.wirelessChannels != 1 ||
-        r.homeMap != mem::HomeMap::Interleave) {
-        // Emitted only when a scale-out topology knob is non-default,
-        // so classic-machine sweeps stay byte-identical to documents
-        // written before these knobs existed (same contract as the
-        // fault block below).
-        w.key("topology");
-        ObjectWriter t(out, indent + 2);
-        t.field("mesh_concentration",
-                static_cast<std::uint64_t>(r.meshConcentration));
-        t.field("wireless_channels",
-                static_cast<std::uint64_t>(r.wirelessChannels));
-        t.field("home_map",
-                std::string(r.homeMap == mem::HomeMap::Hash
-                                ? "hash"
-                                : "interleave"));
-        t.close();
-    }
-    // Host-perf block. executed_events is deterministic; the host_*
-    // figures describe the host process, not the simulated machine --
-    // strip them before byte-diffing two sweeps for identity
-    // (docs/PERF.md).
-    w.field("executed_events", r.executedEvents);
-    w.field("host_wall_seconds", r.hostSeconds);
-    w.field("host_events_per_sec", r.hostEventsPerSec);
-    if (r.hostSeconds != 0.0) {
-        // Phase timings accompany a timed run: zeroing hostSeconds,
-        // as every run-to-run comparison does, drops them as well.
-        w.field("host_build_seconds", r.hostBuildSeconds);
-        w.field("host_check_seconds", r.hostCheckSeconds);
-    }
-    w.field("host_msgpool_grew", r.hostMsgpoolGrew);
-    w.field("host_map_rehashes", r.hostMapRehashes);
-    if (r.frontendKind != frontend::FrontendKind::Coroutine) {
-        // Emitted only for a non-default stimulus source, so classic
-        // sweeps stay byte-identical to documents written before
-        // frontends existed (docs/FRONTEND.md).
-        w.key("frontend");
-        ObjectWriter f(out, indent + 2);
-        f.field("kind",
-                std::string(frontend::frontendKindName(r.frontendKind)));
-        if (!r.recordPath.empty())
-            f.field("record_path", r.recordPath);
-        if (!r.replayPath.empty())
-            f.field("replay_path", r.replayPath);
-        f.close();
-    }
-    if (r.faultInjection) {
-        // Emitted only when the fault layer was armed, so clean-run
-        // outputs stay byte-identical to documents written before
-        // fault injection existed (docs/FAULTS.md).
-        w.key("fault");
-        ObjectWriter f(out, indent + 2);
-        f.field("ber", r.fault.ber);
-        f.field("preamble_loss_prob", r.fault.preambleLossProb);
-        f.field("tone_loss_prob", r.fault.toneLossProb);
-        f.field("burst_ber", r.fault.burstBer);
-        f.field("burst_enter_prob", r.fault.burstEnterProb);
-        f.field("burst_exit_prob", r.fault.burstExitProb);
-        f.field("frame_bits",
-                static_cast<std::uint64_t>(r.fault.frameBits));
-        f.field("retry_budget",
-                static_cast<std::uint64_t>(r.fault.retryBudget));
-        f.field("fault_seed", r.fault.seed);
-        f.field("frame_crc_errors", r.frameCrcErrors);
-        f.field("frame_preamble_losses", r.framePreambleLosses);
-        f.field("fault_retries", r.faultRetries);
-        f.field("frame_fault_drops", r.frameFaultDrops);
-        f.field("tone_retries", r.toneRetries);
-        f.field("wireless_fallbacks", r.wirelessFallbacks);
-        f.close();
-    }
-    w.key("energy");
-    {
-        ObjectWriter e(out, indent + 2);
-        e.field("core", r.energy.core);
-        e.field("l1", r.energy.l1);
-        e.field("l2dir", r.energy.l2dir);
-        e.field("noc", r.energy.noc);
-        e.field("wnoc", r.energy.wnoc);
-        e.field("total", r.energy.total());
-        e.close();
-    }
-    w.close();
-    return out;
+    return writeObject(r, indent, true);
+}
+
+std::string
+machineJson(const ExperimentResult &r)
+{
+    return writeObject(r, 0, false);
 }
 
 std::string
@@ -273,6 +339,32 @@ writeResultsJson(const std::string &path, const std::string &name,
 // writer above).
 
 namespace json {
+
+Value::Value(double v)
+    : type(Type::Number), number(std::isfinite(v) ? v : 0.0)
+{
+}
+
+Value::Value(std::string s) : type(Type::String), string(std::move(s)) {}
+
+Value::Value(const std::vector<std::uint64_t> &v)
+    : type(Type::Array), array(v.begin(), v.end())
+{
+}
+
+bool
+Value::operator==(const Value &o) const
+{
+    if (type != o.type)
+        return false;
+    if (type == Type::Number)
+        return isInteger && o.isInteger && !negative && !o.negative
+            ? uinteger == o.uinteger
+            : number == o.number;
+    // Members a type does not use stay default-constructed.
+    return boolean == o.boolean && string == o.string &&
+           array == o.array && object == o.object;
+}
 
 const Value *
 Value::find(const std::string &key) const

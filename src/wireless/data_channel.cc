@@ -56,15 +56,8 @@ DataChannel::channelOf(sim::Addr line) const
 {
     if (cfg_.numChannels == 1)
         return 0;
-    std::uint64_t x = mem::lineNumber(line);
-    if (cfg_.channelPolicy == ChannelPolicy::LineHash) {
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ULL;
-        x ^= x >> 27;
-        x *= 0x94d049bb133111ebULL;
-        x ^= x >> 31;
-    }
-    return static_cast<std::uint32_t>(x % cfg_.numChannels);
+    return static_cast<std::uint32_t>(mem::lineNumber(line) %
+                                      cfg_.numChannels);
 }
 
 void

@@ -48,13 +48,6 @@ namespace widir::wireless {
 using sim::Simulator;
 using sim::Tick;
 
-/** How frames are assigned to frequency-multiplexed sub-channels. */
-enum class ChannelPolicy : std::uint8_t
-{
-    LineInterleave, ///< lineNumber % numChannels (default)
-    LineHash,       ///< mixed lineNumber % numChannels
-};
-
 /** Data channel configuration (Table III defaults). */
 struct DataChannelConfig
 {
@@ -68,8 +61,6 @@ struct DataChannelConfig
      * stays the per-line serialization point.
      */
     std::uint32_t numChannels = 1;
-    /** Line -> sub-channel assignment policy (ignored at 1 channel). */
-    ChannelPolicy channelPolicy = ChannelPolicy::LineInterleave;
     Tick transferCycles = 4;   ///< payload incl. preamble
     Tick collisionCycles = 1;  ///< detect window
     Tick commitOffset = 2;     ///< preamble + detect -> guaranteed

@@ -12,6 +12,7 @@
 
 #include "energy/energy_model.h"
 #include "system/experiment.h"
+#include "system/report.h"
 
 namespace {
 
@@ -151,8 +152,7 @@ TEST(Experiment, DeterministicAcrossRuns)
     spec.protocol = coherence::Protocol::WiDir;
     auto a = sys::runExperiment(spec);
     auto b = sys::runExperiment(spec);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(sys::machineJson(a), sys::machineJson(b));
     spec.seed = 99;
     auto c = sys::runExperiment(spec);
     EXPECT_NE(a.cycles, c.cycles); // timing is seed-sensitive
@@ -172,6 +172,13 @@ TEST(Experiment, MaxWiredSharersSweepGrowsPointers)
         auto r = sys::runExperiment(spec);
         EXPECT_GT(r.cycles, 0u) << "mws=" << mws;
     }
+    // The directory's sharer pointers are inline (SharerPtrs): the
+    // widest threshold they hold validates, the next one is refused
+    // up front instead of panicking in the directory's constructor.
+    spec.maxWiredSharers = 8;
+    EXPECT_EQ(spec.validate(), "");
+    spec.maxWiredSharers = 9;
+    EXPECT_NE(spec.validate().find("maxWiredSharers"), std::string::npos);
 }
 
 TEST(Experiment, BenchScaleReadsEnvironment)

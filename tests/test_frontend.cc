@@ -39,24 +39,6 @@ using sys::ExperimentSpec;
 using test::testTempPath;
 using workload::AppInfo;
 
-/**
- * Simulated-machine stats as JSON with the host_* fields and the
- * frontend echo zeroed -- the byte-identity contract compares
- * everything else (docs/FRONTEND.md).
- */
-std::string
-statsJson(ExperimentResult r)
-{
-    r.hostSeconds = 0.0;
-    r.hostEventsPerSec = 0.0;
-    r.hostMsgpoolGrew = 0;
-    r.hostMapRehashes = 0;
-    r.frontendKind = FrontendKind::Coroutine;
-    r.recordPath.clear();
-    r.replayPath.clear();
-    return sys::resultToJson(r);
-}
-
 // The app name is a std::string, not a const char *: gtest prints a
 // char pointer parameter with its address, which would put a
 // per-process pointer into the listed test names.
@@ -85,7 +67,7 @@ TEST_P(FrontendIdentity, RecordThenReplayReproducesTheRun)
     rec_spec.frontend = FrontendKind::Record;
     rec_spec.recordPath = path;
     ExperimentResult rec = sys::runExperiment(rec_spec);
-    EXPECT_EQ(statsJson(plain), statsJson(rec));
+    EXPECT_EQ(sys::machineJson(plain), sys::machineJson(rec));
     EXPECT_EQ(rec.frontendKind, FrontendKind::Record);
     EXPECT_EQ(rec.recordPath, path);
 
@@ -98,7 +80,7 @@ TEST_P(FrontendIdentity, RecordThenReplayReproducesTheRun)
     rep_spec.protocol = proto;
     rep_spec.cores = 16;
     ExperimentResult full = sys::runExperiment(rep_spec);
-    EXPECT_EQ(statsJson(plain), statsJson(full));
+    EXPECT_EQ(sys::machineJson(plain), sys::machineJson(full));
     EXPECT_EQ(full.frontendKind, FrontendKind::ReplayFull);
     EXPECT_EQ(full.replayPath, path);
 }

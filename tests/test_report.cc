@@ -71,6 +71,42 @@ fakeResult()
     return r;
 }
 
+/** @p r with the fault layer armed and every fault field distinctive. */
+ExperimentResult
+faulted(ExperimentResult r)
+{
+    r.faultInjection = true;
+    r.fault.ber = 1e-4;
+    r.fault.preambleLossProb = 0.01;
+    r.fault.toneLossProb = 0.02;
+    r.fault.burstBer = 0.5;
+    r.fault.burstEnterProb = 0.001;
+    r.fault.burstExitProb = 0.125;
+    r.fault.frameBits = 96;
+    r.fault.retryBudget = 5;
+    r.fault.seed = 77;
+    r.frameCrcErrors = 11;
+    r.framePreambleLosses = 22;
+    r.faultRetries = 33;
+    r.frameFaultDrops = 44;
+    r.toneRetries = 55;
+    r.wirelessFallbacks = 66;
+    return r;
+}
+
+/** A faulted, recorded result on a non-default topology: every block. */
+ExperimentResult
+everyBlock()
+{
+    ExperimentResult r = faulted(fakeResult());
+    r.meshConcentration = 4;
+    r.wirelessChannels = 2;
+    r.homeMap = mem::HomeMap::Hash;
+    r.frontendKind = frontend::FrontendKind::Record;
+    r.recordPath = "out/traces/fft.mtrace";
+    return r;
+}
+
 /** Real result from a small simulation (covers live field values). */
 ExperimentResult
 realResult()
@@ -83,80 +119,60 @@ realResult()
     return sys::runExperiment(spec);
 }
 
+/**
+ * Parsed result object @p v holds get(r) for every row written for
+ * @p r, lacks every other row's key, and has no key (or block) that
+ * is not a row written for @p r.
+ */
 void
 expectRoundTrips(const ExperimentResult &r, const sys::json::Value &v)
 {
     ASSERT_TRUE(v.isObject());
-    EXPECT_EQ(v.find("app")->string, r.app);
-    EXPECT_EQ(v.find("protocol")->string,
-              r.protocol == coherence::Protocol::WiDir ? "widir"
-                                                       : "baseline");
-    EXPECT_EQ(v.find("cores")->asUint(), r.cores);
-    EXPECT_EQ(v.find("seed")->asUint(), r.seed);
-    EXPECT_EQ(v.find("scale")->asUint(), r.scale);
-    EXPECT_EQ(v.find("max_wired_sharers")->asUint(), r.maxWiredSharers);
-    EXPECT_EQ(v.find("update_count_threshold")->asUint(),
-              r.updateCountThreshold);
-    EXPECT_EQ(v.find("cycles")->asUint(), r.cycles);
-    EXPECT_EQ(v.find("instructions")->asUint(), r.instructions);
-    EXPECT_EQ(v.find("loads")->asUint(), r.loads);
-    EXPECT_EQ(v.find("stores")->asUint(), r.stores);
-    EXPECT_EQ(v.find("read_misses")->asUint(), r.readMisses);
-    EXPECT_EQ(v.find("write_misses")->asUint(), r.writeMisses);
-    EXPECT_EQ(v.find("mpki")->number, r.mpki());
-    EXPECT_EQ(v.find("read_mpki")->number, r.readMpki());
-    EXPECT_EQ(v.find("write_mpki")->number, r.writeMpki());
-    EXPECT_EQ(v.find("mem_stall_cycles")->asUint(), r.memStallCycles);
-    EXPECT_EQ(v.find("total_core_cycles")->asUint(), r.totalCoreCycles);
-    EXPECT_EQ(v.find("mem_stall_fraction")->number,
-              r.memStallFraction());
-    EXPECT_EQ(v.find("load_latency_sum")->asUint(), r.loadLatencySum);
-    EXPECT_EQ(v.find("store_latency_sum")->asUint(), r.storeLatencySum);
+    for (const sys::ReportField &f : sys::reportFields()) {
+        SCOPED_TRACE(std::string(f.block) + "/" + f.name);
+        const sys::json::Value *got = f.lookup(v);
+        if (!f.written(r)) {
+            EXPECT_EQ(got, nullptr);
+            continue;
+        }
+        ASSERT_NE(got, nullptr);
+        EXPECT_TRUE(*got == f.get(r));
+    }
+    auto written = [&r](const std::string &block,
+                        const std::string &name) {
+        for (const sys::ReportField &f : sys::reportFields()) {
+            if (f.written(r) &&
+                ((block == f.block && name == f.name) ||
+                 (block.empty() && name == f.block)))
+                return true;
+        }
+        return false;
+    };
+    for (const auto &[key, member] : v.object) {
+        EXPECT_TRUE(written("", key)) << key;
+        for (const auto &[inner, unused] : member.object)
+            EXPECT_TRUE(written(key, inner)) << key << "/" << inner;
+    }
+}
 
-    const auto *hops = v.find("hop_bin_counts");
-    ASSERT_TRUE(hops && hops->isArray());
-    ASSERT_EQ(hops->array.size(), r.hopBinCounts.size());
-    for (std::size_t i = 0; i < r.hopBinCounts.size(); ++i)
-        EXPECT_EQ(hops->array[i].asUint(), r.hopBinCounts[i]);
-    EXPECT_EQ(v.find("wired_messages")->asUint(), r.wiredMessages);
-
-    const auto *bins = v.find("sharers_updated_bins");
-    ASSERT_TRUE(bins && bins->isArray());
-    ASSERT_EQ(bins->array.size(), r.sharersUpdatedBins.size());
-    for (std::size_t i = 0; i < r.sharersUpdatedBins.size(); ++i)
-        EXPECT_EQ(bins->array[i].asUint(), r.sharersUpdatedBins[i]);
-
-    EXPECT_EQ(v.find("wireless_writes")->asUint(), r.wirelessWrites);
-    EXPECT_EQ(v.find("self_invalidations")->asUint(),
-              r.selfInvalidations);
-    EXPECT_EQ(v.find("collision_probability")->number,
-              r.collisionProbability);
-    EXPECT_EQ(v.find("to_wireless")->asUint(), r.toWireless);
-    EXPECT_EQ(v.find("to_shared")->asUint(), r.toShared);
-    EXPECT_EQ(v.find("executed_events")->asUint(), r.executedEvents);
-    EXPECT_EQ(v.find("host_wall_seconds")->number, r.hostSeconds);
-    EXPECT_EQ(v.find("host_events_per_sec")->number,
-              r.hostEventsPerSec);
-    ASSERT_NE(v.find("host_build_seconds"), nullptr);
-    EXPECT_EQ(v.find("host_build_seconds")->number, r.hostBuildSeconds);
-    ASSERT_NE(v.find("host_check_seconds"), nullptr);
-    EXPECT_EQ(v.find("host_check_seconds")->number, r.hostCheckSeconds);
-    EXPECT_EQ(v.find("host_msgpool_grew")->asUint(), r.hostMsgpoolGrew);
-    EXPECT_EQ(v.find("host_map_rehashes")->asUint(), r.hostMapRehashes);
-
-    const auto *energy = v.find("energy");
-    ASSERT_TRUE(energy && energy->isObject());
-    EXPECT_EQ(energy->find("core")->number, r.energy.core);
-    EXPECT_EQ(energy->find("l1")->number, r.energy.l1);
-    EXPECT_EQ(energy->find("l2dir")->number, r.energy.l2dir);
-    EXPECT_EQ(energy->find("noc")->number, r.energy.noc);
-    EXPECT_EQ(energy->find("wnoc")->number, r.energy.wnoc);
-    EXPECT_EQ(energy->find("total")->number, r.energy.total());
+/** Serialize @p r alone and parse the result object back. */
+sys::json::Value
+parsedResult(const ExperimentResult &r)
+{
+    sys::json::Value doc;
+    std::string err;
+    EXPECT_TRUE(sys::json::parse(sys::resultsToJson("one", {r}), doc,
+                                 &err))
+        << err;
+    const auto *arr = doc.find("results");
+    return arr && arr->array.size() == 1 ? arr->array[0]
+                                         : sys::json::Value{};
 }
 
 TEST(Report, EveryFieldRoundTrips)
 {
-    std::vector<ExperimentResult> results = {fakeResult(), realResult()};
+    std::vector<ExperimentResult> results = {fakeResult(), realResult(),
+                                             everyBlock()};
     std::string text = sys::resultsToJson("round_trip", results);
 
     sys::json::Value doc;
@@ -253,7 +269,7 @@ TEST(Report, PhaseTimingsFollowTheRunTiming)
     EXPECT_GT(live.hostBuildSeconds, 0.0);
     EXPECT_GT(live.hostCheckSeconds, 0.0);
 
-    // Zeroing hostSeconds -- what every run-to-run comparison does --
+    // Zeroing hostSeconds -- what perfbench's repetition check does --
     // drops the phase timings from the document too, so two runs of
     // one configuration serialize identically.
     ExperimentResult r = fakeResult();
@@ -274,57 +290,11 @@ TEST(Report, FaultBlockRoundTripsOnlyWhenArmed)
     // Clean result: no "fault" key at all (clean sweeps stay
     // byte-identical to pre-fault-injection output).
     ExperimentResult clean = fakeResult();
-    sys::json::Value doc;
-    std::string err;
-    ASSERT_TRUE(
-        sys::json::parse(sys::resultsToJson("clean", {clean}), doc, &err))
-        << err;
-    EXPECT_EQ(doc.find("results")->array[0].find("fault"), nullptr);
+    expectRoundTrips(clean, parsedResult(clean));
 
-    // Faulted result: the knob echo and every counter round-trips.
-    ExperimentResult r = fakeResult();
-    r.faultInjection = true;
-    r.fault.ber = 1e-4;
-    r.fault.preambleLossProb = 0.01;
-    r.fault.toneLossProb = 0.02;
-    r.fault.burstBer = 0.5;
-    r.fault.burstEnterProb = 0.001;
-    r.fault.burstExitProb = 0.125;
-    r.fault.frameBits = 96;
-    r.fault.retryBudget = 5;
-    r.fault.seed = 77;
-    r.frameCrcErrors = 11;
-    r.framePreambleLosses = 22;
-    r.faultRetries = 33;
-    r.frameFaultDrops = 44;
-    r.toneRetries = 55;
-    r.wirelessFallbacks = 66;
-    // Reusing `doc` on purpose: parse() must reset the holder, not
-    // merge the faulted tree into the clean one parsed above.
-    ASSERT_TRUE(
-        sys::json::parse(sys::resultsToJson("faulted", {r}), doc, &err))
-        << err;
-    const auto *f = doc.find("results")->array[0].find("fault");
-    ASSERT_TRUE(f && f->isObject());
-    EXPECT_EQ(f->find("ber")->number, r.fault.ber);
-    EXPECT_EQ(f->find("preamble_loss_prob")->number,
-              r.fault.preambleLossProb);
-    EXPECT_EQ(f->find("tone_loss_prob")->number, r.fault.toneLossProb);
-    EXPECT_EQ(f->find("burst_ber")->number, r.fault.burstBer);
-    EXPECT_EQ(f->find("burst_enter_prob")->number,
-              r.fault.burstEnterProb);
-    EXPECT_EQ(f->find("burst_exit_prob")->number, r.fault.burstExitProb);
-    EXPECT_EQ(f->find("frame_bits")->asUint(), r.fault.frameBits);
-    EXPECT_EQ(f->find("retry_budget")->asUint(), r.fault.retryBudget);
-    EXPECT_EQ(f->find("fault_seed")->asUint(), r.fault.seed);
-    EXPECT_EQ(f->find("frame_crc_errors")->asUint(), r.frameCrcErrors);
-    EXPECT_EQ(f->find("frame_preamble_losses")->asUint(),
-              r.framePreambleLosses);
-    EXPECT_EQ(f->find("fault_retries")->asUint(), r.faultRetries);
-    EXPECT_EQ(f->find("frame_fault_drops")->asUint(), r.frameFaultDrops);
-    EXPECT_EQ(f->find("tone_retries")->asUint(), r.toneRetries);
-    EXPECT_EQ(f->find("wireless_fallbacks")->asUint(),
-              r.wirelessFallbacks);
+    // Faulted result: the knob echo and every counter round-trip.
+    ExperimentResult r = faulted(fakeResult());
+    expectRoundTrips(r, parsedResult(r));
 }
 
 TEST(Report, FrontendBlockRoundTripsOnlyWhenNonDefault)
@@ -333,38 +303,126 @@ TEST(Report, FrontendBlockRoundTripsOnlyWhenNonDefault)
     // stay byte-identical to documents written before frontends
     // existed.
     ExperimentResult plain = fakeResult();
-    sys::json::Value doc;
-    std::string err;
-    ASSERT_TRUE(sys::json::parse(sys::resultsToJson("plain", {plain}),
-                                 doc, &err))
-        << err;
-    EXPECT_EQ(doc.find("results")->array[0].find("frontend"), nullptr);
+    expectRoundTrips(plain, parsedResult(plain));
 
     // Recording run: kind + record_path, no replay_path.
     ExperimentResult rec = fakeResult();
     rec.frontendKind = frontend::FrontendKind::Record;
     rec.recordPath = "out/traces/fft.mtrace";
-    ASSERT_TRUE(sys::json::parse(sys::resultsToJson("rec", {rec}), doc,
-                                 &err))
-        << err;
-    const auto *fb = doc.find("results")->array[0].find("frontend");
-    ASSERT_TRUE(fb && fb->isObject());
-    EXPECT_EQ(fb->find("kind")->string, "record");
-    EXPECT_EQ(fb->find("record_path")->string, rec.recordPath);
-    EXPECT_EQ(fb->find("replay_path"), nullptr);
+    expectRoundTrips(rec, parsedResult(rec));
 
     // Replay run: kind + replay_path, no record_path.
     ExperimentResult rep = fakeResult();
     rep.frontendKind = frontend::FrontendKind::ReplayFull;
     rep.replayPath = "out/traces/fft.mtrace";
-    ASSERT_TRUE(sys::json::parse(sys::resultsToJson("rep", {rep}), doc,
-                                 &err))
-        << err;
-    fb = doc.find("results")->array[0].find("frontend");
-    ASSERT_TRUE(fb && fb->isObject());
-    EXPECT_EQ(fb->find("kind")->string, "replay-full");
-    EXPECT_EQ(fb->find("replay_path")->string, rep.replayPath);
-    EXPECT_EQ(fb->find("record_path"), nullptr);
+    expectRoundTrips(rep, parsedResult(rep));
+}
+
+TEST(Report, MachineJsonDropsExactlyTheHostRows)
+{
+    ExperimentResult r = everyBlock(); // every row is written
+    sys::json::Value v;
+    std::string err;
+    ASSERT_TRUE(sys::json::parse(sys::machineJson(r), v, &err)) << err;
+    for (const sys::ReportField &f : sys::reportFields())
+        EXPECT_EQ(f.lookup(v) == nullptr, f.host) << f.block << "/" << f.name;
+    EXPECT_EQ(v.find("frontend"), nullptr);
+}
+
+TEST(Report, DocumentBytesArePinned)
+{
+    // Pieces of a document written by the hand-coded writer the field
+    // table replaced. They pin every key name, the key order, the
+    // number formats and the nesting of each block at indent 4.
+    const std::string top = R"(
+      "app": "fake-app \"quoted\"",
+      "protocol": "widir",
+      "cores": 64,
+      "seed": 12345,
+      "scale": 3,
+      "max_wired_sharers": 4,
+      "update_count_threshold": 8,
+      "cycles": 987654321,
+      "instructions": 1000000,
+      "loads": 2222,
+      "stores": 3333,
+      "read_misses": 440,
+      "write_misses": 550,
+      "mpki": 0.98999999999999999,
+      "read_mpki": 0.44,
+      "write_mpki": 0.55000000000000004,
+      "mem_stall_cycles": 777,
+      "total_core_cycles": 63209876544,
+      "mem_stall_fraction": 1.2292382812346345e-08,
+      "load_latency_sum": 11111,
+      "store_latency_sum": 22222,
+      "hop_bin_counts": [1, 2, 3, 4, 5],
+      "wired_messages": 15,
+      "sharers_updated_bins": [9, 8, 7, 6, 5],
+      "wireless_writes": 35,
+      "self_invalidations": 17,
+      "collision_probability": 0.03125,
+      "to_wireless": 12,
+      "to_shared": 13,)";
+    const std::string topology = R"(
+      "topology": {
+        "mesh_concentration": 4,
+        "wireless_channels": 2,
+        "home_map": "hash"
+      },)";
+    const std::string host = R"(
+      "executed_events": 424242,
+      "host_wall_seconds": 0.5,
+      "host_events_per_sec": 848484,
+      "host_build_seconds": 0.125,
+      "host_check_seconds": 0.0078125,
+      "host_msgpool_grew": 3,
+      "host_map_rehashes": 9,)";
+    const std::string frontend = R"(
+      "frontend": {
+        "kind": "record",
+        "record_path": "out/traces/fft.mtrace"
+      },)";
+    const std::string fault = R"(
+      "fault": {
+        "ber": 0.0001,
+        "preamble_loss_prob": 0.01,
+        "tone_loss_prob": 0.02,
+        "burst_ber": 0.5,
+        "burst_enter_prob": 0.001,
+        "burst_exit_prob": 0.125,
+        "frame_bits": 96,
+        "retry_budget": 5,
+        "fault_seed": 77,
+        "frame_crc_errors": 11,
+        "frame_preamble_losses": 22,
+        "fault_retries": 33,
+        "frame_fault_drops": 44,
+        "tone_retries": 55,
+        "wireless_fallbacks": 66
+      },)";
+    const std::string energy = R"(
+      "energy": {
+        "core": 1.5,
+        "l1": 2.25,
+        "l2dir": 3.75,
+        "noc": 4.125,
+        "wnoc": 0.0625,
+        "total": 11.6875
+      })";
+    EXPECT_EQ(sys::resultsToJson("pinned", {fakeResult(), everyBlock()}),
+              R"({
+  "schema": "widir-sweep-v1",
+  "name": "pinned",
+  "results": [
+    {)" + top + host + energy + R"(
+    },
+    {)" + top + topology + host + frontend + fault + energy +
+                  R"(
+    }
+  ]
+}
+)");
 }
 
 TEST(JsonParser, AcceptsScalarsAndNesting)
@@ -397,6 +455,18 @@ TEST(JsonParser, RejectsMalformedInput)
         EXPECT_FALSE(sys::json::parse(bad, v, &err)) << bad;
         EXPECT_FALSE(err.empty()) << bad;
     }
+}
+
+TEST(JsonParser, ParseResetsTheHolder)
+{
+    // Callers reuse Value holders: parse() must reset the holder, not
+    // merge the second tree into the first.
+    sys::json::Value doc;
+    std::string err;
+    ASSERT_TRUE(sys::json::parse("{\"a\": 1}", doc, &err)) << err;
+    ASSERT_TRUE(sys::json::parse("{\"b\": 2}", doc, &err)) << err;
+    EXPECT_EQ(doc.find("a"), nullptr);
+    EXPECT_EQ(doc.find("b")->asUint(), 2u);
 }
 
 } // namespace

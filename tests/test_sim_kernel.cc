@@ -232,43 +232,6 @@ TEST(Stats, BinnedHistogramOpenTopNeverClamps)
     EXPECT_EQ(h.clamped(), 0u);
 }
 
-TEST(Stats, DistributionPercentiles)
-{
-    sim::Distribution d;
-    for (int i = 1; i <= 100; ++i)
-        d.sample(i);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 100.0);
-    EXPECT_NEAR(d.percentile(0.5), 50.0, 1.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 50.5);
-}
-
-TEST(Stats, DistributionInterleavedSampleAndPercentile)
-{
-    // The sorted view is cached between percentile calls; new samples
-    // must invalidate it or later percentiles read stale data.
-    sim::Distribution d;
-    d.sample(10.0);
-    d.sample(30.0);
-    EXPECT_DOUBLE_EQ(d.min(), 10.0);
-    EXPECT_DOUBLE_EQ(d.max(), 30.0);
-
-    d.sample(5.0); // below the cached min
-    EXPECT_DOUBLE_EQ(d.min(), 5.0);
-    d.sample(99.0); // above the cached max
-    EXPECT_DOUBLE_EQ(d.max(), 99.0);
-    EXPECT_DOUBLE_EQ(d.percentile(0.5), 30.0);
-    // Repeated queries on an unchanged sample set agree.
-    EXPECT_DOUBLE_EQ(d.percentile(0.5), 30.0);
-    EXPECT_EQ(d.count(), 4u);
-
-    d.reset();
-    EXPECT_DOUBLE_EQ(d.percentile(0.5), 0.0);
-    d.sample(7.0);
-    EXPECT_DOUBLE_EQ(d.min(), 7.0);
-    EXPECT_DOUBLE_EQ(d.max(), 7.0);
-}
-
 TEST(EventQueue, RunLimitAdvancesNowToLimit)
 {
     // Regression: run(limit) used to leave now() at the last executed

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "system/report.h"
 #include "system/sweep.h"
 #include "workload/registry.h"
 
@@ -57,41 +58,6 @@ mixedBatch()
     return specs;
 }
 
-void
-expectIdentical(const ExperimentResult &a, const ExperimentResult &b)
-{
-    EXPECT_EQ(a.app, b.app);
-    EXPECT_EQ(a.protocol, b.protocol);
-    EXPECT_EQ(a.cores, b.cores);
-    EXPECT_EQ(a.seed, b.seed);
-    EXPECT_EQ(a.scale, b.scale);
-    EXPECT_EQ(a.maxWiredSharers, b.maxWiredSharers);
-    EXPECT_EQ(a.updateCountThreshold, b.updateCountThreshold);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.loads, b.loads);
-    EXPECT_EQ(a.stores, b.stores);
-    EXPECT_EQ(a.readMisses, b.readMisses);
-    EXPECT_EQ(a.writeMisses, b.writeMisses);
-    EXPECT_EQ(a.memStallCycles, b.memStallCycles);
-    EXPECT_EQ(a.totalCoreCycles, b.totalCoreCycles);
-    EXPECT_EQ(a.loadLatencySum, b.loadLatencySum);
-    EXPECT_EQ(a.storeLatencySum, b.storeLatencySum);
-    EXPECT_EQ(a.hopBinCounts, b.hopBinCounts);
-    EXPECT_EQ(a.wiredMessages, b.wiredMessages);
-    EXPECT_EQ(a.sharersUpdatedBins, b.sharersUpdatedBins);
-    EXPECT_EQ(a.wirelessWrites, b.wirelessWrites);
-    EXPECT_EQ(a.selfInvalidations, b.selfInvalidations);
-    EXPECT_EQ(a.collisionProbability, b.collisionProbability);
-    EXPECT_EQ(a.toWireless, b.toWireless);
-    EXPECT_EQ(a.toShared, b.toShared);
-    EXPECT_EQ(a.energy.core, b.energy.core);
-    EXPECT_EQ(a.energy.l1, b.energy.l1);
-    EXPECT_EQ(a.energy.l2dir, b.energy.l2dir);
-    EXPECT_EQ(a.energy.noc, b.energy.noc);
-    EXPECT_EQ(a.energy.wnoc, b.energy.wnoc);
-}
-
 TEST(SweepRunner, ResolvesJobCount)
 {
     EXPECT_GE(SweepRunner(0).jobs(), 1u);
@@ -118,7 +84,8 @@ TEST(SweepRunner, ParallelMatchesSerialFieldForField)
         SCOPED_TRACE(specs[i].app->name);
         // Order preserved: slot i belongs to spec i.
         EXPECT_EQ(serial[i].app, specs[i].app->name);
-        expectIdentical(serial[i], parallel[i]);
+        EXPECT_EQ(sys::machineJson(serial[i]),
+                  sys::machineJson(parallel[i]));
     }
 }
 
@@ -133,7 +100,8 @@ TEST(SweepRunner, MoreWorkersThanSpecs)
     auto wide = SweepRunner(8).run(specs);
     ASSERT_EQ(wide.size(), 2u);
     for (std::size_t i = 0; i < specs.size(); ++i)
-        expectIdentical(serial[i], wide[i]);
+        EXPECT_EQ(sys::machineJson(serial[i]),
+                  sys::machineJson(wide[i]));
 }
 
 TEST(SweepRunner, RepeatedRunsAreDeterministic)
@@ -145,7 +113,7 @@ TEST(SweepRunner, RepeatedRunsAreDeterministic)
     SweepRunner runner(2);
     auto first = runner.run(specs);
     auto second = runner.run(specs);
-    expectIdentical(first[0], second[0]);
+    EXPECT_EQ(sys::machineJson(first[0]), sys::machineJson(second[0]));
 }
 
 TEST(SweepRunner, WorkerExceptionIsRethrownWithSpecName)

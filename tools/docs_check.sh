@@ -5,8 +5,10 @@
 # generated transition-table section of PROTOCOL.md must match the
 # protocol table compiled into the simulator. Every environment knob
 # the prose docs name must also still exist in the code, so a removed
-# knob cannot linger in a table. Run from anywhere: pass the repo root
-# as $1 and (optionally) the built gen_protocol_docs binary as $2.
+# knob cannot linger in a table. The generated result-schema section of
+# EXPERIMENTS.md must likewise match the report field table. Run from
+# anywhere: pass the repo root as $1 and (optionally) the built
+# gen_protocol_docs binary as $2.
 # Registered as the `docs_check` CTest (tests/CMakeLists.txt) so the
 # references cannot drift when a message type, state, trace kind,
 # fault knob or environment knob is added or removed.
@@ -106,14 +108,17 @@ for knob in $knobs; do
     fi
 done
 
-# The generated transition-relation section must be byte-identical to
-# what the compiled-in protocol table renders (docs == code).
+# The generated sections must be byte-identical to what the compiled-in
+# tables render (docs == code): the transition relation in PROTOCOL.md
+# and the widir-sweep-v1 result schema in EXPERIMENTS.md.
 if [ -n "$gen" ]; then
-    if ! "$gen" --check "$root/docs/PROTOCOL.md"; then
-        echo "docs-check: generated PROTOCOL.md section is stale" \
-             "(run: $gen --update docs/PROTOCOL.md)" >&2
-        fail=1
-    fi
+    for d in docs/PROTOCOL.md EXPERIMENTS.md; do
+        if ! "$gen" --check "$root/$d"; then
+            echo "docs-check: generated $d section is stale" \
+                 "(run: $gen --update $d)" >&2
+            fail=1
+        fi
+    done
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -1,19 +1,23 @@
 /**
  * @file
- * Render the protocol transition table (core/protocol_table.h) as the
- * generated section of docs/PROTOCOL.md, so the documented transition
- * relation is derived from the same rows that drive the controllers
- * and the trace-legality checker.
+ * Render the generated sections of the docs from the tables compiled
+ * into the simulator:
+ *   - `protocol-table` (docs/PROTOCOL.md): the transition relation,
+ *     from the rule rows (core/protocol_table.h) that drive the
+ *     controllers and the trace-legality checker;
+ *   - `report-schema` (EXPERIMENTS.md): the widir-sweep-v1 result
+ *     keys, from the field table (system/report.h) behind the writer.
  *
  * Modes:
- *   gen_protocol_docs --emit               print the section to stdout
- *   gen_protocol_docs --check  <PROTOCOL.md>   exit 1 if the file's
- *                                          marked section is stale
- *   gen_protocol_docs --update <PROTOCOL.md>   rewrite the marked
- *                                          section in place
+ *   gen_protocol_docs --emit           print every section to stdout
+ *   gen_protocol_docs --check  <FILE>  exit 1 if a section marked in
+ *                                      the file is stale
+ *   gen_protocol_docs --update <FILE>  rewrite the file's marked
+ *                                      sections in place
  *
- * The section lives between the marker lines below; everything outside
- * the markers is hand-written prose and is never touched.
+ * A section lives between its marker lines (beginMarker/endMarker);
+ * everything outside the markers is hand-written prose and is never
+ * touched.
  */
 
 #include <cstdio>
@@ -23,17 +27,25 @@
 #include <string>
 
 #include "core/protocol_table.h"
+#include "system/report.h"
 
 namespace {
 
 using namespace widir;
 using namespace widir::coherence;
 
-constexpr const char *kBeginMarker =
-    "<!-- BEGIN GENERATED: protocol-table (tools/gen_protocol_docs;"
-    " do not edit by hand) -->";
-constexpr const char *kEndMarker =
-    "<!-- END GENERATED: protocol-table -->";
+std::string
+beginMarker(const char *tag)
+{
+    return std::string("<!-- BEGIN GENERATED: ") + tag +
+           " (tools/gen_protocol_docs; do not edit by hand) -->";
+}
+
+std::string
+endMarker(const char *tag)
+{
+    return std::string("<!-- END GENERATED: ") + tag + " -->";
+}
 
 std::string
 flagText(std::uint8_t flags)
@@ -74,11 +86,9 @@ legalityMatrix(std::size_t num_states, const char *(*name)(State),
 }
 
 std::string
-generatedSection()
+protocolTable()
 {
     std::string out;
-    out += kBeginMarker;
-    out += "\n\n";
     out += "The tables below are rendered from the rule arrays in\n"
            "`src/core/protocol_table.cc` -- the same rows that drive\n"
            "controller dispatch and `sys::checkTraceLegality`. Rows\n"
@@ -124,9 +134,43 @@ generatedSection()
                " | " + flagText(r.flags) + " |\n";
     }
     out += "\n";
-    out += kEndMarker;
+    return out;
+}
+
+std::string
+reportSchema()
+{
+    std::string out =
+        "Rendered from `sys::reportFields()` (`src/system/report.cc`), in\n"
+        "document order. `sys::machineJson` leaves out host-side keys.\n\n"
+        "| Block | Key | Host-side | Meaning |\n"
+        "|---|---|---|---|\n";
+    for (const sys::ReportField &f : sys::reportFields()) {
+        out += std::string("| ") + (*f.block ? f.block : "-") + " | `" +
+               f.name + "` | " + (f.host ? "yes" : "-") + " | " +
+               f.doc + " |\n";
+    }
     out += "\n";
     return out;
+}
+
+/** A generated section: its marker tag and its renderer. */
+struct Section
+{
+    const char *tag;
+    std::string (*render)();
+};
+
+constexpr Section kSections[] = {
+    {"protocol-table", protocolTable},
+    {"report-schema", reportSchema},
+};
+
+std::string
+generatedSection(const Section &s)
+{
+    return beginMarker(s.tag) + "\n\n" + s.render() + endMarker(s.tag) +
+           "\n";
 }
 
 bool
@@ -142,77 +186,73 @@ readFile(const std::string &path, std::string &out)
 }
 
 /**
- * Split @p doc around the marked section. Returns false (with a
- * message) when the markers are missing or malformed.
+ * @p doc with every marked section re-rendered. Returns false (with a
+ * message) when the file marks no section or a section's end marker
+ * is missing.
  */
 bool
-splitDoc(const std::string &doc, std::string &before,
-         std::string &inside, std::string &after)
+regenerate(const std::string &path, const std::string &doc,
+           std::string &out)
 {
-    std::size_t b = doc.find(kBeginMarker);
-    std::size_t e = doc.find(kEndMarker);
-    if (b == std::string::npos || e == std::string::npos || e < b) {
-        std::fprintf(stderr,
-                     "gen_protocol_docs: marker lines not found "
-                     "(expected '%s' ... '%s')\n",
-                     kBeginMarker, kEndMarker);
-        return false;
+    out = doc;
+    bool found = false;
+    for (const Section &s : kSections) {
+        const std::string begin = beginMarker(s.tag);
+        const std::string end = endMarker(s.tag);
+        std::size_t b = out.find(begin);
+        if (b == std::string::npos)
+            continue;
+        std::size_t e = out.find(end, b);
+        if (e == std::string::npos) {
+            std::fprintf(stderr, "gen_protocol_docs: %s: '%s' has no '%s'\n",
+                         path.c_str(), begin.c_str(), end.c_str());
+            return false;
+        }
+        e += end.size();
+        if (e < out.size() && out[e] == '\n')
+            ++e;
+        out.replace(b, e - b, generatedSection(s));
+        found = true;
     }
-    std::size_t end = e + std::strlen(kEndMarker);
-    if (end < doc.size() && doc[end] == '\n')
-        ++end;
-    before = doc.substr(0, b);
-    inside = doc.substr(b, end - b);
-    after = doc.substr(end);
-    return true;
+    if (!found)
+        std::fprintf(stderr,
+                     "gen_protocol_docs: %s marks no generated section\n",
+                     path.c_str());
+    return found;
 }
 
 int
 emitMode()
 {
-    std::fputs(generatedSection().c_str(), stdout);
+    for (const Section &s : kSections)
+        std::fputs(generatedSection(s).c_str(), stdout);
     return 0;
 }
 
+/** --check (exit 1 when stale) or --update the sections of @p path. */
 int
-checkMode(const std::string &path)
+syncMode(const std::string &path, bool update)
 {
-    std::string doc;
+    std::string doc, next;
     if (!readFile(path, doc)) {
         std::fprintf(stderr, "gen_protocol_docs: cannot read %s\n",
                      path.c_str());
         return 1;
     }
-    std::string before, inside, after;
-    if (!splitDoc(doc, before, inside, after))
+    if (!regenerate(path, doc, next))
         return 1;
-    if (inside != generatedSection()) {
+    if (next == doc) {
+        if (update)
+            std::printf("gen_protocol_docs: %s already current\n",
+                        path.c_str());
+        return 0;
+    }
+    if (!update) {
         std::fprintf(stderr,
                      "gen_protocol_docs: %s generated section is "
                      "stale\n",
                      path.c_str());
         return 1;
-    }
-    return 0;
-}
-
-int
-updateMode(const std::string &path)
-{
-    std::string doc;
-    if (!readFile(path, doc)) {
-        std::fprintf(stderr, "gen_protocol_docs: cannot read %s\n",
-                     path.c_str());
-        return 1;
-    }
-    std::string before, inside, after;
-    if (!splitDoc(doc, before, inside, after))
-        return 1;
-    std::string next = before + generatedSection() + after;
-    if (next == doc) {
-        std::printf("gen_protocol_docs: %s already current\n",
-                    path.c_str());
-        return 0;
     }
     std::ofstream f(path, std::ios::trunc);
     if (!f) {
@@ -233,12 +273,12 @@ main(int argc, char **argv)
     if (argc == 2 && std::strcmp(argv[1], "--emit") == 0)
         return emitMode();
     if (argc == 3 && std::strcmp(argv[1], "--check") == 0)
-        return checkMode(argv[2]);
+        return syncMode(argv[2], false);
     if (argc == 3 && std::strcmp(argv[1], "--update") == 0)
-        return updateMode(argv[2]);
+        return syncMode(argv[2], true);
     std::fprintf(stderr,
-                 "usage: %s --emit | --check <PROTOCOL.md> | "
-                 "--update <PROTOCOL.md>\n",
+                 "usage: %s --emit | --check <FILE.md> | "
+                 "--update <FILE.md>\n",
                  argv[0]);
     return 2;
 }
