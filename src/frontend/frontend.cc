@@ -75,10 +75,12 @@ frontendKindName(FrontendKind kind)
 
 ReplayGate::ReplayGate(const MemTrace &trace)
 {
+    Op op;
     for (std::uint32_t tid = 0; tid < trace.numThreads(); ++tid)
     {
         std::uint64_t idx = 0;
-        for (const Op &op : trace.threads[tid])
+        OpCursor cur(trace.threads[tid].bytes);
+        while (cur.next(op))
         {
             if (op.kind == OpKind::Sync)
                 order_.push_back({op.a, tid, idx++});
@@ -123,11 +125,13 @@ validateTrace(const MemTrace &trace, std::uint32_t num_cores)
                std::to_string(trace.numThreads()) + " op streams";
     // Non-monotone per-thread sync keys would deadlock the ReplayGate
     // (a thread can only offer its tokens in program order).
+    Op op;
     for (std::uint32_t tid = 0; tid < trace.numThreads(); ++tid)
     {
         std::uint64_t prev = 0;
         bool first = true;
-        for (const Op &op : trace.threads[tid])
+        OpCursor cur(trace.threads[tid].bytes);
+        while (cur.next(op))
         {
             if (op.kind != OpKind::Sync)
                 continue;
@@ -152,13 +156,13 @@ makeReplayProgram(const MemTrace &trace, ReplayGate *gate)
 {
     const MemTrace *tr = &trace;
     return [tr, gate](cpu::Thread &t) -> cpu::Task {
-        static const std::vector<Op> kEmpty;
-        const std::vector<Op> &ops = t.id() < tr->threads.size()
-                                         ? tr->threads[t.id()]
-                                         : kEmpty;
-        for (std::size_t i = 0; i < ops.size(); ++i)
+        if (t.id() >= tr->threads.size())
+            co_return;
+        // Decode one record at a time: the trace stays encoded.
+        OpCursor cur(tr->threads[t.id()].bytes);
+        Op op;
+        while (cur.next(op))
         {
-            const Op &op = ops[i];
             switch (op.kind)
             {
             case OpKind::Compute:
@@ -200,6 +204,8 @@ makeReplayProgram(const MemTrace &trace, ReplayGate *gate)
                 break;
             }
         }
+        WIDIR_ASSERT(cur.error().empty(), "thread %u: %s", t.id(),
+                     cur.error().c_str());
     };
 }
 

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <limits>
+#include <string_view>
 
 namespace widir::frontend {
 
@@ -37,11 +37,19 @@ putString(std::string &out, const std::string &s)
     out.append(s);
 }
 
-/** Cursor over an in-memory file image with strict bounds checks. */
-struct Reader
+std::string
+truncatedAt(std::size_t byte)
 {
-    const std::string &buf;
+    return "mtrace: truncated file (unexpected end of stream at byte " +
+           std::to_string(byte) + ")";
+}
+
+/** Strict bounds-checked reads over a byte range of a file image. */
+struct ByteReader
+{
+    std::string_view buf;
     std::size_t pos = 0;
+    std::size_t base = 0; ///< offset of buf in the file (messages)
     std::string &err;
 
     bool
@@ -55,9 +63,7 @@ struct Reader
     getByte(std::uint8_t &v)
     {
         if (pos >= buf.size())
-            return fail("mtrace: truncated file (unexpected end of "
-                        "stream at byte " +
-                        std::to_string(pos) + ")");
+            return fail(truncatedAt(base + pos));
         v = static_cast<std::uint8_t>(buf[pos++]);
         return true;
     }
@@ -76,7 +82,7 @@ struct Reader
                 return true;
         }
         return fail("mtrace: varint overflows 64 bits at byte " +
-                    std::to_string(pos));
+                    std::to_string(base + pos));
     }
 
     bool
@@ -88,12 +94,19 @@ struct Reader
         if (len > buf.size() - pos)
             return fail("mtrace: truncated file (string of " +
                         std::to_string(len) + " bytes at byte " +
-                        std::to_string(pos) + ")");
-        s.assign(buf, pos, static_cast<std::size_t>(len));
+                        std::to_string(base + pos) + ")");
+        s.assign(buf.substr(pos, static_cast<std::size_t>(len)));
         pos += static_cast<std::size_t>(len);
         return true;
     }
 };
+
+bool
+hasMagic(const std::string &image)
+{
+    return image.size() >= sizeof kMagic &&
+           std::memcmp(image.data(), kMagic, sizeof kMagic) == 0;
+}
 
 bool
 readWholeFile(const std::string &path, std::string &out,
@@ -117,121 +130,15 @@ readWholeFile(const std::string &path, std::string &out,
     return ok;
 }
 
-} // namespace
-
+/**
+ * Decode a widir-mtrace-v1 file image that starts with the magic.
+ * Every record is walked once with an OpCursor, then each stream's
+ * byte range is copied out as it stands.
+ */
 bool
-MemTrace::hasSync() const
+decodeMtrace(const std::string &image, MemTrace &out, std::string &err)
 {
-    for (const auto &ops : threads)
-        for (const auto &op : ops)
-            if (op.kind == OpKind::Sync)
-                return true;
-    return false;
-}
-
-bool
-writeMtrace(const std::string &path, const MemTrace &trace,
-            std::string &err)
-{
-    std::string out;
-    out.append(kMagic, sizeof kMagic);
-    putVarint(out, kVersion);
-    putVarint(out, trace.header.hasMachine ? kFlagHasMachine : 0);
-    if (trace.header.hasMachine)
-    {
-        const TraceHeader &h = trace.header;
-        putString(out, h.app);
-        out.push_back(static_cast<char>(h.protocol));
-        out.push_back(static_cast<char>(h.homeMap));
-        putVarint(out, h.cores);
-        putVarint(out, h.scale);
-        putVarint(out, h.maxWiredSharers);
-        putVarint(out, h.updateCountThreshold);
-        putVarint(out, h.meshConcentration);
-        putVarint(out, h.wirelessChannels);
-        putVarint(out, h.seed);
-    }
-    putVarint(out, trace.threads.size());
-    for (const auto &ops : trace.threads)
-    {
-        putVarint(out, ops.size());
-        for (const Op &op : ops)
-        {
-            out.push_back(static_cast<char>(op.kind));
-            switch (op.kind)
-            {
-            case OpKind::Compute:
-            case OpKind::Idle:
-                putVarint(out, op.a);
-                break;
-            case OpKind::Load:
-            case OpKind::LoadNb:
-                putVarint(out, op.addr);
-                break;
-            case OpKind::Store:
-                putVarint(out, op.addr);
-                putVarint(out, op.a);
-                break;
-            case OpKind::Rmw:
-                putVarint(out, op.addr);
-                putVarint(out, op.a);
-                putVarint(out, op.b);
-                // Squashed-and-retried speculative evaluations
-                // (mtrace.h); count is 0 for almost every RMW.
-                putVarint(out, op.evals.size());
-                for (const auto &[in, result] : op.evals)
-                {
-                    putVarint(out, in);
-                    putVarint(out, result);
-                }
-                break;
-            case OpKind::Fence:
-                break;
-            case OpKind::Sync:
-                out.push_back(static_cast<char>(op.sync));
-                putVarint(out, op.addr);
-                putVarint(out, op.a);
-                break;
-            }
-        }
-    }
-
-    // Like writeResultsJson: create the output directory so
-    // `--record runs/traces` works without a mkdir first.
-    std::filesystem::path p(path);
-    std::error_code ec;
-    if (p.has_parent_path())
-        std::filesystem::create_directories(p.parent_path(), ec);
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr)
-    {
-        err = path + ": " + std::strerror(errno);
-        return false;
-    }
-    const bool ok =
-        std::fwrite(out.data(), 1, out.size(), f) == out.size();
-    const bool closed = std::fclose(f) == 0;
-    if (!ok || !closed)
-    {
-        err = path + ": write error";
-        return false;
-    }
-    return true;
-}
-
-bool
-readMtrace(const std::string &path, MemTrace &out, std::string &err)
-{
-    std::string buf;
-    if (!readWholeFile(path, buf, err))
-        return false;
-
-    Reader r{buf, 0, err};
-    if (buf.size() < sizeof kMagic ||
-        std::memcmp(buf.data(), kMagic, sizeof kMagic) != 0)
-        return r.fail("mtrace: bad magic (not a widir-mtrace file): " +
-                      path);
-    r.pos = sizeof kMagic;
+    ByteReader r{image, sizeof kMagic, 0, err};
 
     std::uint64_t version = 0;
     if (!r.getVarint(version))
@@ -245,8 +152,13 @@ readMtrace(const std::string &path, MemTrace &out, std::string &err)
     if (!r.getVarint(flags))
         return false;
     if ((flags & ~kFlagHasMachine) != 0)
-        return r.fail("mtrace: unknown header flags 0x" +
-                      std::to_string(flags));
+    {
+        char hex[20];
+        std::snprintf(hex, sizeof hex, "%llx",
+                      static_cast<unsigned long long>(flags));
+        return r.fail(std::string("mtrace: unknown header flags 0x") +
+                      hex);
+    }
 
     out = MemTrace{};
     out.header.hasMachine = (flags & kFlagHasMachine) != 0;
@@ -291,7 +203,8 @@ readMtrace(const std::string &path, MemTrace &out, std::string &err)
                       std::to_string(numThreads));
     out.threads.resize(static_cast<std::size_t>(numThreads));
 
-    for (auto &ops : out.threads)
+    Op op;
+    for (OpStream &stream : out.threads)
     {
         std::uint64_t count = 0;
         if (!r.getVarint(count))
@@ -299,88 +212,233 @@ readMtrace(const std::string &path, MemTrace &out, std::string &err)
         // Every record is >= 1 byte, so a sane count cannot exceed the
         // bytes left -- reject before a corrupt header forces a huge
         // allocation.
-        if (count > buf.size() - r.pos)
+        if (count > image.size() - r.pos)
             return r.fail("mtrace: truncated file (op count " +
                           std::to_string(count) +
                           " exceeds remaining bytes)");
-        ops.reserve(static_cast<std::size_t>(count));
+        OpCursor cur(std::string_view(image).substr(r.pos), r.pos);
         for (std::uint64_t i = 0; i < count; ++i)
         {
-            std::uint8_t kind = 0;
-            if (!r.getByte(kind))
-                return false;
-            if (kind >= kOpKindCount)
-                return r.fail("mtrace: unknown record kind " +
-                              std::to_string(kind) + " at byte " +
-                              std::to_string(r.pos - 1));
-            Op op;
-            op.kind = static_cast<OpKind>(kind);
-            switch (op.kind)
-            {
-            case OpKind::Compute:
-            case OpKind::Idle:
-                if (!r.getVarint(op.a))
-                    return false;
-                break;
-            case OpKind::Load:
-            case OpKind::LoadNb:
-                if (!r.getVarint(op.addr))
-                    return false;
-                break;
-            case OpKind::Store:
-                if (!r.getVarint(op.addr) || !r.getVarint(op.a))
-                    return false;
-                break;
-            case OpKind::Rmw:
-            {
-                if (!r.getVarint(op.addr) || !r.getVarint(op.a) ||
-                    !r.getVarint(op.b))
-                    return false;
-                std::uint64_t nEvals = 0;
-                if (!r.getVarint(nEvals))
-                    return false;
-                // Two bytes minimum per pair -- same huge-allocation
-                // guard as the op count above.
-                if (nEvals > (buf.size() - r.pos) / 2 + 1)
-                    return r.fail(
-                        "mtrace: truncated file (rmw eval count " +
-                        std::to_string(nEvals) +
-                        " exceeds remaining bytes)");
-                op.evals.reserve(static_cast<std::size_t>(nEvals));
-                for (std::uint64_t e = 0; e < nEvals; ++e)
-                {
-                    std::uint64_t in = 0, result = 0;
-                    if (!r.getVarint(in) || !r.getVarint(result))
-                        return false;
-                    op.evals.emplace_back(in, result);
-                }
-                break;
-            }
-            case OpKind::Fence:
-                break;
-            case OpKind::Sync:
-            {
-                std::uint8_t note = 0;
-                if (!r.getByte(note))
-                    return false;
-                if (note > static_cast<std::uint8_t>(
-                               cpu::SyncNote::TaskClaim))
-                    return r.fail("mtrace: unknown sync note " +
-                                  std::to_string(note));
-                op.sync = static_cast<cpu::SyncNote>(note);
-                if (!r.getVarint(op.addr) || !r.getVarint(op.a))
-                    return false;
-                break;
-            }
-            }
-            ops.push_back(op);
+            if (!cur.next(op))
+                return r.fail(cur.error().empty()
+                                  ? truncatedAt(image.size())
+                                  : cur.error());
         }
+        stream.bytes.assign(image, r.pos, cur.consumed());
+        stream.ops = count;
+        r.pos += cur.consumed();
     }
 
-    if (r.pos != buf.size())
+    if (r.pos != image.size())
         return r.fail("mtrace: trailing garbage after op streams (" +
-                      std::to_string(buf.size() - r.pos) + " bytes)");
+                      std::to_string(image.size() - r.pos) +
+                      " bytes)");
     return true;
+}
+
+} // namespace
+
+void
+encodeOp(std::string &out, const Op &op)
+{
+    out.push_back(static_cast<char>(op.kind));
+    switch (op.kind)
+    {
+    case OpKind::Compute:
+    case OpKind::Idle:
+        putVarint(out, op.a);
+        break;
+    case OpKind::Load:
+    case OpKind::LoadNb:
+        putVarint(out, op.addr);
+        break;
+    case OpKind::Store:
+        putVarint(out, op.addr);
+        putVarint(out, op.a);
+        break;
+    case OpKind::Rmw:
+        putVarint(out, op.addr);
+        putVarint(out, op.a);
+        putVarint(out, op.b);
+        // Squashed-and-retried speculative evaluations (mtrace.h);
+        // count is 0 for almost every RMW.
+        putVarint(out, op.evals.size());
+        for (const auto &[in, result] : op.evals)
+        {
+            putVarint(out, in);
+            putVarint(out, result);
+        }
+        break;
+    case OpKind::Fence:
+        break;
+    case OpKind::Sync:
+        out.push_back(static_cast<char>(op.sync));
+        putVarint(out, op.addr);
+        putVarint(out, op.a);
+        break;
+    }
+}
+
+bool
+OpCursor::next(Op &op)
+{
+    if (!err_.empty() || pos_ == bytes_.size())
+        return false;
+    ByteReader r{bytes_, pos_, base_, err_};
+    std::uint8_t kind = 0;
+    r.getByte(kind); // cannot fail: pos_ < size
+    if (kind >= kOpKindCount)
+        return r.fail("mtrace: unknown record kind " +
+                      std::to_string(kind) + " at byte " +
+                      std::to_string(base_ + pos_));
+    op.kind = static_cast<OpKind>(kind);
+    op.sync = cpu::SyncNote::External;
+    op.addr = 0;
+    op.a = 0;
+    op.b = 0;
+    op.evals.clear();
+    switch (op.kind)
+    {
+    case OpKind::Compute:
+    case OpKind::Idle:
+        if (!r.getVarint(op.a))
+            return false;
+        break;
+    case OpKind::Load:
+    case OpKind::LoadNb:
+        if (!r.getVarint(op.addr))
+            return false;
+        break;
+    case OpKind::Store:
+        if (!r.getVarint(op.addr) || !r.getVarint(op.a))
+            return false;
+        break;
+    case OpKind::Rmw:
+    {
+        std::uint64_t nEvals = 0;
+        if (!r.getVarint(op.addr) || !r.getVarint(op.a) ||
+            !r.getVarint(op.b) || !r.getVarint(nEvals))
+            return false;
+        // Two bytes minimum per pair -- a guard against a corrupt
+        // count forcing a huge allocation.
+        if (nEvals > (bytes_.size() - r.pos) / 2 + 1)
+            return r.fail("mtrace: truncated file (rmw eval count " +
+                          std::to_string(nEvals) +
+                          " exceeds remaining bytes)");
+        for (std::uint64_t e = 0; e < nEvals; ++e)
+        {
+            std::uint64_t in = 0, result = 0;
+            if (!r.getVarint(in) || !r.getVarint(result))
+                return false;
+            op.evals.emplace_back(in, result);
+        }
+        break;
+    }
+    case OpKind::Fence:
+        break;
+    case OpKind::Sync:
+    {
+        std::uint8_t note = 0;
+        if (!r.getByte(note))
+            return false;
+        if (note > static_cast<std::uint8_t>(cpu::SyncNote::TaskClaim))
+            return r.fail("mtrace: unknown sync note " +
+                          std::to_string(note));
+        op.sync = static_cast<cpu::SyncNote>(note);
+        if (!r.getVarint(op.addr) || !r.getVarint(op.a))
+            return false;
+        break;
+    }
+    }
+    pos_ = r.pos;
+    return true;
+}
+
+bool
+MemTrace::hasSync() const
+{
+    Op op;
+    for (const OpStream &stream : threads)
+    {
+        OpCursor cur(stream.bytes);
+        while (cur.next(op))
+        {
+            if (op.kind == OpKind::Sync)
+                return true;
+        }
+    }
+    return false;
+}
+
+bool
+writeMtrace(const std::string &path, const MemTrace &trace,
+            std::string &err)
+{
+    std::string head;
+    head.append(kMagic, sizeof kMagic);
+    putVarint(head, kVersion);
+    putVarint(head, trace.header.hasMachine ? kFlagHasMachine : 0);
+    if (trace.header.hasMachine)
+    {
+        const TraceHeader &h = trace.header;
+        putString(head, h.app);
+        head.push_back(static_cast<char>(h.protocol));
+        head.push_back(static_cast<char>(h.homeMap));
+        putVarint(head, h.cores);
+        putVarint(head, h.scale);
+        putVarint(head, h.maxWiredSharers);
+        putVarint(head, h.updateCountThreshold);
+        putVarint(head, h.meshConcentration);
+        putVarint(head, h.wirelessChannels);
+        putVarint(head, h.seed);
+    }
+    putVarint(head, trace.threads.size());
+
+    // Like writeResultsJson: create the output directory so
+    // `--record runs/traces` works without a mkdir first.
+    std::filesystem::path p(path);
+    std::error_code ec;
+    if (p.has_parent_path())
+        std::filesystem::create_directories(p.parent_path(), ec);
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    if (f == nullptr)
+    {
+        err = path + ": " + std::strerror(errno);
+        return false;
+    }
+    // The streams go out as they are held: no concatenated copy.
+    auto put = [f](std::string_view bytes) {
+        return std::fwrite(bytes.data(), 1, bytes.size(), f) ==
+               bytes.size();
+    };
+    bool ok = put(head);
+    for (const OpStream &stream : trace.threads)
+    {
+        std::string count;
+        putVarint(count, stream.ops);
+        ok = ok && put(count) && put(stream.bytes);
+    }
+    const bool closed = std::fclose(f) == 0;
+    if (!ok || !closed)
+    {
+        err = path + ": write error";
+        return false;
+    }
+    return true;
+}
+
+bool
+readMtrace(const std::string &path, MemTrace &out, std::string &err)
+{
+    std::string image;
+    if (!readWholeFile(path, image, err))
+        return false;
+    if (!hasMagic(image))
+    {
+        err = "mtrace: bad magic (not a widir-mtrace file): " + path;
+        return false;
+    }
+    return decodeMtrace(image, out, err);
 }
 
 namespace {
@@ -429,7 +487,6 @@ parseTextTrace(const std::string &text, MemTrace &out,
                std::string &err)
 {
     out = MemTrace{};
-    std::uint64_t maxThread = 0;
     bool sawOp = false;
 
     std::size_t lineStart = 0;
@@ -517,8 +574,7 @@ parseTextTrace(const std::string &text, MemTrace &out,
 
         if (tid + 1 > out.threads.size())
             out.threads.resize(static_cast<std::size_t>(tid) + 1);
-        out.threads[static_cast<std::size_t>(tid)].push_back(op);
-        maxThread = tid > maxThread ? tid : maxThread;
+        out.threads[static_cast<std::size_t>(tid)].append(op);
         sawOp = true;
     }
 
@@ -527,7 +583,6 @@ parseTextTrace(const std::string &text, MemTrace &out,
         err = "trace: no operations found";
         return false;
     }
-    (void)maxThread;
     return true;
 }
 
@@ -537,9 +592,8 @@ loadTraceFile(const std::string &path, MemTrace &out, std::string &err)
     std::string buf;
     if (!readWholeFile(path, buf, err))
         return false;
-    if (buf.size() >= sizeof kMagic &&
-        std::memcmp(buf.data(), kMagic, sizeof kMagic) == 0)
-        return readMtrace(path, out, err);
+    if (hasMagic(buf))
+        return decodeMtrace(buf, out, err);
     return parseTextTrace(buf, out, err);
 }
 

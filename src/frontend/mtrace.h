@@ -18,8 +18,10 @@
 #ifndef WIDIR_FRONTEND_MTRACE_H
 #define WIDIR_FRONTEND_MTRACE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -44,7 +46,11 @@ enum class OpKind : std::uint8_t
 /** Number of OpKind enumerators (reader-side validation). */
 inline constexpr std::uint8_t kOpKindCount = 8;
 
-/** One decoded record. Field use per kind is documented on OpKind. */
+/**
+ * One decoded record. Field use per kind is documented on OpKind.
+ * Traces are never held as Ops: an OpStream keeps the encoded record
+ * bytes and an OpCursor decodes them one at a time.
+ */
 struct Op
 {
     OpKind kind = OpKind::Compute;
@@ -74,6 +80,61 @@ struct Op
 };
 
 /**
+ * Append @p op's widir-mtrace-v1 record to @p out. With OpCursor, the
+ * only code that knows each kind's operands.
+ */
+void encodeOp(std::string &out, const Op &op);
+
+/**
+ * Bounds-checked decoder over one stream's record bytes. next()
+ * returns false at the end of the bytes, or on a malformed record --
+ * then error() holds the reason and every later next() fails too.
+ */
+class OpCursor
+{
+  public:
+    /**
+     * Decode @p bytes. @p base is their offset in the file they came
+     * from; error messages report file byte positions.
+     */
+    explicit OpCursor(std::string_view bytes, std::size_t base = 0)
+        : bytes_(bytes), base_(base)
+    {
+    }
+
+    /** Decode the next record into @p op (every field overwritten). */
+    bool next(Op &op);
+
+    /** Bytes consumed by the records decoded so far. */
+    std::size_t consumed() const { return pos_; }
+
+    /** Why the last next() failed; empty at a clean end. */
+    const std::string &error() const { return err_; }
+
+  private:
+    std::string_view bytes_;
+    std::size_t base_;
+    std::size_t pos_ = 0;
+    std::string err_;
+};
+
+/** One thread's records, kept encoded (the file's bytes for them). */
+struct OpStream
+{
+    std::string bytes;
+    std::uint64_t ops = 0; ///< records in bytes
+
+    void
+    append(const Op &op)
+    {
+        encodeOp(bytes, op);
+        ++ops;
+    }
+
+    bool operator==(const OpStream &) const = default;
+};
+
+/**
  * Machine configuration embedded in a recorded trace so a replay run
  * can reconstruct the exact recorded experiment (hasMachine == true).
  * Traces ingested from the text format carry no machine header: the
@@ -98,7 +159,7 @@ struct TraceHeader
 struct MemTrace
 {
     TraceHeader header;
-    std::vector<std::vector<Op>> threads;
+    std::vector<OpStream> threads;
 
     std::uint32_t
     numThreads() const
@@ -111,8 +172,8 @@ struct MemTrace
     totalOps() const
     {
         std::uint64_t n = 0;
-        for (const auto &ops : threads)
-            n += ops.size();
+        for (const auto &stream : threads)
+            n += stream.ops;
         return n;
     }
 
@@ -130,7 +191,9 @@ bool writeMtrace(const std::string &path, const MemTrace &trace,
 /**
  * Read a widir-mtrace-v1 file. Strict: a bad magic, an unsupported
  * version, an unknown record kind, or a truncated stream is rejected
- * with a message in @p err -- never silently repaired.
+ * with a message in @p err -- never silently repaired. Every record
+ * is decoded once here, so a corrupt trace fails at load, never
+ * partway through a replay.
  */
 bool readMtrace(const std::string &path, MemTrace &out,
                 std::string &err);

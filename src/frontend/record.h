@@ -1,8 +1,9 @@
 /**
  * @file
  * Recorder: the cpu::OpSink implementation behind the recording
- * frontend. One ThreadRecorder per core appends to a private op
- * buffer.
+ * frontend. One ThreadRecorder per core appends encoded
+ * widir-mtrace-v1 records to a private OpStream as the core issues
+ * them.
  *
  * Recording is pure observation (see cpu/op_sink.h): the recorded run
  * is byte-identical to the same run unrecorded.
@@ -50,49 +51,72 @@ class Recorder
         trace.header = std::move(header);
         trace.threads.reserve(threads_.size());
         for (auto &t : threads_)
-            trace.threads.push_back(std::move(t->ops));
+        {
+            // An RMW still waiting for its result (the run stopped
+            // with it in flight) is kept with old == new == 0.
+            t->flushTail();
+            trace.threads.push_back(std::move(t->stream));
+        }
         return trace;
     }
 
   private:
     struct ThreadRecorder final : cpu::OpSink
     {
-        std::vector<Op> ops;
-        std::size_t pendingRmw = 0;
+        OpStream stream;
+        /// The in-flight RMW, whose old and new values arrive later
+        /// (rmwResult()), and every record issued after it: encoded
+        /// in order once the RMW completes. Empty otherwise.
+        std::vector<Op> tail;
         /// modify evaluations of the in-flight RMW (rmwEval()).
         std::vector<std::pair<std::uint64_t, std::uint64_t>>
             pendingEvals;
 
         void
+        add(const Op &op)
+        {
+            if (tail.empty())
+                stream.append(op);
+            else
+                tail.push_back(op);
+        }
+
+        void
+        flushTail()
+        {
+            for (const Op &op : tail)
+                stream.append(op);
+            tail.clear();
+        }
+
+        void
         compute(std::uint64_t count) override
         {
-            ops.push_back({OpKind::Compute, cpu::SyncNote::External, 0,
-                           count, 0, {}});
+            add({OpKind::Compute, cpu::SyncNote::External, 0, count, 0,
+                 {}});
         }
 
         void
         load(sim::Addr addr, bool blocking) override
         {
-            ops.push_back({blocking ? OpKind::Load : OpKind::LoadNb,
-                           cpu::SyncNote::External, addr, 0, 0, {}});
+            add({blocking ? OpKind::Load : OpKind::LoadNb,
+                 cpu::SyncNote::External, addr, 0, 0, {}});
         }
 
         void
         store(sim::Addr addr, std::uint64_t value) override
         {
-            ops.push_back({OpKind::Store, cpu::SyncNote::External,
-                           addr, value, 0, {}});
+            add({OpKind::Store, cpu::SyncNote::External, addr, value, 0,
+                 {}});
         }
 
         void
         rmw(sim::Addr addr) override
         {
-            // Old/new values are unknown until the line arrives;
-            // rmwResult() patches them in. A core has at most one RMW
-            // in flight, so one pending index suffices.
-            pendingRmw = ops.size();
+            // A core has at most one RMW in flight (Core asserts it),
+            // so the tail holds one RMW, at its front.
             pendingEvals.clear();
-            ops.push_back(
+            tail.push_back(
                 {OpKind::Rmw, cpu::SyncNote::External, addr, 0, 0, {}});
         }
 
@@ -114,7 +138,7 @@ class Recorder
         rmwResult(std::uint64_t old_value,
                   std::uint64_t new_value) override
         {
-            Op &op = ops.at(pendingRmw);
+            Op &op = tail.at(0);
             op.a = old_value;
             op.b = new_value;
             // Keep only evaluations the final (a, b) pair cannot
@@ -126,20 +150,20 @@ class Recorder
                     op.evals.emplace_back(in, result);
             }
             pendingEvals.clear();
+            flushTail();
         }
 
         void
         idle(sim::Tick cycles) override
         {
-            ops.push_back({OpKind::Idle, cpu::SyncNote::External, 0,
-                           cycles, 0, {}});
+            add({OpKind::Idle, cpu::SyncNote::External, 0, cycles, 0,
+                 {}});
         }
 
         void
         fence() override
         {
-            ops.push_back(
-                {OpKind::Fence, cpu::SyncNote::External, 0, 0, 0, {}});
+            add({OpKind::Fence, cpu::SyncNote::External, 0, 0, 0, {}});
         }
 
         void
@@ -148,7 +172,7 @@ class Recorder
         {
             // The completion tick is the ordering key the replay
             // gate sorts on.
-            ops.push_back({OpKind::Sync, kind, addr, now, 0, {}});
+            add({OpKind::Sync, kind, addr, now, 0, {}});
         }
     };
 

@@ -5,8 +5,10 @@
  *  - extraction gate: recording is pure observation, and
  *    full-fidelity replay reproduces the recording -- both pinned
  *    across apps x protocols;
- *  - widir-mtrace-v1: every record kind round-trips; bad magic, bad
- *    version, unknown kinds, and truncation are rejected loudly;
+ *  - widir-mtrace-v1: every record kind round-trips, the writer's
+ *    bytes are pinned, and a loaded trace costs its encoded size; bad
+ *    magic, version or flags, unknown kinds, and truncation are
+ *    rejected loudly;
  *  - text ingestion: the documented grammar parses, and a garbage
  *    matrix (parseEnvInt style) fails with line-numbered errors;
  *  - external text traces run as first-class registry workloads,
@@ -16,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -34,10 +38,44 @@ using frontend::FrontendKind;
 using frontend::MemTrace;
 using frontend::Op;
 using frontend::OpKind;
+using frontend::OpStream;
 using sys::ExperimentResult;
 using sys::ExperimentSpec;
 using test::testTempPath;
 using workload::AppInfo;
+
+/** Encode @p ops as one stream. */
+OpStream
+streamOf(const std::vector<Op> &ops)
+{
+    OpStream s;
+    for (const Op &op : ops)
+        s.append(op);
+    return s;
+}
+
+/** Decode every record of @p stream (production code walks a cursor). */
+std::vector<Op>
+opsOf(const OpStream &stream)
+{
+    std::vector<Op> ops;
+    frontend::OpCursor cur(stream.bytes);
+    Op op;
+    while (cur.next(op))
+        ops.push_back(op);
+    EXPECT_TRUE(cur.error().empty()) << cur.error();
+    EXPECT_EQ(ops.size(), stream.ops);
+    return ops;
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    EXPECT_TRUE(f.good()) << path;
+    return {std::istreambuf_iterator<char>(f),
+            std::istreambuf_iterator<char>()};
+}
 
 // The app name is a std::string, not a const char *: gtest prints a
 // char pointer parameter with its address, which would put a
@@ -103,7 +141,31 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-TEST(Mtrace, EveryKindRoundTrips)
+/** One stream per thread of everyKindTrace(). */
+const std::vector<std::vector<Op>> kEveryKindOps = {
+    {{OpKind::Compute, cpu::SyncNote::External, 0, 100, 0},
+     {OpKind::Load, cpu::SyncNote::External, 0x10000040, 0, 0},
+     {OpKind::LoadNb, cpu::SyncNote::External, 0x10000080, 0, 0},
+     {OpKind::Store, cpu::SyncNote::External, 0x100000C0, 42, 0},
+     {OpKind::Rmw, cpu::SyncNote::External, 0x10000100, 7, 8},
+     // A squashed-and-retried RMW carries its speculative modify
+     // evaluations (mtrace.h) -- they must survive the round trip.
+     {OpKind::Rmw,
+      cpu::SyncNote::External,
+      0x10000180,
+      3,
+      3,
+      {{1, 2}, {9, 10}}},
+     {OpKind::Idle, cpu::SyncNote::External, 0, 64, 0},
+     {OpKind::Fence, cpu::SyncNote::External, 0, 0, 0},
+     {OpKind::Sync, cpu::SyncNote::LockAcquire, 0x10000140, 17, 0}},
+    {}, // an empty stream must survive too
+    {{OpKind::Sync, cpu::SyncNote::BarrierArrive, 0, 33, 0}},
+};
+
+/** Every record kind and every header field, none at its default. */
+MemTrace
+everyKindTrace()
 {
     MemTrace t;
     t.header.hasMachine = true;
@@ -117,26 +179,14 @@ TEST(Mtrace, EveryKindRoundTrips)
     t.header.meshConcentration = 2;
     t.header.wirelessChannels = 4;
     t.header.seed = 0xDEADBEEFCAFEull;
-    t.threads = {
-        {{OpKind::Compute, cpu::SyncNote::External, 0, 100, 0},
-         {OpKind::Load, cpu::SyncNote::External, 0x10000040, 0, 0},
-         {OpKind::LoadNb, cpu::SyncNote::External, 0x10000080, 0, 0},
-         {OpKind::Store, cpu::SyncNote::External, 0x100000C0, 42, 0},
-         {OpKind::Rmw, cpu::SyncNote::External, 0x10000100, 7, 8},
-         // A squashed-and-retried RMW carries its speculative modify
-         // evaluations (mtrace.h) -- they must survive the round trip.
-         {OpKind::Rmw,
-          cpu::SyncNote::External,
-          0x10000180,
-          3,
-          3,
-          {{1, 2}, {9, 10}}},
-         {OpKind::Idle, cpu::SyncNote::External, 0, 64, 0},
-         {OpKind::Fence, cpu::SyncNote::External, 0, 0, 0},
-         {OpKind::Sync, cpu::SyncNote::LockAcquire, 0x10000140, 17, 0}},
-        {}, // an empty stream must survive too
-        {{OpKind::Sync, cpu::SyncNote::BarrierArrive, 0, 33, 0}},
-    };
+    for (const auto &ops : kEveryKindOps)
+        t.threads.push_back(streamOf(ops));
+    return t;
+}
+
+TEST(Mtrace, EveryKindRoundTrips)
+{
+    const MemTrace t = everyKindTrace();
     std::string path = testTempPath("roundtrip.mtrace");
     std::string err;
     ASSERT_TRUE(frontend::writeMtrace(path, t, err)) << err;
@@ -157,6 +207,9 @@ TEST(Mtrace, EveryKindRoundTrips)
     EXPECT_EQ(back.header.wirelessChannels, t.header.wirelessChannels);
     EXPECT_EQ(back.header.seed, t.header.seed);
     ASSERT_EQ(back.threads, t.threads);
+    ASSERT_EQ(back.numThreads(), kEveryKindOps.size());
+    for (std::uint32_t tid = 0; tid < back.numThreads(); ++tid)
+        EXPECT_EQ(opsOf(back.threads[tid]), kEveryKindOps[tid]) << tid;
     EXPECT_TRUE(back.hasSync());
     EXPECT_EQ(back.totalOps(), 10u);
 
@@ -166,22 +219,58 @@ TEST(Mtrace, EveryKindRoundTrips)
     EXPECT_EQ(sniffed.threads, t.threads);
 }
 
+TEST(Mtrace, WriterBytesArePinned)
+{
+    // everyKindTrace() as serialised by the writer that held traces
+    // as decoded Ops, before OpStream: every header field, every
+    // record kind's operands, and the stream framing, byte for byte.
+    const unsigned char pinned[] = {
+        // magic, version 1, flags: machine header
+        0x57, 0x44, 0x4d, 0x54, 0x52, 0x41, 0x43, 0x45, 0x01, 0x01,
+        // app "round-trip"
+        0x0a, 0x72, 0x6f, 0x75, 0x6e, 0x64, 0x2d, 0x74, 0x72, 0x69, 0x70,
+        // protocol, homeMap, cores, scale, maxWiredSharers,
+        // updateCountThreshold, meshConcentration, wirelessChannels
+        0x01, 0x01, 0x03, 0x07, 0x05, 0x09, 0x02, 0x04,
+        // seed
+        0xfe, 0x95, 0xbf, 0xf7, 0xdb, 0xd5, 0x37,
+        // 3 threads; thread 0 has 9 records
+        0x03, 0x09,
+        0x00, 0x64,                               // Compute 100
+        0x01, 0xc0, 0x80, 0x80, 0x80, 0x01,       // Load
+        0x02, 0x80, 0x81, 0x80, 0x80, 0x01,       // LoadNb
+        0x03, 0xc0, 0x81, 0x80, 0x80, 0x01, 0x2a, // Store 42
+        0x04, 0x80, 0x82, 0x80, 0x80, 0x01, 0x07, 0x08, 0x00, // Rmw
+        0x04, 0x80, 0x83, 0x80, 0x80, 0x01, 0x03, 0x03, // Rmw 3 -> 3
+        0x02, 0x01, 0x02, 0x09, 0x0a, // ... with 2 evals
+        0x05, 0x40,                               // Idle 64
+        0x06,                                     // Fence
+        0x07, 0x01, 0xc0, 0x82, 0x80, 0x80, 0x01, 0x11, // Sync
+        // thread 1: no records
+        0x00,
+        // thread 2: one Sync
+        0x01, 0x07, 0x03, 0x00, 0x21,
+    };
+    const std::string path = testTempPath("pinned.mtrace");
+    std::string err;
+    ASSERT_TRUE(frontend::writeMtrace(path, everyKindTrace(), err))
+        << err;
+    EXPECT_EQ(fileBytes(path),
+              std::string(reinterpret_cast<const char *>(pinned),
+                          sizeof pinned));
+}
+
 TEST(Mtrace, RejectsCorruptInput)
 {
     // A valid trace to corrupt.
     MemTrace t;
-    t.threads = {{{OpKind::Load, cpu::SyncNote::External, 64, 0, 0},
-                  {OpKind::Store, cpu::SyncNote::External, 128, 1, 0}}};
+    t.threads = {
+        streamOf({{OpKind::Load, cpu::SyncNote::External, 64, 0, 0},
+                  {OpKind::Store, cpu::SyncNote::External, 128, 1, 0}})};
     std::string good = testTempPath("good.mtrace");
     std::string err;
     ASSERT_TRUE(frontend::writeMtrace(good, t, err)) << err;
-    std::string bytes;
-    {
-        std::ifstream f(good, std::ios::binary);
-        ASSERT_TRUE(f.good());
-        bytes.assign(std::istreambuf_iterator<char>(f),
-                     std::istreambuf_iterator<char>());
-    }
+    const std::string bytes = fileBytes(good);
     auto write = [](const std::string &path, const std::string &data) {
         std::ofstream f(path, std::ios::binary | std::ios::trunc);
         f.write(data.data(),
@@ -207,6 +296,15 @@ TEST(Mtrace, RejectsCorruptInput)
     write(p, bad_version);
     EXPECT_FALSE(frontend::readMtrace(p, out, err));
     EXPECT_NE(err.find("version"), std::string::npos) << err;
+
+    // Unknown header flags, named in hex.
+    std::string bad_flags = bytes;
+    bad_flags[9] = 0x1a; // varint flags field follows the version
+    p = testTempPath("bad_flags.mtrace");
+    write(p, bad_flags);
+    EXPECT_FALSE(frontend::readMtrace(p, out, err));
+    EXPECT_NE(err.find("unknown header flags 0x1a"), std::string::npos)
+        << err;
 
     // Unknown record kind.
     std::string bad_kind = bytes;
@@ -245,17 +343,20 @@ TEST(TextTrace, ParsesTheDocumentedGrammar)
         << err;
     EXPECT_FALSE(t.header.hasMachine);
     ASSERT_EQ(t.numThreads(), 4u); // max tid 3 -> 4 streams, 2 empty
-    ASSERT_EQ(t.threads[0].size(), 2u);
-    EXPECT_EQ(t.threads[0][0].kind, OpKind::Load);
-    EXPECT_EQ(t.threads[0][0].addr, 0x1000u);
-    EXPECT_EQ(t.threads[0][1].kind, OpKind::Sync);
-    EXPECT_EQ(t.threads[0][1].a, 1u); // user ordering key
-    ASSERT_EQ(t.threads[1].size(), 2u);
-    EXPECT_EQ(t.threads[1][0].kind, OpKind::Store);
-    EXPECT_EQ(t.threads[1][0].addr, 4096u);
-    EXPECT_EQ(t.threads[1][0].a, 77u);
-    EXPECT_EQ(t.threads[1][1].a, 0u); // value defaults to 0
-    EXPECT_TRUE(t.threads[2].empty());
+    const std::vector<Op> t0 = opsOf(t.threads[0]);
+    ASSERT_EQ(t0.size(), 2u);
+    EXPECT_EQ(t0[0].kind, OpKind::Load);
+    EXPECT_EQ(t0[0].addr, 0x1000u);
+    EXPECT_EQ(t0[1].kind, OpKind::Sync);
+    EXPECT_EQ(t0[1].a, 1u); // user ordering key
+    const std::vector<Op> t1 = opsOf(t.threads[1]);
+    ASSERT_EQ(t1.size(), 2u);
+    EXPECT_EQ(t1[0].kind, OpKind::Store);
+    EXPECT_EQ(t1[0].addr, 4096u);
+    EXPECT_EQ(t1[0].a, 77u);
+    EXPECT_EQ(t1[1].a, 0u); // value defaults to 0
+    EXPECT_EQ(t.threads[2].ops, 0u);
+    EXPECT_TRUE(t.threads[2].bytes.empty());
     EXPECT_TRUE(t.hasSync());
 }
 
@@ -303,8 +404,7 @@ TEST(Frontend, ValidateTraceRejectsUnreplayable)
     EXPECT_FALSE(frontend::validateTrace(t, 4).empty()) << "no threads";
 
     t.threads.assign(8, {});
-    t.threads[0].push_back(
-        {OpKind::Load, cpu::SyncNote::External, 64, 0, 0});
+    t.threads[0].append({OpKind::Load, cpu::SyncNote::External, 64, 0, 0});
     EXPECT_FALSE(frontend::validateTrace(t, 4).empty())
         << "more streams than cores";
     EXPECT_TRUE(frontend::validateTrace(t, 8).empty());
@@ -317,11 +417,79 @@ TEST(Frontend, ValidateTraceRejectsUnreplayable)
     EXPECT_TRUE(frontend::validateTrace(t, 8).empty());
 
     // Non-monotone per-thread sync keys would deadlock the gate.
-    t.threads[1].push_back(
-        {OpKind::Sync, cpu::SyncNote::External, 0, 5, 0});
-    t.threads[1].push_back(
-        {OpKind::Sync, cpu::SyncNote::External, 0, 4, 0});
+    t.threads[1].append({OpKind::Sync, cpu::SyncNote::External, 0, 5, 0});
+    t.threads[1].append({OpKind::Sync, cpu::SyncNote::External, 0, 4, 0});
     EXPECT_FALSE(frontend::validateTrace(t, 8).empty());
+}
+
+TEST(Frontend, RecordedTraceStaysEncoded)
+{
+    // A loaded trace holds exactly the file's record bytes, one
+    // stream per thread, and writes back out unchanged.
+    const std::string path = testTempPath("encoded.mtrace");
+    ExperimentSpec rec;
+    rec.app = workload::findApp("fft");
+    ASSERT_NE(rec.app, nullptr);
+    rec.protocol = coherence::Protocol::WiDir;
+    rec.cores = 16;
+    rec.scale = 1;
+    rec.frontend = FrontendKind::Record;
+    rec.recordPath = path;
+    sys::runExperiment(rec);
+    const std::string file = fileBytes(path);
+
+    MemTrace t;
+    std::string err;
+    ASSERT_TRUE(frontend::loadTraceFile(path, t, err)) << err;
+    ASSERT_EQ(t.numThreads(), 16u);
+    std::uint64_t record_bytes = 0;
+    for (const OpStream &stream : t.threads)
+        record_bytes += stream.bytes.size();
+    EXPECT_GT(t.totalOps(), 0u);
+
+    // Everything else in the file is the header and one op-count
+    // varint per stream: a copy with the records dropped measures it.
+    MemTrace framing;
+    framing.header = t.header;
+    for (const OpStream &stream : t.threads)
+        framing.threads.push_back({std::string(), stream.ops});
+    const std::string framing_path = testTempPath("framing.mtrace");
+    ASSERT_TRUE(frontend::writeMtrace(framing_path, framing, err)) << err;
+    EXPECT_EQ(record_bytes + std::filesystem::file_size(framing_path),
+              file.size());
+
+    const std::string back = testTempPath("encoded_back.mtrace");
+    ASSERT_TRUE(frontend::writeMtrace(back, t, err)) << err;
+    EXPECT_EQ(fileBytes(back), file);
+}
+
+TEST(Frontend, RecorderKeepsRecordsBehindAnInFlightRmw)
+{
+    // An RMW's values arrive after it is issued; records issued in
+    // between must still follow it in the stream. An RMW still in
+    // flight at finish() is kept with old == new == 0.
+    frontend::Recorder rec(1);
+    cpu::OpSink &sink = rec.sink(0);
+    sink.load(64, true);
+    sink.rmw(128);
+    sink.rmwEval(5, 6); // squashed speculative attempt
+    sink.compute(3);
+    sink.rmwEval(1, 2);
+    sink.rmwResult(1, 2);
+    sink.fence();
+    sink.rmw(192);
+    sink.idle(4);
+    MemTrace t = rec.finish({});
+    ASSERT_EQ(t.numThreads(), 1u);
+    const std::vector<Op> want = {
+        {OpKind::Load, cpu::SyncNote::External, 64, 0, 0, {}},
+        {OpKind::Rmw, cpu::SyncNote::External, 128, 1, 2, {{5, 6}}},
+        {OpKind::Compute, cpu::SyncNote::External, 0, 3, 0, {}},
+        {OpKind::Fence, cpu::SyncNote::External, 0, 0, 0, {}},
+        {OpKind::Rmw, cpu::SyncNote::External, 192, 0, 0, {}},
+        {OpKind::Idle, cpu::SyncNote::External, 0, 4, 0, {}},
+    };
+    EXPECT_EQ(opsOf(t.threads[0]), want);
 }
 
 TEST(Frontend, SpecValidationCatchesBadCombinations)
