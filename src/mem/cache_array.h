@@ -15,10 +15,10 @@
 #ifndef WIDIR_MEM_CACHE_ARRAY_H
 #define WIDIR_MEM_CACHE_ARRAY_H
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "mem/address.h"
@@ -54,17 +54,19 @@ struct CacheEntry
 /**
  * Set-associative, LRU, single-cycle-lookup cache array model.
  *
- * Host memory follows occupancy. Each set keeps a tag per way
+ * Host memory follows occupancy. Each set has a 4-byte entry in a
+ * dense block index; 0 means the set was never used. The first time a
+ * set is used it gets a set block from a chunked slab: a tag per way
  * (kAddrNone for an invalid or never-used way) and a frame pointer per
- * way (null until the way is first used); both arrays sit in raw
- * storage and are written the first time a set is used, tracked by a
- * one-bit-per-set "initialised" bitmap. Frames come from a chunked slab
- * that never moves or frees them, and a way gets its frame the first
- * time pickVictim() reaches it. Until then lookup() misses without
- * touching the set, and forEach()/occupancy() skip it. The victim is
- * always the first invalid way, so never-used ways form a suffix of
- * each set: victim choice and visiting order equal those of an array
- * whose frames were all constructed up front.
+ * way (null until the way is first used). Frames come from a second
+ * chunked slab, and a way gets its frame the first time pickVictim()
+ * reaches it. Neither slab ever moves or frees what it hands out.
+ * Until a set has a block, lookup() misses without touching it and
+ * forEach()/occupancy() skip it, so an untouched set costs 4 bytes
+ * however large the cache. The victim is always the first invalid way,
+ * so never-used ways form a suffix of each set: victim choice and
+ * visiting order equal those of an array whose frames were all
+ * constructed up front.
  */
 class CacheArray
 {
@@ -84,11 +86,11 @@ class CacheArray
               size_bytes / (static_cast<std::uint64_t>(assoc) *
                             kLineBytes))),
           indexDivisor_(index_divisor),
-          tags_(allocateRaw<Addr>(static_cast<std::size_t>(numSets_) *
-                                  assoc_)),
-          ways_(allocateRaw<CacheEntry *>(
-              static_cast<std::size_t>(numSets_) * assoc_)),
-          initBits_((numSets_ + 63) / 64, 0)
+          indexShift_(std::has_single_bit(index_divisor)
+                          ? std::countr_zero(index_divisor)
+                          : kNoShift),
+          blockOf_((numSets_ + kScanGroup - 1) / kScanGroup * kScanGroup,
+                   0)
     {
         WIDIR_ASSERT(indexDivisor_ > 0, "index divisor must be positive");
         WIDIR_ASSERT(assoc_ > 0, "associativity must be positive");
@@ -105,13 +107,13 @@ class CacheArray
     lookup(Addr addr)
     {
         Addr line = lineAlign(addr);
-        std::size_t set = setOf(line);
-        if (!initialised(set))
+        std::uint32_t block = blockOf_[setOf(line)];
+        if (block == 0)
             return nullptr;
-        const Addr *tags = tagsOf(set);
+        const Way *ways = waysOf(block);
         for (std::uint32_t w = 0; w < assoc_; ++w) {
-            if (tags[w] == line)
-                return waysOf(set)[w];
+            if (ways[w].tag == line)
+                return ways[w].frame;
         }
         return nullptr;
     }
@@ -138,17 +140,16 @@ class CacheArray
     CacheEntry *
     pickVictim(Addr addr)
     {
-        std::size_t set = setOf(lineAlign(addr));
-        if (!initialised(set))
-            initialiseSet(set);
-        const Addr *tags = tagsOf(set);
-        CacheEntry **ways = waysOf(set);
+        std::uint32_t &block = blockOf_[setOf(lineAlign(addr))];
+        if (block == 0)
+            block = allocateBlock();
+        Way *ways = waysOf(block);
         CacheEntry *victim = nullptr;
         for (std::uint32_t w = 0; w < assoc_; ++w) {
-            if (ways[w] == nullptr)
-                return ways[w] = allocateFrame();
-            CacheEntry *f = ways[w];
-            if (tags[w] == sim::kAddrNone)
+            if (ways[w].frame == nullptr)
+                return ways[w].frame = allocateFrame();
+            CacheEntry *f = ways[w].frame;
+            if (ways[w].tag == sim::kAddrNone)
                 return f;
             if (f->locked)
                 continue;
@@ -168,7 +169,7 @@ class CacheArray
          const LineData &data)
     {
         line = lineAlign(line);
-        tagsOf(setOf(line))[wayOf(frame, line)] = line;
+        wayOf(line, frame).tag = line;
         frame->line = line;
         frame->valid = true;
         frame->state = state;
@@ -184,8 +185,7 @@ class CacheArray
     invalidate(CacheEntry *frame)
     {
         if (frame->valid)
-            tagsOf(setOf(frame->line))[wayOf(frame, frame->line)] =
-                sim::kAddrNone;
+            wayOf(frame->line, frame).tag = sim::kAddrNone;
         frame->valid = false;
         frame->line = sim::kAddrNone;
         frame->state = 0;
@@ -196,15 +196,13 @@ class CacheArray
 
     /**
      * Visit every valid entry in set-then-way order (for checkers,
-     * flushes and reports). Only initialised sets are walked.
+     * flushes and reports). Only sets with a block are walked.
      */
     template <typename Fn>
     void
     forEach(Fn &&fn)
     {
-        forEachValid([&](std::size_t set, std::uint32_t w) {
-            fn(*waysOf(set)[w]);
-        });
+        forEachValid([&](CacheEntry *frame) { fn(*frame); });
     }
 
     /** Count of valid entries. */
@@ -212,89 +210,72 @@ class CacheArray
     occupancy() const
     {
         std::size_t n = 0;
-        forEachValid([&](std::size_t, std::uint32_t) { ++n; });
+        forEachValid([&](CacheEntry *) { ++n; });
         return n;
     }
 
-    /** Sets whose tag and way arrays have been written (class note). */
-    std::size_t
-    initialisedSets() const
-    {
-        std::size_t n = 0;
-        for (std::uint64_t w : initBits_)
-            n += static_cast<std::size_t>(std::popcount(w));
-        return n;
-    }
+    /** Sets that hold a set block (class note). */
+    std::size_t initialisedSets() const { return blocksUsed_; }
 
     /** Frames handed out by the slab (class note). */
     std::size_t allocatedFrames() const { return framesUsed_; }
 
   private:
-    /** Slab chunk size (frames); chunks are never moved or freed. */
+    /** Slab chunk sizes; chunks are never moved or freed. */
     static constexpr std::size_t kChunkFrames = 64;
+    static constexpr std::size_t kChunkBlocks = 64;
+    /** indexShift_ when the divisor is not a power of two. */
+    static constexpr int kNoShift = -1;
+    /** Sets forEach() tests at once; blockOf_ is padded to a multiple. */
+    static constexpr std::size_t kScanGroup = 16;
 
-    /** Returns raw storage to the allocator without destroying. */
-    template <typename T>
-    struct RawFree
+    /** One way of a set block. */
+    struct Way
     {
-        std::size_t n;
-        void
-        operator()(T *p) const
-        {
-            std::allocator<T>().deallocate(p, n);
-        }
+        Addr tag;          ///< kAddrNone: invalid or never used
+        CacheEntry *frame; ///< null until the way is first used
     };
-    template <typename T>
-    using RawPtr = std::unique_ptr<T[], RawFree<T>>;
-
-    /** Raw storage for @p n trivial objects; nothing is written. */
-    template <typename T>
-    static RawPtr<T>
-    allocateRaw(std::size_t n)
-    {
-        static_assert(std::is_trivially_destructible_v<T>);
-        return RawPtr<T>(std::allocator<T>().allocate(n), RawFree<T>{n});
-    }
 
     std::size_t
     setOf(Addr line) const
     {
-        return static_cast<std::size_t>(
-            (lineNumber(line) / indexDivisor_) & (numSets_ - 1));
+        std::uint64_t n = lineNumber(line);
+        n = indexShift_ != kNoShift ? n >> indexShift_ : n / indexDivisor_;
+        return static_cast<std::size_t>(n & (numSets_ - 1));
     }
 
-    Addr *tagsOf(std::size_t set) const { return &tags_[set * assoc_]; }
-    CacheEntry **
-    waysOf(std::size_t set) const
+    /** The assoc_ ways of 1-based set block @p block. */
+    Way *
+    waysOf(std::uint32_t block) const
     {
-        return &ways_[set * assoc_];
+        return &blocks_[(block - 1) / kChunkBlocks]
+                       [((block - 1) % kChunkBlocks) * assoc_];
     }
 
-    /** Way of @p frame in @p line's set. */
-    std::uint32_t
-    wayOf(const CacheEntry *frame, Addr line) const
+    /** The way holding @p frame in @p line's set. */
+    Way &
+    wayOf(Addr line, const CacheEntry *frame)
     {
-        CacheEntry *const *ways = waysOf(setOf(line));
+        std::uint32_t block = blockOf_[setOf(line)];
+        WIDIR_ASSERT(block != 0, "frame's set has no block");
+        Way *ways = waysOf(block);
         for (std::uint32_t w = 0; w < assoc_; ++w) {
-            if (ways[w] == frame)
-                return w;
+            if (ways[w].frame == frame)
+                return ways[w];
         }
-        WIDIR_ASSERT(false, "frame does not belong to the line's set");
-        return 0;
+        sim::panic("frame does not belong to the line's set");
     }
 
-    bool
-    initialised(std::size_t set) const
+    /** A fresh set block (every way never used); returns its index. */
+    std::uint32_t
+    allocateBlock()
     {
-        return (initBits_[set / 64] >> (set % 64)) & 1;
-    }
-
-    void
-    initialiseSet(std::size_t set)
-    {
-        std::uninitialized_fill_n(tagsOf(set), assoc_, sim::kAddrNone);
-        std::uninitialized_fill_n(waysOf(set), assoc_, nullptr);
-        initBits_[set / 64] |= std::uint64_t{1} << (set % 64);
+        if (blocksUsed_ % kChunkBlocks == 0)
+            blocks_.push_back(std::make_unique_for_overwrite<Way[]>(
+                kChunkBlocks * assoc_));
+        std::uint32_t block = static_cast<std::uint32_t>(++blocksUsed_);
+        std::fill_n(waysOf(block), assoc_, Way{sim::kAddrNone, nullptr});
+        return block;
     }
 
     /** A fresh (invalid) frame from the slab. */
@@ -306,19 +287,30 @@ class CacheArray
         return &chunks_.back()[framesUsed_++ % kChunkFrames];
     }
 
-    /** Call @p fn(set, way) for each valid way, sets in order. */
+    /**
+     * Call @p fn(frame) for each valid way, sets then ways in order.
+     * Runs of never-used sets are skipped a scan group at a time.
+     */
     template <typename Fn>
     void
     forEachValid(Fn &&fn) const
     {
-        for (std::size_t i = 0; i < initBits_.size(); ++i) {
-            for (std::uint64_t bits = initBits_[i]; bits != 0;
-                 bits &= bits - 1) {
-                std::size_t set = i * 64 + std::countr_zero(bits);
-                const Addr *tags = tagsOf(set);
+        if (blocksUsed_ == 0)
+            return;
+        for (std::size_t g = 0; g < blockOf_.size(); g += kScanGroup) {
+            const std::uint32_t *group = &blockOf_[g];
+            std::uint32_t any = 0;
+            for (std::size_t i = 0; i < kScanGroup; ++i)
+                any |= group[i];
+            if (any == 0)
+                continue;
+            for (std::size_t i = 0; i < kScanGroup; ++i) {
+                if (group[i] == 0)
+                    continue;
+                const Way *ways = waysOf(group[i]);
                 for (std::uint32_t w = 0; w < assoc_; ++w) {
-                    if (tags[w] != sim::kAddrNone)
-                        fn(set, w);
+                    if (ways[w].tag != sim::kAddrNone)
+                        fn(ways[w].frame);
                 }
             }
         }
@@ -327,10 +319,15 @@ class CacheArray
     std::uint32_t assoc_;
     std::uint32_t numSets_;
     std::uint64_t indexDivisor_;
-    /** numSets_ * assoc_ each; a set's slots are live once its bit is. */
-    RawPtr<Addr> tags_;
-    RawPtr<CacheEntry *> ways_;
-    std::vector<std::uint64_t> initBits_; ///< one bit per set
+    int indexShift_; ///< log2(indexDivisor_), or kNoShift
+    /**
+     * Per set: 1-based index of its block in blocks_, 0 if unused.
+     * Entries past numSets_ only pad the last scan group and stay 0.
+     */
+    std::vector<std::uint32_t> blockOf_;
+    /** Set-block slab: kChunkBlocks blocks of assoc_ ways per chunk. */
+    std::vector<std::unique_ptr<Way[]>> blocks_;
+    std::size_t blocksUsed_ = 0;
     std::vector<std::unique_ptr<CacheEntry[]>> chunks_; ///< frame slab
     std::size_t framesUsed_ = 0;
     std::uint64_t lruCounter_ = 0;

@@ -14,11 +14,12 @@
  *    a parallel array of value-slot ids, probed linearly, erased with
  *    tombstone-free backward shifting (so probe chains never rot and
  *    lookups stay one cache-friendly linear scan);
- *  - a chunked value *slab*: values live in fixed 256-entry chunks
- *    that are never moved or freed, so `Value &` references remain
- *    stable across insert/erase/rehash exactly like
- *    std::unordered_map's -- callers hold references across map
- *    mutations. Freed slots are recycled through a free list.
+ *  - a chunked value *slab*: values live in chunks of 16, 32, 64 and
+ *    128 slots, then 256 slots each, that are never moved or freed,
+ *    so `Value &` references remain stable across insert/erase/rehash
+ *    exactly like std::unordered_map's -- callers hold references
+ *    across map mutations. Freed slots are recycled through a free
+ *    list.
  *
  * The API is the std::unordered_map subset the controllers use
  * (find/count/try_emplace/operator[]/erase/size/iteration);
@@ -27,10 +28,13 @@
  * path iterates these maps (tests/test_flat_map.cc pins the container
  * semantics instead).
  *
- * Host memory follows occupancy: a new map has no index, the first
- * insert allocates 16 slots, and the index doubles whenever an insert
- * would pass 3/4 load. A map of n live entries therefore costs
- * O(n) however large the cache geometry behind it. rehashes() counts
+ * Host memory follows occupancy: a new map has no index or slab, the
+ * first insert allocates 16 index slots and 16 value slots, the index
+ * doubles whenever an insert would pass 3/4 load, and the slab grows
+ * by doubling chunks up to 256 slots. A map of n live entries
+ * therefore costs O(n) however large the cache geometry behind it,
+ * and a map that stays small (a controller's few in-flight
+ * transactions) value-initialises 16 slots, not 256. rehashes() counts
  * index allocations: the first insert's and one per doubling.
  */
 
@@ -38,6 +42,7 @@
 #define WIDIR_MEM_FLAT_ADDR_MAP_H
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -54,7 +59,13 @@ class FlatAddrMap
 {
     /** Vacant index slots hold this key; real keys never do. */
     static constexpr Addr kEmptyKey = sim::kAddrNone;
-    /** Value-slab chunk size (slots); chunks are never moved/freed. */
+    /**
+     * Value-slab chunks (never moved or freed) hold 16 << c slots for
+     * c < kGrowChunks, then kChunkSlots each. Offsetting a slot id by
+     * kFirstChunkSlots makes each growing chunk one power-of-two range.
+     */
+    static constexpr std::size_t kFirstChunkSlots = 16;
+    static constexpr std::size_t kGrowChunks = 4;
     static constexpr std::size_t kChunkSlots = 256;
     static constexpr std::size_t kMinCapacity = 16;
 
@@ -191,6 +202,9 @@ class FlatAddrMap
     /** Index allocations: the first insert's plus one per doubling. */
     std::uint64_t rehashes() const { return rehashes_; }
 
+    /** Value slots the slab holds, live or free (class note). */
+    std::size_t slabSlots() const { return slabSlots_; }
+
   private:
     static constexpr std::size_t
     loadLimit(std::size_t cap)
@@ -229,12 +243,19 @@ class FlatAddrMap
     Value &
     valueAt(std::uint32_t slot)
     {
-        return chunks_[slot / kChunkSlots][slot % kChunkSlots];
+        std::size_t t = slot + kFirstChunkSlots;
+        if (t < kChunkSlots) {
+            std::size_t c = std::bit_width(t) - std::bit_width(
+                                                    kFirstChunkSlots);
+            return chunks_[c][t - (kFirstChunkSlots << c)];
+        }
+        return chunks_[t / kChunkSlots + kGrowChunks - 1]
+                      [t % kChunkSlots];
     }
     const Value &
     valueAt(std::uint32_t slot) const
     {
-        return chunks_[slot / kChunkSlots][slot % kChunkSlots];
+        return const_cast<FlatAddrMap *>(this)->valueAt(slot);
     }
 
     template <typename... Args>
@@ -247,9 +268,13 @@ class FlatAddrMap
             freeSlots_.pop_back();
         } else {
             slot = slabUsed_++;
-            if (slot / kChunkSlots == chunks_.size())
-                chunks_.push_back(
-                    std::make_unique<Value[]>(kChunkSlots));
+            if (slot == slabSlots_) {
+                std::size_t n = chunks_.size() < kGrowChunks
+                                    ? kFirstChunkSlots << chunks_.size()
+                                    : kChunkSlots;
+                chunks_.push_back(std::make_unique<Value[]>(n));
+                slabSlots_ += n;
+            }
         }
         valueAt(slot) = Value(std::forward<Args>(args)...);
         return slot;
@@ -307,6 +332,7 @@ class FlatAddrMap
     std::vector<std::unique_ptr<Value[]>> chunks_; ///< stable value slab
     std::vector<std::uint32_t> freeSlots_;
     std::uint32_t slabUsed_ = 0;
+    std::size_t slabSlots_ = 0;
 };
 
 } // namespace widir::mem

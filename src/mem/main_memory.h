@@ -82,25 +82,31 @@ class MainMemory
     }
 
     /**
-     * Timed write-back of a full line. @p done (optional) fires when the
-     * write is globally performed.
+     * Timed write-back of a full line. The write becomes visible to
+     * peekLine() when it performs at the memory, after the round trip
+     * plus controller queuing.
      */
     void
-    writeLine(Addr addr, const LineData &data,
-              std::function<void()> done = nullptr)
+    writeLine(Addr addr, const LineData &data)
     {
         Tick latency = serviceLatency(addr);
         ++writes_;
         Addr line = lineAlign(addr);
-        // Carries the 64-byte line payload: deliberately NOT inline.
-        // The write must stay invisible until it "performs" at the
-        // memory, so the data rides in the (heap-fallback) closure;
-        // writebacks are per-eviction, not per-cycle.
-        sim_.schedule(latency,
-                      [this, line, data, done = std::move(done)] {
-            pokeLine(line, data);
-            if (done)
-                done();
+        // The 64-byte payload waits in a pool slot until the write
+        // performs; capturing it by value would push every writeback
+        // onto the event queue's heap fallback.
+        std::uint32_t slot;
+        if (freeWrites_.empty()) {
+            slot = static_cast<std::uint32_t>(pendingWrites_.size());
+            pendingWrites_.push_back(data);
+        } else {
+            slot = freeWrites_.back();
+            freeWrites_.pop_back();
+            pendingWrites_[slot] = data;
+        }
+        sim_.scheduleInline(latency, [this, line, slot] {
+            pokeLine(line, pendingWrites_[slot]);
+            freeWrites_.push_back(slot);
         });
     }
 
@@ -127,6 +133,9 @@ class MainMemory
     Config cfg_;
     std::vector<Tick> nextFree_;
     FlatAddrMap<LineData> store_;
+    /** In-flight writeback payloads, recycled through freeWrites_. */
+    std::vector<LineData> pendingWrites_;
+    std::vector<std::uint32_t> freeWrites_;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
 };

@@ -50,13 +50,6 @@ Mesh::coordOf(NodeId router) const
                  static_cast<std::int32_t>(router / width_)};
 }
 
-sim::NodeId
-Mesh::routerAt(Coord c) const
-{
-    return static_cast<NodeId>(c.y * static_cast<std::int32_t>(width_) +
-                               c.x);
-}
-
 std::uint32_t
 Mesh::hopCount(NodeId src, NodeId dst) const
 {
@@ -66,33 +59,18 @@ Mesh::hopCount(NodeId src, NodeId dst) const
                                       std::abs(a.y - b.y));
 }
 
-std::size_t
-Mesh::linkIndex(NodeId from, NodeId to) const
-{
-    Coord a = coordOf(from);
-    Coord b = coordOf(to);
-    std::uint32_t dir;
-    if (b.x == a.x + 1 && b.y == a.y) {
-        dir = 0; // east
-    } else if (b.x == a.x - 1 && b.y == a.y) {
-        dir = 1; // west
-    } else if (b.y == a.y + 1 && b.x == a.x) {
-        dir = 2; // south
-    } else if (b.y == a.y - 1 && b.x == a.x) {
-        dir = 3; // north
-    } else {
-        sim::panic("linkIndex on non-adjacent nodes %u -> %u", from, to);
-    }
-    return static_cast<std::size_t>(from) * 4 + dir;
-}
-
 void
 Mesh::send(NodeId src, NodeId dst, std::uint32_t bits,
-           sim::EventFn deliver)
+           sim::EventFn &&deliver)
 {
     WIDIR_ASSERT(src < cfg_.numNodes && dst < cfg_.numNodes,
                  "mesh endpoint out of range (src=%u dst=%u)", src, dst);
-    std::uint32_t hops = hopCount(src, dst);
+    NodeId router = routerOf(src);
+    Coord a = coordOf(router);
+    Coord b = coordOf(routerOf(dst));
+    auto xhops = static_cast<std::uint32_t>(std::abs(b.x - a.x));
+    auto yhops = static_cast<std::uint32_t>(std::abs(b.y - a.y));
+    std::uint32_t hops = xhops + yhops;
     std::uint32_t flits =
         std::max<std::uint32_t>(1, (bits + cfg_.linkBits - 1) /
                                        cfg_.linkBits);
@@ -108,21 +86,29 @@ Mesh::send(NodeId src, NodeId dst, std::uint32_t bits,
     // along Y. The head advances one hop per cycle when links are
     // free; each link then stays busy for the serialization time of
     // the whole message. At concentration 1 routers and tiles
-    // coincide and this is the classic per-tile walk.
-    Coord cur = coordOf(routerOf(src));
-    Coord dstc = coordOf(routerOf(dst));
-    while (cur.x != dstc.x || cur.y != dstc.y) {
-        Coord next = cur;
-        if (cur.x != dstc.x)
-            next.x += (dstc.x > cur.x) ? 1 : -1;
-        else
-            next.y += (dstc.y > cur.y) ? 1 : -1;
-        std::size_t link = linkIndex(routerAt(cur), routerAt(next));
-        Tick start = std::max(arrive, linkFree_[link]);
-        linkFree_[link] = start + flits;      // serialization occupancy
-        arrive = start + cfg_.hopLatency;     // head moves one hop
-        cur = next;
-    }
+    // coincide and this is the classic per-tile walk. Directed link
+    // router * 4 + dir leaves `router` going east (0), west (1),
+    // south (2, y + 1) or north (3, y - 1).
+    auto walk = [&](std::uint32_t n, std::uint32_t dir,
+                    std::int64_t stride) {
+        for (; n > 0; --n) {
+            Tick &free = linkFree_[static_cast<std::size_t>(router) * 4 +
+                                   dir];
+            Tick start = std::max(arrive, free);
+            free = start + flits;             // serialization occupancy
+            arrive = start + cfg_.hopLatency; // head moves one hop
+            router = static_cast<NodeId>(router + stride);
+        }
+    };
+    const std::int64_t width = width_;
+    if (b.x > a.x)
+        walk(xhops, 0, 1);
+    else
+        walk(xhops, 1, -1);
+    if (b.y > a.y)
+        walk(yhops, 2, width);
+    else
+        walk(yhops, 3, -width);
     // Tail arrival: remaining flits stream in behind the head. 0-hop
     // delivery (same node, or two tiles sharing a concentrated
     // router) goes through the sender's NI loopback port, which

@@ -72,7 +72,7 @@ class Mesh
      * (pool bulky payloads and capture an index; see core/fabric.cc).
      */
     void send(NodeId src, NodeId dst, std::uint32_t bits,
-              sim::EventFn deliver);
+              sim::EventFn &&deliver);
 
     /**
      * Convenience broadcast: one unicast to every node (optionally
@@ -111,10 +111,6 @@ class Mesh
     }
 
     Coord coordOf(NodeId router) const;
-    NodeId routerAt(Coord c) const;
-
-    /** Directed link id from router @p from to adjacent router @p to. */
-    std::size_t linkIndex(NodeId from, NodeId to) const;
 
     Simulator &sim_;
     MeshConfig cfg_;

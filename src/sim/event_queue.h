@@ -70,10 +70,13 @@ class EventQueue
 
     /**
      * Schedule @p fn to run at absolute time @p when.
-     * Scheduling in the past is a simulator bug.
+     * Scheduling in the past is a simulator bug. @p fn (a callable or
+     * an EventFn) is forwarded into the queue entry, so it is built or
+     * relocated once on the way in.
      */
+    template <typename F>
     void
-    scheduleAt(Tick when, EventFn fn)
+    scheduleAt(Tick when, F &&fn)
     {
         WIDIR_ASSERT(when >= now_,
                      "event scheduled in the past (%llu < %llu)",
@@ -82,21 +85,23 @@ class EventQueue
         std::uint64_t seq = nextSeq_++;
         if (when - now_ < kWheelSize && !forceHeapForTest_) {
             Slot &s = slots_[when & kWheelMask];
-            s.events.push_back(WheelEntry{seq, std::move(fn)});
+            s.events.emplace_back(seq, std::forward<F>(fn));
             occupied_[(when & kWheelMask) >> 6] |=
                 std::uint64_t{1} << (when & 63);
             ++wheelCount_;
             wheelNext_ = std::min(wheelNext_, when);
         } else {
-            heapPush(HeapEntry{when, seq, std::move(fn)});
+            heap_.emplace_back(when, seq, std::forward<F>(fn));
+            siftUp(heap_.size() - 1);
         }
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
+    template <typename F>
     void
-    schedule(Tick delay, EventFn fn)
+    schedule(Tick delay, F &&fn)
     {
-        scheduleAt(now_ + delay, std::move(fn));
+        scheduleAt(now_ + delay, std::forward<F>(fn));
     }
 
     /**
@@ -259,11 +264,10 @@ class EventQueue
         }
     }
 
+    /** Restore heap order after appending at @p i. */
     void
-    heapPush(HeapEntry e)
+    siftUp(std::size_t i)
     {
-        heap_.push_back(std::move(e));
-        std::size_t i = heap_.size() - 1;
         while (i > 0) {
             std::size_t parent = (i - 1) / 2;
             if (!heapBefore(heap_[i], heap_[parent]))

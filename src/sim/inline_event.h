@@ -17,6 +17,13 @@
  * Hot-path call sites that must stay inline should go through
  * Simulator::scheduleInline / scheduleAtInline, which static_assert the
  * capture budget at compile time.
+ *
+ * An event is relocated each time the queue's storage moves it (into
+ * a wheel slot, out of it to run, on a vector regrowth). A trivially
+ * copyable inline callable, like a heap fallback's pointer, relocates
+ * by copying the whole 48-byte buffer: its vtable leaves `relocate`
+ * (and, when nothing needs destroying, `destroy`) null, so the common
+ * move is a fixed-size memcpy rather than an indirect call.
  */
 
 #ifndef WIDIR_SIM_INLINE_EVENT_H
@@ -25,6 +32,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -69,24 +77,14 @@ class InlineEvent
         }
     }
 
-    InlineEvent(InlineEvent &&o) noexcept : vt_(o.vt_)
-    {
-        if (vt_) {
-            vt_->relocate(storage_, o.storage_);
-            o.vt_ = nullptr;
-        }
-    }
+    InlineEvent(InlineEvent &&o) noexcept { take(o); }
 
     InlineEvent &
     operator=(InlineEvent &&o) noexcept
     {
         if (this != &o) {
             reset();
-            vt_ = o.vt_;
-            if (vt_) {
-                vt_->relocate(storage_, o.storage_);
-                o.vt_ = nullptr;
-            }
+            take(o);
         }
         return *this;
     }
@@ -127,43 +125,63 @@ class InlineEvent
     struct VTable
     {
         void (*invoke)(void *);
-        /** Move-construct dst from src and destroy src. */
+        /** Move-construct dst from src and destroy src; null: memcpy. */
         void (*relocate)(void *dst, void *src) noexcept;
+        /** Null when there is nothing to destroy. */
         void (*destroy)(void *) noexcept;
         bool isInline;
     };
 
     template <typename D>
+    static constexpr bool kTrivial = std::is_trivially_copyable_v<D>;
+
+    template <typename D>
     static constexpr VTable inlineVTable = {
         [](void *s) { (*std::launder(reinterpret_cast<D *>(s)))(); },
-        [](void *dst, void *src) noexcept {
-            D *from = std::launder(reinterpret_cast<D *>(src));
-            ::new (dst) D(std::move(*from));
-            from->~D();
-        },
-        [](void *s) noexcept {
-            std::launder(reinterpret_cast<D *>(s))->~D();
-        },
+        kTrivial<D> ? nullptr
+                    : +[](void *dst, void *src) noexcept {
+                          D *from = std::launder(reinterpret_cast<D *>(src));
+                          ::new (dst) D(std::move(*from));
+                          from->~D();
+                      },
+        kTrivial<D> ? nullptr
+                    : +[](void *s) noexcept {
+                          std::launder(reinterpret_cast<D *>(s))->~D();
+                      },
         true,
     };
 
+    /** The buffer holds only the pointer, so relocation is a memcpy. */
     template <typename D>
     static constexpr VTable heapVTable = {
         [](void *s) { (**static_cast<D **>(s))(); },
-        [](void *dst, void *src) noexcept {
-            *static_cast<D **>(dst) = *static_cast<D **>(src);
-        },
+        nullptr,
         [](void *s) noexcept { delete *static_cast<D **>(s); },
         false,
     };
 
     void *&ptr() { return *reinterpret_cast<void **>(storage_); }
 
+    /** Move @p o's callable into this (empty) event; @p o ends empty. */
+    void
+    take(InlineEvent &o) noexcept
+    {
+        vt_ = o.vt_;
+        if (!vt_)
+            return;
+        if (vt_->relocate)
+            vt_->relocate(storage_, o.storage_);
+        else
+            std::memcpy(storage_, o.storage_, kInlineCapacity);
+        o.vt_ = nullptr;
+    }
+
     void
     reset() noexcept
     {
         if (vt_) {
-            vt_->destroy(storage_);
+            if (vt_->destroy)
+                vt_->destroy(storage_);
             vt_ = nullptr;
         }
     }

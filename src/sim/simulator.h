@@ -69,17 +69,19 @@ class Simulator
     }
 
     /** Convenience: schedule @p fn @p delay cycles from now. */
+    template <typename F>
     void
-    schedule(Tick delay, EventFn fn)
+    schedule(Tick delay, F &&fn)
     {
-        queue_.schedule(delay, std::move(fn));
+        queue_.schedule(delay, std::forward<F>(fn));
     }
 
     /** Convenience: schedule @p fn at absolute cycle @p when. */
+    template <typename F>
     void
-    scheduleAt(Tick when, EventFn fn)
+    scheduleAt(Tick when, F &&fn)
     {
-        queue_.scheduleAt(when, std::move(fn));
+        queue_.scheduleAt(when, std::forward<F>(fn));
     }
 
     /**

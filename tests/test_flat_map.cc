@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -165,6 +166,59 @@ TEST(FlatAddrMap, GrowthIsGeometric)
         m[k << 6].tag = k;
     EXPECT_EQ(m.rehashes(), 8u);
     EXPECT_EQ(m.size(), 1024u);
+}
+
+/**
+ * The value slab grows in chunks of 16, 32, 64 and 128 slots before
+ * the fixed 256-slot chunks, so a small map value-initialises 16
+ * slots, and values never move as chunks are added.
+ */
+TEST(FlatAddrMap, SlabGrowsFromSixteen)
+{
+    FlatAddrMap<std::string> m;
+    EXPECT_EQ(m.slabSlots(), 0u);
+    m[0x40] = "first";
+    EXPECT_EQ(m.slabSlots(), 16u);
+
+    // Slots handed out before each chunk boundary: the last slot of
+    // chunks 16/32/64/128/256 and the first slot of the next.
+    const std::vector<std::size_t> boundaries = {15, 16, 47, 48, 111,
+                                                 112, 239, 240, 495, 496};
+    std::vector<std::pair<Addr, std::string *>> held;
+    for (std::size_t i = 1; i < 1000; ++i) {
+        Addr key = static_cast<Addr>(i + 1) << 6;
+        std::string &v = m[key];
+        v = "value-" + std::to_string(i) +
+            std::string(40, 'x'); // past the small-string buffer
+        if (std::find(boundaries.begin(), boundaries.end(), i) !=
+            boundaries.end())
+            held.emplace_back(key, &v);
+    }
+    EXPECT_EQ(m.size(), 1000u);
+    EXPECT_EQ(m.slabSlots(), 240u + 3 * 256u); // 1,008 <= 1,256
+    ASSERT_EQ(held.size(), boundaries.size());
+    for (std::size_t j = 0; j < held.size(); ++j) {
+        EXPECT_EQ(&m.find(held[j].first)->second, held[j].second);
+        EXPECT_EQ(*held[j].second,
+                  "value-" + std::to_string(boundaries[j]) +
+                      std::string(40, 'x'));
+    }
+    EXPECT_EQ(m.find(0x40)->second, "first");
+
+    // Every value reads back through its slot after all the growth.
+    for (std::size_t i = 1; i < 1000; ++i) {
+        auto it = m.find(static_cast<Addr>(i + 1) << 6);
+        ASSERT_NE(it, m.end());
+        EXPECT_EQ(it->second.substr(0, 6 + std::to_string(i).size()),
+                  "value-" + std::to_string(i));
+    }
+
+    // Erasing and refilling below the high-water mark adds no slots.
+    for (std::size_t i = 1; i < 1000; i += 3)
+        m.erase(static_cast<Addr>(i + 1) << 6);
+    for (std::size_t i = 1; i < 1000; i += 3)
+        m[static_cast<Addr>(i + 1) << 6] = "again";
+    EXPECT_EQ(m.slabSlots(), 240u + 3 * 256u);
 }
 
 /** Recycled slots hand back a freshly-constructed value. */

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the memory substrate: address math, cache array
- * (lookup, LRU, locking, lazy sets and per-way frames) and the
- * main-memory timing model.
+ * (lookup, LRU, locking, per-set blocks and per-way frames) and the
+ * main-memory timing model and writeback pool.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "mem/main_memory.h"
 #include "sim/simulator.h"
 #include "system/manycore.h"
+#include "workload/registry.h"
 
 namespace {
 
@@ -368,6 +369,9 @@ TEST(CacheArray, LazySetsMatchEagerReferenceUnderChurn)
 {
     // 16 sets x 4 ways, LLC-style index divisor; 200 lines contend.
     churnAgainstEagerReference(4096, 4, 3);
+    // A power-of-two divisor (the LLC's at 64 and 256 tiles) indexes
+    // by shifting instead of dividing.
+    churnAgainstEagerReference(4096, 4, 4);
 }
 
 TEST(CacheArray, LazyFramesMatchEagerReferenceInL1Shape)
@@ -376,11 +380,40 @@ TEST(CacheArray, LazyFramesMatchEagerReferenceInL1Shape)
     churnAgainstEagerReference(2048, 2, 1);
 }
 
+TEST(CacheArray, SetBlocksFollowTouchedSets)
+{
+    // One set block per distinct set ever used, however many lines
+    // pass through it.
+    CacheArray c(1024 * 8 * mem::kLineBytes, 8); // 1,024 sets, 8 ways
+    ASSERT_EQ(c.numSets(), 1024u);
+    LineData d;
+    const sim::Addr stride = c.numSets() * mem::kLineBytes;
+    for (std::size_t k : {1u, 2u, 37u, 600u, 1024u}) {
+        CacheArray a(1024 * 8 * mem::kLineBytes, 8);
+        for (std::size_t set = 0; set < k; ++set) {
+            // Spread the sets out and put ten lines through each.
+            sim::Addr base = ((set * 389) % 1024) * mem::kLineBytes;
+            for (sim::Addr i = 0; i < 10; ++i) {
+                sim::Addr line = base + i * stride;
+                a.fill(a.pickVictim(line), line, 1, d);
+            }
+        }
+        EXPECT_EQ(a.initialisedSets(), k);
+        EXPECT_EQ(a.allocatedFrames(), k * 8);
+        EXPECT_EQ(a.occupancy(), k * 8);
+    }
+    // Lookups alone never allocate a block.
+    for (sim::Addr line = 0; line < 4 * stride; line += mem::kLineBytes)
+        EXPECT_EQ(c.lookup(line), nullptr);
+    EXPECT_EQ(c.initialisedSets(), 0u);
+    // A fresh machine holds no block: FreshManycoreHasNoInitialisedSets.
+}
+
 TEST(CacheArray, FreshManycoreHasNoInitialisedSets)
 {
     // Guards against sliding back to capacity-sized host state:
-    // building the 256-tile machine must not initialise a single cache
-    // set, allocate a frame or give any flat map an index.
+    // building the 256-tile machine must not give a single cache set a
+    // block, allocate a frame or give any flat map an index.
     sys::Manycore m(sys::SystemConfig::widir(256));
     std::size_t sets = 0, initialised = 0, frames = 0;
     for (sim::NodeId n = 0; n < m.numCores(); ++n) {
@@ -446,12 +479,51 @@ TEST(MainMemory, WriteThenReadBack)
     mem::MainMemory mem(s, {});
     LineData d;
     d.setWord(0x40, 99);
-    bool wrote = false;
-    mem.writeLine(0x40, d, [&] { wrote = true; });
+    mem.writeLine(0x40, d);
+    // The write stays invisible until its event fires.
+    EXPECT_EQ(mem.peekLine(0x40).word(0x40), 0u);
     s.run();
-    EXPECT_TRUE(wrote);
+    EXPECT_EQ(s.now(), 80u);
     EXPECT_EQ(mem.peekLine(0x40).word(0x40), 99u);
     EXPECT_EQ(mem.writes(), 1u);
+}
+
+TEST(MainMemory, OverlappingWritebacksPerformInOrder)
+{
+    // Pooled payloads: a slot freed by the first write is reused by
+    // the third, and each write publishes its own data.
+    sim::Simulator s;
+    mem::MainMemory::Config cfg;
+    cfg.numControllers = 1;
+    mem::MainMemory mem(s, cfg);
+    LineData a, b, c;
+    a.setWord(0x40, 1);
+    b.setWord(0x80, 2);
+    c.setWord(0x40, 3);
+    mem.writeLine(0x40, a);
+    mem.writeLine(0x80, b);
+    s.run(80);
+    EXPECT_EQ(mem.peekLine(0x40).word(0x40), 1u);
+    EXPECT_EQ(mem.peekLine(0x80).word(0x80), 0u);
+    mem.writeLine(0x40, c);
+    EXPECT_EQ(mem.peekLine(0x40).word(0x40), 1u);
+    s.run();
+    EXPECT_EQ(mem.peekLine(0x40).word(0x40), 3u);
+    EXPECT_EQ(mem.peekLine(0x80).word(0x80), 2u);
+}
+
+TEST(MainMemory, WritebacksStayInline)
+{
+    // A writeback's 64-byte payload waits in a pool slot, so a run
+    // that writes lines back never takes the event heap fallback.
+    sys::Manycore m(sys::SystemConfig::baseline(16));
+    workload::WorkloadParams p;
+    p.scale = 1;
+    std::uint64_t before = sim::InlineEvent::heapFallbacks();
+    m.run(workload::makeProgram(*workload::findApp("ocean-nc"), p),
+          200'000'000);
+    EXPECT_GT(m.dirTotals().memWritebacks, 0u);
+    EXPECT_EQ(sim::InlineEvent::heapFallbacks(), before);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -451,6 +452,45 @@ TEST(InlineEvent, MoveTransfersAndDestroysExactlyOnce)
         c();
     }
     EXPECT_TRUE(alive.expired()); // destructor released the capture
+}
+
+TEST(InlineEvent, RelocationKeepsCaptures)
+{
+    // A trivially copyable capture relocates by memcpy, a shared_ptr
+    // capture through its move constructor; both must arrive intact
+    // through the queue (wheel and far-future heap alike), and the
+    // shared_ptr capture must be released once the event has run.
+    struct Scalars
+    {
+        std::uint64_t a, b, c;
+        std::uint32_t d;
+    };
+    sim::Simulator s(1);
+    std::uint64_t sum = 0;
+    Scalars sc{1, 20, 300, 4000};
+    auto trivial = [&sum, sc] { sum += sc.a + sc.b + sc.c + sc.d; };
+    static_assert(std::is_trivially_copyable_v<decltype(trivial)>);
+    static_assert(sim::InlineEvent::fitsInline<decltype(trivial)>());
+
+    auto token = std::make_shared<std::uint64_t>(50000);
+    auto owning = [&sum, &token] { return [&sum, token] { sum += *token; }; };
+    static_assert(!std::is_trivially_copyable_v<decltype(owning())>);
+
+    s.schedule(3, trivial);
+    s.schedule(5, owning());
+    s.schedule(sim::EventQueue::kWheelSize * 2, trivial);
+    s.schedule(sim::EventQueue::kWheelSize * 2 + 1, owning());
+    // A moved-in EventFn is forwarded, not copied.
+    sim::EventFn ev(owning());
+    s.scheduleAt(7, std::move(ev));
+    EXPECT_FALSE(static_cast<bool>(ev));
+    // Grow one wheel slot's vector so queued events relocate again.
+    for (int i = 0; i < 64; ++i)
+        s.schedule(5, trivial);
+    EXPECT_EQ(token.use_count(), 4);
+    EXPECT_TRUE(s.run());
+    EXPECT_EQ(sum, 66 * 4321u + 3 * 50000u);
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(InlineEvent, QueueHotPathTakesNoHeapFallback)
