@@ -55,7 +55,9 @@
 #define WIDIR_BENCH_COMMON_H
 
 #include <cmath>
+#include <climits>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -207,15 +209,18 @@ class Options
             {"--fault-retries", "N",
              "per-transmission retry budget before wired fallback",
              [this](const char *v) {
-                 long n = std::strtol(v, nullptr, 10);
-                 if (n <= 0)
+                 long n = 0;
+                 if (!sys::parseEnvInt(v, 1, UINT32_MAX, n))
                      die("invalid --fault-retries value '%s'", v);
                  fault_.retryBudget = static_cast<std::uint32_t>(n);
              }},
             {"--fault-seed", "N",
              "extra seed folded into the fault RNG stream",
              [this](const char *v) {
-                 fault_.seed = std::strtoull(v, nullptr, 10);
+                 long n = 0;
+                 if (!sys::parseEnvInt(v, 0, LONG_MAX, n))
+                     die("invalid --fault-seed value '%s'", v);
+                 fault_.seed = static_cast<std::uint64_t>(n);
              }},
             {"--tiles", "N",
              "tile (core) count; repeatable where a bench sweeps core "
@@ -389,11 +394,13 @@ class Options
     void
     parseWindow(const char *val)
     {
-        char *end = nullptr;
-        unsigned long long lo = std::strtoull(val, &end, 10);
-        if (!end || *end != ':')
+        const char *colon = std::strchr(val, ':');
+        long lo = 0, hi = 0;
+        if (!colon ||
+            !sys::parseEnvInt(std::string(val, colon).c_str(), 0, LONG_MAX,
+                              lo) ||
+            !sys::parseEnvInt(colon + 1, 0, LONG_MAX, hi))
             die("trace window must be LO:HI, got '%s'", val);
-        unsigned long long hi = std::strtoull(end + 1, nullptr, 10);
         traceLo_ = static_cast<sim::Tick>(lo);
         traceHi_ = static_cast<sim::Tick>(hi);
         traceOn_ = true;

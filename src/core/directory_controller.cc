@@ -1,7 +1,5 @@
 #include "core/directory_controller.h"
 
-#include <algorithm>
-
 #include "mem/address.h"
 #include "sim/log.h"
 
@@ -43,11 +41,38 @@ DirectoryController::busy(Addr line) const
     return txns_.count(lineAlign(line)) > 0;
 }
 
+DirEntry &
+DirectoryController::entryAt(Addr line)
+{
+    auto it = entries_.find(line);
+    WIDIR_ASSERT(it != entries_.end(), "transaction without dir entry");
+    return it->second;
+}
+
 DirectoryController::DirTxn *
 DirectoryController::txnOf(Addr line)
 {
     auto it = txns_.find(lineAlign(line));
     return it == txns_.end() ? nullptr : &it->second;
+}
+
+void
+DirectoryController::describeOutstanding(std::string &out) const
+{
+    for (auto it = txns_.begin(); it != txns_.end(); ++it) {
+        const DirTxn &t = it->second;
+        out += sim::strfmt(
+            "  dir %u: line %#llx %s%s requester %d acksExpected %u "
+            "acksReceived %u ackIds {",
+            node_, static_cast<unsigned long long>(t.line),
+            dirTxnTypeName(t.type), t.wired ? " (wired fallback)" : "",
+            t.requester == sim::kNodeNone ? -1
+                                          : static_cast<int>(t.requester),
+            t.acksExpected, t.acksReceived);
+        for (std::size_t i = 0; i < t.ackIds.size(); ++i)
+            out += sim::strfmt(i ? ",%u" : "%u", t.ackIds.begin()[i]);
+        out += "}\n";
+    }
 }
 
 void
@@ -154,44 +179,213 @@ DirectoryController::receive(const Msg &msg)
     if (!dirEventOf(msg.type, ev))
         sim::panic("directory %u received unexpected %s", node_,
                    msgTypeName(msg.type));
-    // Select the action from the protocol table. The action is the
-    // same in every state for these events (the handlers resolve the
-    // per-state outcomes internally), so this lookup is structurally
-    // equivalent to the old switch on the message type.
-    switch (dirActionFor(stateOf(msg.line), ev)) {
-      case DirAction::Request:
+    if (msg.type == MsgType::GetS)
+        ++stats_.getS;
+    else if (msg.type == MsgType::GetX)
+        ++stats_.getX;
+    // A PutS that finds the entry in W predates the S->W transition:
+    // the census counted the node, so it leaves the group like a PutW.
+    if (ev == DirEvent::MsgPutS && stateOf(msg.line) == DirState::W)
+        ev = DirEvent::MsgPutW;
+    // A transaction in flight decides through the in-transaction table;
+    // otherwise the handlers apply Table II to the stable entry.
+    if (DirTxn *txn = txnOf(msg.line)) {
+        stepTxn(*txn, ev, msg);
+        return;
+    }
+    switch (ev) {
+      case DirEvent::MsgGetS:
+      case DirEvent::MsgGetX:
         handleRequest(msg);
         return;
-      case DirAction::SharedEvictNotice:
+      case DirEvent::MsgPutS:
         handlePutS(msg);
         return;
-      case DirAction::OwnerEvictNotice:
+      case DirEvent::MsgPutE:
+      case DirEvent::MsgPutM:
         handlePutEM(msg);
         return;
-      case DirAction::WirelessEvictNotice:
+      case DirEvent::MsgPutW:
         handlePutW(msg);
         return;
-      case DirAction::CollectInvAck:
-        handleInvAck(msg);
+      case DirEvent::MsgInvAck:
+      case DirEvent::MsgOwnerData:
+      case DirEvent::MsgWirDwgrAck:
+        // A reply that outlived its transaction, such as the owner's
+        // InvAck after its own Put ended a RecallEM: a no-op row.
         return;
-      case DirAction::OwnerReturn:
-        handleOwnerData(msg);
-        return;
-      case DirAction::CollectJoinAck:
-        handleWirUpgrAck(msg);
-        return;
-      case DirAction::CollectDwgrAck:
-        handleWirDwgrAck(msg);
-        return;
-      case DirAction::ObserveUpdate:
-      case DirAction::ObserveWirInv:
-      case DirAction::Recall:
-      case DirAction::CensusFinish:
-      case DirAction::WirelessFault:
+      case DirEvent::MsgWirUpgrAck:
+        sim::panic("directory %u: WirUpgrAck without a WJoin txn",
+                   node_);
+      case DirEvent::FrameWirUpd:
+      case DirEvent::FrameWirInv:
+      case DirEvent::LlcEvict:
+      case DirEvent::CensusDone:
+      case DirEvent::ChannelFault:
         break;
     }
-    sim::panic("directory %u: bad table action for %s", node_,
-               msgTypeName(msg.type));
+    sim::panic("directory %u: %s is not a message event", node_,
+               dirEventName(ev));
+}
+
+SenderRole
+DirectoryController::senderRole(const DirTxn &txn, const Msg &msg) const
+{
+    if (msg.src == txn.requester)
+        return SenderRole::Requester;
+    if (txn.ackIds.contains(msg.src))
+        return SenderRole::Acked;
+    const DirEntry *entry = entryOf(txn.line);
+    if (msg.isSharer || (entry && entry->sharers.contains(msg.src)))
+        return SenderRole::Sharer;
+    return SenderRole::Other;
+}
+
+void
+DirectoryController::stepTxn(DirTxn &txn, DirEvent ev, const Msg &msg)
+{
+    const Addr line = txn.line;
+    const SenderRole role = senderRole(txn, msg);
+    const int row = dirTxnRuleFor(txn.type, txn.wired, ev, role);
+    if (row < 0)
+        sim::panic("directory %u: no step for %s from %s node %u during "
+                   "%s%s of line %#llx",
+                   node_, dirEventName(ev), senderRoleName(role), msg.src,
+                   dirTxnTypeName(txn.type),
+                   txn.wired ? " (wired fallback)" : "",
+                   static_cast<unsigned long long>(line));
+    ++txnRuleHits_[static_cast<std::size_t>(row)];
+    switch (dirTxnRules()[static_cast<std::size_t>(row)].step) {
+      case DirStep::Nack:
+        nack(msg);
+        return;
+      case DirStep::AdmitJoiner:
+        // Each joiner gets its own WirUpgr and WirUpgrAck, and
+        // SharerCount increments commute, so batching them under one
+        // transaction (jamming held until the last ack) is safe and
+        // avoids serializing a burst of first-time readers.
+        admitJoiner(txn, msg.src);
+        return;
+      case DirStep::Ignore:
+        return;
+      case DirStep::LeaveCensus:
+        // Drop the pointer too: an aborted census re-dispatches the
+        // request against the sharer set (abortToWireless).
+        entryAt(line).sharers.remove(msg.src);
+        WIDIR_ASSERT(txn.censusSharers > 0, "census underflow");
+        --txn.censusSharers;
+        return;
+      case DirStep::RequesterLeft:
+        txn.censusRequesterLeft = true;
+        return;
+      case DirStep::LeaveGroup: {
+        DirEntry &entry = entryAt(line);
+        WIDIR_ASSERT(entry.sharerCount > 0, "SharerCount underflow");
+        --entry.sharerCount;
+        return;
+      }
+      case DirStep::LeaveDowngrade:
+        WIDIR_ASSERT(txn.acksExpected > 0, "ack underflow");
+        --txn.acksExpected;
+        maybeFinishToShared(line);
+        return;
+      case DirStep::DropSurvivor:
+        txn.ackIds.remove(msg.src);
+        return;
+      case DirStep::OwnerToShared: {
+        absorbData(line, msg);
+        DirEntry &entry = entryAt(line);
+        NodeId requester = txn.requester;
+        traceState(line, DirState::EM, DirState::S, "FwdGetS",
+                   requester);
+        entry.state = DirState::S;
+        entry.sharers.clear();
+        // The old owner keeps an S copy unless it evicted (its PutE or
+        // PutM completed the forward instead).
+        if (msg.type == MsgType::OwnerData)
+            entry.sharers.push_back(entry.owner);
+        entry.sharers.push_back(requester);
+        entry.owner = sim::kNodeNone;
+        CacheEntry *e = llc_.lookup(line);
+        e->state = static_cast<std::uint8_t>(DirState::S);
+        endTxn(line);
+        grant(requester, line, GrantState::S, *e);
+        return;
+      }
+      case DirStep::OwnerHandOff: {
+        absorbData(line, msg);
+        DirEntry &entry = entryAt(line);
+        NodeId requester = txn.requester;
+        // Owner hand-off: EM->EM with a new owner (arg).
+        traceState(line, DirState::EM, DirState::EM, "FwdGetX",
+                   requester);
+        entry.owner = requester;
+        endTxn(line);
+        grant(requester, line, GrantState::M, *llc_.lookup(line));
+        return;
+      }
+      case DirStep::RecallOwner:
+        absorbData(line, msg);
+        finishRecall(line);
+        return;
+      case DirStep::CollectUpgradeAck: {
+        absorbData(line, msg);
+        if (++txn.acksReceived < txn.acksExpected)
+            return;
+        NodeId requester = txn.requester;
+        DirEntry &entry = entryAt(line);
+        CacheEntry *e = llc_.lookup(line);
+        traceState(line, DirState::S, DirState::EM, "InvColl",
+                   requester);
+        entry.state = DirState::EM;
+        entry.owner = requester;
+        entry.sharers.clear();
+        entry.bcast = false;
+        e->state = static_cast<std::uint8_t>(DirState::EM);
+        endTxn(line);
+        grant(requester, line, GrantState::M, *e);
+        return;
+      }
+      case DirStep::CollectRecallAck:
+        absorbData(line, msg);
+        if (++txn.acksReceived == txn.acksExpected)
+            finishRecall(line);
+        return;
+      case DirStep::CollectFallbackAck:
+        if (++txn.acksReceived == txn.acksExpected)
+            finishToShared(line);
+        return;
+      case DirStep::CollectJoinAck: {
+        DirEntry &entry = entryAt(line);
+        ++entry.sharerCount;
+        // W->W join: SharerCount grew (arg = new count).
+        traceState(line, DirState::W, DirState::W, "join",
+                   entry.sharerCount);
+        if (++txn.acksReceived < txn.acksExpected)
+            return; // more joiners in flight under this transaction
+        endTxn(line);
+        // PutWs that drained during the join may have left the count
+        // at or below the threshold.
+        maybeStartToShared(line);
+        return;
+      }
+      case DirStep::CollectDwgrAck:
+        txn.ackIds.push_back(msg.src);
+        ++txn.acksReceived;
+        maybeFinishToShared(line);
+        return;
+    }
+}
+
+void
+DirectoryController::absorbData(Addr line, const Msg &msg)
+{
+    if (!msg.hasData)
+        return;
+    CacheEntry *e = llc_.lookup(line);
+    WIDIR_ASSERT(e, "%s data without LLC entry", msgTypeName(msg.type));
+    e->data = msg.data;
+    e->dirty = e->dirty || msg.dirtyData;
 }
 
 // ---------------------------------------------------------------------
@@ -201,32 +395,6 @@ DirectoryController::receive(const Msg &msg)
 void
 DirectoryController::handleRequest(const Msg &msg)
 {
-    if (msg.type == MsgType::GetS)
-        ++stats_.getS;
-    else
-        ++stats_.getX;
-
-    DirTxn *txn = txnOf(msg.line);
-    if (txn) {
-        // A W->W join in flight can admit further joiners: each gets
-        // its own WirUpgr and its own WirUpgrAck, and SharerCount
-        // increments are commutative, so batching them under one
-        // transaction (with jamming held until the last ack) is safe
-        // and avoids serializing a burst of first-time readers.
-        if (txn->type == TxnType::WJoin &&
-            !(msg.type == MsgType::GetX && msg.isSharer)) {
-            admitJoiner(*txn, msg.src);
-            return;
-        }
-        // Otherwise the blocking directory bounces. This includes
-        // sharer GetX requests that race an in-flight S->W census:
-        // the bounce releases the requester's tone (Section III-B1,
-        // completion case iii names the bounced response explicitly),
-        // and the retry resolves against the settled W state.
-        nack(msg);
-        return;
-    }
-
     CacheEntry *llc_entry = llc_.lookup(msg.line);
     if (!llc_entry) {
         // LLC miss: fetch from memory (or bounce if the set is stuck
@@ -282,10 +450,7 @@ DirectoryController::handleCachedRequest(const Msg &msg,
 
       case DirState::S: {
         if (msg.type == MsgType::GetS) {
-            bool known = std::find(entry.sharers.begin(),
-                                   entry.sharers.end(), msg.src) !=
-                         entry.sharers.end();
-            if (known) {
+            if (entry.sharers.contains(msg.src)) {
                 grant(msg.src, msg.line, GrantState::S, *llc_entry);
                 return;
             }
@@ -313,9 +478,7 @@ DirectoryController::handleCachedRequest(const Msg &msg,
 
         // GetX in S: either a WiDir transition or an invalidation
         // collect.
-        bool sharer = std::find(entry.sharers.begin(),
-                                entry.sharers.end(), msg.src) !=
-                      entry.sharers.end();
+        bool sharer = entry.sharers.contains(msg.src);
         if (cfg.wireless() && !force_wired && !sharer && !entry.bcast &&
             entry.sharers.size() >= cfg.maxWiredSharers) {
             startToWireless(msg, entry);
@@ -413,7 +576,7 @@ DirectoryController::handleCachedRequest(const Msg &msg,
             return;
         }
         // Table II, W->W case 1: wired join of the wireless group.
-        startWJoin(msg, entry);
+        startWJoin(msg);
         return;
     }
 }
@@ -424,7 +587,6 @@ DirectoryController::startFetch(const Msg &msg)
     DirTxn &txn = beginTxn(TxnType::Fetch, msg.line);
     txn.requester = msg.src;
     txn.reqType = msg.type;
-    txn.reqIsSharer = msg.isSharer;
     ++stats_.memFetches;
     Addr line = lineAlign(msg.line);
     fabric_.memory().readLine(line,
@@ -471,84 +633,36 @@ DirectoryController::handlePutS(const Msg &msg)
     if (it == entries_.end())
         return;
     DirEntry &entry = it->second;
-
-    // Always drop the evicting node from the sharer pointers if it is
-    // recorded there -- even mid-transaction. Leaving stale pointers
-    // would inflate a later S->W census snapshot (and the protocol
-    // relies on the "always inform the directory" rule for exact
-    // counts, Section III-B).
-    auto sit = std::find(entry.sharers.begin(), entry.sharers.end(),
-                         msg.src);
-    bool was_recorded = sit != entry.sharers.end();
-    if (was_recorded)
-        entry.sharers.erase(sit);
-
-    if (entry.state == DirState::W) {
-        // The eviction predates the S->W transition: the node never
-        // joined the wireless group, but the census counted it. This
-        // must be accounted even while a W transaction (join,
-        // downgrade) is in flight, or the count leaks a phantom
-        // sharer and the eventual W->S downgrade waits forever.
-        handlePutW(msg);
-        return;
+    // Drop the evicting node's pointer: a stale one would inflate a
+    // later S->W census snapshot (the protocol relies on the "always
+    // inform the directory" rule for exact counts, Section III-B).
+    entry.sharers.remove(msg.src);
+    // In I or EM the notice is one of Table II's no-op rows.
+    if (entry.state == DirState::S && entry.sharers.empty() &&
+        !entry.bcast) {
+        traceState(line, DirState::S, DirState::I, "PutS");
+        entry.state = DirState::I;
+        if (CacheEntry *e = llc_.lookup(line))
+            e->state = static_cast<std::uint8_t>(DirState::I);
     }
-
-    if (DirTxn *txn = txnOf(line)) {
-        if (txn->type == TxnType::ToWireless && was_recorded) {
-            // A counted sharer evicted while the census is in flight;
-            // it will not become a wireless sharer.
-            WIDIR_ASSERT(txn->censusSharers > 0, "census underflow");
-            --txn->censusSharers;
-        }
-        // InvColl/Recall acks are tracked via InvAck; nothing else to
-        // do here.
-        return;
-    }
-    if (entry.state == DirState::S) {
-        if (entry.sharers.empty() && !entry.bcast) {
-            traceState(line, DirState::S, DirState::I, "PutS");
-            entry.state = DirState::I;
-            if (CacheEntry *e = llc_.lookup(line))
-                e->state = static_cast<std::uint8_t>(DirState::I);
-        }
-        return;
-    }
-    // Stale notification (EM etc.); ignore.
 }
 
 void
 DirectoryController::handlePutEM(const Msg &msg)
 {
     Addr line = lineAlign(msg.line);
-    if (DirTxn *txn = txnOf(line)) {
-        // A PutE/PutM that races a Fwd* or an EM recall completes the
-        // transaction in the owner's stead (the forward will find no
-        // copy and be dropped).
-        bool owner_txn = txn->type == TxnType::FwdS ||
-                         txn->type == TxnType::FwdX ||
-                         txn->type == TxnType::RecallEM;
-        if (owner_txn) {
-            completeOwnerTxn(msg, msg.type == MsgType::PutM);
-        }
-        return;
-    }
     auto it = entries_.find(line);
-    if (it == entries_.end())
-        return;
+    if (it == entries_.end() || it->second.state != DirState::EM ||
+        it->second.owner != msg.src)
+        return; // not from the owner: one of Table II's no-op rows
     DirEntry &entry = it->second;
-    if (entry.state != DirState::EM || entry.owner != msg.src)
-        return; // stale
-    CacheEntry *e = llc_.lookup(line);
-    WIDIR_ASSERT(e, "directory entry without LLC entry");
-    if (msg.type == MsgType::PutM) {
-        WIDIR_ASSERT(msg.hasData, "PutM without data");
-        e->data = msg.data;
-        e->dirty = true;
-    }
+    absorbData(line, msg);
     traceState(line, DirState::EM, DirState::I, msgTypeName(msg.type),
                msg.src);
     entry.state = DirState::I;
     entry.owner = sim::kNodeNone;
+    CacheEntry *e = llc_.lookup(line);
+    WIDIR_ASSERT(e, "directory entry without LLC entry");
     e->state = static_cast<std::uint8_t>(DirState::I);
 }
 
@@ -556,50 +670,9 @@ void
 DirectoryController::handlePutW(const Msg &msg)
 {
     Addr line = lineAlign(msg.line);
-    if (DirTxn *txn = txnOf(line)) {
-        switch (txn->type) {
-          case TxnType::ToWireless:
-            if (msg.src == txn->requester) {
-                // The transition's own requester already evicted its
-                // fresh W copy; do not count it at completion.
-                txn->reqIsSharer = false; // reused as "requester alive"
-                txn->censusRequesterLeft = true;
-                return;
-            }
-            WIDIR_ASSERT(txn->censusSharers > 0, "census underflow");
-            --txn->censusSharers;
-            return;
-          case TxnType::ToShared:
-            // A sharer self-invalidated after the count trigger but
-            // before (or while) WirDwgr landed: expect one less ack.
-            if (txn->wired)
-                return; // fallback Invs already cover every node
-            WIDIR_ASSERT(txn->acksExpected > 0, "ack underflow");
-            --txn->acksExpected;
-            maybeFinishToShared(line);
-            return;
-          case TxnType::WJoin: {
-            auto it = entries_.find(line);
-            WIDIR_ASSERT(it != entries_.end(), "WJoin without entry");
-            WIDIR_ASSERT(it->second.sharerCount > 0,
-                         "SharerCount underflow");
-            --it->second.sharerCount;
-            // The downgrade check runs when the join completes.
-            return;
-          }
-          case TxnType::Fetch:
-          case TxnType::FwdS:
-          case TxnType::FwdX:
-          case TxnType::InvColl:
-          case TxnType::RecallEM:
-          case TxnType::RecallS:
-          case TxnType::RecallW:
-            return; // e.g. RecallW racing a self-invalidation
-        }
-    }
     auto it = entries_.find(line);
     if (it == entries_.end() || it->second.state != DirState::W)
-        return; // stale (e.g. after WirInv)
+        return; // the group is gone (e.g. after WirInv): a no-op row
     DirEntry &entry = it->second;
     WIDIR_ASSERT(entry.sharerCount > 0, "SharerCount underflow");
     --entry.sharerCount;
@@ -608,182 +681,6 @@ DirectoryController::handlePutW(const Msg &msg)
     // Table II, W->S: when the count falls back to MaxWiredSharers,
     // return the line to the wired protocol.
     maybeStartToShared(line);
-}
-
-// ---------------------------------------------------------------------
-// Acks and data returns
-// ---------------------------------------------------------------------
-
-void
-DirectoryController::completeOwnerTxn(const Msg &msg, bool has_data)
-{
-    Addr line = lineAlign(msg.line);
-    DirTxn *txn = txnOf(line);
-    WIDIR_ASSERT(txn, "owner completion without txn");
-    CacheEntry *e = llc_.lookup(line);
-    WIDIR_ASSERT(e, "owner txn without LLC entry");
-    auto it = entries_.find(line);
-    WIDIR_ASSERT(it != entries_.end(), "owner txn without dir entry");
-    DirEntry &entry = it->second;
-
-    if (has_data) {
-        WIDIR_ASSERT(msg.hasData, "owner data missing payload");
-        e->data = msg.data;
-        if (msg.dirtyData || msg.type == MsgType::PutM)
-            e->dirty = true;
-    }
-
-    switch (txn->type) {
-      case TxnType::FwdS: {
-        NodeId requester = txn->requester;
-        traceState(line, DirState::EM, DirState::S, "FwdGetS",
-                   requester);
-        entry.state = DirState::S;
-        entry.sharers.clear();
-        // The old owner keeps an S copy unless it evicted (PutE/PutM
-        // raced the forward).
-        if (msg.type == MsgType::OwnerData)
-            entry.sharers.push_back(entry.owner);
-        entry.sharers.push_back(requester);
-        entry.owner = sim::kNodeNone;
-        e->state = static_cast<std::uint8_t>(DirState::S);
-        endTxn(line);
-        grant(requester, line, GrantState::S, *e);
-        return;
-      }
-      case TxnType::FwdX: {
-        NodeId requester = txn->requester;
-        // Owner hand-off: EM->EM with a new owner (arg).
-        traceState(line, DirState::EM, DirState::EM, "FwdGetX",
-                   requester);
-        entry.state = DirState::EM;
-        entry.owner = requester;
-        e->state = static_cast<std::uint8_t>(DirState::EM);
-        endTxn(line);
-        grant(requester, line, GrantState::M, *e);
-        return;
-      }
-      case TxnType::RecallEM:
-        finishRecall(line, false, nullptr, false);
-        return;
-      case TxnType::Fetch:
-      case TxnType::InvColl:
-      case TxnType::RecallS:
-      case TxnType::RecallW:
-      case TxnType::ToWireless:
-      case TxnType::WJoin:
-      case TxnType::ToShared:
-        break;
-    }
-    sim::panic("owner completion on %s txn", dirTxnTypeName(txn->type));
-}
-
-void
-DirectoryController::handleOwnerData(const Msg &msg)
-{
-    DirTxn *txn = txnOf(msg.line);
-    if (!txn)
-        return; // txn already completed by a racing PutE/PutM
-    completeOwnerTxn(msg, true);
-}
-
-void
-DirectoryController::handleInvAck(const Msg &msg)
-{
-    Addr line = lineAlign(msg.line);
-    DirTxn *txn = txnOf(line);
-    if (!txn)
-        return; // stale ack (txn completed via a racing path)
-    if (txn->type == TxnType::ToShared || txn->type == TxnType::RecallW) {
-        // Wired fallback (docs/FAULTS.md): the wireless frame exhausted
-        // its retry budget and the group is being invalidated with a
-        // full Inv broadcast instead; completion is the ack count.
-        if (!txn->wired)
-            return; // stray ack while the wireless frame is in flight
-        ++txn->acksReceived;
-        if (txn->acksReceived < txn->acksExpected)
-            return;
-        if (txn->type == TxnType::ToShared)
-            finishToShared(line);
-        else
-            finishRecall(line, false, nullptr, false);
-        return;
-    }
-    if (txn->type != TxnType::InvColl && txn->type != TxnType::RecallS &&
-        txn->type != TxnType::RecallEM) {
-        return;
-    }
-    if (txn->type == TxnType::RecallEM) {
-        // Owner recall: the ack itself may carry the dirty line; a
-        // clean (E) owner acks without data.
-        finishRecall(line, msg.hasData, msg.hasData ? &msg.data : nullptr,
-                     msg.dirtyData);
-        return;
-    }
-    if (msg.hasData) {
-        CacheEntry *e = llc_.lookup(line);
-        WIDIR_ASSERT(e, "InvAck data without LLC entry");
-        e->data = msg.data;
-        e->dirty = e->dirty || msg.dirtyData;
-    }
-    ++txn->acksReceived;
-    if (txn->acksReceived < txn->acksExpected)
-        return;
-
-    if (txn->type == TxnType::InvColl) {
-        NodeId requester = txn->requester;
-        auto it = entries_.find(line);
-        WIDIR_ASSERT(it != entries_.end(), "InvColl without entry");
-        CacheEntry *e = llc_.lookup(line);
-        WIDIR_ASSERT(e, "InvColl without LLC entry");
-        traceState(line, DirState::S, DirState::EM, "InvColl",
-                   requester);
-        it->second.state = DirState::EM;
-        it->second.owner = requester;
-        it->second.sharers.clear();
-        it->second.bcast = false;
-        e->state = static_cast<std::uint8_t>(DirState::EM);
-        endTxn(line);
-        grant(requester, line, GrantState::M, *e);
-        return;
-    }
-    // RecallS complete.
-    finishRecall(line, false, nullptr, false);
-}
-
-void
-DirectoryController::handleWirUpgrAck(const Msg &msg)
-{
-    Addr line = lineAlign(msg.line);
-    DirTxn *txn = txnOf(line);
-    WIDIR_ASSERT(txn && txn->type == TxnType::WJoin,
-                 "WirUpgrAck without a WJoin txn");
-    auto it = entries_.find(line);
-    WIDIR_ASSERT(it != entries_.end() &&
-                     it->second.state == DirState::W,
-                 "WJoin on a non-W entry");
-    ++it->second.sharerCount;
-    // W->W join: SharerCount grew (arg = new count).
-    traceState(line, DirState::W, DirState::W, "join",
-               it->second.sharerCount);
-    if (++txn->acksReceived < txn->acksExpected)
-        return; // more joiners in flight under this transaction
-    endTxn(line);
-    // PutWs that drained during the join may have left the count at or
-    // below the threshold.
-    maybeStartToShared(line);
-}
-
-void
-DirectoryController::handleWirDwgrAck(const Msg &msg)
-{
-    Addr line = lineAlign(msg.line);
-    DirTxn *txn = txnOf(line);
-    if (!txn || txn->type != TxnType::ToShared || txn->wired)
-        return; // stale (or superseded by the wired fallback)
-    txn->ackIds.push_back(msg.src);
-    ++txn->acksReceived;
-    maybeFinishToShared(line);
 }
 
 // ---------------------------------------------------------------------
@@ -901,9 +798,8 @@ DirectoryController::admitJoiner(DirTxn &txn, sim::NodeId requester)
 }
 
 void
-DirectoryController::startWJoin(const Msg &msg, DirEntry &entry)
+DirectoryController::startWJoin(const Msg &msg)
 {
-    (void)entry;
     DirTxn &txn = beginTxn(TxnType::WJoin, msg.line);
     txn.requester = msg.src;
     txn.reqType = msg.type;
@@ -1128,7 +1024,7 @@ DirectoryController::receiveFrame(const wireless::Frame &frame)
         // Our own W->I eviction completed its broadcast.
         DirTxn *txn = txnOf(line);
         if (txn && txn->type == TxnType::RecallW)
-            finishRecall(line, false, nullptr, false);
+            finishRecall(line);
         return;
       }
       case wireless::FrameKind::WirDwgr: {
@@ -1236,7 +1132,7 @@ DirectoryController::startRecall(CacheEntry *victim)
                 send_inv(n);
         }
         if (txn.acksExpected == 0)
-            finishRecall(line, false, nullptr, false);
+            finishRecall(line);
         return;
       }
       case DirState::W: {
@@ -1261,16 +1157,10 @@ DirectoryController::startRecall(CacheEntry *victim)
 }
 
 void
-DirectoryController::finishRecall(Addr line, bool merge_data,
-                                  const mem::LineData *data,
-                                  bool data_dirty)
+DirectoryController::finishRecall(Addr line)
 {
     CacheEntry *e = llc_.lookup(line);
     WIDIR_ASSERT(e, "recall without LLC entry");
-    if (merge_data) {
-        e->data = *data;
-        e->dirty = e->dirty || data_dirty;
-    }
     writebackIfDirty(e);
     auto eit = entries_.find(line);
     if (eit != entries_.end()) {

@@ -20,7 +20,9 @@
 #ifndef WIDIR_CORE_DIRECTORY_CONTROLLER_H
 #define WIDIR_CORE_DIRECTORY_CONTROLLER_H
 
+#include <array>
 #include <cstdint>
+#include <string>
 
 #include "core/fabric.h"
 #include "core/messages.h"
@@ -79,6 +81,10 @@ class DirectoryController
     {
         return entries_[line];
     }
+    /** Append one line per open transaction (watchdog dump). */
+    void describeOutstanding(std::string &out) const;
+    /** Times each dirTxnRules() row was taken (coverage tests). */
+    const auto &txnRuleHits() const { return txnRuleHits_; }
     /// @}
 
     /// @name Statistics
@@ -133,7 +139,6 @@ class DirectoryController
         sim::Addr line;
         sim::NodeId requester = sim::kNodeNone;
         MsgType reqType = MsgType::GetS;
-        bool reqIsSharer = false;
         std::uint32_t acksExpected = 0;
         std::uint32_t acksReceived = 0;
         SharerPtrs ackIds;                ///< ToShared survivor ids
@@ -155,7 +160,7 @@ class DirectoryController
          * Wired fallback mode (docs/FAULTS.md): the transaction's
          * wireless frame exhausted its fault-retry budget and was
          * replaced by a wired Inv broadcast; completion is now counted
-         * in InvAcks and wireless acks for the line are stale.
+         * in InvAcks (dirTxnRules() keys its own rows on this mode).
          */
         bool wired = false;
     };
@@ -173,21 +178,21 @@ class DirectoryController
     void grant(sim::NodeId dst, sim::Addr line, GrantState state,
                const mem::CacheEntry &llc_entry);
 
-    // -- eviction notifications ------------------------------------------
+    // -- eviction notifications (no transaction open) ------------------
     void handlePutS(const Msg &msg);
     void handlePutEM(const Msg &msg);
     void handlePutW(const Msg &msg);
 
-    // -- acks / data returns ----------------------------------------------
-    void handleInvAck(const Msg &msg);
-    void handleOwnerData(const Msg &msg);
-    void handleWirUpgrAck(const Msg &msg);
-    void handleWirDwgrAck(const Msg &msg);
+    // -- messages while a transaction is open (dirTxnRules()) -----------
+    SenderRole senderRole(const DirTxn &txn, const Msg &msg) const;
+    void stepTxn(DirTxn &txn, DirEvent ev, const Msg &msg);
+    /** Merge a message's line (if any) into the LLC copy. */
+    void absorbData(sim::Addr line, const Msg &msg);
 
     // -- WiDir transitions (Table II) --------------------------------------
     void startToWireless(const Msg &msg, DirEntry &entry);
     void finishToWireless(sim::Addr line);
-    void startWJoin(const Msg &msg, DirEntry &entry);
+    void startWJoin(const Msg &msg);
     void admitJoiner(DirTxn &txn, sim::NodeId requester);
     void maybeStartToShared(sim::Addr line);
     void startToShared(sim::Addr line);
@@ -213,8 +218,7 @@ class DirectoryController
      */
     mem::CacheEntry *makeRoom(sim::Addr line);
     void startRecall(mem::CacheEntry *victim);
-    void finishRecall(sim::Addr line, bool merge_data,
-                      const mem::LineData *data, bool data_dirty);
+    void finishRecall(sim::Addr line);
     void writebackIfDirty(mem::CacheEntry *e);
 
     // -- tracing (sim/trace.h; no-ops unless the tracer is enabled) ----
@@ -223,11 +227,11 @@ class DirectoryController
 
     // -- plumbing -------------------------------------------------------------
     DirTxn *txnOf(sim::Addr line);
+    DirEntry &entryAt(sim::Addr line);
     DirTxn &beginTxn(TxnType type, sim::Addr line);
     void endTxn(sim::Addr line);
     void nack(const Msg &msg);
     void send(Msg msg, sim::Tick extra_delay = 0);
-    void completeOwnerTxn(const Msg &msg, bool has_data);
 
     CoherenceFabric &fabric_;
     sim::NodeId node_;
@@ -236,6 +240,7 @@ class DirectoryController
     mem::FlatAddrMap<DirTxn> txns_;
     Stats stats_;
     sim::BinnedHistogram sharersUpdated_{{5, 10, 25, 49}, true};
+    std::array<std::uint32_t, kNumDirTxnRules> txnRuleHits_{};
 };
 
 } // namespace widir::coherence

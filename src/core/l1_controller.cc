@@ -29,6 +29,28 @@ L1Controller::send(Msg msg)
 }
 
 void
+L1Controller::describeOutstanding(std::string &out) const
+{
+    for (auto it = txns_.begin(); it != txns_.end(); ++it) {
+        const Txn &t = it->second;
+        out += sim::strfmt("  L1 %u: line %#llx %s%s%s%s ops %zu "
+                           "retries %u\n",
+                           node_, static_cast<unsigned long long>(t.line),
+                           msgTypeName(t.request),
+                           t.isSharerUpgrade ? " (sharer upgrade)" : "",
+                           t.toneHeld ? " tone held" : "",
+                           t.fillAsW ? " fill as W" : "", t.ops.size(),
+                           t.retries);
+    }
+    for (auto it = wirelessTxns_.begin(); it != wirelessTxns_.end(); ++it)
+        out += sim::strfmt("  L1 %u: line %#llx wireless write, %zu "
+                           "deferred\n",
+                           node_,
+                           static_cast<unsigned long long>(it->second.line),
+                           it->second.deferred.size());
+}
+
+void
 L1Controller::traceState(Addr line, L1State from, L1State to,
                          const char *why)
 {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "core/fabric.h"
@@ -110,6 +111,9 @@ class L1Controller
         std::uint64_t wirelessFallbacks = 0;
     };
     const Stats &stats() const { return stats_; }
+
+    /** Append one line per outstanding transaction (watchdog dump). */
+    void describeOutstanding(std::string &out) const;
 
     /** Address-map index rehashes (host_map_rehashes, docs/PERF.md). */
     std::uint64_t

@@ -167,22 +167,37 @@ l1ActionName(L1Action a)
 }
 
 const char *
-dirActionName(DirAction a)
+senderRoleName(SenderRole r)
 {
-    switch (a) {
-      case DirAction::Request:             return "Request";
-      case DirAction::SharedEvictNotice:   return "SharedEvictNotice";
-      case DirAction::OwnerEvictNotice:    return "OwnerEvictNotice";
-      case DirAction::WirelessEvictNotice: return "WirelessEvictNotice";
-      case DirAction::CollectInvAck:       return "CollectInvAck";
-      case DirAction::OwnerReturn:         return "OwnerReturn";
-      case DirAction::CollectJoinAck:      return "CollectJoinAck";
-      case DirAction::CollectDwgrAck:      return "CollectDwgrAck";
-      case DirAction::ObserveUpdate:       return "ObserveUpdate";
-      case DirAction::ObserveWirInv:       return "ObserveWirInv";
-      case DirAction::Recall:              return "Recall";
-      case DirAction::CensusFinish:        return "CensusFinish";
-      case DirAction::WirelessFault:       return "WirelessFault";
+    switch (r) {
+      case SenderRole::Requester: return "Requester";
+      case SenderRole::Acked:     return "Acked";
+      case SenderRole::Sharer:    return "Sharer";
+      case SenderRole::Other:     return "Other";
+    }
+    return "?";
+}
+
+const char *
+dirStepName(DirStep s)
+{
+    switch (s) {
+      case DirStep::Nack:               return "Nack";
+      case DirStep::AdmitJoiner:        return "AdmitJoiner";
+      case DirStep::Ignore:             return "Ignore";
+      case DirStep::LeaveCensus:        return "LeaveCensus";
+      case DirStep::RequesterLeft:      return "RequesterLeft";
+      case DirStep::LeaveGroup:         return "LeaveGroup";
+      case DirStep::LeaveDowngrade:     return "LeaveDowngrade";
+      case DirStep::DropSurvivor:       return "DropSurvivor";
+      case DirStep::OwnerToShared:      return "OwnerToShared";
+      case DirStep::OwnerHandOff:       return "OwnerHandOff";
+      case DirStep::RecallOwner:        return "RecallOwner";
+      case DirStep::CollectUpgradeAck:  return "CollectUpgradeAck";
+      case DirStep::CollectRecallAck:   return "CollectRecallAck";
+      case DirStep::CollectFallbackAck: return "CollectFallbackAck";
+      case DirStep::CollectJoinAck:     return "CollectJoinAck";
+      case DirStep::CollectDwgrAck:     return "CollectDwgrAck";
     }
     return "?";
 }
@@ -477,230 +492,253 @@ constexpr DirRule kDirRules[] = {
     // begins); in EM a FwdS transaction opens; in W a join opens.
     // The S->W / EM->S / W->W transitions are traced when the census,
     // the owner return, or the join ack completes (see those events).
-    {D_I, DirEvent::MsgGetS, DirAction::Request, D_EM, "GetS",
-     kRuleNone},
-    {D_I, DirEvent::MsgGetS, DirAction::Request, D_EM, "fetch",
-     kRuleNone},
-    {D_S, DirEvent::MsgGetS, DirAction::Request, D_S, nullptr,
-     kRuleNone},
-    {D_EM, DirEvent::MsgGetS, DirAction::Request, D_EM, nullptr,
-     kRuleNone},
-    {D_W, DirEvent::MsgGetS, DirAction::Request, D_W, nullptr,
-     kRuleNone},
+    {D_I, DirEvent::MsgGetS, D_EM, "GetS", kRuleNone},
+    {D_I, DirEvent::MsgGetS, D_EM, "fetch", kRuleNone},
+    {D_S, DirEvent::MsgGetS, D_S, nullptr, kRuleNone},
+    {D_EM, DirEvent::MsgGetS, D_EM, nullptr, kRuleNone},
+    {D_W, DirEvent::MsgGetS, D_W, nullptr, kRuleNone},
 
     // GetX: like GetS, plus the immediate sole-sharer upgrade in S.
-    {D_I, DirEvent::MsgGetX, DirAction::Request, D_EM, "GetX",
-     kRuleNone},
-    {D_I, DirEvent::MsgGetX, DirAction::Request, D_EM, "fetch",
-     kRuleNone},
-    {D_S, DirEvent::MsgGetX, DirAction::Request, D_EM, "upgrade",
-     kRuleNone},
-    {D_S, DirEvent::MsgGetX, DirAction::Request, D_S, nullptr,
-     kRuleNone},
-    {D_EM, DirEvent::MsgGetX, DirAction::Request, D_EM, nullptr,
-     kRuleNone},
-    {D_W, DirEvent::MsgGetX, DirAction::Request, D_W, nullptr,
-     kRuleNone},
+    {D_I, DirEvent::MsgGetX, D_EM, "GetX", kRuleNone},
+    {D_I, DirEvent::MsgGetX, D_EM, "fetch", kRuleNone},
+    {D_S, DirEvent::MsgGetX, D_EM, "upgrade", kRuleNone},
+    {D_S, DirEvent::MsgGetX, D_S, nullptr, kRuleNone},
+    {D_EM, DirEvent::MsgGetX, D_EM, nullptr, kRuleNone},
+    {D_W, DirEvent::MsgGetX, D_W, nullptr, kRuleNone},
 
     // PutS: drop the sharer pointer; the last sharer empties the
     // entry. A PutS finding the entry already in W predates the S->W
-    // transition and is accounted like a PutW (delegation below).
-    {D_I, DirEvent::MsgPutS, DirAction::SharedEvictNotice, D_I, nullptr,
-     kRuleNone},
-    {D_S, DirEvent::MsgPutS, DirAction::SharedEvictNotice, D_I, "PutS",
-     kRuleNone},
-    {D_S, DirEvent::MsgPutS, DirAction::SharedEvictNotice, D_S, nullptr,
-     kRuleNone},
-    {D_EM, DirEvent::MsgPutS, DirAction::SharedEvictNotice, D_EM,
-     nullptr, kRuleNone},
-    {D_W, DirEvent::MsgPutS, DirAction::SharedEvictNotice, D_W, "PutW",
-     kRuleNone},
-    {D_W, DirEvent::MsgPutS, DirAction::SharedEvictNotice, D_W, nullptr,
-     kRuleNone},
-    {D_W, DirEvent::MsgPutS, DirAction::SharedEvictNotice, D_S,
-     "WirDwgr", kRuleNone},
-    {D_W, DirEvent::MsgPutS, DirAction::SharedEvictNotice, D_I,
-     "WirDwgr", kRuleNone},
+    // transition: the directory takes it as a PutW (rows below).
+    {D_I, DirEvent::MsgPutS, D_I, nullptr, kRuleNone},
+    {D_S, DirEvent::MsgPutS, D_I, "PutS", kRuleNone},
+    {D_S, DirEvent::MsgPutS, D_S, nullptr, kRuleNone},
+    {D_EM, DirEvent::MsgPutS, D_EM, nullptr, kRuleNone},
 
     // PutE: the owner evicted clean. A PutE racing a Fwd*/RecallEM
     // completes that transaction in the owner's stead.
-    {D_I, DirEvent::MsgPutE, DirAction::OwnerEvictNotice, D_I, nullptr,
-     kRuleNone},
-    {D_S, DirEvent::MsgPutE, DirAction::OwnerEvictNotice, D_S, nullptr,
-     kRuleNone},
-    {D_EM, DirEvent::MsgPutE, DirAction::OwnerEvictNotice, D_I, "PutE",
-     kRuleNone},
-    {D_EM, DirEvent::MsgPutE, DirAction::OwnerEvictNotice, D_S,
-     "FwdGetS", kRuleNone},
-    {D_EM, DirEvent::MsgPutE, DirAction::OwnerEvictNotice, D_EM,
-     "FwdGetX", kRuleNone},
-    {D_EM, DirEvent::MsgPutE, DirAction::OwnerEvictNotice, D_I,
-     "recall", kRuleNone},
-    {D_W, DirEvent::MsgPutE, DirAction::OwnerEvictNotice, D_W, nullptr,
-     kRuleNone},
+    {D_I, DirEvent::MsgPutE, D_I, nullptr, kRuleNone},
+    {D_S, DirEvent::MsgPutE, D_S, nullptr, kRuleNone},
+    {D_EM, DirEvent::MsgPutE, D_I, "PutE", kRuleNone},
+    {D_EM, DirEvent::MsgPutE, D_S, "FwdGetS", kRuleNone},
+    {D_EM, DirEvent::MsgPutE, D_EM, "FwdGetX", kRuleNone},
+    {D_EM, DirEvent::MsgPutE, D_I, "recall", kRuleNone},
+    {D_W, DirEvent::MsgPutE, D_W, nullptr, kRuleNone},
 
     // PutM: like PutE but carries the dirty line.
-    {D_I, DirEvent::MsgPutM, DirAction::OwnerEvictNotice, D_I, nullptr,
-     kRuleNone},
-    {D_S, DirEvent::MsgPutM, DirAction::OwnerEvictNotice, D_S, nullptr,
-     kRuleNone},
-    {D_EM, DirEvent::MsgPutM, DirAction::OwnerEvictNotice, D_I, "PutM",
-     kRuleNone},
-    {D_EM, DirEvent::MsgPutM, DirAction::OwnerEvictNotice, D_S,
-     "FwdGetS", kRuleNone},
-    {D_EM, DirEvent::MsgPutM, DirAction::OwnerEvictNotice, D_EM,
-     "FwdGetX", kRuleNone},
-    {D_EM, DirEvent::MsgPutM, DirAction::OwnerEvictNotice, D_I,
-     "recall", kRuleNone},
-    {D_W, DirEvent::MsgPutM, DirAction::OwnerEvictNotice, D_W, nullptr,
-     kRuleNone},
+    {D_I, DirEvent::MsgPutM, D_I, nullptr, kRuleNone},
+    {D_S, DirEvent::MsgPutM, D_S, nullptr, kRuleNone},
+    {D_EM, DirEvent::MsgPutM, D_I, "PutM", kRuleNone},
+    {D_EM, DirEvent::MsgPutM, D_S, "FwdGetS", kRuleNone},
+    {D_EM, DirEvent::MsgPutM, D_EM, "FwdGetX", kRuleNone},
+    {D_EM, DirEvent::MsgPutM, D_I, "recall", kRuleNone},
+    {D_W, DirEvent::MsgPutM, D_W, nullptr, kRuleNone},
 
     // PutW: SharerCount--; the count falling to MaxWiredSharers
     // triggers W->S, and a group emptied outright collapses W->I
     // (finishToShared with no survivors). During transactions the
     // decrement is transaction bookkeeping (no traced transition).
-    {D_I, DirEvent::MsgPutW, DirAction::WirelessEvictNotice, D_I,
-     nullptr, kRuleNone},
-    {D_S, DirEvent::MsgPutW, DirAction::WirelessEvictNotice, D_S,
-     nullptr, kRuleNone},
-    {D_EM, DirEvent::MsgPutW, DirAction::WirelessEvictNotice, D_EM,
-     nullptr, kRuleNone},
-    {D_W, DirEvent::MsgPutW, DirAction::WirelessEvictNotice, D_W,
-     "PutW", kRuleNone},
-    {D_W, DirEvent::MsgPutW, DirAction::WirelessEvictNotice, D_W,
-     nullptr, kRuleNone},
-    {D_W, DirEvent::MsgPutW, DirAction::WirelessEvictNotice, D_S,
-     "WirDwgr", kRuleNone},
-    {D_W, DirEvent::MsgPutW, DirAction::WirelessEvictNotice, D_I,
-     "WirDwgr", kRuleNone},
+    {D_I, DirEvent::MsgPutW, D_I, nullptr, kRuleNone},
+    {D_S, DirEvent::MsgPutW, D_S, nullptr, kRuleNone},
+    {D_EM, DirEvent::MsgPutW, D_EM, nullptr, kRuleNone},
+    {D_W, DirEvent::MsgPutW, D_W, "PutW", kRuleNone},
+    {D_W, DirEvent::MsgPutW, D_W, nullptr, kRuleNone},
+    {D_W, DirEvent::MsgPutW, D_S, "WirDwgr", kRuleNone},
+    {D_W, DirEvent::MsgPutW, D_I, "WirDwgr", kRuleNone},
 
     // InvAck: completes InvColl (grant M), RecallS/RecallEM, and --
     // under the wired fault fallback -- ToShared/RecallW.
-    {D_I, DirEvent::MsgInvAck, DirAction::CollectInvAck, D_I, nullptr,
-     kRuleNone},
-    {D_S, DirEvent::MsgInvAck, DirAction::CollectInvAck, D_S, nullptr,
-     kRuleNone},
-    {D_S, DirEvent::MsgInvAck, DirAction::CollectInvAck, D_EM,
-     "InvColl", kRuleNone},
-    {D_S, DirEvent::MsgInvAck, DirAction::CollectInvAck, D_I, "recall",
-     kRuleNone},
-    {D_EM, DirEvent::MsgInvAck, DirAction::CollectInvAck, D_EM, nullptr,
-     kRuleNone},
-    {D_EM, DirEvent::MsgInvAck, DirAction::CollectInvAck, D_I, "recall",
-     kRuleNone},
-    {D_W, DirEvent::MsgInvAck, DirAction::CollectInvAck, D_W, nullptr,
-     kRuleNone},
-    {D_W, DirEvent::MsgInvAck, DirAction::CollectInvAck, D_I, "WirDwgr",
-     kRuleFaultOnly},
-    {D_W, DirEvent::MsgInvAck, DirAction::CollectInvAck, D_I, "recall",
-     kRuleFaultOnly},
+    {D_I, DirEvent::MsgInvAck, D_I, nullptr, kRuleNone},
+    {D_S, DirEvent::MsgInvAck, D_S, nullptr, kRuleNone},
+    {D_S, DirEvent::MsgInvAck, D_EM, "InvColl", kRuleNone},
+    {D_S, DirEvent::MsgInvAck, D_I, "recall", kRuleNone},
+    {D_EM, DirEvent::MsgInvAck, D_EM, nullptr, kRuleNone},
+    {D_EM, DirEvent::MsgInvAck, D_I, "recall", kRuleNone},
+    {D_W, DirEvent::MsgInvAck, D_W, nullptr, kRuleNone},
+    {D_W, DirEvent::MsgInvAck, D_I, "WirDwgr", kRuleFaultOnly},
+    {D_W, DirEvent::MsgInvAck, D_I, "recall", kRuleFaultOnly},
 
     // OwnerData: completes FwdS (EM->S), FwdX (owner hand-off) or
     // RecallEM; stale after a racing PutE/PutM completed the txn.
-    {D_I, DirEvent::MsgOwnerData, DirAction::OwnerReturn, D_I, nullptr,
-     kRuleNone},
-    {D_S, DirEvent::MsgOwnerData, DirAction::OwnerReturn, D_S, nullptr,
-     kRuleNone},
-    {D_EM, DirEvent::MsgOwnerData, DirAction::OwnerReturn, D_S,
-     "FwdGetS", kRuleNone},
-    {D_EM, DirEvent::MsgOwnerData, DirAction::OwnerReturn, D_EM,
-     "FwdGetX", kRuleNone},
-    {D_EM, DirEvent::MsgOwnerData, DirAction::OwnerReturn, D_I,
-     "recall", kRuleNone},
-    {D_W, DirEvent::MsgOwnerData, DirAction::OwnerReturn, D_W, nullptr,
-     kRuleNone},
+    {D_I, DirEvent::MsgOwnerData, D_I, nullptr, kRuleNone},
+    {D_S, DirEvent::MsgOwnerData, D_S, nullptr, kRuleNone},
+    {D_EM, DirEvent::MsgOwnerData, D_S, "FwdGetS", kRuleNone},
+    {D_EM, DirEvent::MsgOwnerData, D_EM, "FwdGetX", kRuleNone},
+    {D_EM, DirEvent::MsgOwnerData, D_I, "recall", kRuleNone},
+    {D_W, DirEvent::MsgOwnerData, D_W, nullptr, kRuleNone},
 
     // WirUpgrAck: a join completed; SharerCount++ (W->W). Any other
-    // state would be a protocol bug (the handler asserts).
-    {D_I, DirEvent::MsgWirUpgrAck, DirAction::CollectJoinAck, D_I,
-     nullptr, kRuleUnreachable},
-    {D_S, DirEvent::MsgWirUpgrAck, DirAction::CollectJoinAck, D_S,
-     nullptr, kRuleUnreachable},
-    {D_EM, DirEvent::MsgWirUpgrAck, DirAction::CollectJoinAck, D_EM,
-     nullptr, kRuleUnreachable},
-    {D_W, DirEvent::MsgWirUpgrAck, DirAction::CollectJoinAck, D_W,
-     "join", kRuleNone},
+    // state would be a protocol bug (the directory panics).
+    {D_W, DirEvent::MsgWirUpgrAck, D_W, "join", kRuleNone},
 
     // WirDwgrAck: a survivor identified itself; the last expected ack
     // commits W->S (survivors always exist here -- a group that
     // drained to zero finishes via the PutW path instead).
-    {D_I, DirEvent::MsgWirDwgrAck, DirAction::CollectDwgrAck, D_I,
-     nullptr, kRuleNone},
-    {D_S, DirEvent::MsgWirDwgrAck, DirAction::CollectDwgrAck, D_S,
-     nullptr, kRuleNone},
-    {D_EM, DirEvent::MsgWirDwgrAck, DirAction::CollectDwgrAck, D_EM,
-     nullptr, kRuleNone},
-    {D_W, DirEvent::MsgWirDwgrAck, DirAction::CollectDwgrAck, D_W,
-     nullptr, kRuleNone},
-    {D_W, DirEvent::MsgWirDwgrAck, DirAction::CollectDwgrAck, D_S,
-     "WirDwgr", kRuleNone},
+    {D_I, DirEvent::MsgWirDwgrAck, D_I, nullptr, kRuleNone},
+    {D_S, DirEvent::MsgWirDwgrAck, D_S, nullptr, kRuleNone},
+    {D_EM, DirEvent::MsgWirDwgrAck, D_EM, nullptr, kRuleNone},
+    {D_W, DirEvent::MsgWirDwgrAck, D_W, nullptr, kRuleNone},
+    {D_W, DirEvent::MsgWirDwgrAck, D_S, "WirDwgr", kRuleNone},
 
     // WirUpd observed at the home: write the word through to the LLC
     // copy (W only; anything else is stale).
-    {D_I, DirEvent::FrameWirUpd, DirAction::ObserveUpdate, D_I, nullptr,
-     kRuleNone},
-    {D_S, DirEvent::FrameWirUpd, DirAction::ObserveUpdate, D_S, nullptr,
-     kRuleNone},
-    {D_EM, DirEvent::FrameWirUpd, DirAction::ObserveUpdate, D_EM,
-     nullptr, kRuleNone},
-    {D_W, DirEvent::FrameWirUpd, DirAction::ObserveUpdate, D_W, nullptr,
-     kRuleNone},
+    {D_I, DirEvent::FrameWirUpd, D_I, nullptr, kRuleNone},
+    {D_S, DirEvent::FrameWirUpd, D_S, nullptr, kRuleNone},
+    {D_EM, DirEvent::FrameWirUpd, D_EM, nullptr, kRuleNone},
+    {D_W, DirEvent::FrameWirUpd, D_W, nullptr, kRuleNone},
 
     // Own WirInv delivery: the W recall's broadcast completed.
-    {D_I, DirEvent::FrameWirInv, DirAction::ObserveWirInv, D_I, nullptr,
-     kRuleNone},
-    {D_S, DirEvent::FrameWirInv, DirAction::ObserveWirInv, D_S, nullptr,
-     kRuleNone},
-    {D_EM, DirEvent::FrameWirInv, DirAction::ObserveWirInv, D_EM,
-     nullptr, kRuleNone},
-    {D_W, DirEvent::FrameWirInv, DirAction::ObserveWirInv, D_I,
-     "recall", kRuleNone},
+    {D_I, DirEvent::FrameWirInv, D_I, nullptr, kRuleNone},
+    {D_S, DirEvent::FrameWirInv, D_S, nullptr, kRuleNone},
+    {D_EM, DirEvent::FrameWirInv, D_EM, nullptr, kRuleNone},
+    {D_W, DirEvent::FrameWirInv, D_I, "recall", kRuleNone},
 
     // LLC eviction: silent replacement in I, a Recall* transaction
     // otherwise (completion is traced under the ack events above).
-    {D_I, DirEvent::LlcEvict, DirAction::Recall, D_I, nullptr,
-     kRuleNone},
-    {D_S, DirEvent::LlcEvict, DirAction::Recall, D_S, nullptr,
-     kRuleNone},
-    {D_EM, DirEvent::LlcEvict, DirAction::Recall, D_EM, nullptr,
-     kRuleNone},
-    {D_W, DirEvent::LlcEvict, DirAction::Recall, D_W, nullptr,
-     kRuleNone},
+    {D_I, DirEvent::LlcEvict, D_I, nullptr, kRuleNone},
+    {D_S, DirEvent::LlcEvict, D_S, nullptr, kRuleNone},
+    {D_EM, DirEvent::LlcEvict, D_EM, nullptr, kRuleNone},
+    {D_W, DirEvent::LlcEvict, D_W, nullptr, kRuleNone},
 
     // ToneAck census complete: commit S->W with the counted sharers.
-    {D_I, DirEvent::CensusDone, DirAction::CensusFinish, D_I, nullptr,
-     kRuleUnreachable},
-    {D_S, DirEvent::CensusDone, DirAction::CensusFinish, D_W, "census",
-     kRuleNone},
-    {D_EM, DirEvent::CensusDone, DirAction::CensusFinish, D_EM, nullptr,
-     kRuleUnreachable},
-    {D_W, DirEvent::CensusDone, DirAction::CensusFinish, D_W, nullptr,
-     kRuleUnreachable},
+    {D_S, DirEvent::CensusDone, D_W, "census", kRuleNone},
 
     // A directory frame exhausted its fault-retry budget: an aborted
     // BrWirUpgr re-dispatches the request wired (which can still
     // upgrade a sole sharer synchronously); a dropped WirDwgr/WirInv
     // becomes a wired Inv broadcast completed under MsgInvAck.
-    {D_I, DirEvent::ChannelFault, DirAction::WirelessFault, D_I,
-     nullptr, kRuleFaultOnly | kRuleUnreachable},
-    {D_S, DirEvent::ChannelFault, DirAction::WirelessFault, D_S,
-     nullptr, kRuleFaultOnly},
-    {D_S, DirEvent::ChannelFault, DirAction::WirelessFault, D_EM,
-     "upgrade", kRuleFaultOnly},
-    {D_EM, DirEvent::ChannelFault, DirAction::WirelessFault, D_EM,
-     nullptr, kRuleFaultOnly | kRuleUnreachable},
-    {D_W, DirEvent::ChannelFault, DirAction::WirelessFault, D_W,
-     nullptr, kRuleFaultOnly},
+    {D_S, DirEvent::ChannelFault, D_S, nullptr, kRuleFaultOnly},
+    {D_S, DirEvent::ChannelFault, D_EM, "upgrade", kRuleFaultOnly},
+    {D_W, DirEvent::ChannelFault, D_W, nullptr, kRuleFaultOnly},
 };
+
+// ---------------------------------------------------------------------
+// Rules: directory messages during a transaction
+// ---------------------------------------------------------------------
+
+namespace txn_rows {
+
+using enum DirTxnType;
+using enum DirEvent;
+using enum DirStep;
+constexpr bool kNormal = false; ///< the transaction as it began
+constexpr bool kWired = true;   ///< after the wired fault fallback
+
+// The blocking directory bounces every request except a W join. A
+// PutS that finds the entry in W arrives as a PutW. A combination no
+// row covers is a protocol bug and panics; docs/PROTOCOL.md ("Messages
+// during a transaction") argues why each missing one cannot happen.
+constexpr DirTxnRule kDirTxnRules[] = {
+    // Fetch: memory read in flight, no directory entry yet.
+    {Fetch, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
+    {Fetch, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
+    {Fetch, kNormal, MsgPutW, kByAny, Ignore, kRuleNone},
+    {Fetch, kNormal, MsgInvAck, kByAny, Ignore, kRuleNone},
+
+    // FwdS / FwdX: the owner's OwnerData completes the forward, and
+    // so does its PutE/PutM when it evicted first (the forward then
+    // finds no copy and is dropped).
+    {FwdS, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
+    {FwdS, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
+    {FwdS, kNormal, MsgPutE, kByAny, OwnerToShared, kRuleNone},
+    {FwdS, kNormal, MsgPutM, kByAny, OwnerToShared, kRuleNone},
+    {FwdS, kNormal, MsgOwnerData, kByAny, OwnerToShared, kRuleNone},
+    {FwdX, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
+    {FwdX, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
+    {FwdX, kNormal, MsgPutE, kByAny, OwnerHandOff, kRuleNone},
+    {FwdX, kNormal, MsgPutM, kByAny, OwnerHandOff, kRuleNone},
+    {FwdX, kNormal, MsgOwnerData, kByAny, OwnerHandOff, kRuleNone},
+
+    // InvColl / RecallS: every Inv is acked, even by a sharer that
+    // evicted first, so its PutS changes nothing.
+    {InvColl, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
+    {InvColl, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
+    {InvColl, kNormal, MsgPutS, kByAny, Ignore, kRuleNone},
+    {InvColl, kNormal, MsgInvAck, kByAny, CollectUpgradeAck, kRuleNone},
+    {RecallS, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
+    {RecallS, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
+    {RecallS, kNormal, MsgPutS, kByAny, Ignore, kRuleNone},
+    {RecallS, kNormal, MsgInvAck, kByAny, CollectRecallAck, kRuleNone},
+
+    // RecallEM: the owner's InvAck (with data when dirty) ends the
+    // recall, or its racing PutE/PutM does.
+    {RecallEM, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
+    {RecallEM, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
+    {RecallEM, kNormal, MsgPutE, kByAny, RecallOwner, kRuleNone},
+    {RecallEM, kNormal, MsgPutM, kByAny, RecallOwner, kRuleNone},
+    {RecallEM, kNormal, MsgInvAck, kByAny, RecallOwner, kRuleNone},
+
+    // RecallW: the WirInv frame's own delivery ends the recall
+    // (receiveFrame), so a member's PutW changes nothing; after the
+    // wired fallback the InvAcks end it.
+    {RecallW, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
+    {RecallW, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
+    {RecallW, kNormal, MsgPutW, kByAny, Ignore, kRuleNone},
+    {RecallW, kWired, MsgGetS, kByAny, Nack, kRuleFaultOnly},
+    {RecallW, kWired, MsgGetX, kByAny, Nack, kRuleFaultOnly},
+    {RecallW, kWired, MsgPutW, kByAny, Ignore, kRuleFaultOnly},
+    {RecallW, kWired, MsgInvAck, kByAny, CollectRecallAck, kRuleFaultOnly},
+
+    // ToWireless: a counted sharer that evicts before the census ends
+    // will not join the group; neither will a requester that already
+    // left its fresh W copy. Requests bounce, a sharer's upgrade
+    // included: the bounce releases its tone (Section III-B1, case
+    // iii) and the retry meets the settled W state.
+    {ToWireless, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
+    {ToWireless, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
+    {ToWireless, kNormal, MsgPutS, kBySharer, LeaveCensus, kRuleNone},
+    {ToWireless, kNormal, MsgPutW, kByRequester, RequesterLeft, kRuleNone},
+    {ToWireless, kNormal, MsgPutW, kBySharer, LeaveCensus, kRuleNone},
+
+    // WJoin: further joiners ride the open join; a sharer's stale
+    // upgrade (the census already made it W) waits for the join.
+    {WJoin, kNormal, MsgGetS, kByAny, AdmitJoiner, kRuleNone},
+    {WJoin, kNormal, MsgGetX, kBySharer, Nack, kRuleNone},
+    {WJoin, kNormal, MsgGetX, kByRequester | kByAcked | kByOther,
+     AdmitJoiner, kRuleNone},
+    {WJoin, kNormal, MsgPutW, kByAny, LeaveGroup, kRuleNone},
+    {WJoin, kNormal, MsgWirUpgrAck, kByAny, CollectJoinAck, kRuleNone},
+
+    // ToShared: a W copy that leaves before the WirDwgr reaches it
+    // never acks, so expect one ack fewer. A node that acked and then
+    // evicted its new S copy was counted by its ack: it only stops
+    // being a survivor (docs/PROTOCOL.md, the W->S ack-then-PutS
+    // race). After the wired fallback only the InvAcks count.
+    {ToShared, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
+    {ToShared, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
+    {ToShared, kNormal, MsgPutW, kByAcked, DropSurvivor, kRuleNone},
+    {ToShared, kNormal, MsgPutW, kByRequester | kBySharer | kByOther,
+     LeaveDowngrade, kRuleNone},
+    {ToShared, kNormal, MsgWirDwgrAck, kByAny, CollectDwgrAck, kRuleNone},
+    {ToShared, kWired, MsgGetS, kByAny, Nack, kRuleFaultOnly},
+    {ToShared, kWired, MsgGetX, kByAny, Nack, kRuleFaultOnly},
+    {ToShared, kWired, MsgPutW, kByAny, Ignore, kRuleFaultOnly},
+    {ToShared, kWired, MsgInvAck, kByAny, CollectFallbackAck, kRuleFaultOnly},
+};
+
+static_assert(std::size(kDirTxnRules) == kNumDirTxnRules);
+
+} // namespace txn_rows
 
 // ---------------------------------------------------------------------
 // Dispatch tables and edge sets, derived once from the rules
 // ---------------------------------------------------------------------
 
+constexpr std::size_t
+txnCell(DirTxnType t, bool wired, DirEvent e, SenderRole r)
+{
+    return ((static_cast<std::size_t>(t) * 2 + wired) * kNumDirEvents +
+            static_cast<std::size_t>(e)) *
+               kNumSenderRoles +
+           static_cast<std::size_t>(r);
+}
+
 struct DerivedTables
 {
     std::array<L1Action, kNumL1States * kNumL1Events> l1Dispatch;
-    std::array<DirAction, kNumDirStates * kNumDirEvents> dirDispatch;
+    /** Row index into txn_rows::kDirTxnRules per cell, -1 when none. */
+    std::array<std::int16_t,
+               kNumDirTxnTypes * 2 * kNumDirEvents * kNumSenderRoles>
+        dirTxn;
     // edge masks: bit `to` set in [from] when a noted rule traces it
     std::array<std::uint8_t, kNumL1States> l1Edges;
     std::array<std::uint8_t, kNumDirStates> dirEdges;
@@ -711,9 +749,8 @@ buildTables()
 {
     DerivedTables t{};
     constexpr auto kNoL1 = static_cast<L1Action>(0xff);
-    constexpr auto kNoDir = static_cast<DirAction>(0xff);
     t.l1Dispatch.fill(kNoL1);
-    t.dirDispatch.fill(kNoDir);
+    t.dirTxn.fill(-1);
     t.l1Edges.fill(0);
     t.dirEdges.fill(0);
 
@@ -731,14 +768,6 @@ buildTables()
                 std::uint8_t{1} << static_cast<std::uint8_t>(r.to);
     }
     for (const DirRule &r : kDirRules) {
-        std::size_t cell = static_cast<std::size_t>(r.from) *
-                               kNumDirEvents +
-                           static_cast<std::size_t>(r.event);
-        WIDIR_ASSERT(t.dirDispatch[cell] == kNoDir ||
-                         t.dirDispatch[cell] == r.action,
-                     "dir rule rows for (%s, %s) disagree on the action",
-                     dirStateName(r.from), dirEventName(r.event));
-        t.dirDispatch[cell] = r.action;
         if (r.note)
             t.dirEdges[static_cast<std::size_t>(r.from)] |=
                 std::uint8_t{1} << static_cast<std::uint8_t>(r.to);
@@ -748,11 +777,22 @@ buildTables()
                      "L1 cell (%s, %s) has no rule",
                      l1StateName(static_cast<L1State>(i / kNumL1Events)),
                      l1EventName(static_cast<L1Event>(i % kNumL1Events)));
-    for (std::size_t i = 0; i < t.dirDispatch.size(); ++i)
-        WIDIR_ASSERT(
-            t.dirDispatch[i] != kNoDir, "dir cell (%s, %s) has no rule",
-            dirStateName(static_cast<DirState>(i / kNumDirEvents)),
-            dirEventName(static_cast<DirEvent>(i % kNumDirEvents)));
+    for (std::size_t i = 0; i < std::size(txn_rows::kDirTxnRules); ++i) {
+        const DirTxnRule &r = txn_rows::kDirTxnRules[i];
+        for (std::size_t role = 0; role < kNumSenderRoles; ++role) {
+            if (!((r.roles >> role) & 1u))
+                continue;
+            std::int16_t &cell = t.dirTxn[txnCell(
+                r.txn, r.wired, r.event, static_cast<SenderRole>(role))];
+            WIDIR_ASSERT(cell < 0,
+                         "in-transaction rows %d and %zu overlap on "
+                         "(%s, %s, %s)",
+                         cell, i, dirTxnTypeName(r.txn),
+                         dirEventName(r.event),
+                         senderRoleName(static_cast<SenderRole>(role)));
+            cell = static_cast<std::int16_t>(i);
+        }
+    }
     return t;
 }
 
@@ -785,12 +825,16 @@ l1ActionFor(L1State s, L1Event e)
                                static_cast<std::size_t>(e)];
 }
 
-DirAction
-dirActionFor(DirState s, DirEvent e)
+std::span<const DirTxnRule>
+dirTxnRules()
 {
-    return tables().dirDispatch[static_cast<std::size_t>(s) *
-                                    kNumDirEvents +
-                                static_cast<std::size_t>(e)];
+    return txn_rows::kDirTxnRules;
+}
+
+int
+dirTxnRuleFor(DirTxnType t, bool wired, DirEvent e, SenderRole r)
+{
+    return tables().dirTxn[txnCell(t, wired, e, r)];
 }
 
 bool

@@ -5,26 +5,29 @@
  *
  * Tables I and II of the paper are encoded as flat rule arrays: for
  * each (stable state, event) cell one or more `L1Rule` / `DirRule`
- * rows name the action the controller dispatches and every outcome
- * state the cell can produce. The same rows feed four consumers:
+ * rows name every outcome state the cell can produce (L1 rows also
+ * name the action the controller dispatches). A third array,
+ * `DirTxnRule`, says what the directory does with a wired message
+ * for a line whose transaction is still open. The rows feed four
+ * consumers:
  *
- *  - `L1Controller::receive`/`receiveFrame`/CPU ops and
- *    `DirectoryController::receive` dispatch through
- *    `l1ActionFor()` / `dirActionFor()` (the action functors are the
- *    controllers' existing handlers, so behavior is unchanged);
+ *  - `L1Controller::receive`/`receiveFrame`/CPU ops dispatch through
+ *    `l1ActionFor()`, and `DirectoryController::receive` through
+ *    `dirTxnRuleFor()` whenever the line has a transaction open;
  *  - `sys::checkTraceLegality` derives its legal-edge sets from
  *    `l1EdgeLegal()` / `dirEdgeLegal()` instead of a private copy;
  *  - `tools/gen_protocol_docs` renders the rows into the generated
  *    section of docs/PROTOCOL.md (the `docs_check` CTest fails when
  *    that section is stale);
  *  - `tests/test_state_explorer.cc` walks small machines and asserts
- *    the observed transition edges are exactly the noted rows.
+ *    the observed transition edges are exactly the noted rows and
+ *    that every in-transaction row is taken.
  *
  * Rows with a non-null `note` are *traced edges*: the controller emits
  * an `L1Transition`/`DirTransition` record with that note when the
  * rule fires. Rows with a null note are tolerated no-ops, transient
  * bookkeeping, or panics. Flags mark rows only reachable under fault
- * injection (`kRuleFaultOnly`) and cells kept for dispatch whose
+ * injection (`kRuleFaultOnly`) and L1 cells kept for dispatch whose
  * handler asserts they never fire (`kRuleUnreachable`).
  *
  * The protocol vocabulary (states, transaction kinds) and every
@@ -85,6 +88,7 @@ enum class DirTxnType : std::uint8_t
     WJoin,      ///< W->W: WirUpgr sent, awaiting WirUpgrAck
     ToShared,   ///< W->S: WirDwgr sent, awaiting WirDwgrAcks
 };
+inline constexpr std::size_t kNumDirTxnTypes = 10;
 
 /// @name Enum -> string helpers (single home for all protocol names)
 /// @{
@@ -194,26 +198,7 @@ enum class L1Action : std::uint8_t
     WirelessWriteFault, ///< own WirUpd dropped: PutW + wired retry
 };
 
-/** Directory-side actions; same contract as L1Action. */
-enum class DirAction : std::uint8_t
-{
-    Request = 0,    ///< GetS/GetX: grant, forward, census, or join
-    SharedEvictNotice,   ///< PutS bookkeeping
-    OwnerEvictNotice,    ///< PutE/PutM: write back or complete txn
-    WirelessEvictNotice, ///< PutW: SharerCount--, maybe W->S
-    CollectInvAck,  ///< InvColl/Recall*/fallback ack counting
-    OwnerReturn,    ///< OwnerData completes a Fwd*/RecallEM txn
-    CollectJoinAck, ///< WirUpgrAck: SharerCount++
-    CollectDwgrAck, ///< WirDwgrAck: record survivor
-    ObserveUpdate,  ///< WirUpd at the home: LLC write-through
-    ObserveWirInv,  ///< own WirInv delivery completes RecallW
-    Recall,         ///< LLC eviction of a tracked line
-    CensusFinish,   ///< ToneAck census complete: commit S->W
-    WirelessFault,  ///< frame dropped: wired fallback path
-};
-
 const char *l1ActionName(L1Action a);
-const char *dirActionName(DirAction a);
 
 // ---------------------------------------------------------------------
 // Rules
@@ -225,7 +210,7 @@ inline constexpr std::uint8_t kRuleNone = 0;
 /** Row only reachable with fault injection armed (docs/FAULTS.md). */
 inline constexpr std::uint8_t kRuleFaultOnly = 1u << 0;
 /**
- * Cell kept so dispatch is total, but the handler asserts it never
+ * L1 cell kept so dispatch is total, but the handler asserts it never
  * fires (protocol-impossible combination).
  */
 inline constexpr std::uint8_t kRuleUnreachable = 1u << 1;
@@ -249,28 +234,26 @@ struct L1Rule
     std::uint8_t flags;
 };
 
-/** One row of Table II; same contract as L1Rule. */
+/** One row of Table II; same contract as L1Rule, minus the action. */
 struct DirRule
 {
     DirState from;
     DirEvent event;
-    DirAction action;
     DirState to;
     const char *note;
     std::uint8_t flags;
 };
 
-/** The full rule sets (every (state, event) cell appears at least once). */
+/** The full rule sets (every L1 (state, event) cell has a row). */
 std::span<const L1Rule> l1Rules();
 std::span<const DirRule> dirRules();
 
 /**
- * Dispatch lookup: the action for a (state, event) cell. Every cell
- * is covered (rule rows for one cell always agree on the action;
+ * L1 dispatch lookup: the action for a (state, event) cell. Every
+ * cell is covered (rule rows for one cell always agree on the action;
  * validated once at startup).
  */
 L1Action l1ActionFor(L1State s, L1Event e);
-DirAction dirActionFor(DirState s, DirEvent e);
 
 /**
  * Trace-legality relation derived from the noted rules: true when
@@ -279,6 +262,78 @@ DirAction dirActionFor(DirState s, DirEvent e);
  */
 bool l1EdgeLegal(L1State from, L1State to);
 bool dirEdgeLegal(DirState from, DirState to);
+
+// ---------------------------------------------------------------------
+// Directory messages during a transaction
+// ---------------------------------------------------------------------
+
+/**
+ * Who sent a wired message that reached a line with a transaction
+ * open. The first that applies wins.
+ */
+enum class SenderRole : std::uint8_t
+{
+    Requester = 0, ///< the node the transaction serves
+    Acked,         ///< already acked this downgrade (in the txn's ackIds)
+    Sharer,        ///< in the entry's sharer pointers, or a sharer GetX
+    Other,
+};
+inline constexpr std::size_t kNumSenderRoles = 4;
+
+/** Sender-role masks (DirTxnRule::roles). */
+inline constexpr std::uint8_t kByRequester = 1u << 0;
+inline constexpr std::uint8_t kByAcked = 1u << 1;
+inline constexpr std::uint8_t kBySharer = 1u << 2;
+inline constexpr std::uint8_t kByOther = 1u << 3;
+inline constexpr std::uint8_t kByAny = 0xf;
+
+/** What the directory does with a message mid-transaction. */
+enum class DirStep : std::uint8_t
+{
+    Nack = 0,          ///< blocking directory: bounce, the sender retries
+    AdmitJoiner,       ///< W->W: batch one more joiner under the join
+    Ignore,            ///< stale, or already accounted for elsewhere
+    LeaveCensus,       ///< a counted sharer left: census count - 1
+    RequesterLeft,     ///< census requester evicted its fresh W copy
+    LeaveGroup,        ///< SharerCount - 1 (W->S is checked at the end)
+    LeaveDowngrade,    ///< one WirDwgrAck fewer to wait for
+    DropSurvivor,      ///< an acked survivor evicted: forget its id
+    OwnerToShared,     ///< FwdS done: EM->S, grant S
+    OwnerHandOff,      ///< FwdX done: EM->EM, grant M to the requester
+    RecallOwner,       ///< RecallEM done: write back, drop the line
+    CollectUpgradeAck, ///< InvColl: the last InvAck grants M
+    CollectRecallAck,  ///< RecallS or fallback RecallW: last one drops
+    CollectFallbackAck, ///< fallback ToShared: the last InvAck ends W->S
+    CollectJoinAck,    ///< WirUpgrAck: SharerCount + 1
+    CollectDwgrAck,    ///< WirDwgrAck: record a survivor
+};
+
+const char *senderRoleName(SenderRole r);
+const char *dirStepName(DirStep s);
+
+/**
+ * One in-transaction rule: a wired message `event` from a sender whose
+ * role is in `roles`, arriving while a `txn` transaction is open (in
+ * its wired fault-fallback mode when `wired`), takes `step`. Rows for
+ * one (txn, wired, event) never share a role; a combination no row
+ * covers is a protocol bug and the directory panics. `flags` is
+ * kRuleFaultOnly for rows that need fault injection.
+ */
+struct DirTxnRule
+{
+    DirTxnType txn;
+    bool wired;
+    DirEvent event;
+    std::uint8_t roles;
+    DirStep step;
+    std::uint8_t flags;
+};
+
+std::span<const DirTxnRule> dirTxnRules();
+inline constexpr std::size_t kNumDirTxnRules = 53;
+
+/** Index into dirTxnRules() of the row for a cell, or -1 if none. */
+int dirTxnRuleFor(DirTxnType t, bool wired, DirEvent e, SenderRole r);
 
 } // namespace widir::coherence
 

@@ -24,6 +24,7 @@
 #ifndef WIDIR_CORE_SHARER_SET_H
 #define WIDIR_CORE_SHARER_SET_H
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -66,15 +67,20 @@ class SharerPtrs
         ids_[count_++] = n;
     }
 
-    /** vector::erase semantics: shift left, preserving order. */
-    void
-    erase(const_iterator it)
+    bool
+    contains(sim::NodeId n) const
     {
-        WIDIR_ASSERT(it >= begin() && it < end(),
-                     "erasing outside the sharer set");
-        std::uint32_t i = static_cast<std::uint32_t>(it - begin());
-        for (; i + 1 < count_; ++i)
-            ids_[i] = ids_[i + 1];
+        return std::find(begin(), end(), n) != end();
+    }
+
+    /** Drop @p n if present; the others keep their order. */
+    void
+    remove(sim::NodeId n)
+    {
+        iterator it = std::find(begin(), end(), n);
+        if (it == end())
+            return;
+        std::copy(it + 1, end(), it);
         --count_;
     }
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Simulator: the top-level driver that owns the event queue, the root
- * random seed, and a forward-progress watchdog.
+ * Simulator: the top-level object that owns the event queue and the
+ * root random seed; run(limit) reports whether the queue drained, so
+ * callers can treat the limit as a forward-progress watchdog.
  *
  * Components receive a Simulator& at construction, schedule events
  * through it, and derive their private Rng streams from it.
@@ -11,7 +12,6 @@
 #define WIDIR_SIM_SIMULATOR_H
 
 #include <cstdint>
-#include <string>
 #include <utility>
 
 #include "sim/event_queue.h"
@@ -135,21 +135,6 @@ class Simulator
         bool drained = queue_.run(limit);
         Tracer::setThreadActive(prev);
         return drained;
-    }
-
-    /**
-     * Run, treating hitting @p limit as a hang (deadlock/livelock) and
-     * calling fatal() with @p what. Used by full-system experiments as a
-     * watchdog.
-     */
-    void
-    runOrDie(Tick limit, const std::string &what)
-    {
-        if (!run(limit)) {
-            fatal("watchdog: '%s' did not quiesce within %llu cycles "
-                  "(likely protocol deadlock/livelock)",
-                  what.c_str(), static_cast<unsigned long long>(limit));
-        }
     }
 
   private:

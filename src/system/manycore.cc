@@ -1,5 +1,8 @@
 #include "system/manycore.h"
 
+#include <cstdio>
+#include <string>
+
 #include "sim/log.h"
 
 namespace widir::sys {
@@ -96,7 +99,23 @@ Manycore::run(const Program &program, sim::Tick watchdog_cycles)
     if (!frontend_)
         installFrontend(frontend::FrontendSpec{});
     frontend_->start(program);
-    sim_->runOrDie(watchdog_cycles, "manycore program");
+    if (!sim_->run(watchdog_cycles)) {
+        // Name what is stuck before giving up: every open transaction
+        // and every frame still waiting for the wireless channel.
+        std::string out = sim::strfmt(
+            "watchdog: outstanding at tick %llu\n",
+            static_cast<unsigned long long>(sim_->now()));
+        for (const auto &l1 : l1s_)
+            l1->describeOutstanding(out);
+        for (const auto &dir : dirs_)
+            dir->describeOutstanding(out);
+        if (dataChannel_)
+            dataChannel_->describePending(out);
+        std::fputs(out.c_str(), stderr);
+        sim::fatal("watchdog: 'manycore program' did not quiesce within "
+                   "%llu cycles (likely protocol deadlock/livelock)",
+                   static_cast<unsigned long long>(watchdog_cycles));
+    }
     WIDIR_ASSERT(frontend_->allFinished(),
                  "machine quiesced with an unfinished core "
                  "(thread deadlocked on memory values?)");

@@ -125,7 +125,9 @@ class Manycore
      * ignores @p program and replays its installed trace instead.
      *
      * @param watchdog_cycles fatal() if the machine has not quiesced
-     *        by this simulated cycle (protocol hang detector).
+     *        by this simulated cycle (protocol hang detector), after
+     *        printing every open L1 and directory transaction and
+     *        every pending wireless frame to stderr.
      * @return execution time in cycles (max over cores).
      */
     sim::Tick run(const Program &program,

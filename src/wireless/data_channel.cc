@@ -372,4 +372,18 @@ DataChannel::evaluate(std::uint32_t ch)
     scheduleEval(ch);
 }
 
+void
+DataChannel::describePending(std::string &out) const
+{
+    for (const Channel &ch : channels_)
+        for (const PendingTx &tx : ch.pending)
+            out += sim::strfmt(
+                "  wireless: %s from %u line %#llx attempt %u fault "
+                "retries %u%s\n",
+                frameKindName(tx.frame.kind), tx.frame.src,
+                static_cast<unsigned long long>(tx.frame.lineAddr),
+                tx.attempt, tx.faultRetries,
+                tx.cancelled ? " (cancelled)" : "");
+}
+
 } // namespace widir::wireless

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "fault/fault.h"
@@ -136,6 +137,9 @@ class DataChannel
 
     /** Deactivate a jam filter. */
     void stopJamming(JamId id);
+
+    /** Append one line per frame still queued (watchdog dump). */
+    void describePending(std::string &out) const;
 
     /** Trace frame lifecycle (queue/commit/deliver/jam) to stderr. */
     void setTrace(bool on) { trace_ = on; }

@@ -243,11 +243,14 @@ TEST(SharerPtrs, PreservesVectorOrderSemantics)
     }
     EXPECT_TRUE(std::equal(s.begin(), s.end(), ref.begin(), ref.end()));
 
-    // erase-by-iterator shifts left, like std::vector.
-    auto sit = std::find(s.begin(), s.end(), 1u);
-    auto rit = std::find(ref.begin(), ref.end(), 1u);
-    s.erase(sit);
-    ref.erase(rit);
+    // remove-by-value shifts left, like std::vector::erase; removing
+    // an absent id changes nothing.
+    EXPECT_TRUE(s.contains(1u));
+    s.remove(1u);
+    ref.erase(std::find(ref.begin(), ref.end(), 1u));
+    EXPECT_TRUE(std::equal(s.begin(), s.end(), ref.begin(), ref.end()));
+    EXPECT_FALSE(s.contains(1u));
+    s.remove(1u);
     EXPECT_TRUE(std::equal(s.begin(), s.end(), ref.begin(), ref.end()));
 
     SharerPtrs copy = s; // finishToShared: entry.sharers = txn->ackIds

@@ -19,10 +19,19 @@
  * exercises implicitly. Every run also streams its trace through a
  * strict `sys::TraceLegalityChecker` and ends with
  * `sys::checkCoherence`.
+ *
+ * The directory's in-transaction table (`dirTxnRules()`) is checked
+ * the same two ways. Soundness is structural: a message no row covers
+ * panics the run, so every step a directory takes is a row.
+ * Completeness: the explorer sums every directory's per-row hit
+ * counts, and every row must be taken -- fault-only rows in the fault
+ * phase, the others without faults.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -110,6 +119,8 @@ class Explorer
 {
   public:
     std::set<EdgeKey> observed;
+    /** Per-row hits of dirTxnRules(), summed over every directory. */
+    std::array<std::uint64_t, coherence::kNumDirTxnRules> txnRuleHits{};
     std::uint64_t runs = 0;
 
     void
@@ -130,6 +141,11 @@ class Explorer
         });
         m.run(program);
         ++runs;
+        for (sim::NodeId n = 0; n < m.numCores(); ++n) {
+            const auto &hits = m.dir(n).txnRuleHits();
+            for (std::size_t i = 0; i < hits.size(); ++i)
+                txnRuleHits[i] += hits[i];
+        }
         auto violations = sys::checkCoherence(m);
         EXPECT_TRUE(violations.empty())
             << "run " << runs << ": " << violations.front();
@@ -147,6 +163,24 @@ class Explorer
             EXPECT_TRUE(table.count(k))
                 << "controller traced an edge the protocol table does "
                 << "not list: " << keyName(k);
+        }
+    }
+
+    /** Every in-transaction row flagged (or not) fault-only was taken. */
+    void
+    expectTxnRulesTaken(bool fault_only) const
+    {
+        auto rules = coherence::dirTxnRules();
+        for (std::size_t i = 0; i < rules.size(); ++i) {
+            const coherence::DirTxnRule &r = rules[i];
+            if (((r.flags & kRuleFaultOnly) != 0) != fault_only)
+                continue;
+            EXPECT_GT(txnRuleHits[i], 0u)
+                << "in-transaction row " << i << " never taken: "
+                << coherence::dirTxnTypeName(r.txn)
+                << (r.wired ? " (wired)" : "") << " "
+                << coherence::dirEventName(r.event) << " -> "
+                << coherence::dirStepName(r.step);
         }
     }
 };
@@ -627,23 +661,170 @@ randomWalk(Thread &t, std::uint64_t seed, unsigned steps)
     co_return;
 }
 
+/**
+ * Storm: a longer random walk over twelve home-0 lines plus a few
+ * lines homed elsewhere, so tiny caches keep recalling, evicting and
+ * re-fetching lines while wireless groups form and dissolve. It is
+ * what reaches the rarer in-transaction rows (late replies meeting a
+ * Fetch, recalls of W lines, wired fallbacks under faults).
+ */
+Task
+storm(Thread &t, std::uint64_t seed, unsigned nodes)
+{
+    std::mt19937_64 rng(seed * 64 + t.id() + 1);
+    for (unsigned i = 0; i < 120; ++i) {
+        Addr a = rng() % 4 == 0
+            ? 0x300000 + static_cast<Addr>(rng() % 8) * 2 * mem::kLineBytes
+            : 0x100000 +
+                  static_cast<Addr>(rng() % 12) * nodes * mem::kLineBytes;
+        switch (rng() % 10) {
+          case 0:
+          case 1:
+          case 2:
+          case 3:
+            co_await t.load(a);
+            break;
+          case 4:
+          case 5:
+            co_await t.store(a, rng());
+            break;
+          case 6:
+            co_await t.fetchAdd(a, 1);
+            break;
+          default:
+            co_await t.compute(rng() % 60);
+            break;
+        }
+    }
+    co_await t.fence();
+    co_return;
+}
+
+/** A storm machine: tiny L1 and LLC, aggressive wireless knobs. */
+SystemConfig
+stormCfg(unsigned nodes, std::uint64_t seed)
+{
+    SystemConfig cfg = SystemConfig::widir(nodes);
+    cfg.seed = seed;
+    cfg.protocol.maxWiredSharers = 1 + seed % 2;
+    cfg.protocol.updateCountThreshold = 2 + seed % 3;
+    tinyL1(cfg);
+    tinyLlc(cfg);
+    return cfg;
+}
+
+/**
+ * A sharer's upgrade GetX that crossed the S->W census (Table I, S->W
+ * case 2) reaches the home only after the census ended and a W join
+ * opened. It needs a long mesh path: sharer 63 sits in the far corner
+ * of an 8x8 machine while node 2 starts the census and node 3 joins,
+ * @p upgrade and @p join cycles after the sharers are in place.
+ */
+Task
+staleUpgrade(Thread &t, unsigned upgrade, unsigned join)
+{
+    const Addr L = 0x100000, F = 0x200040;
+    if (t.id() == 1 || t.id() == 63) {
+        if (t.id() == 1)
+            co_await t.compute(200);
+        co_await t.load(L);           // sharers {1, 63}
+        co_await t.fence();
+        BUMP_FLAG(t, F);
+    }
+    if (t.id() == 2 || t.id() == 3 || t.id() == 63) {
+        for (;;) {
+            if ((co_await t.load(F)) >= 2)
+                break;
+            co_await t.compute(5);
+        }
+        if (t.id() == 2)
+            co_await t.load(L);       // census
+        if (t.id() == 63) {
+            co_await t.idle(upgrade);
+            co_await t.store(L, 7);   // sharer upgrade
+        }
+        if (t.id() == 3) {
+            co_await t.idle(join);
+            co_await t.load(L);       // join
+        }
+        co_await t.fence();
+    }
+    co_return;
+}
+
+/** Sweep staleUpgrade's two delays until the join has bounced it. */
+void
+staleUpgradeMeetsJoin(Explorer &ex)
+{
+    const std::size_t row = [] {
+        auto rules = coherence::dirTxnRules();
+        for (std::size_t i = 0; i < rules.size(); ++i)
+            if (rules[i].txn == coherence::DirTxnType::WJoin &&
+                rules[i].event == coherence::DirEvent::MsgGetX &&
+                rules[i].roles == coherence::kBySharer)
+                return i;
+        return rules.size();
+    }();
+    ASSERT_LT(row, ex.txnRuleHits.size());
+    SystemConfig cfg = SystemConfig::widir(64);
+    cfg.protocol.maxWiredSharers = 1;
+    for (unsigned d1 = 0; d1 < 40 && !ex.txnRuleHits[row]; ++d1)
+        for (unsigned d2 = 2; d2 < 62 && !ex.txnRuleHits[row]; ++d2)
+            ex.run(cfg, [d1, d2](Thread &t) -> Task {
+                return staleUpgrade(t, d1, d2);
+            });
+}
+
 // ---------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------
 
 TEST(ProtocolTable, EveryCellDispatches)
 {
-    // l1ActionFor / dirActionFor panic on an uncovered cell; touching
-    // every cell proves the rule arrays tile both tables completely.
+    // l1ActionFor panics on an uncovered cell; touching every cell
+    // proves the L1 rule array tiles Table I completely.
     for (std::size_t s = 0; s < coherence::kNumL1States; ++s)
         for (std::size_t e = 0; e < coherence::kNumL1Events; ++e)
             coherence::l1ActionFor(static_cast<coherence::L1State>(s),
                                    static_cast<coherence::L1Event>(e));
-    for (std::size_t s = 0; s < coherence::kNumDirStates; ++s)
-        for (std::size_t e = 0; e < coherence::kNumDirEvents; ++e)
-            coherence::dirActionFor(
-                static_cast<coherence::DirState>(s),
-                static_cast<coherence::DirEvent>(e));
+
+    // Each in-transaction row owns exactly the cells its roles name,
+    // and a request from anyone gets an answer during any transaction
+    // (overlapping rows panic when the table is built).
+    using coherence::DirEvent;
+    using coherence::DirTxnType;
+    using coherence::SenderRole;
+    auto rules = coherence::dirTxnRules();
+    std::size_t owned = 0, named = 0;
+    for (const coherence::DirTxnRule &r : rules)
+        named += static_cast<std::size_t>(std::popcount(r.roles));
+    for (std::size_t t = 0; t < coherence::kNumDirTxnTypes; ++t)
+        for (bool wired : {false, true})
+            for (std::size_t e = 0; e < coherence::kNumDirEvents; ++e)
+                for (std::size_t r = 0; r < coherence::kNumSenderRoles;
+                     ++r) {
+                    auto txn = static_cast<DirTxnType>(t);
+                    auto ev = static_cast<DirEvent>(e);
+                    int row = coherence::dirTxnRuleFor(
+                        txn, wired, ev, static_cast<SenderRole>(r));
+                    bool request = ev == DirEvent::MsgGetS ||
+                                   ev == DirEvent::MsgGetX;
+                    if (request && !wired) {
+                        EXPECT_GE(row, 0)
+                            << coherence::dirTxnTypeName(txn) << " "
+                            << coherence::dirEventName(ev);
+                    }
+                    if (row < 0)
+                        continue;
+                    ++owned;
+                    const coherence::DirTxnRule &rule =
+                        rules[static_cast<std::size_t>(row)];
+                    EXPECT_EQ(rule.txn, txn);
+                    EXPECT_EQ(rule.wired, wired);
+                    EXPECT_EQ(rule.event, ev);
+                    EXPECT_TRUE((rule.roles >> r) & 1u);
+                }
+    EXPECT_EQ(owned, named);
 }
 
 TEST(ProtocolTable, NotedRowsDefineLegality)
@@ -686,11 +867,9 @@ TEST(ProtocolTable, UnreachableRowsCarryNoNote)
             EXPECT_EQ(r.note, nullptr);
         }
     }
-    for (const coherence::DirRule &r : dirRules()) {
-        if (r.flags & coherence::kRuleUnreachable) {
-            EXPECT_EQ(r.note, nullptr);
-        }
-    }
+    // Directory cells that cannot occur have no row at all.
+    for (const coherence::DirRule &r : dirRules())
+        EXPECT_FALSE(r.flags & coherence::kRuleUnreachable);
 }
 
 TEST(StateExplorer, EveryTableEdgeReachable)
@@ -752,6 +931,13 @@ TEST(StateExplorer, EveryTableEdgeReachable)
         ex.run(cfg, walk);
     }
 
+    // Storms and a directed sweep for the rarest in-transaction rows.
+    for (std::uint64_t seed = 1; seed <= 500; ++seed)
+        ex.run(stormCfg(4, seed), [seed](Thread &t) -> Task {
+            return storm(t, seed, 4);
+        });
+    staleUpgradeMeetsJoin(ex);
+
     ex.expectObservedSubsetOfTable();
 
     // Completeness: every non-fault-only key must have been observed.
@@ -762,6 +948,7 @@ TEST(StateExplorer, EveryTableEdgeReachable)
             << "table edge never reached by the explorer: "
             << keyName(key);
     }
+    ex.expectTxnRulesTaken(false);
 }
 
 TEST(StateExplorer, FaultOnlyEdgesReachableUnderInjection)
@@ -781,6 +968,18 @@ TEST(StateExplorer, FaultOnlyEdgesReachableUnderInjection)
             return randomWalk(t, seed + 100, 60);
         });
     }
+    // Storms on eight nodes also fail frames during W recalls.
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        SystemConfig cfg = stormCfg(8, seed);
+        cfg.fault.burstBer = 1.0;
+        cfg.fault.burstEnterProb = 0.25;
+        cfg.fault.burstExitProb = 0.5;
+        cfg.fault.retryBudget = 1;
+        cfg.fault.seed = seed;
+        ex.run(cfg, [seed](Thread &t) -> Task {
+            return storm(t, seed, 8);
+        });
+    }
     ex.expectObservedSubsetOfTable();
     for (const auto &[key, fault_only] : tableTargets()) {
         if (!fault_only)
@@ -789,6 +988,7 @@ TEST(StateExplorer, FaultOnlyEdgesReachableUnderInjection)
             << "fault-only table edge never reached under injection: "
             << keyName(key);
     }
+    ex.expectTxnRulesTaken(true);
 }
 
 } // namespace

@@ -9,10 +9,13 @@
  *  - stale is-sharer flags on retried upgrades,
  *  - batched W->W joins under read bursts,
  *  - wireless write/RMW squash on WirInv and WirDwgr,
- *  - LLC recall (WirInv) with concurrent writers.
+ *  - LLC recall (WirInv) with concurrent writers,
+ *  - a survivor that acks the W->S downgrade and then evicts.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "system/checker.h"
 #include "system/manycore.h"
@@ -22,6 +25,8 @@ namespace {
 using namespace widir;
 using coherence::DirState;
 using coherence::L1State;
+using coherence::Msg;
+using coherence::MsgType;
 using cpu::Task;
 using cpu::Thread;
 using sim::Addr;
@@ -230,6 +235,50 @@ TEST(WiDirRaces, StaleSharerUpgradeEventuallyCompletes)
         co_return;
     });
     expectCoherent(m, "stale sharer");
+}
+
+/**
+ * The W->S ack-then-PutS race (docs/PROTOCOL.md): during a ToShared a
+ * survivor acks the WirDwgr, drops to S and evicts before the other
+ * survivors' acks are in. Its PutS (which finds the entry still in W)
+ * must only take it off the survivor list; counting it as one more
+ * departure finished the downgrade an ack early, dropped the last
+ * survivor's ack and left that survivor's S copy untracked. The
+ * messages are handed to the home directly, in the racing order.
+ */
+TEST(WiDirRaces, AckThenPutSDuringDowngradeKeepsEverySurvivor)
+{
+    Manycore m(SystemConfig::widir(4));
+    // Nodes 1-3 fill the three sharer pointers; node 0's read then
+    // starts the census: a W group of all four nodes.
+    m.run([](Thread &t) -> Task {
+        co_await t.idle(t.id() == 0 ? 400 : 100 * t.id());
+        co_await t.load(kA);
+        co_return;
+    });
+    auto &home = m.dir(m.fabric().homeOf(kA));
+    ASSERT_EQ(home.stateOf(kA), DirState::W);
+    ASSERT_EQ(home.entryOf(kA)->sharerCount, 4u);
+    auto deliver = [&](MsgType type, sim::NodeId src) {
+        Msg msg;
+        msg.type = type;
+        msg.src = src;
+        msg.dst = home.nodeId();
+        msg.line = kA;
+        home.receive(msg);
+    };
+    deliver(MsgType::PutW, 3); // count 4 -> 3: WirDwgr, expect 3 acks
+    ASSERT_TRUE(home.busy(kA));
+    deliver(MsgType::WirDwgrAck, 1);
+    deliver(MsgType::PutS, 1); // node 1 acked, went S and evicted
+    deliver(MsgType::WirDwgrAck, 2);
+    EXPECT_TRUE(home.busy(kA)) << "downgrade finished an ack early";
+    deliver(MsgType::WirDwgrAck, 0);
+    EXPECT_FALSE(home.busy(kA));
+    ASSERT_EQ(home.stateOf(kA), DirState::S);
+    const auto &sharers = home.entryOf(kA)->sharers;
+    EXPECT_EQ(std::vector<sim::NodeId>(sharers.begin(), sharers.end()),
+              (std::vector<sim::NodeId>{2, 0}));
 }
 
 /** Two hot lines transition simultaneously: overlapping censuses. */

@@ -84,7 +84,8 @@ check_enum src/core/protocol_table.h DirTxnType
 check_enum src/core/protocol_table.h L1Event
 check_enum src/core/protocol_table.h DirEvent
 check_enum src/core/protocol_table.h L1Action
-check_enum src/core/protocol_table.h DirAction
+check_enum src/core/protocol_table.h SenderRole
+check_enum src/core/protocol_table.h DirStep
 check_enum src/wireless/frame.h FrameKind
 check_enum src/sim/trace.h TraceKind docs/TRACING.md
 check_enum src/sim/trace.h TraceComponent docs/TRACING.md

@@ -59,6 +59,21 @@ flagText(std::uint8_t flags)
     return "";
 }
 
+/** A DirTxnRule role mask: "any", or the roles it names. */
+std::string
+rolesText(std::uint8_t roles)
+{
+    if (roles == kByAny)
+        return "any";
+    std::string out;
+    for (std::size_t r = 0; r < kNumSenderRoles; ++r) {
+        if ((roles >> r) & 1u)
+            out += (out.empty() ? "" : ", ") +
+                   std::string(senderRoleName(static_cast<SenderRole>(r)));
+    }
+    return out;
+}
+
 /** The legality matrix for one domain as a markdown table. */
 template <typename State, typename LegalFn>
 std::string
@@ -96,9 +111,12 @@ protocolTable()
            "a transition record with exactly that note when the row\n"
            "fires. Rows without a note are tolerated no-ops or\n"
            "transient bookkeeping; `fault-only` rows require fault\n"
-           "injection (docs/FAULTS.md) and `unreachable` rows are\n"
+           "injection (docs/FAULTS.md) and `unreachable` L1 rows are\n"
            "protocol-impossible cells kept so dispatch is total (the\n"
-           "handlers assert they never fire).\n\n";
+           "handlers assert they never fire). The last table is what\n"
+           "the directory does with a wired message for a line whose\n"
+           "transaction is still open; a combination it does not list\n"
+           "makes the directory panic.\n\n";
 
     out += "### L1 transition legality (derived)\n\n";
     out += legalityMatrix<L1State>(kNumL1States, l1StateName,
@@ -124,14 +142,24 @@ protocolTable()
                " | " + flagText(r.flags) + " |\n";
     }
     out += "\n### Directory rules (Table II)\n\n";
-    out += "| From | Event | Action | To | Trace note | Flags |\n";
-    out += "|---|---|---|---|---|---|\n";
+    out += "| From | Event | To | Trace note | Flags |\n";
+    out += "|---|---|---|---|---|\n";
     for (const DirRule &r : dirRules()) {
         out += std::string("| ") + dirStateName(r.from) + " | " +
-               dirEventName(r.event) + " | " + dirActionName(r.action) +
-               " | " + dirStateName(r.to) + " | " +
+               dirEventName(r.event) + " | " + dirStateName(r.to) +
+               " | " +
                (r.note ? (std::string("`") + r.note + "`") : "-") +
                " | " + flagText(r.flags) + " |\n";
+    }
+    out += "\n### Directory messages during a transaction\n\n";
+    out += "| Transaction | Mode | Event | Sender | Step | Flags |\n";
+    out += "|---|---|---|---|---|---|\n";
+    for (const DirTxnRule &r : dirTxnRules()) {
+        out += std::string("| ") + dirTxnTypeName(r.txn) + " | " +
+               (r.wired ? "wired fallback" : "-") + " | " +
+               dirEventName(r.event) + " | " + rolesText(r.roles) +
+               " | " + dirStepName(r.step) + " | " + flagText(r.flags) +
+               " |\n";
     }
     out += "\n";
     return out;
