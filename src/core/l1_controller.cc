@@ -33,14 +33,19 @@ L1Controller::describeOutstanding(std::string &out) const
 {
     for (auto it = txns_.begin(); it != txns_.end(); ++it) {
         const Txn &t = it->second;
-        out += sim::strfmt("  L1 %u: line %#llx %s%s%s%s ops %zu "
+        std::string landing;
+        if (t.landing)
+            landing = sim::strfmt(" landing %s, %zu waiting",
+                                  msgTypeName(t.landing->grant.type),
+                                  t.landing->waiting.size());
+        out += sim::strfmt("  L1 %u: line %#llx %s%s%s%s%s ops %zu "
                            "retries %u\n",
                            node_, static_cast<unsigned long long>(t.line),
                            msgTypeName(t.request),
-                           t.isSharerUpgrade ? " (sharer upgrade)" : "",
+                           array_.lookup(t.line) ? " (sharer upgrade)" : "",
                            t.toneHeld ? " tone held" : "",
-                           t.fillAsW ? " fill as W" : "", t.ops.size(),
-                           t.retries);
+                           t.fillAsW ? " fill as W" : "", landing.c_str(),
+                           t.ops.size(), t.retries);
     }
     for (auto it = wirelessTxns_.begin(); it != wirelessTxns_.end(); ++it)
         out += sim::strfmt("  L1 %u: line %#llx wireless write, %zu "
@@ -114,13 +119,6 @@ L1Controller::peekWord(Addr addr, std::uint64_t &value) const
     return true;
 }
 
-bool
-L1Controller::hasPendingTxn(Addr addr) const
-{
-    return txns_.count(lineAlign(addr)) > 0 ||
-           wirelessTxns_.count(lineAlign(addr)) > 0;
-}
-
 // ---------------------------------------------------------------------
 // CPU-facing operations
 // ---------------------------------------------------------------------
@@ -132,8 +130,7 @@ L1Controller::read(Addr addr, std::uint64_t token)
     ++stats_.loads;
     CacheEntry *e = array_.lookup(addr);
     L1State st = e ? static_cast<L1State>(e->state) : L1State::I;
-    L1Action act = l1ActionFor(st, L1Event::CpuLoad);
-    if (act == L1Action::Hit) {
+    if (st != L1State::I) {
         // Hit in S/E/M/W: serve after the L1 round trip. A local access
         // to a W line resets UpdateCount (Table I, W->W on read).
         ++stats_.loadHits;
@@ -145,12 +142,11 @@ L1Controller::read(Addr addr, std::uint64_t token)
             [this, token, value] { complete(token, value); });
         return;
     }
-    WIDIR_ASSERT(act == L1Action::Miss, "bad table action for load");
     PendingOp op;
     op.kind = TxnKind::Read;
     op.token = token;
     op.addr = addr;
-    startMiss(op, lineAlign(addr), false);
+    startMiss(op, lineAlign(addr));
 }
 
 void
@@ -184,8 +180,7 @@ L1Controller::write(Addr addr, std::uint64_t value, std::uint64_t token)
         return;
     }
 
-    L1Action act = l1ActionFor(st, L1Event::CpuStore);
-    if (act == L1Action::Hit) {
+    if (st == L1State::E || st == L1State::M) {
         // Silent E->M upgrade plus local write.
         ++stats_.storeHits;
         if (st == L1State::E)
@@ -197,18 +192,14 @@ L1Controller::write(Addr addr, std::uint64_t value, std::uint64_t token)
         fabric_.simulator().scheduleInline(
             fabric_.config().l1HitLatency,
             [this, token, value] { complete(token, value); });
-    } else if (act == L1Action::Wireless) {
+    } else if (st == L1State::W) {
         // Table I, W->W on write: broadcast the word via the WNoC; the
         // local copy merges only once transmission is guaranteed.
         ++stats_.storeHits;
         issueWirelessWrite(op);
-    } else if (act == L1Action::Upgrade) {
-        // Upgrade: GetX indicating we already share the line.
-        startMiss(op, lineAlign(addr), true);
     } else {
-        WIDIR_ASSERT(act == L1Action::Miss,
-                     "bad table action for store");
-        startMiss(op, lineAlign(addr), false);
+        // A miss, or from S an upgrade: GetX saying we share the line.
+        startMiss(op, line);
     }
 }
 
@@ -242,8 +233,7 @@ L1Controller::rmw(Addr addr,
         return;
     }
 
-    L1Action act = l1ActionFor(st, L1Event::CpuRmw);
-    if (act == L1Action::Hit) {
+    if (st == L1State::E || st == L1State::M) {
         // Ownership makes the local update atomic.
         std::uint64_t old = e->data.word(addr);
         if (st == L1State::E)
@@ -255,7 +245,7 @@ L1Controller::rmw(Addr addr,
         fabric_.simulator().scheduleInline(
             fabric_.config().l1HitLatency,
             [this, token, old] { complete(token, old); });
-    } else if (act == L1Action::Wireless) {
+    } else if (st == L1State::W) {
         // A no-op RMW (e.g. a failed compare-and-swap: the modify
         // function returns the value unchanged) performs no store, so
         // nothing needs to broadcast; it linearizes at its local read
@@ -273,11 +263,8 @@ L1Controller::rmw(Addr addr,
         // any intervening update/invalidate retries the whole RMW.
         e->locked = true;
         issueWirelessWrite(op);
-    } else if (act == L1Action::Upgrade) {
-        startMiss(op, lineAlign(addr), true);
     } else {
-        WIDIR_ASSERT(act == L1Action::Miss, "bad table action for RMW");
-        startMiss(op, lineAlign(addr), false);
+        startMiss(op, line);
     }
 }
 
@@ -286,8 +273,7 @@ L1Controller::rmw(Addr addr,
 // ---------------------------------------------------------------------
 
 void
-L1Controller::startMiss(const PendingOp &op, Addr line,
-                        bool is_sharer_upgrade)
+L1Controller::startMiss(const PendingOp &op, Addr line)
 {
     auto it = txns_.find(line);
     if (it != txns_.end()) {
@@ -302,12 +288,12 @@ L1Controller::startMiss(const PendingOp &op, Addr line,
     txn.line = line;
     txn.request = (op.kind == TxnKind::Read) ? MsgType::GetS
                                              : MsgType::GetX;
-    txn.isSharerUpgrade = is_sharer_upgrade;
     txn.ops.push_back(op);
     // Pin a resident copy (upgrade in flight) against replacement; the
     // fill or invalidation that ends the transaction unpins it.
-    if (CacheEntry *e = array_.lookup(line))
-        e->locked = true;
+    CacheEntry *upgrade = array_.lookup(line);
+    if (upgrade)
+        upgrade->locked = true;
     if (op.kind == TxnKind::Read)
         ++stats_.readMisses;
     else
@@ -316,7 +302,7 @@ L1Controller::startMiss(const PendingOp &op, Addr line,
     WIDIR_ASSERT(ok, "duplicate txn");
     traceMshr(sim::TraceKind::MshrAlloc, line,
               msgTypeName(ins->second.request),
-              is_sharer_upgrade ? "upgrade" : nullptr);
+              upgrade ? "upgrade" : nullptr);
     sendRequest(ins->second);
 }
 
@@ -329,23 +315,23 @@ L1Controller::sendRequest(Txn &txn)
     // directory discard the request as redundant (Table II, W->W
     // case 2) when it is not.
     CacheEntry *e = array_.lookup(txn.line);
-    txn.isSharerUpgrade =
-        e && static_cast<L1State>(e->state) == L1State::S;
     Msg msg;
     msg.type = txn.request;
     msg.dst = fabric_.homeOf(txn.line);
     msg.line = txn.line;
-    msg.isSharer = txn.isSharerUpgrade;
+    msg.isSharer = e && static_cast<L1State>(e->state) == L1State::S;
     send(msg);
 }
 
 void
-L1Controller::retryAfterNack(Addr line)
+L1Controller::retryAfterNack(Txn &txn)
 {
-    auto it = txns_.find(line);
-    if (it == txns_.end())
-        return;
-    Txn &txn = it->second;
+    // A bounced response also releases a census tone held for this
+    // request (Section III-B1, completion case iii). The census is
+    // over for us: a fill delivered to the retried request is a fresh
+    // post-census grant and must be installed as granted.
+    dropToneIfHeld(txn);
+    txn.fillAsW = false;
     ++txn.retries;
     const auto &cfg = fabric_.config();
     // Exponential backoff: long directory transactions (joins,
@@ -355,10 +341,10 @@ L1Controller::retryAfterNack(Addr line)
                  rng_.below((cfg.nackRetryJitter ? cfg.nackRetryJitter
                                                  : 1) *
                             scale);
-    fabric_.simulator().scheduleInline(delay, [this, line] {
-        auto it2 = txns_.find(line);
-        if (it2 != txns_.end())
-            sendRequest(it2->second);
+    fabric_.simulator().scheduleInline(delay, [this, line = txn.line] {
+        auto it = txns_.find(line);
+        if (it != txns_.end())
+            sendRequest(it->second);
     });
 }
 
@@ -369,7 +355,7 @@ L1Controller::retryAfterNack(Addr line)
 void
 L1Controller::completeOps(std::vector<PendingOp> ops)
 {
-    // Re-execute each queued op against the (now filled) cache state.
+    // Re-execute each queued op against the current cache state.
     // Reads complete immediately; writes/RMWs re-enter the normal path
     // so that e.g. a write that coalesced behind a GetS performs its
     // own upgrade if the fill granted only S.
@@ -403,20 +389,6 @@ L1Controller::completeOps(std::vector<PendingOp> ops)
 // ---------------------------------------------------------------------
 // Fills and evictions
 // ---------------------------------------------------------------------
-
-
-mem::CacheEntry *
-L1Controller::makeRoom(Addr line)
-{
-    if (CacheEntry *hit = array_.lookup(line))
-        return hit;
-    CacheEntry *victim = array_.pickVictim(line);
-    if (!victim)
-        return nullptr;
-    if (victim->valid)
-        evict(victim);
-    return victim;
-}
 
 void
 L1Controller::evict(CacheEntry *victim)
@@ -454,94 +426,88 @@ L1Controller::evict(CacheEntry *victim)
     send(msg);
 }
 
-void
-L1Controller::applyFillAs(const Msg &msg, bool force_w,
-                          std::function<void()> done)
+bool
+L1Controller::landFill(const Msg &grant)
 {
-    CacheEntry *frame = makeRoom(msg.line);
-    if (!frame) {
-        // Every way is pinned (rare: RMW-pinned plus concurrent fill in
-        // a 2-way set). Retry the fill shortly, carrying the completion
-        // along. The ~100-byte Msg capture takes the event queue's
-        // heap-fallback path; this is the cold exception, not the hot
-        // fill path.
-        Msg copy = msg;
-        fabric_.simulator().schedule(
-            4, [this, copy, force_w, done = std::move(done)]() mutable {
-                applyFillAs(copy, force_w, std::move(done));
-            });
-        return;
-    }
+    auto it = txns_.find(grant.line);
+    WIDIR_ASSERT(it != txns_.end(), "fill without a transaction");
+    CacheEntry *hit = array_.lookup(grant.line);
+    CacheEntry *frame = hit ? hit : array_.pickVictim(grant.line);
+    if (!frame)
+        return false;
+    // Moving the transaction out keeps a landing grant alive until the
+    // end of this call.
+    Txn txn = std::move(it->second);
+    txns_.erase(it);
+    traceMshr(sim::TraceKind::MshrRetire, grant.line,
+              msgTypeName(txn.request), "fill");
+    if (!hit && frame->valid)
+        evict(frame);
+
     L1State st = L1State::S;
-    if (msg.type == MsgType::WirUpgr || force_w) {
+    if (grant.type == MsgType::WirUpgr) {
+        st = L1State::W;
+    } else if (txn.fillAsW) {
+        // The line arrived while we held the census tone: the census
+        // counted us, so the copy enters W (case iii of III-B1). Only
+        // an S grant can be in flight across an S->W transition.
+        WIDIR_ASSERT(grant.grant == GrantState::S,
+                     "non-S grant crossed a BrWirUpgr census");
         st = L1State::W;
     } else {
-        switch (msg.grant) {
+        switch (grant.grant) {
           case GrantState::S: st = L1State::S; break;
           case GrantState::E: st = L1State::E; break;
           case GrantState::M: st = L1State::M; break;
         }
     }
-    WIDIR_ASSERT(msg.hasData, "fill without data");
+    WIDIR_ASSERT(grant.hasData, "fill without data");
     // The frame still holds the pre-fill copy on an in-place upgrade
     // (same line); a fresh or recycled frame fills from I.
-    L1State old = (frame->valid && frame->line == msg.line)
-        ? static_cast<L1State>(frame->state)
-        : L1State::I;
-    array_.fill(frame, msg.line, static_cast<std::uint8_t>(st),
-                msg.data);
+    L1State old = hit ? static_cast<L1State>(hit->state) : L1State::I;
+    array_.fill(frame, grant.line, static_cast<std::uint8_t>(st),
+                grant.data);
     if (st == L1State::M)
         frame->dirty = true;
     if (old != st)
-        traceState(msg.line, old, st, "fill");
-    if (done)
-        done();
+        traceState(grant.line, old, st, "fill");
+
+    dropToneIfHeld(txn);
+    if (grant.type == MsgType::WirUpgr && grant.needsAck) {
+        // Table I, I->W when the directory is already in W: ack the
+        // join so the directory can bump SharerCount (Table II, W->W).
+        Msg ack;
+        ack.type = MsgType::WirUpgrAck;
+        ack.dst = grant.src;
+        ack.line = grant.line;
+        send(ack);
+    }
+    completeOps(std::move(txn.ops));
+    // What met the landing fill is answered from the granted state,
+    // after the queued ops, as if the line had landed on arrival.
+    if (txn.landing) {
+        for (const auto &w : txn.landing->waiting) {
+            if (const Msg *m = std::get_if<Msg>(&w))
+                receive(*m);
+            else
+                receiveFrame(std::get<wireless::Frame>(w));
+        }
+    }
+    return true;
 }
 
 void
-L1Controller::finishFill(const Msg &msg)
+L1Controller::retryLanding(Addr line)
 {
-    auto it = txns_.find(msg.line);
-    if (it == txns_.end()) {
-        // Response for a transaction that BrWirUpgr already satisfied
-        // and erased: drop it (the directory also discards the stale
-        // request side).
-        return;
-    }
-    Txn txn = std::move(it->second);
-    txns_.erase(it);
-    traceMshr(sim::TraceKind::MshrRetire, msg.line,
-              msgTypeName(txn.request), "fill");
-    bool fill_as_w = txn.fillAsW && msg.type == MsgType::Data;
-    if (fill_as_w) {
-        // The line arrived while we held the census tone: the census
-        // counted us, so the copy enters W (case iii of III-B1). Only
-        // an S grant can be in flight across an S->W transition.
-        WIDIR_ASSERT(msg.grant == GrantState::S,
-                     "non-S grant crossed a BrWirUpgr census");
-    }
-    // The tone, the join ack and the queued ops wait for the fill to
-    // actually land (it can be postponed behind a fully pinned set):
-    // draining the ops against a still-Invalid line would re-request a
-    // grant the directory has already accounted for.
-    bool join_ack = msg.type == MsgType::WirUpgr && msg.needsAck;
-    NodeId ack_dst = msg.src;
-    Addr ack_line = msg.line;
-    applyFillAs(msg, fill_as_w,
-                [this, join_ack, ack_dst, ack_line,
-                 txn = std::move(txn)]() mutable {
-        dropToneIfHeld(txn);
-        if (join_ack) {
-            // Table I, I->W when the directory is already in W: ack
-            // the join so the directory can bump SharerCount (Table
-            // II, W->W).
-            Msg ack;
-            ack.type = MsgType::WirUpgrAck;
-            ack.dst = ack_dst;
-            ack.line = ack_line;
-            send(ack);
-        }
-        completeOps(std::move(txn.ops));
+    // Every way is pinned (rare: RMW-pinned plus concurrent fill in a
+    // 2-way set). The transaction stays open, so the node keeps
+    // answering for the granted line (l1TxnRules(), Landing).
+    fabric_.simulator().scheduleInline(4, [this, line] {
+        auto it = txns_.find(line);
+        WIDIR_ASSERT(it != txns_.end() && it->second.landing,
+                     "landing transaction vanished");
+        if (!landFill(it->second.landing->grant))
+            retryLanding(line);
     });
 }
 
@@ -553,15 +519,6 @@ void
 L1Controller::issueWirelessWrite(const PendingOp &op)
 {
     Addr line = lineAlign(op.addr);
-    auto it = wirelessTxns_.find(line);
-    if (it != wirelessTxns_.end()) {
-        // A frame for this line is already in flight. Every wireless
-        // write is its own WirUpd broadcast (sharers must observe each
-        // value), so later same-line ops wait their turn.
-        it->second.deferred.push_back(op);
-        return;
-    }
-
     CacheEntry *e = array_.lookup(op.addr);
     WIDIR_ASSERT(e && static_cast<L1State>(e->state) == L1State::W,
                  "wireless write on a non-W line");
@@ -569,6 +526,8 @@ L1Controller::issueWirelessWrite(const PendingOp &op)
     // at the transceiver (and Section IV-C pins RMW lines explicitly).
     e->locked = true;
 
+    // Later same-line ops wait in `deferred` (write()/rmw() queue them
+    // there): sharers must observe each value, one WirUpd per write.
     WirelessTxn wtxn;
     wtxn.line = line;
     wtxn.op = op;
@@ -601,15 +560,20 @@ L1Controller::issueWirelessWrite(const PendingOp &op)
 void
 L1Controller::wirelessWriteFault(Addr line)
 {
+    // With no write in flight the notification is stale: a racing
+    // WirDwgr/WirInv already squashed the transmission (and the line
+    // may have opened a wired miss since).
+    if (!wirelessTxns_.count(line))
+        return;
+    const L1Step step = txnStep(line, L1Event::ChannelFault);
+    WIDIR_ASSERT(step == L1Step::Fault, "L1 %u: %s for a channel fault",
+                 node_, l1StepName(step));
     // The channel exhausted the fault-retry budget for our WirUpd
     // (docs/FAULTS.md). The frame never committed, so no sharer saw
     // anything. Degrade gracefully: leave the wireless sharing group
     // exactly like an UpdateCount expiry (PutW to the home, W -> I)
     // and retry the queued ops -- with the line now Invalid they take
     // the wired GetX path.
-    auto it = wirelessTxns_.find(line);
-    if (it == wirelessTxns_.end())
-        return; // a racing WirDwgr/WirInv already squashed us
     ++stats_.wirelessFallbacks;
     sim::Tracer &tracer = fabric_.simulator().tracer();
     if (sim::kTraceCompiled && tracer.enabled()) {
@@ -622,26 +586,31 @@ L1Controller::wirelessWriteFault(Addr line)
         r.opName = "WirUpd";
         tracer.emit(r);
     }
-    squashWireless(line, true);
+    squashWireless(line);
     CacheEntry *e = array_.lookup(line);
-    if (e && static_cast<L1State>(e->state) == L1State::W) {
-        ++stats_.putWSent;
-        Msg put;
-        put.type = MsgType::PutW;
-        put.dst = fabric_.homeOf(line);
-        put.line = line;
-        traceState(line, L1State::W, L1State::I, "fault");
-        array_.invalidate(e);
-        send(put);
-    }
+    WIDIR_ASSERT(e && static_cast<L1State>(e->state) == L1State::W,
+                 "wireless fault on a non-W line");
+    ++stats_.putWSent;
+    Msg put;
+    put.type = MsgType::PutW;
+    put.dst = fabric_.homeOf(line);
+    put.line = line;
+    traceState(line, L1State::W, L1State::I, "fault");
+    array_.invalidate(e);
+    send(put);
 }
 
 void
 L1Controller::wirelessCommit(Addr line)
 {
+    // With no write in flight the commit is stale: the write was
+    // squashed between the channel grant and this event.
+    if (!wirelessTxns_.count(line))
+        return;
+    const L1Step step = txnStep(line, L1Event::ChannelCommit);
+    WIDIR_ASSERT(step == L1Step::Commit, "L1 %u: %s for a channel commit",
+                 node_, l1StepName(step));
     auto it = wirelessTxns_.find(line);
-    if (it == wirelessTxns_.end())
-        return; // squashed between channel grant and commit event
     WirelessTxn wtxn = std::move(it->second);
     wirelessTxns_.erase(it);
     traceMshr(sim::TraceKind::MshrRetire, line, "WirUpd", "commit");
@@ -670,26 +639,19 @@ L1Controller::wirelessCommit(Addr line)
     // and a younger same-line store arriving then must find this queue
     // in place or it would jump ahead of the deferred ops.
     if (!wtxn.deferred.empty()) {
-        PendingOp next = std::move(wtxn.deferred.front());
-        std::vector<PendingOp> rest(
-            std::make_move_iterator(wtxn.deferred.begin() + 1),
-            std::make_move_iterator(wtxn.deferred.end()));
-        issueWirelessWrite(next);
-        auto nit = wirelessTxns_.find(line);
-        WIDIR_ASSERT(nit != wirelessTxns_.end(),
-                     "deferred reissue lost its txn");
-        for (auto &d : rest)
-            nit->second.deferred.push_back(std::move(d));
+        issueWirelessWrite(wtxn.deferred.front());
+        wtxn.deferred.erase(wtxn.deferred.begin());
+        wirelessTxns_.find(line)->second.deferred =
+            std::move(wtxn.deferred);
     }
     complete(op.token, completion_value);
 }
 
 void
-L1Controller::squashWireless(Addr line, bool retry_wired)
+L1Controller::squashWireless(Addr line)
 {
     auto it = wirelessTxns_.find(line);
-    if (it == wirelessTxns_.end())
-        return;
+    WIDIR_ASSERT(it != wirelessTxns_.end(), "squash without a write");
     WirelessTxn wtxn = std::move(it->second);
     wirelessTxns_.erase(it);
     traceMshr(sim::TraceKind::MshrRetire, line, "WirUpd", "squash");
@@ -699,8 +661,6 @@ L1Controller::squashWireless(Addr line, bool retry_wired)
     if (CacheEntry *e = array_.lookup(line))
         e->locked = false;
 
-    WIDIR_ASSERT(retry_wired,
-                 "squashed wireless ops must be retried");
     // Section IV-C: squash the pending write and retry it; the retry
     // re-enters through the normal CPU path and takes whatever route
     // the new cache state dictates (wired GetX after a WirInv, wired
@@ -715,27 +675,42 @@ L1Controller::squashWireless(Addr line, bool retry_wired)
     for (auto &d : wtxn.deferred)
         ops->push_back(std::move(d));
     Tick disperse = 1 + rng_.below(10);
-    fabric_.simulator().scheduleInline(disperse, [this, ops] {
-        for (auto &op : *ops) {
-            switch (op.kind) {
-              case TxnKind::Write:
-                --stats_.stores;
-                write(op.addr, op.storeValue, op.token);
-                break;
-              case TxnKind::Rmw:
-                --stats_.rmws;
-                rmw(op.addr, std::move(op.modify), op.token);
-                break;
-              case TxnKind::Read:
-                sim::panic("read in wireless txn");
-            }
-        }
-    });
+    fabric_.simulator().scheduleInline(
+        disperse, [this, ops] { completeOps(std::move(*ops)); });
 }
 
 // ---------------------------------------------------------------------
 // Incoming wired messages
 // ---------------------------------------------------------------------
+
+L1Step
+L1Controller::txnStep(Addr line, L1Event ev)
+{
+    L1Phase phase;
+    if (auto it = txns_.find(line); it != txns_.end()) {
+        if (it->second.landing) {
+            phase = L1Phase::Landing;
+        } else if (const CacheEntry *e = array_.lookup(line)) {
+            WIDIR_ASSERT(static_cast<L1State>(e->state) == L1State::S,
+                         "miss in flight on a %s copy",
+                         l1StateName(static_cast<L1State>(e->state)));
+            phase = L1Phase::Upgrade;
+        } else {
+            phase = L1Phase::Miss;
+        }
+    } else if (wirelessTxns_.count(line)) {
+        phase = L1Phase::Wireless;
+    } else {
+        return L1Step::Stable;
+    }
+    const int row = l1TxnRuleFor(phase, ev);
+    if (row < 0)
+        sim::panic("L1 %u: no step for %s during %s of line %#llx", node_,
+                   l1EventName(ev), l1PhaseName(phase),
+                   static_cast<unsigned long long>(line));
+    ++txnRuleHits_[static_cast<std::size_t>(row)];
+    return l1TxnRules()[static_cast<std::size_t>(row)].step;
+}
 
 void
 L1Controller::receive(const Msg &msg)
@@ -744,38 +719,43 @@ L1Controller::receive(const Msg &msg)
     if (!l1EventOf(msg.type, ev))
         sim::panic("L1 %u received unexpected %s", node_,
                    msgTypeName(msg.type));
-    // Select the action from the protocol table. The action is the
-    // same in every state for these events (the handlers resolve the
-    // per-state outcomes internally), so this lookup is structurally
-    // equivalent to the old switch on the message type.
-    L1Action act = l1ActionFor(stateOf(msg.line), ev);
-    if (act == L1Action::FinishFill) {
-        finishFill(msg);
-    } else if (act == L1Action::NackRetry) {
-        handleNack(msg);
-    } else if (act == L1Action::Invalidate) {
-        handleInv(msg);
-    } else {
-        WIDIR_ASSERT(act == L1Action::SupplyOwner,
-                     "bad table action for %s", msgTypeName(msg.type));
-        handleFwd(msg);
-    }
-}
-
-void
-L1Controller::handleNack(const Msg &msg)
-{
-    ++stats_.nacksSeen;
-    auto it = txns_.find(msg.line);
-    if (it == txns_.end())
+    if (ev == L1Event::MsgNack)
+        ++stats_.nacksSeen;
+    // A transaction in flight decides through the in-transaction
+    // table; otherwise the handlers apply Table I to the cached copy.
+    const L1Step step = txnStep(msg.line, ev);
+    if (step == L1Step::Fill) {
+        if (!landFill(msg)) {
+            txns_.find(msg.line)->second.landing =
+                std::make_unique<Landing>(msg);
+            retryLanding(msg.line);
+        }
         return;
-    // A bounced response also releases a census tone held for this
-    // request (Section III-B1, completion case iii). The census is
-    // over for us: a fill delivered to the retried request is a fresh
-    // post-census grant and must be installed as granted.
-    dropToneIfHeld(it->second);
-    it->second.fillAsW = false;
-    retryAfterNack(msg.line);
+    }
+    if (step == L1Step::Retry) {
+        retryAfterNack(txns_.find(msg.line)->second);
+        return;
+    }
+    if (step == L1Step::Wait) {
+        txns_.find(msg.line)->second.landing->waiting.emplace_back(msg);
+        return;
+    }
+    WIDIR_ASSERT(step == L1Step::Stable || step == L1Step::Squash,
+                 "L1 %u: %s is not a message step", node_,
+                 l1StepName(step));
+    // With no transaction, a Nack answers an upgrade that a census
+    // satisfied (Table I, S->W case 2) and is dropped; the home never
+    // grants such an upgrade.
+    if (ev == L1Event::MsgInv)
+        handleInv(msg);
+    else if (ev == L1Event::MsgFwdGetS || ev == L1Event::MsgFwdGetX)
+        handleFwd(msg);
+    else if (ev != L1Event::MsgNack)
+        sim::panic("L1 %u: %s for line %#llx without a request", node_,
+                   msgTypeName(msg.type),
+                   static_cast<unsigned long long>(msg.line));
+    if (step == L1Step::Squash)
+        squashWireless(msg.line);
 }
 
 void
@@ -793,11 +773,10 @@ L1Controller::handleInv(const Msg &msg)
             // channel and broadcast wired Invs instead. Treat it like
             // a WirInv: invalidate, ack without data (the home's LLC
             // slice observes every committed WirUpd, so W data is
-            // never lost), and squash-and-retry any pending write.
+            // never lost); a pending write is squashed (Squash step).
             traceState(msg.line, L1State::W, L1State::I, "Inv");
             array_.invalidate(e);
             send(ack);
-            squashWireless(msg.line, true);
             return;
         }
         if (msg.needData &&
@@ -850,28 +829,54 @@ L1Controller::handleFwd(const Msg &msg)
 void
 L1Controller::receiveFrame(const wireless::Frame &frame)
 {
-    // As in receive(): the table action is uniform across states for
-    // each frame kind; the handlers keep the per-state behavior.
-    L1Action act =
-        l1ActionFor(stateOf(frame.lineAddr), l1EventOf(frame.kind));
-    if (act == L1Action::ApplyUpdate) {
-        handleWirUpd(frame);
-    } else if (act == L1Action::CensusJoin) {
-        handleBrWirUpgr(frame);
-    } else if (act == L1Action::Downgrade) {
-        handleWirDwgr(frame);
-    } else {
-        WIDIR_ASSERT(act == L1Action::WirelessInvalidate,
-                     "bad table action for frame");
-        handleWirInv(frame);
+    if (frame.kind == wireless::FrameKind::WirUpd && frame.src == node_)
+        return; // own update was merged at commit
+    const Addr line = frame.lineAddr;
+    const L1Step step = txnStep(line, l1EventOf(frame.kind));
+    if (step == L1Step::Wait) {
+        txns_.find(line)->second.landing->waiting.emplace_back(frame);
+        return;
     }
+    if (step == L1Step::UpdateDuringWrite) {
+        // A pending local wireless RMW races this update: the paper's
+        // hardware monitors for exactly this and retries the RMW with
+        // the fresh value (Section IV-C); the update then counts like
+        // any other. A pending plain write keeps its queue slot (its
+        // value overwrites this one at its own commit), and a line
+        // with local work queued is still "actively shared", so the
+        // update does not count toward UpdateCount.
+        if (wirelessTxns_.find(line)->second.op.kind == TxnKind::Rmw) {
+            squashWireless(line);
+            handleWirUpd(frame);
+        } else {
+            array_.lookup(line)->data.setWord(frame.wordAddr, frame.value);
+            ++stats_.updatesApplied;
+        }
+        return;
+    }
+    switch (frame.kind) {
+      case wireless::FrameKind::WirUpd:
+        handleWirUpd(frame);
+        break;
+      case wireless::FrameKind::BrWirUpgr:
+        handleBrWirUpgr(line, step);
+        return;
+      case wireless::FrameKind::WirDwgr:
+        handleWirDwgr(frame);
+        break;
+      case wireless::FrameKind::WirInv:
+        handleWirInv(frame);
+        break;
+    }
+    WIDIR_ASSERT(step == L1Step::Stable || step == L1Step::Squash,
+                 "L1 %u: %s is not a frame step", node_, l1StepName(step));
+    if (step == L1Step::Squash)
+        squashWireless(line);
 }
 
 void
 L1Controller::handleWirUpd(const wireless::Frame &frame)
 {
-    if (frame.src == node_)
-        return; // own update was merged at commit
     CacheEntry *e = array_.lookup(frame.lineAddr);
     if (!e || static_cast<L1State>(e->state) != L1State::W)
         return;
@@ -879,81 +884,63 @@ L1Controller::handleWirUpd(const wireless::Frame &frame)
     e->data.setWord(frame.wordAddr, frame.value);
     ++stats_.updatesApplied;
 
-    // A pending local wireless RMW races this update: the paper's
-    // hardware monitors for exactly this and retries the RMW with the
-    // fresh value (Section IV-C). A pending plain write keeps its queue
-    // slot (its value overwrites this one at its own commit).
-    auto wit = wirelessTxns_.find(frame.lineAddr);
-    if (wit != wirelessTxns_.end() &&
-        wit->second.op.kind == TxnKind::Rmw) {
-        squashWireless(frame.lineAddr, true);
-        e = array_.lookup(frame.lineAddr); // retry path may not refill
-    }
-
     // UpdateCount self-invalidation (Section III-B2): after too many
-    // remote updates with no local access, leave the sharing group. A
-    // line with local work queued is still "actively shared".
-    if (e && wirelessTxns_.count(frame.lineAddr) == 0 && !e->locked) {
-        if (++e->updateCount >=
-            fabric_.config().updateCountThreshold) {
-            ++stats_.selfInvalidations;
-            ++stats_.putWSent;
-            Msg put;
-            put.type = MsgType::PutW;
-            put.dst = fabric_.homeOf(frame.lineAddr);
-            put.line = frame.lineAddr;
-            traceState(frame.lineAddr, L1State::W, L1State::I,
-                       "UpdateCount");
-            array_.invalidate(e);
-            send(put);
-        }
+    // remote updates with no local access, leave the sharing group.
+    if (!e->locked &&
+        ++e->updateCount >= fabric_.config().updateCountThreshold) {
+        ++stats_.selfInvalidations;
+        ++stats_.putWSent;
+        Msg put;
+        put.type = MsgType::PutW;
+        put.dst = fabric_.homeOf(frame.lineAddr);
+        put.line = frame.lineAddr;
+        traceState(frame.lineAddr, L1State::W, L1State::I,
+                   "UpdateCount");
+        array_.invalidate(e);
+        send(put);
     }
 }
 
 void
-L1Controller::handleBrWirUpgr(const wireless::Frame &frame)
+L1Controller::handleBrWirUpgr(Addr line, L1Step step)
 {
     // Global ToneAck census (Section III-B1). Every node participates;
     // the directory node began the census before this delivery.
     auto *tone = fabric_.toneChannel();
     WIDIR_ASSERT(tone, "BrWirUpgr without a tone channel");
     tone->raise();
-
-    CacheEntry *e = array_.lookup(frame.lineAddr);
-    auto tit = txns_.find(frame.lineAddr);
-
+    if (step == L1Step::HoldTone) {
+        // Completion case (iii): we have a wired request in flight for
+        // this line, or its grant is landing. Hold the tone until the
+        // line lands or a bounce arrives; the line must be installed
+        // in W -- the census counted us as a wireless sharer.
+        Txn &txn = txns_.find(line)->second;
+        txn.toneHeld = true;
+        txn.fillAsW = true;
+        return;
+    }
+    CacheEntry *e = array_.lookup(line);
     if (e && static_cast<L1State>(e->state) == L1State::S) {
         // Table I, S->W case 1: a current sharer moves to W.
-        traceState(frame.lineAddr, L1State::S, L1State::W, "BrWirUpgr");
+        traceState(line, L1State::S, L1State::W, "BrWirUpgr");
         e->state = static_cast<std::uint8_t>(L1State::W);
         e->updateCount = 0;
-        if (tit != txns_.end()) {
-            // Table I, S->W case 2: our sharer-upgrade GetX raced the
-            // transition; the directory discards it. Satisfy the write
-            // through the wireless path instead.
-            e->locked = false; // upgrade pin no longer needed
-            Txn txn = std::move(tit->second);
-            txns_.erase(tit);
-            traceMshr(sim::TraceKind::MshrRetire, frame.lineAddr,
-                      msgTypeName(txn.request), "BrWirUpgr");
-            tone->drop();
-            completeOps(std::move(txn.ops)); // re-executes as W ops
-            return;
-        }
+    }
+    if (step == L1Step::SatisfyUpgrade) {
+        // Table I, S->W case 2: our sharer-upgrade GetX raced the
+        // transition; the directory discards it. Satisfy the write
+        // through the wireless path instead.
+        e->locked = false; // upgrade pin no longer needed
+        auto it = txns_.find(line);
+        Txn txn = std::move(it->second);
+        txns_.erase(it);
+        traceMshr(sim::TraceKind::MshrRetire, line,
+                  msgTypeName(txn.request), "BrWirUpgr");
         tone->drop();
+        completeOps(std::move(txn.ops)); // re-executes as W ops
         return;
     }
-
-    if (tit != txns_.end()) {
-        // Completion case (iii): we have a wired request in flight for
-        // this line. Hold the tone until the line or a bounce arrives;
-        // if the line arrives, it must be installed in W -- the
-        // census counted us as a wireless sharer.
-        tit->second.toneHeld = true;
-        tit->second.fillAsW = true;
-        return;
-    }
-    // Case (i): nothing to do.
+    // Case (i) for everyone else: nothing to do.
     tone->drop();
 }
 
@@ -975,9 +962,9 @@ L1Controller::handleWirDwgr(const wireless::Frame &frame)
     if (!e || static_cast<L1State>(e->state) != L1State::W)
         return;
     // Table I, W->S: acknowledge with our core id over the wired
-    // network and downgrade. Any queued wireless write re-issues after
-    // the downgrade, so it takes the wired upgrade path as a plain S
-    // sharer.
+    // network and downgrade. A queued wireless write is squashed
+    // (Squash step) and re-issues after the downgrade, so it takes the
+    // wired upgrade path as a plain S sharer.
     traceState(frame.lineAddr, L1State::W, L1State::S, "WirDwgr");
     e->state = static_cast<std::uint8_t>(L1State::S);
     e->updateCount = 0;
@@ -986,7 +973,6 @@ L1Controller::handleWirDwgr(const wireless::Frame &frame)
     ack.dst = frame.src;
     ack.line = frame.lineAddr;
     send(ack);
-    squashWireless(frame.lineAddr, true);
 }
 
 void
@@ -995,12 +981,11 @@ L1Controller::handleWirInv(const wireless::Frame &frame)
     CacheEntry *e = array_.lookup(frame.lineAddr);
     if (!e || static_cast<L1State>(e->state) != L1State::W)
         return;
-    // Table I, W->I: invalidate; squash any pending write and retry it
-    // through the wired network (it will re-allocate the directory
-    // entry).
+    // Table I, W->I: invalidate. A pending write is squashed (Squash
+    // step) and retried through the wired network (it will
+    // re-allocate the directory entry).
     traceState(frame.lineAddr, L1State::W, L1State::I, "WirInv");
     array_.invalidate(e);
-    squashWireless(frame.lineAddr, true);
 }
 
 } // namespace widir::coherence

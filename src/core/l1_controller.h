@@ -16,9 +16,12 @@
 #ifndef WIDIR_CORE_L1_CONTROLLER_H
 #define WIDIR_CORE_L1_CONTROLLER_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/fabric.h"
@@ -86,7 +89,6 @@ class L1Controller
     /** Functional word value if present, or std::nullopt semantics via ok. */
     bool peekWord(sim::Addr addr, std::uint64_t &value) const;
     mem::CacheArray &array() { return array_; }
-    bool hasPendingTxn(sim::Addr addr) const;
     /// @}
 
     /// @name Statistics
@@ -114,6 +116,8 @@ class L1Controller
 
     /** Append one line per outstanding transaction (watchdog dump). */
     void describeOutstanding(std::string &out) const;
+    /** Times each l1TxnRules() row was taken (coverage tests). */
+    const auto &txnRuleHits() const { return txnRuleHits_; }
 
     /** Address-map index rehashes (host_map_rehashes, docs/PERF.md). */
     std::uint64_t
@@ -137,12 +141,18 @@ class L1Controller
         sim::Addr addr = sim::kAddrNone; ///< full word address
     };
 
+    /** A granted fill waiting for a way, and what met it meanwhile. */
+    struct Landing
+    {
+        Msg grant;
+        std::vector<std::variant<Msg, wireless::Frame>> waiting;
+    };
+
     /** Outstanding wired transaction for one line (one max per line). */
     struct Txn
     {
         sim::Addr line;
         MsgType request;          ///< GetS or GetX
-        bool isSharerUpgrade = false;
         bool toneHeld = false;    ///< census waits on this txn
         /**
          * A BrWirUpgr census caught this request in flight: a line
@@ -152,6 +162,8 @@ class L1Controller
         bool fillAsW = false;
         std::vector<PendingOp> ops;
         std::uint32_t retries = 0;
+        /** Set while every way of the set is pinned (L1Phase::Landing). */
+        std::unique_ptr<Landing> landing;
     };
 
     /**
@@ -168,37 +180,37 @@ class L1Controller
         std::vector<PendingOp> deferred;
     };
 
+    // -- in-transaction table (l1TxnRules()) ---------------------------
+    /** The counted l1TxnRules() step, or Stable with no txn open. */
+    L1Step txnStep(sim::Addr line, L1Event ev);
+
     // -- CPU op entry points ------------------------------------------
-    void startMiss(const PendingOp &op, sim::Addr line,
-                   bool is_sharer_upgrade);
+    void startMiss(const PendingOp &op, sim::Addr line);
     void sendRequest(Txn &txn);
-    void retryAfterNack(sim::Addr line);
+    void retryAfterNack(Txn &txn);
 
     // -- wireless write path (Section IV-C) ---------------------------
     void issueWirelessWrite(const PendingOp &op);
     void wirelessCommit(sim::Addr line);
-    void squashWireless(sim::Addr line, bool retry_wired);
+    void squashWireless(sim::Addr line);
     /** Channel gave up on our WirUpd: degrade to the wired path. */
     void wirelessWriteFault(sim::Addr line);
 
     // -- fills, hits, evictions ----------------------------------------
     void completeOps(std::vector<PendingOp> ops);
-    void finishFill(const Msg &msg);
     /**
-     * Install the granted line, retrying while every way in the set is
-     * pinned. @p done runs once the fill has actually landed -- the
-     * transaction's queued ops (and its tone/ack bookkeeping) must not
-     * drain earlier, or they would re-issue a request for a line whose
-     * grant the directory has already accounted (double-counting the
-     * node in a census, for instance).
+     * Install @p grant and retire its transaction, then drop a held
+     * tone, ack a join, drain the queued ops and answer what waited.
+     * Draining earlier would re-request a grant the directory has
+     * already accounted (double-counting the node in a census).
+     * @return false, changing nothing, while the set is fully pinned.
      */
-    void applyFillAs(const Msg &msg, bool force_w,
-                     std::function<void()> done = {});
-    mem::CacheEntry *makeRoom(sim::Addr line);
+    bool landFill(const Msg &grant);
+    /** Retry a landing fill 4 cycles from now. */
+    void retryLanding(sim::Addr line);
     void evict(mem::CacheEntry *victim);
 
     // -- incoming wired handlers ---------------------------------------
-    void handleNack(const Msg &msg);
     void handleInv(const Msg &msg);
     void handleFwd(const Msg &msg);
 
@@ -210,7 +222,8 @@ class L1Controller
 
     // -- incoming wireless handlers (Table I) --------------------------
     void handleWirUpd(const wireless::Frame &frame);
-    void handleBrWirUpgr(const wireless::Frame &frame);
+    /** BrWirUpgr census; @p step is Stable, HoldTone or SatisfyUpgrade. */
+    void handleBrWirUpgr(sim::Addr line, L1Step step);
     void handleWirDwgr(const wireless::Frame &frame);
     void handleWirInv(const wireless::Frame &frame);
 
@@ -228,6 +241,7 @@ class L1Controller
     mem::FlatAddrMap<Txn> txns_;
     mem::FlatAddrMap<WirelessTxn> wirelessTxns_;
     Stats stats_;
+    std::array<std::uint32_t, kNumL1TxnRules> txnRuleHits_{};
 };
 
 } // namespace widir::coherence

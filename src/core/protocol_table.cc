@@ -116,6 +116,7 @@ l1EventName(L1Event e)
       case L1Event::FrameBrWirUpgr: return "FrameBrWirUpgr";
       case L1Event::FrameWirDwgr:   return "FrameWirDwgr";
       case L1Event::FrameWirInv:    return "FrameWirInv";
+      case L1Event::ChannelCommit:  return "ChannelCommit";
       case L1Event::ChannelFault:   return "ChannelFault";
     }
     return "?";
@@ -145,23 +146,31 @@ dirEventName(DirEvent e)
 }
 
 const char *
-l1ActionName(L1Action a)
+l1PhaseName(L1Phase p)
 {
-    switch (a) {
-      case L1Action::Hit:                return "Hit";
-      case L1Action::Miss:               return "Miss";
-      case L1Action::Upgrade:            return "Upgrade";
-      case L1Action::Wireless:           return "Wireless";
-      case L1Action::EvictNotify:        return "EvictNotify";
-      case L1Action::FinishFill:         return "FinishFill";
-      case L1Action::NackRetry:          return "NackRetry";
-      case L1Action::Invalidate:         return "Invalidate";
-      case L1Action::SupplyOwner:        return "SupplyOwner";
-      case L1Action::ApplyUpdate:        return "ApplyUpdate";
-      case L1Action::CensusJoin:         return "CensusJoin";
-      case L1Action::Downgrade:          return "Downgrade";
-      case L1Action::WirelessInvalidate: return "WirelessInvalidate";
-      case L1Action::WirelessWriteFault: return "WirelessWriteFault";
+    switch (p) {
+      case L1Phase::Miss:     return "Miss";
+      case L1Phase::Upgrade:  return "Upgrade";
+      case L1Phase::Landing:  return "Landing";
+      case L1Phase::Wireless: return "Wireless";
+    }
+    return "?";
+}
+
+const char *
+l1StepName(L1Step s)
+{
+    switch (s) {
+      case L1Step::Stable:            return "Stable";
+      case L1Step::Fill:              return "Fill";
+      case L1Step::Retry:             return "Retry";
+      case L1Step::Wait:              return "Wait";
+      case L1Step::HoldTone:          return "HoldTone";
+      case L1Step::SatisfyUpgrade:    return "SatisfyUpgrade";
+      case L1Step::Squash:            return "Squash";
+      case L1Step::UpdateDuringWrite: return "UpdateDuringWrite";
+      case L1Step::Commit:            return "Commit";
+      case L1Step::Fault:             return "Fault";
     }
     return "?";
 }
@@ -280,202 +289,178 @@ constexpr L1State L1_E = L1State::E;
 constexpr L1State L1_M = L1State::M;
 constexpr L1State L1_W = L1State::W;
 
-// Every (state, event) cell appears at least once; rows for one cell
-// agree on the action (validated at startup) and enumerate the cell's
-// possible outcome states. A null note means "no traced transition".
+// Rows enumerate the possible outcome states of each (state, event)
+// cell that can occur outside a transaction; the in-transaction table
+// below covers the rest. A null note means "no traced transition".
 constexpr L1Rule kL1Rules[] = {
     // CPU load: hit everywhere but I (a W hit resets UpdateCount).
-    {L1_I, L1Event::CpuLoad, L1Action::Miss, L1_I, nullptr, kRuleNone},
-    {L1_S, L1Event::CpuLoad, L1Action::Hit, L1_S, nullptr, kRuleNone},
-    {L1_E, L1Event::CpuLoad, L1Action::Hit, L1_E, nullptr, kRuleNone},
-    {L1_M, L1Event::CpuLoad, L1Action::Hit, L1_M, nullptr, kRuleNone},
-    {L1_W, L1Event::CpuLoad, L1Action::Hit, L1_W, nullptr, kRuleNone},
+    {L1_I, L1Event::CpuLoad, L1_I, nullptr, kRuleNone},
+    {L1_S, L1Event::CpuLoad, L1_S, nullptr, kRuleNone},
+    {L1_E, L1Event::CpuLoad, L1_E, nullptr, kRuleNone},
+    {L1_M, L1Event::CpuLoad, L1_M, nullptr, kRuleNone},
+    {L1_W, L1Event::CpuLoad, L1_W, nullptr, kRuleNone},
 
     // CPU store: silent E->M upgrade, wireless broadcast from W,
     // sharer upgrade from S, plain miss from I.
-    {L1_I, L1Event::CpuStore, L1Action::Miss, L1_I, nullptr, kRuleNone},
-    {L1_S, L1Event::CpuStore, L1Action::Upgrade, L1_S, nullptr,
-     kRuleNone},
-    {L1_E, L1Event::CpuStore, L1Action::Hit, L1_M, "store", kRuleNone},
-    {L1_M, L1Event::CpuStore, L1Action::Hit, L1_M, nullptr, kRuleNone},
-    {L1_W, L1Event::CpuStore, L1Action::Wireless, L1_W, nullptr,
-     kRuleNone},
+    {L1_I, L1Event::CpuStore, L1_I, nullptr, kRuleNone},
+    {L1_S, L1Event::CpuStore, L1_S, nullptr, kRuleNone},
+    {L1_E, L1Event::CpuStore, L1_M, "store", kRuleNone},
+    {L1_M, L1Event::CpuStore, L1_M, nullptr, kRuleNone},
+    {L1_W, L1Event::CpuStore, L1_W, nullptr, kRuleNone},
 
     // CPU RMW: like a store (a no-op RMW in W linearizes as a load).
-    {L1_I, L1Event::CpuRmw, L1Action::Miss, L1_I, nullptr, kRuleNone},
-    {L1_S, L1Event::CpuRmw, L1Action::Upgrade, L1_S, nullptr,
-     kRuleNone},
-    {L1_E, L1Event::CpuRmw, L1Action::Hit, L1_M, "rmw", kRuleNone},
-    {L1_M, L1Event::CpuRmw, L1Action::Hit, L1_M, nullptr, kRuleNone},
-    {L1_W, L1Event::CpuRmw, L1Action::Wireless, L1_W, nullptr,
-     kRuleNone},
+    {L1_I, L1Event::CpuRmw, L1_I, nullptr, kRuleNone},
+    {L1_S, L1Event::CpuRmw, L1_S, nullptr, kRuleNone},
+    {L1_E, L1Event::CpuRmw, L1_M, "rmw", kRuleNone},
+    {L1_M, L1Event::CpuRmw, L1_M, nullptr, kRuleNone},
+    {L1_W, L1Event::CpuRmw, L1_W, nullptr, kRuleNone},
 
     // Capacity eviction: PutS/PutE/PutM/PutW to the home.
-    {L1_I, L1Event::Evict, L1Action::EvictNotify, L1_I, nullptr,
-     kRuleNone},
-    {L1_S, L1Event::Evict, L1Action::EvictNotify, L1_I, "evict",
-     kRuleNone},
-    {L1_E, L1Event::Evict, L1Action::EvictNotify, L1_I, "evict",
-     kRuleNone},
-    {L1_M, L1Event::Evict, L1Action::EvictNotify, L1_I, "evict",
-     kRuleNone},
-    {L1_W, L1Event::Evict, L1Action::EvictNotify, L1_I, "evict",
-     kRuleNone},
+    {L1_S, L1Event::Evict, L1_I, "evict", kRuleNone},
+    {L1_E, L1Event::Evict, L1_I, "evict", kRuleNone},
+    {L1_M, L1Event::Evict, L1_I, "evict", kRuleNone},
+    {L1_W, L1Event::Evict, L1_I, "evict", kRuleNone},
 
-    // Data grant: fills the outstanding miss (I->granted state, or
+    // Data / WirUpgr: fill the outstanding miss (I->granted state, or
     // S->M on an upgrade; I->W when a census counted the requester,
-    // Section III-B1 case iii). In E/M/W the response is stale (the
-    // transaction was already resolved another way) and is dropped.
-    {L1_I, L1Event::MsgData, L1Action::FinishFill, L1_S, "fill",
-     kRuleNone},
-    {L1_I, L1Event::MsgData, L1Action::FinishFill, L1_E, "fill",
-     kRuleNone},
-    {L1_I, L1Event::MsgData, L1Action::FinishFill, L1_M, "fill",
-     kRuleNone},
-    {L1_I, L1Event::MsgData, L1Action::FinishFill, L1_W, "fill",
-     kRuleNone},
-    {L1_S, L1Event::MsgData, L1Action::FinishFill, L1_M, "fill",
-     kRuleNone},
-    {L1_E, L1Event::MsgData, L1Action::FinishFill, L1_E, nullptr,
-     kRuleNone},
-    {L1_M, L1Event::MsgData, L1Action::FinishFill, L1_M, nullptr,
-     kRuleNone},
-    {L1_W, L1Event::MsgData, L1Action::FinishFill, L1_W, nullptr,
-     kRuleNone},
-
-    // WirUpgr: wired leg of a W join; fills the miss in W.
-    {L1_I, L1Event::MsgWirUpgr, L1Action::FinishFill, L1_W, "fill",
-     kRuleNone},
-    {L1_S, L1Event::MsgWirUpgr, L1Action::FinishFill, L1_S, nullptr,
-     kRuleNone},
-    {L1_E, L1Event::MsgWirUpgr, L1Action::FinishFill, L1_E, nullptr,
-     kRuleNone},
-    {L1_M, L1Event::MsgWirUpgr, L1Action::FinishFill, L1_M, nullptr,
-     kRuleNone},
-    {L1_W, L1Event::MsgWirUpgr, L1Action::FinishFill, L1_W, nullptr,
-     kRuleNone},
+    // Section III-B1 case iii, or on a W join). Every grant answers a
+    // request whose transaction is still open.
+    {L1_I, L1Event::MsgData, L1_S, "fill", kRuleNone},
+    {L1_I, L1Event::MsgData, L1_E, "fill", kRuleNone},
+    {L1_I, L1Event::MsgData, L1_M, "fill", kRuleNone},
+    {L1_I, L1Event::MsgData, L1_W, "fill", kRuleNone},
+    {L1_S, L1Event::MsgData, L1_M, "fill", kRuleNone},
+    {L1_I, L1Event::MsgWirUpgr, L1_W, "fill", kRuleNone},
 
     // Nack: back off and retry the outstanding request (releases a
-    // held census tone). No state change in any state.
-    {L1_I, L1Event::MsgNack, L1Action::NackRetry, L1_I, nullptr,
-     kRuleNone},
-    {L1_S, L1Event::MsgNack, L1Action::NackRetry, L1_S, nullptr,
-     kRuleNone},
-    {L1_E, L1Event::MsgNack, L1Action::NackRetry, L1_E, nullptr,
-     kRuleNone},
-    {L1_M, L1Event::MsgNack, L1Action::NackRetry, L1_M, nullptr,
-     kRuleNone},
-    {L1_W, L1Event::MsgNack, L1Action::NackRetry, L1_W, nullptr,
-     kRuleNone},
+    // held census tone). With none open the bounce is stale (a census
+    // satisfied the upgrade it answers). No state change in any state.
+    {L1_I, L1Event::MsgNack, L1_I, nullptr, kRuleNone},
+    {L1_S, L1Event::MsgNack, L1_S, nullptr, kRuleNone},
+    {L1_E, L1Event::MsgNack, L1_E, nullptr, kRuleNone},
+    {L1_M, L1Event::MsgNack, L1_M, nullptr, kRuleNone},
+    {L1_W, L1Event::MsgNack, L1_W, nullptr, kRuleNone},
 
     // Inv: ack (with data on an owner recall) and drop the copy; a
     // miss still acks (broadcast recalls target every node). An Inv
     // reaching a W copy only happens via the wired fault fallback.
-    {L1_I, L1Event::MsgInv, L1Action::Invalidate, L1_I, nullptr,
-     kRuleNone},
-    {L1_S, L1Event::MsgInv, L1Action::Invalidate, L1_I, "Inv",
-     kRuleNone},
-    {L1_E, L1Event::MsgInv, L1Action::Invalidate, L1_I, "Inv",
-     kRuleNone},
-    {L1_M, L1Event::MsgInv, L1Action::Invalidate, L1_I, "Inv",
-     kRuleNone},
-    {L1_W, L1Event::MsgInv, L1Action::Invalidate, L1_I, "Inv",
-     kRuleFaultOnly},
+    {L1_I, L1Event::MsgInv, L1_I, nullptr, kRuleNone},
+    {L1_S, L1Event::MsgInv, L1_I, "Inv", kRuleNone},
+    {L1_E, L1Event::MsgInv, L1_I, "Inv", kRuleNone},
+    {L1_M, L1Event::MsgInv, L1_I, "Inv", kRuleNone},
+    {L1_W, L1Event::MsgInv, L1_I, "Inv", kRuleFaultOnly},
 
-    // FwdGetS: the owner supplies data and downgrades. Only an owner
-    // (or a node that already evicted, dropping the forward) can see
-    // one; S/W would be a protocol bug (the handler asserts).
-    {L1_I, L1Event::MsgFwdGetS, L1Action::SupplyOwner, L1_I, nullptr,
-     kRuleNone},
-    {L1_S, L1Event::MsgFwdGetS, L1Action::SupplyOwner, L1_S, nullptr,
-     kRuleUnreachable},
-    {L1_E, L1Event::MsgFwdGetS, L1Action::SupplyOwner, L1_S, "FwdGetS",
-     kRuleNone},
-    {L1_M, L1Event::MsgFwdGetS, L1Action::SupplyOwner, L1_S, "FwdGetS",
-     kRuleNone},
-    {L1_W, L1Event::MsgFwdGetS, L1Action::SupplyOwner, L1_W, nullptr,
-     kRuleUnreachable},
+    // FwdGetS / FwdGetX: the owner supplies data and downgrades or
+    // invalidates. A node that already evicted drops the forward (its
+    // PutE/PutM completes the directory's transaction instead).
+    {L1_I, L1Event::MsgFwdGetS, L1_I, nullptr, kRuleNone},
+    {L1_E, L1Event::MsgFwdGetS, L1_S, "FwdGetS", kRuleNone},
+    {L1_M, L1Event::MsgFwdGetS, L1_S, "FwdGetS", kRuleNone},
+    {L1_I, L1Event::MsgFwdGetX, L1_I, nullptr, kRuleNone},
+    {L1_E, L1Event::MsgFwdGetX, L1_I, "FwdGetX", kRuleNone},
+    {L1_M, L1Event::MsgFwdGetX, L1_I, "FwdGetX", kRuleNone},
 
-    // FwdGetX: the owner supplies data and invalidates.
-    {L1_I, L1Event::MsgFwdGetX, L1Action::SupplyOwner, L1_I, nullptr,
-     kRuleNone},
-    {L1_S, L1Event::MsgFwdGetX, L1Action::SupplyOwner, L1_S, nullptr,
-     kRuleUnreachable},
-    {L1_E, L1Event::MsgFwdGetX, L1Action::SupplyOwner, L1_I, "FwdGetX",
-     kRuleNone},
-    {L1_M, L1Event::MsgFwdGetX, L1Action::SupplyOwner, L1_I, "FwdGetX",
-     kRuleNone},
-    {L1_W, L1Event::MsgFwdGetX, L1Action::SupplyOwner, L1_W, nullptr,
-     kRuleUnreachable},
-
+    // The home sends WirUpd, WirDwgr and WirInv only for a line in W,
+    // which leaves no S/E/M copy, and BrWirUpgr only for a line in S,
+    // which leaves no E/M/W copy: the frames reach those states only
+    // mid-transaction.
+    //
     // Foreign WirUpd: W sharers apply the word (and may self-
-    // invalidate once UpdateCount trips); everyone else ignores it.
-    {L1_I, L1Event::FrameWirUpd, L1Action::ApplyUpdate, L1_I, nullptr,
-     kRuleNone},
-    {L1_S, L1Event::FrameWirUpd, L1Action::ApplyUpdate, L1_S, nullptr,
-     kRuleNone},
-    {L1_E, L1Event::FrameWirUpd, L1Action::ApplyUpdate, L1_E, nullptr,
-     kRuleNone},
-    {L1_M, L1Event::FrameWirUpd, L1Action::ApplyUpdate, L1_M, nullptr,
-     kRuleNone},
-    {L1_W, L1Event::FrameWirUpd, L1Action::ApplyUpdate, L1_W, nullptr,
-     kRuleNone},
-    {L1_W, L1Event::FrameWirUpd, L1Action::ApplyUpdate, L1_I,
-     "UpdateCount", kRuleNone},
+    // invalidate once UpdateCount trips); a node without a copy
+    // ignores it.
+    {L1_I, L1Event::FrameWirUpd, L1_I, nullptr, kRuleNone},
+    {L1_W, L1Event::FrameWirUpd, L1_W, nullptr, kRuleNone},
+    {L1_W, L1Event::FrameWirUpd, L1_I, "UpdateCount", kRuleNone},
 
     // BrWirUpgr census: every node raises the tone; current sharers
     // adopt W (case 1/2), nodes with a request in flight hold the
     // tone (case iii), everyone else drops it immediately (case i).
-    {L1_I, L1Event::FrameBrWirUpgr, L1Action::CensusJoin, L1_I, nullptr,
-     kRuleNone},
-    {L1_S, L1Event::FrameBrWirUpgr, L1Action::CensusJoin, L1_W,
-     "BrWirUpgr", kRuleNone},
-    {L1_E, L1Event::FrameBrWirUpgr, L1Action::CensusJoin, L1_E, nullptr,
-     kRuleNone},
-    {L1_M, L1Event::FrameBrWirUpgr, L1Action::CensusJoin, L1_M, nullptr,
-     kRuleNone},
-    {L1_W, L1Event::FrameBrWirUpgr, L1Action::CensusJoin, L1_W, nullptr,
-     kRuleNone},
+    {L1_I, L1Event::FrameBrWirUpgr, L1_I, nullptr, kRuleNone},
+    {L1_S, L1Event::FrameBrWirUpgr, L1_W, "BrWirUpgr", kRuleNone},
 
     // WirDwgr: W sharers ack with their id and downgrade.
-    {L1_I, L1Event::FrameWirDwgr, L1Action::Downgrade, L1_I, nullptr,
-     kRuleNone},
-    {L1_S, L1Event::FrameWirDwgr, L1Action::Downgrade, L1_S, nullptr,
-     kRuleNone},
-    {L1_E, L1Event::FrameWirDwgr, L1Action::Downgrade, L1_E, nullptr,
-     kRuleNone},
-    {L1_M, L1Event::FrameWirDwgr, L1Action::Downgrade, L1_M, nullptr,
-     kRuleNone},
-    {L1_W, L1Event::FrameWirDwgr, L1Action::Downgrade, L1_S, "WirDwgr",
-     kRuleNone},
+    {L1_I, L1Event::FrameWirDwgr, L1_I, nullptr, kRuleNone},
+    {L1_W, L1Event::FrameWirDwgr, L1_S, "WirDwgr", kRuleNone},
 
     // WirInv: W sharers invalidate and retry pending writes wired.
-    {L1_I, L1Event::FrameWirInv, L1Action::WirelessInvalidate, L1_I,
-     nullptr, kRuleNone},
-    {L1_S, L1Event::FrameWirInv, L1Action::WirelessInvalidate, L1_S,
-     nullptr, kRuleNone},
-    {L1_E, L1Event::FrameWirInv, L1Action::WirelessInvalidate, L1_E,
-     nullptr, kRuleNone},
-    {L1_M, L1Event::FrameWirInv, L1Action::WirelessInvalidate, L1_M,
-     nullptr, kRuleNone},
-    {L1_W, L1Event::FrameWirInv, L1Action::WirelessInvalidate, L1_I,
-     "WirInv", kRuleNone},
+    {L1_I, L1Event::FrameWirInv, L1_I, nullptr, kRuleNone},
+    {L1_W, L1Event::FrameWirInv, L1_I, "WirInv", kRuleNone},
+
+    // Own WirUpd reached its commit point: the word merges into the
+    // W copy. A write squashed between the channel grant and its
+    // commit point (losing the copy) leaves a stale commit.
+    {L1_I, L1Event::ChannelCommit, L1_I, nullptr, kRuleNone},
+    {L1_W, L1Event::ChannelCommit, L1_W, nullptr, kRuleNone},
 
     // Own WirUpd exhausted its fault-retry budget: leave the group
-    // like an UpdateCount expiry and retry the write wired. In any
-    // other state the notification is stale (a racing WirDwgr/WirInv
-    // already squashed the transmission).
-    {L1_I, L1Event::ChannelFault, L1Action::WirelessWriteFault, L1_I,
-     nullptr, kRuleFaultOnly},
-    {L1_S, L1Event::ChannelFault, L1Action::WirelessWriteFault, L1_S,
-     nullptr, kRuleFaultOnly},
-    {L1_E, L1Event::ChannelFault, L1Action::WirelessWriteFault, L1_E,
-     nullptr, kRuleFaultOnly},
-    {L1_M, L1Event::ChannelFault, L1Action::WirelessWriteFault, L1_M,
-     nullptr, kRuleFaultOnly},
-    {L1_W, L1Event::ChannelFault, L1Action::WirelessWriteFault, L1_I,
-     "fault", kRuleFaultOnly},
+    // like an UpdateCount expiry and retry the write wired. Without a
+    // W copy the notification is stale (a racing wired Inv already
+    // squashed the transmission).
+    {L1_I, L1Event::ChannelFault, L1_I, nullptr, kRuleFaultOnly},
+    {L1_W, L1Event::ChannelFault, L1_I, "fault", kRuleFaultOnly},
 };
+
+// ---------------------------------------------------------------------
+// Rules: L1 events during a transaction
+// ---------------------------------------------------------------------
+
+namespace l1_txn_rows {
+
+using enum L1Phase;
+using enum L1Event;
+using enum L1Step;
+
+// CPU operations queue behind an open transaction (a load that hits
+// is served), and a channel callback with no write in flight is stale,
+// so neither is a row. A missing cell panics; docs/PROTOCOL.md ("L1
+// events during a transaction") argues why each cannot happen.
+constexpr L1TxnRule kL1TxnRules[] = {
+    // Miss: only the reply ends it; a census that catches the request
+    // counts the node, so the fill lands in W (Section III-B1, case
+    // iii). Everything else meets an absent copy, as in Table I.
+    {Miss, MsgData, Fill, kRuleNone},
+    {Miss, MsgWirUpgr, Fill, kRuleNone},
+    {Miss, MsgNack, Retry, kRuleNone},
+    {Miss, MsgInv, Stable, kRuleNone},
+    {Miss, MsgFwdGetS, Stable, kRuleNone},
+    {Miss, MsgFwdGetX, Stable, kRuleNone},
+    {Miss, FrameWirUpd, Stable, kRuleNone},
+    {Miss, FrameBrWirUpgr, HoldTone, kRuleNone},
+    {Miss, FrameWirDwgr, Stable, kRuleNone},
+    {Miss, FrameWirInv, Stable, kRuleNone},
+
+    // Upgrade: the pinned S copy is invalidated like any S copy, and a
+    // census turns it W and sends the queued writes wireless (Table I,
+    // S->W case 2); the directory discards the upgrade.
+    {Upgrade, MsgData, Fill, kRuleNone},
+    {Upgrade, MsgNack, Retry, kRuleNone},
+    {Upgrade, MsgInv, Stable, kRuleNone},
+    {Upgrade, FrameBrWirUpgr, SatisfyUpgrade, kRuleNone},
+
+    // Landing: the directory has granted the line, so the node answers
+    // for it once the line lands -- from the granted state, after the
+    // queued ops. A census counts it (case iii).
+    {Landing, MsgInv, Wait, kRuleNone},
+    {Landing, MsgFwdGetS, Wait, kRuleNone},
+    {Landing, MsgFwdGetX, Wait, kRuleNone},
+    {Landing, FrameBrWirUpgr, HoldTone, kRuleNone},
+
+    // Wireless: the commit point serializes the write. A racing
+    // update voids a pending RMW's value; losing the W copy squashes
+    // the write and retries it on the new state. A Nack is the stale
+    // answer to an upgrade a census satisfied.
+    {Wireless, MsgNack, Stable, kRuleNone},
+    {Wireless, MsgInv, Squash, kRuleFaultOnly},
+    {Wireless, FrameWirUpd, UpdateDuringWrite, kRuleNone},
+    {Wireless, FrameWirDwgr, Squash, kRuleNone},
+    {Wireless, FrameWirInv, Squash, kRuleNone},
+    {Wireless, ChannelCommit, Commit, kRuleNone},
+    {Wireless, ChannelFault, Fault, kRuleFaultOnly},
+};
+
+static_assert(std::size(kL1TxnRules) == kNumL1TxnRules);
+
+} // namespace l1_txn_rows
 
 // ---------------------------------------------------------------------
 // Rules: Table II (directory side)
@@ -724,6 +709,13 @@ static_assert(std::size(kDirTxnRules) == kNumDirTxnRules);
 // ---------------------------------------------------------------------
 
 constexpr std::size_t
+l1TxnCell(L1Phase p, L1Event e)
+{
+    return static_cast<std::size_t>(p) * kNumL1Events +
+           static_cast<std::size_t>(e);
+}
+
+constexpr std::size_t
 txnCell(DirTxnType t, bool wired, DirEvent e, SenderRole r)
 {
     return ((static_cast<std::size_t>(t) * 2 + wired) * kNumDirEvents +
@@ -734,7 +726,8 @@ txnCell(DirTxnType t, bool wired, DirEvent e, SenderRole r)
 
 struct DerivedTables
 {
-    std::array<L1Action, kNumL1States * kNumL1Events> l1Dispatch;
+    /** Row index into l1_txn_rows::kL1TxnRules per cell, -1 when none. */
+    std::array<std::int8_t, kNumL1Phases * kNumL1Events> l1Txn;
     /** Row index into txn_rows::kDirTxnRules per cell, -1 when none. */
     std::array<std::int16_t,
                kNumDirTxnTypes * 2 * kNumDirEvents * kNumSenderRoles>
@@ -748,21 +741,12 @@ DerivedTables
 buildTables()
 {
     DerivedTables t{};
-    constexpr auto kNoL1 = static_cast<L1Action>(0xff);
-    t.l1Dispatch.fill(kNoL1);
+    t.l1Txn.fill(-1);
     t.dirTxn.fill(-1);
     t.l1Edges.fill(0);
     t.dirEdges.fill(0);
 
     for (const L1Rule &r : kL1Rules) {
-        std::size_t cell = static_cast<std::size_t>(r.from) *
-                               kNumL1Events +
-                           static_cast<std::size_t>(r.event);
-        WIDIR_ASSERT(t.l1Dispatch[cell] == kNoL1 ||
-                         t.l1Dispatch[cell] == r.action,
-                     "L1 rule rows for (%s, %s) disagree on the action",
-                     l1StateName(r.from), l1EventName(r.event));
-        t.l1Dispatch[cell] = r.action;
         if (r.note)
             t.l1Edges[static_cast<std::size_t>(r.from)] |=
                 std::uint8_t{1} << static_cast<std::uint8_t>(r.to);
@@ -772,11 +756,14 @@ buildTables()
             t.dirEdges[static_cast<std::size_t>(r.from)] |=
                 std::uint8_t{1} << static_cast<std::uint8_t>(r.to);
     }
-    for (std::size_t i = 0; i < t.l1Dispatch.size(); ++i)
-        WIDIR_ASSERT(t.l1Dispatch[i] != kNoL1,
-                     "L1 cell (%s, %s) has no rule",
-                     l1StateName(static_cast<L1State>(i / kNumL1Events)),
-                     l1EventName(static_cast<L1Event>(i % kNumL1Events)));
+    for (std::size_t i = 0; i < std::size(l1_txn_rows::kL1TxnRules); ++i) {
+        const L1TxnRule &r = l1_txn_rows::kL1TxnRules[i];
+        std::int8_t &cell = t.l1Txn[l1TxnCell(r.phase, r.event)];
+        WIDIR_ASSERT(cell < 0, "L1 in-transaction rows %d and %zu overlap "
+                     "on (%s, %s)", cell, i, l1PhaseName(r.phase),
+                     l1EventName(r.event));
+        cell = static_cast<std::int8_t>(i);
+    }
     for (std::size_t i = 0; i < std::size(txn_rows::kDirTxnRules); ++i) {
         const DirTxnRule &r = txn_rows::kDirTxnRules[i];
         for (std::size_t role = 0; role < kNumSenderRoles; ++role) {
@@ -817,12 +804,16 @@ dirRules()
     return kDirRules;
 }
 
-L1Action
-l1ActionFor(L1State s, L1Event e)
+std::span<const L1TxnRule>
+l1TxnRules()
 {
-    return tables().l1Dispatch[static_cast<std::size_t>(s) *
-                                   kNumL1Events +
-                               static_cast<std::size_t>(e)];
+    return l1_txn_rows::kL1TxnRules;
+}
+
+int
+l1TxnRuleFor(L1Phase p, L1Event e)
+{
+    return tables().l1Txn[l1TxnCell(p, e)];
 }
 
 std::span<const DirTxnRule>

@@ -4,16 +4,17 @@
  * the single source of truth for the protocol's transition relation.
  *
  * Tables I and II of the paper are encoded as flat rule arrays: for
- * each (stable state, event) cell one or more `L1Rule` / `DirRule`
- * rows name every outcome state the cell can produce (L1 rows also
- * name the action the controller dispatches). A third array,
- * `DirTxnRule`, says what the directory does with a wired message
- * for a line whose transaction is still open. The rows feed four
+ * each (stable state, event) cell that can occur, one or more
+ * `L1Rule` / `DirRule` rows name every outcome state the cell can
+ * produce. Two more arrays say what a controller does with an event
+ * for a line whose transaction is still open: `L1TxnRule` for the
+ * L1 and `DirTxnRule` for the directory. The rows feed four
  * consumers:
  *
- *  - `L1Controller::receive`/`receiveFrame`/CPU ops dispatch through
- *    `l1ActionFor()`, and `DirectoryController::receive` through
- *    `dirTxnRuleFor()` whenever the line has a transaction open;
+ *  - `L1Controller` looks up `l1TxnRuleFor()` and
+ *    `DirectoryController::receive` looks up `dirTxnRuleFor()`
+ *    whenever the line has a transaction open; with none open, the
+ *    handlers apply Table I / Table II to the stable state;
  *  - `sys::checkTraceLegality` derives its legal-edge sets from
  *    `l1EdgeLegal()` / `dirEdgeLegal()` instead of a private copy;
  *  - `tools/gen_protocol_docs` renders the rows into the generated
@@ -25,10 +26,9 @@
  *
  * Rows with a non-null `note` are *traced edges*: the controller emits
  * an `L1Transition`/`DirTransition` record with that note when the
- * rule fires. Rows with a null note are tolerated no-ops, transient
- * bookkeeping, or panics. Flags mark rows only reachable under fault
- * injection (`kRuleFaultOnly`) and L1 cells kept for dispatch whose
- * handler asserts they never fire (`kRuleUnreachable`).
+ * rule fires. Rows with a null note are tolerated no-ops or transient
+ * bookkeeping. `kRuleFaultOnly` marks rows only reachable under fault
+ * injection.
  *
  * The protocol vocabulary (states, transaction kinds) and every
  * enum -> string helper live here as well, so a new enumerator has
@@ -126,9 +126,10 @@ enum class L1Event : std::uint8_t
     FrameBrWirUpgr,
     FrameWirDwgr,
     FrameWirInv,
+    ChannelCommit,  ///< own WirUpd reached its commit point
     ChannelFault,   ///< own WirUpd exhausted its fault-retry budget
 };
-inline constexpr std::size_t kNumL1Events = 15;
+inline constexpr std::size_t kNumL1Events = 16;
 
 /**
  * Everything that can happen to a directory entry: wired messages
@@ -171,36 +172,6 @@ bool dirEventOf(MsgType t, DirEvent &ev);
 L1Event l1EventOf(wireless::FrameKind k);
 
 // ---------------------------------------------------------------------
-// Actions
-// ---------------------------------------------------------------------
-
-/**
- * What the L1 controller does for a (state, event) cell. Each action
- * names one of the controller's existing handlers; the handlers keep
- * all side effects (stats, messages, tracing) so dispatching through
- * the table is bit-identical to the old hand-written switches.
- */
-enum class L1Action : std::uint8_t
-{
-    Hit = 0,        ///< serve from the cache (may silently upgrade)
-    Miss,           ///< allocate a txn, send GetS/GetX
-    Upgrade,        ///< sharer upgrade: GetX with isSharer
-    Wireless,       ///< W-state store/RMW: broadcast WirUpd
-    EvictNotify,    ///< send Put* and invalidate the frame
-    FinishFill,     ///< Data/WirUpgr completes the outstanding txn
-    NackRetry,      ///< bounce: back off and resend
-    Invalidate,     ///< Inv: ack (with data on a recall), drop copy
-    SupplyOwner,    ///< Fwd*: OwnerData, downgrade or invalidate
-    ApplyUpdate,    ///< foreign WirUpd: merge word, UpdateCount++
-    CensusJoin,     ///< BrWirUpgr: raise tone, S->W, resolve txns
-    Downgrade,      ///< WirDwgr: ack survivor id, W->S
-    WirelessInvalidate, ///< WirInv: drop W copy, squash + retry
-    WirelessWriteFault, ///< own WirUpd dropped: PutW + wired retry
-};
-
-const char *l1ActionName(L1Action a);
-
-// ---------------------------------------------------------------------
 // Rules
 // ---------------------------------------------------------------------
 
@@ -209,32 +180,26 @@ const char *l1ActionName(L1Action a);
 inline constexpr std::uint8_t kRuleNone = 0;
 /** Row only reachable with fault injection armed (docs/FAULTS.md). */
 inline constexpr std::uint8_t kRuleFaultOnly = 1u << 0;
-/**
- * L1 cell kept so dispatch is total, but the handler asserts it never
- * fires (protocol-impossible combination).
- */
-inline constexpr std::uint8_t kRuleUnreachable = 1u << 1;
 /// @}
 
 /**
- * One row of Table I: in state `from`, event `event` dispatches
- * `action` and may leave the line in `to`. `note` is the exact string
- * the controller puts into the L1Transition trace record when this
- * outcome fires, or null when the outcome is not a traced transition
- * (no state change, transient bookkeeping, or a tolerated stale
- * arrival, in which case `to == from`).
+ * One row of Table I: in state `from`, event `event` may leave the
+ * line in `to`. `note` is the exact string the controller puts into
+ * the L1Transition trace record when this outcome fires, or null when
+ * the outcome is not a traced transition (no state change, transient
+ * bookkeeping, or a tolerated stale arrival, in which case
+ * `to == from`).
  */
 struct L1Rule
 {
     L1State from;
     L1Event event;
-    L1Action action;
     L1State to;
     const char *note;
     std::uint8_t flags;
 };
 
-/** One row of Table II; same contract as L1Rule, minus the action. */
+/** One row of Table II; same contract as L1Rule. */
 struct DirRule
 {
     DirState from;
@@ -244,16 +209,9 @@ struct DirRule
     std::uint8_t flags;
 };
 
-/** The full rule sets (every L1 (state, event) cell has a row). */
+/** The full rule sets (a cell with no row cannot occur). */
 std::span<const L1Rule> l1Rules();
 std::span<const DirRule> dirRules();
-
-/**
- * L1 dispatch lookup: the action for a (state, event) cell. Every
- * cell is covered (rule rows for one cell always agree on the action;
- * validated once at startup).
- */
-L1Action l1ActionFor(L1State s, L1Event e);
 
 /**
  * Trace-legality relation derived from the noted rules: true when
@@ -262,6 +220,56 @@ L1Action l1ActionFor(L1State s, L1Event e);
  */
 bool l1EdgeLegal(L1State from, L1State to);
 bool dirEdgeLegal(DirState from, DirState to);
+
+// ---------------------------------------------------------------------
+// L1 events during a transaction
+// ---------------------------------------------------------------------
+
+/** What an L1 line's open transaction is doing. */
+enum class L1Phase : std::uint8_t
+{
+    Miss = 0, ///< GetS/GetX in flight, no copy resident
+    Upgrade,  ///< sharer GetX in flight, the S copy pinned in the cache
+    Landing,  ///< granted, the fill waits for a way in a fully pinned set
+    Wireless, ///< own WirUpd queued at the transceiver, the W copy pinned
+};
+inline constexpr std::size_t kNumL1Phases = 4;
+
+/** What the L1 does with an event mid-transaction. */
+enum class L1Step : std::uint8_t
+{
+    Stable = 0,     ///< the transaction changes nothing: Table I answers
+    Fill,           ///< Data/WirUpgr: install the line, or start landing
+    Retry,          ///< Nack: release a held tone, back off and resend
+    Wait,           ///< park in the landing fill; answer once it lands
+    HoldTone,       ///< census caught the request: hold the tone, fill W
+    SatisfyUpgrade, ///< census made the S copy W: re-run the ops as W ops
+    Squash,         ///< Table I answers, then the pending write retries
+    UpdateDuringWrite, ///< apply the word; a pending RMW retries
+    Commit,         ///< own WirUpd committed: merge it, issue the next
+    Fault,          ///< own WirUpd dropped: PutW, retry the write wired
+};
+
+const char *l1PhaseName(L1Phase p);
+const char *l1StepName(L1Step s);
+
+/**
+ * One in-transaction rule: `event` meeting a transaction in `phase`
+ * takes `step`. A cell no row covers is a protocol bug: the L1 panics.
+ */
+struct L1TxnRule
+{
+    L1Phase phase;
+    L1Event event;
+    L1Step step;
+    std::uint8_t flags;
+};
+
+std::span<const L1TxnRule> l1TxnRules();
+inline constexpr std::size_t kNumL1TxnRules = 25;
+
+/** Index into l1TxnRules() of the row for a cell, or -1 if none. */
+int l1TxnRuleFor(L1Phase p, L1Event e);
 
 // ---------------------------------------------------------------------
 // Directory messages during a transaction

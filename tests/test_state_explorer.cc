@@ -14,16 +14,13 @@
  *    is reachable), except keys whose rows are all `kRuleFaultOnly`,
  *    which a dedicated fault-injection phase reaches instead.
  *
- * `kRuleUnreachable` rows carry no note, so they have no coverage key;
- * their handlers assert they never fire, which every run here
- * exercises implicitly. Every run also streams its trace through a
- * strict `sys::TraceLegalityChecker` and ends with
- * `sys::checkCoherence`.
+ * Every run also streams its trace through a strict
+ * `sys::TraceLegalityChecker` and ends with `sys::checkCoherence`.
  *
- * The directory's in-transaction table (`dirTxnRules()`) is checked
- * the same two ways. Soundness is structural: a message no row covers
- * panics the run, so every step a directory takes is a row.
- * Completeness: the explorer sums every directory's per-row hit
+ * The in-transaction tables (`l1TxnRules()`, `dirTxnRules()`) are
+ * checked the same two ways. Soundness is structural: an event no row
+ * covers panics the run, so every step a controller takes is a row.
+ * Completeness: the explorer sums every controller's per-row hit
  * counts, and every row must be taken -- fault-only rows in the fault
  * phase, the others without faults.
  */
@@ -121,6 +118,8 @@ class Explorer
     std::set<EdgeKey> observed;
     /** Per-row hits of dirTxnRules(), summed over every directory. */
     std::array<std::uint64_t, coherence::kNumDirTxnRules> txnRuleHits{};
+    /** Per-row hits of l1TxnRules(), summed over every L1. */
+    std::array<std::uint64_t, coherence::kNumL1TxnRules> l1TxnRuleHits{};
     std::uint64_t runs = 0;
 
     void
@@ -145,6 +144,9 @@ class Explorer
             const auto &hits = m.dir(n).txnRuleHits();
             for (std::size_t i = 0; i < hits.size(); ++i)
                 txnRuleHits[i] += hits[i];
+            const auto &l1_hits = m.l1(n).txnRuleHits();
+            for (std::size_t i = 0; i < l1_hits.size(); ++i)
+                l1TxnRuleHits[i] += l1_hits[i];
         }
         auto violations = sys::checkCoherence(m);
         EXPECT_TRUE(violations.empty())
@@ -182,6 +184,25 @@ class Explorer
                 << coherence::dirEventName(r.event) << " -> "
                 << coherence::dirStepName(r.step);
         }
+        auto l1_rules = coherence::l1TxnRules();
+        for (std::size_t i = 0; i < l1_rules.size(); ++i) {
+            const coherence::L1TxnRule &r = l1_rules[i];
+            if (((r.flags & kRuleFaultOnly) != 0) != fault_only)
+                continue;
+            EXPECT_GT(l1TxnRuleHits[i], 0u)
+                << "L1 in-transaction row " << i << " never taken: "
+                << coherence::l1PhaseName(r.phase) << " "
+                << coherence::l1EventName(r.event) << " -> "
+                << coherence::l1StepName(r.step);
+        }
+    }
+
+    /** Times the L1 row for (@p phase, @p ev) was taken. */
+    std::uint64_t
+    l1Hits(coherence::L1Phase phase, coherence::L1Event ev) const
+    {
+        int row = coherence::l1TxnRuleFor(phase, ev);
+        return row < 0 ? 0 : l1TxnRuleHits[static_cast<std::size_t>(row)];
     }
 };
 
@@ -781,12 +802,20 @@ staleUpgradeMeetsJoin(Explorer &ex)
 
 TEST(ProtocolTable, EveryCellDispatches)
 {
-    // l1ActionFor panics on an uncovered cell; touching every cell
-    // proves the L1 rule array tiles Table I completely.
-    for (std::size_t s = 0; s < coherence::kNumL1States; ++s)
-        for (std::size_t e = 0; e < coherence::kNumL1Events; ++e)
-            coherence::l1ActionFor(static_cast<coherence::L1State>(s),
-                                   static_cast<coherence::L1Event>(e));
+    // Each L1 in-transaction row owns exactly its cell (overlapping
+    // rows panic when the table is built), and every phase answers a
+    // wired Inv, which a broadcast recall sends to every node whatever
+    // it has in flight.
+    auto l1_rules = coherence::l1TxnRules();
+    for (std::size_t i = 0; i < l1_rules.size(); ++i)
+        EXPECT_EQ(coherence::l1TxnRuleFor(l1_rules[i].phase,
+                                          l1_rules[i].event),
+                  static_cast<int>(i));
+    for (std::size_t p = 0; p < coherence::kNumL1Phases; ++p)
+        EXPECT_GE(coherence::l1TxnRuleFor(static_cast<coherence::L1Phase>(p),
+                                          coherence::L1Event::MsgInv),
+                  0)
+            << coherence::l1PhaseName(static_cast<coherence::L1Phase>(p));
 
     // Each in-transaction row owns exactly the cells its roles name,
     // and a request from anyone gets an answer during any transaction
@@ -860,18 +889,6 @@ TEST(ProtocolTable, NotedRowsDefineLegality)
                 << "dir " << f << "->" << t;
 }
 
-TEST(ProtocolTable, UnreachableRowsCarryNoNote)
-{
-    for (const coherence::L1Rule &r : l1Rules()) {
-        if (r.flags & coherence::kRuleUnreachable) {
-            EXPECT_EQ(r.note, nullptr);
-        }
-    }
-    // Directory cells that cannot occur have no row at all.
-    for (const coherence::DirRule &r : dirRules())
-        EXPECT_FALSE(r.flags & coherence::kRuleUnreachable);
-}
-
 TEST(StateExplorer, EveryTableEdgeReachable)
 {
     Explorer ex;
@@ -932,9 +949,15 @@ TEST(StateExplorer, EveryTableEdgeReachable)
     }
 
     // Storms and a directed sweep for the rarest in-transaction rows.
+    // Eight tiles pin whole L1 sets often enough that fills land late
+    // (L1Phase::Landing) while the home recalls or forwards the line.
     for (std::uint64_t seed = 1; seed <= 500; ++seed)
         ex.run(stormCfg(4, seed), [seed](Thread &t) -> Task {
             return storm(t, seed, 4);
+        });
+    for (std::uint64_t seed = 1; seed <= 40; ++seed)
+        ex.run(stormCfg(8, seed), [seed](Thread &t) -> Task {
+            return storm(t, seed, 8);
         });
     staleUpgradeMeetsJoin(ex);
 
@@ -989,6 +1012,35 @@ TEST(StateExplorer, FaultOnlyEdgesReachableUnderInjection)
             << keyName(key);
     }
     ex.expectTxnRulesTaken(true);
+}
+
+/**
+ * An 8-tile storm whose fill is postponed behind a fully pinned set
+ * while the home recalls the line. Before the landing phase existed
+ * the L1 acked the Inv as if it held nothing and installed the line
+ * afterwards, and the home later panicked on its PutM ("no step for
+ * MsgPutM from Other node ... during Fetch").
+ */
+void
+expectLandingFillAnswersForItsLine(std::uint64_t seed)
+{
+    Explorer ex;
+    ex.run(stormCfg(8, seed), [seed](Thread &t) -> Task {
+        return storm(t, seed, 8);
+    });
+    EXPECT_GT(ex.l1Hits(coherence::L1Phase::Landing,
+                        coherence::L1Event::MsgInv),
+              0u);
+}
+
+TEST(StateExplorer, LandingFillAnswersForItsLineSeed66)
+{
+    expectLandingFillAnswersForItsLine(66);
+}
+
+TEST(StateExplorer, LandingFillAnswersForItsLineSeed118)
+{
+    expectLandingFillAnswersForItsLine(118);
 }
 
 } // namespace

@@ -83,7 +83,8 @@ check_enum src/core/protocol_table.h DirState
 check_enum src/core/protocol_table.h DirTxnType
 check_enum src/core/protocol_table.h L1Event
 check_enum src/core/protocol_table.h DirEvent
-check_enum src/core/protocol_table.h L1Action
+check_enum src/core/protocol_table.h L1Phase
+check_enum src/core/protocol_table.h L1Step
 check_enum src/core/protocol_table.h SenderRole
 check_enum src/core/protocol_table.h DirStep
 check_enum src/wireless/frame.h FrameKind

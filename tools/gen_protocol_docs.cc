@@ -50,13 +50,7 @@ endMarker(const char *tag)
 std::string
 flagText(std::uint8_t flags)
 {
-    if ((flags & kRuleFaultOnly) && (flags & kRuleUnreachable))
-        return "fault-only, unreachable";
-    if (flags & kRuleFaultOnly)
-        return "fault-only";
-    if (flags & kRuleUnreachable)
-        return "unreachable";
-    return "";
+    return (flags & kRuleFaultOnly) ? "fault-only" : "";
 }
 
 /** A DirTxnRule role mask: "any", or the roles it names. */
@@ -111,12 +105,12 @@ protocolTable()
            "a transition record with exactly that note when the row\n"
            "fires. Rows without a note are tolerated no-ops or\n"
            "transient bookkeeping; `fault-only` rows require fault\n"
-           "injection (docs/FAULTS.md) and `unreachable` L1 rows are\n"
-           "protocol-impossible cells kept so dispatch is total (the\n"
-           "handlers assert they never fire). The last table is what\n"
-           "the directory does with a wired message for a line whose\n"
-           "transaction is still open; a combination it does not list\n"
-           "makes the directory panic.\n\n";
+           "injection (docs/FAULTS.md), and a (state, event) cell with\n"
+           "no row cannot occur. The two in-transaction tables say\n"
+           "what the L1 does with an event, and the directory with a\n"
+           "wired message, for a line whose transaction is still open;\n"
+           "a combination they do not list makes the controller\n"
+           "panic.\n\n";
 
     out += "### L1 transition legality (derived)\n\n";
     out += legalityMatrix<L1State>(kNumL1States, l1StateName,
@@ -132,13 +126,20 @@ protocolTable()
            "SharerCount changes (`PutW`, `join`).\n\n";
 
     out += "### L1 rules (Table I)\n\n";
-    out += "| From | Event | Action | To | Trace note | Flags |\n";
-    out += "|---|---|---|---|---|---|\n";
+    out += "| From | Event | To | Trace note | Flags |\n";
+    out += "|---|---|---|---|---|\n";
     for (const L1Rule &r : l1Rules()) {
         out += std::string("| ") + l1StateName(r.from) + " | " +
-               l1EventName(r.event) + " | " + l1ActionName(r.action) +
-               " | " + l1StateName(r.to) + " | " +
+               l1EventName(r.event) + " | " + l1StateName(r.to) + " | " +
                (r.note ? (std::string("`") + r.note + "`") : "-") +
+               " | " + flagText(r.flags) + " |\n";
+    }
+    out += "\n### L1 events during a transaction\n\n";
+    out += "| Phase | Event | Step | Flags |\n";
+    out += "|---|---|---|---|\n";
+    for (const L1TxnRule &r : l1TxnRules()) {
+        out += std::string("| ") + l1PhaseName(r.phase) + " | " +
+               l1EventName(r.event) + " | " + l1StepName(r.step) +
                " | " + flagText(r.flags) + " |\n";
     }
     out += "\n### Directory rules (Table II)\n\n";
