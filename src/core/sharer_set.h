@@ -28,6 +28,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 
 #include "sim/log.h"
 #include "sim/types.h"
@@ -38,7 +39,9 @@ namespace widir::coherence {
  * Insertion-ordered, fixed-capacity sharer-pointer set. Deliberately
  * mirrors the std::vector<NodeId> subset the directory uses
  * (push_back / erase-by-iterator shift / range-for / copy-assign) so
- * the observable iteration order is bit-for-bit the old one.
+ * the observable iteration order is bit-for-bit the old one. Ids are
+ * stored in 16 bits (every node id is below SharerBits::kMaxNodes),
+ * which keeps a DirEntry at 32 bytes.
  */
 class SharerPtrs
 {
@@ -46,8 +49,10 @@ class SharerPtrs
     /** >= the largest dirPointers any config uses (Table VI: 5). */
     static constexpr std::uint32_t kCapacity = 8;
 
-    using iterator = sim::NodeId *;
-    using const_iterator = const sim::NodeId *;
+    /** Stored node id. */
+    using Id = std::uint16_t;
+    using iterator = Id *;
+    using const_iterator = const Id *;
 
     iterator begin() { return ids_.data(); }
     iterator end() { return ids_.data() + count_; }
@@ -64,7 +69,9 @@ class SharerPtrs
         WIDIR_ASSERT(count_ < kCapacity,
                      "sharer-pointer overflow (dirPointers exceeds "
                      "SharerPtrs::kCapacity)");
-        ids_[count_++] = n;
+        WIDIR_ASSERT(n <= std::numeric_limits<Id>::max(),
+                     "node %u does not fit a sharer pointer", n);
+        ids_[count_++] = static_cast<Id>(n);
     }
 
     bool
@@ -85,8 +92,8 @@ class SharerPtrs
     }
 
   private:
-    std::array<sim::NodeId, kCapacity> ids_{};
-    std::uint32_t count_ = 0;
+    std::array<Id, kCapacity> ids_{};
+    std::uint8_t count_ = 0;
 };
 
 /**
@@ -157,6 +164,10 @@ class SharerBits
   private:
     std::array<std::uint64_t, kMaxNodes / 64> words_{};
 };
+
+static_assert(SharerBits::kMaxNodes - 1 <=
+                  std::numeric_limits<SharerPtrs::Id>::max(),
+              "every node id must fit a 16-bit sharer pointer");
 
 } // namespace widir::coherence
 

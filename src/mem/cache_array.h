@@ -56,17 +56,20 @@ struct CacheEntry
  *
  * Host memory follows occupancy. Each set has a 4-byte entry in a
  * dense block index; 0 means the set was never used. The first time a
- * set is used it gets a set block from a chunked slab: a tag per way
- * (kAddrNone for an invalid or never-used way) and a frame pointer per
- * way (null until the way is first used). Frames come from a second
+ * set is used it gets a one-way set block: a tag (kAddrNone for an
+ * invalid or never-used way) and a frame pointer (null until the way
+ * is first used), 16 bytes. The first time the set needs a second way,
+ * its one way moves into a full block of assoc ways and the one-way
+ * block goes on a free list for the next newly used set, so a set that
+ * never needs a second way stays at 16 bytes. Frames come from a
  * chunked slab, and a way gets its frame the first time pickVictim()
- * reaches it. Neither slab ever moves or frees what it hands out.
- * Until a set has a block, lookup() misses without touching it and
- * forEach()/occupancy() skip it, so an untouched set costs 4 bytes
- * however large the cache. The victim is always the first invalid way,
- * so never-used ways form a suffix of each set: victim choice and
- * visiting order equal those of an array whose frames were all
- * constructed up front.
+ * reaches it. Frames never move or get freed, so a CacheEntry pointer
+ * stays valid. Until a set has a block, lookup() misses without
+ * touching it and forEach()/occupancy() skip it, so an untouched set
+ * costs 4 bytes however large the cache. The victim is always the
+ * first invalid way, so never-used ways form a suffix of each set:
+ * victim choice and visiting order equal those of an array whose
+ * frames were all constructed up front.
  */
 class CacheArray
 {
@@ -111,7 +114,7 @@ class CacheArray
         if (block == 0)
             return nullptr;
         const Way *ways = waysOf(block);
-        for (std::uint32_t w = 0; w < assoc_; ++w) {
+        for (std::uint32_t w = 0, n = waysIn(block); w < n; ++w) {
             if (ways[w].tag == line)
                 return ways[w].frame;
         }
@@ -134,15 +137,26 @@ class CacheArray
     /**
      * Choose a victim frame in @p addr's set: an invalid frame if one
      * exists, else the least recently used unlocked frame. Reaching a
-     * never-used way allocates its frame (invalid).
+     * never-used way allocates its frame (invalid); reaching the second
+     * way of a one-way set first grows it to a full block.
      * @return nullptr if every frame in the set is locked.
      */
     CacheEntry *
     pickVictim(Addr addr)
     {
         std::uint32_t &block = blockOf_[setOf(lineAlign(addr))];
-        if (block == 0)
-            block = allocateBlock();
+        if (block == 0) {
+            block = allocateOneWay();
+            ++setsUsed_;
+        }
+        if ((block & kOneWay) != 0) {
+            Way &only = *waysOf(block);
+            if (only.frame == nullptr)
+                return only.frame = allocateFrame();
+            if (only.tag == sim::kAddrNone)
+                return only.frame;
+            block = grow(block);
+        }
         Way *ways = waysOf(block);
         CacheEntry *victim = nullptr;
         for (std::uint32_t w = 0; w < assoc_; ++w) {
@@ -214,8 +228,11 @@ class CacheArray
         return n;
     }
 
-    /** Sets that hold a set block (class note). */
-    std::size_t initialisedSets() const { return blocksUsed_; }
+    /** Sets that hold a set block of either size (class note). */
+    std::size_t initialisedSets() const { return setsUsed_; }
+
+    /** Sets that hold a full block of assoc ways (class note). */
+    std::size_t wideSets() const { return fullUsed_; }
 
     /** Frames handed out by the slab (class note). */
     std::size_t allocatedFrames() const { return framesUsed_; }
@@ -224,6 +241,8 @@ class CacheArray
     /** Slab chunk sizes; chunks are never moved or freed. */
     static constexpr std::size_t kChunkFrames = 64;
     static constexpr std::size_t kChunkBlocks = 64;
+    /** Block-index flag: the set holds a one-way block. */
+    static constexpr std::uint32_t kOneWay = std::uint32_t{1} << 31;
     /** indexShift_ when the divisor is not a power of two. */
     static constexpr int kNoShift = -1;
     /** Sets forEach() tests at once; blockOf_ is padded to a multiple. */
@@ -244,12 +263,23 @@ class CacheArray
         return static_cast<std::size_t>(n & (numSets_ - 1));
     }
 
-    /** The assoc_ ways of 1-based set block @p block. */
+    /** The ways of block-index entry @p block (nonzero). */
     Way *
     waysOf(std::uint32_t block) const
     {
+        if ((block & kOneWay) != 0) {
+            std::uint32_t i = (block & ~kOneWay) - 1;
+            return &oneWay_[i / kChunkBlocks][i % kChunkBlocks];
+        }
         return &blocks_[(block - 1) / kChunkBlocks]
                        [((block - 1) % kChunkBlocks) * assoc_];
+    }
+
+    /** How many ways block-index entry @p block holds. */
+    std::uint32_t
+    waysIn(std::uint32_t block) const
+    {
+        return (block & kOneWay) != 0 ? 1 : assoc_;
     }
 
     /** The way holding @p frame in @p line's set. */
@@ -259,23 +289,59 @@ class CacheArray
         std::uint32_t block = blockOf_[setOf(line)];
         WIDIR_ASSERT(block != 0, "frame's set has no block");
         Way *ways = waysOf(block);
-        for (std::uint32_t w = 0; w < assoc_; ++w) {
+        for (std::uint32_t w = 0, n = waysIn(block); w < n; ++w) {
             if (ways[w].frame == frame)
                 return ways[w];
         }
         sim::panic("frame does not belong to the line's set");
     }
 
-    /** A fresh set block (every way never used); returns its index. */
+    /** A fresh full block (every way never used); its index entry. */
     std::uint32_t
-    allocateBlock()
+    allocateFullBlock()
     {
-        if (blocksUsed_ % kChunkBlocks == 0)
+        if (fullUsed_ % kChunkBlocks == 0)
             blocks_.push_back(std::make_unique_for_overwrite<Way[]>(
                 kChunkBlocks * assoc_));
-        std::uint32_t block = static_cast<std::uint32_t>(++blocksUsed_);
+        std::uint32_t block = static_cast<std::uint32_t>(++fullUsed_);
         std::fill_n(waysOf(block), assoc_, Way{sim::kAddrNone, nullptr});
         return block;
+    }
+
+    /**
+     * A never-used one-way block, from the free list if it has one;
+     * its index entry. A free block's tag links to the next free one.
+     */
+    std::uint32_t
+    allocateOneWay()
+    {
+        std::uint32_t block = freeOneWay_;
+        if (block != 0) {
+            freeOneWay_ = static_cast<std::uint32_t>(waysOf(block)->tag);
+        } else {
+            if (oneWayUsed_ % kChunkBlocks == 0)
+                oneWay_.push_back(std::make_unique_for_overwrite<Way[]>(
+                    kChunkBlocks));
+            block = static_cast<std::uint32_t>(++oneWayUsed_) | kOneWay;
+        }
+        *waysOf(block) = Way{sim::kAddrNone, nullptr};
+        return block;
+    }
+
+    /**
+     * Move one-way block @p block's way into way 0 of a fresh full
+     * block, free the one-way block, and return the full block's
+     * index entry.
+     */
+    std::uint32_t
+    grow(std::uint32_t block)
+    {
+        std::uint32_t full = allocateFullBlock();
+        Way *only = waysOf(block);
+        *waysOf(full) = *only;
+        only->tag = freeOneWay_;
+        freeOneWay_ = block;
+        return full;
     }
 
     /** A fresh (invalid) frame from the slab. */
@@ -295,7 +361,7 @@ class CacheArray
     void
     forEachValid(Fn &&fn) const
     {
-        if (blocksUsed_ == 0)
+        if (setsUsed_ == 0)
             return;
         for (std::size_t g = 0; g < blockOf_.size(); g += kScanGroup) {
             const std::uint32_t *group = &blockOf_[g];
@@ -308,7 +374,8 @@ class CacheArray
                 if (group[i] == 0)
                     continue;
                 const Way *ways = waysOf(group[i]);
-                for (std::uint32_t w = 0; w < assoc_; ++w) {
+                for (std::uint32_t w = 0, n = waysIn(group[i]); w < n;
+                     ++w) {
                     if (ways[w].tag != sim::kAddrNone)
                         fn(ways[w].frame);
                 }
@@ -321,13 +388,19 @@ class CacheArray
     std::uint64_t indexDivisor_;
     int indexShift_; ///< log2(indexDivisor_), or kNoShift
     /**
-     * Per set: 1-based index of its block in blocks_, 0 if unused.
-     * Entries past numSets_ only pad the last scan group and stay 0.
+     * Per set: 1-based index of its block, 0 if unused. With kOneWay
+     * set the index is into oneWay_, otherwise into blocks_. Entries
+     * past numSets_ only pad the last scan group and stay 0.
      */
     std::vector<std::uint32_t> blockOf_;
-    /** Set-block slab: kChunkBlocks blocks of assoc_ ways per chunk. */
+    /** Full-block slab: kChunkBlocks blocks of assoc_ ways per chunk. */
     std::vector<std::unique_ptr<Way[]>> blocks_;
-    std::size_t blocksUsed_ = 0;
+    std::size_t fullUsed_ = 0;
+    /** One-way-block slab: kChunkBlocks blocks of one way per chunk. */
+    std::vector<std::unique_ptr<Way[]>> oneWay_;
+    std::size_t oneWayUsed_ = 0;
+    std::uint32_t freeOneWay_ = 0; ///< free-list head (entry), 0 if empty
+    std::size_t setsUsed_ = 0;
     std::vector<std::unique_ptr<CacheEntry[]>> chunks_; ///< frame slab
     std::size_t framesUsed_ = 0;
     std::uint64_t lruCounter_ = 0;

@@ -13,8 +13,9 @@
 #ifndef WIDIR_MEM_MAIN_MEMORY_H
 #define WIDIR_MEM_MAIN_MEMORY_H
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "mem/address.h"
@@ -65,18 +66,20 @@ class MainMemory
     }
 
     /**
-     * Timed read: @p done fires with the line data after the round trip
-     * plus controller queuing.
+     * Timed read: @p done(const LineData &) fires with the line data
+     * after the round trip plus controller queuing. It rides in the
+     * event inline, so this, the line and its capture must fit the
+     * 48-byte budget.
      */
+    template <typename Done>
     void
-    readLine(Addr addr, std::function<void(const LineData &)> done)
+    readLine(Addr addr, Done &&done)
     {
         Tick latency = serviceLatency(addr);
         ++reads_;
         Addr line = lineAlign(addr);
-        // this + line + std::function is exactly the 48-byte budget.
         sim_.scheduleInline(latency,
-                            [this, line, done = std::move(done)] {
+                            [this, line, done = std::forward<Done>(done)] {
             done(peekLine(line));
         });
     }

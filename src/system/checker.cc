@@ -30,6 +30,12 @@ lineLess(const Copy &a, const Copy &b)
     return a.line < b.line;
 }
 
+bool
+lineNodeLess(const Copy &a, const Copy &b)
+{
+    return a.line != b.line ? a.line < b.line : a.node < b.node;
+}
+
 } // namespace
 
 std::vector<std::string>
@@ -38,9 +44,14 @@ checkCoherence(Manycore &m)
     std::vector<std::string> bad;
     auto complain = [&bad](std::string s) { bad.push_back(std::move(s)); };
 
-    // Gather every cached line, then group the copies by line. The
-    // stable sort keeps each line's copies in node order.
+    // Gather every cached line, then group the copies by line, each
+    // line's copies in node order. A node holds a line at most once,
+    // so (line, node) is a total order and std::sort needs no buffer.
+    std::size_t total = 0;
+    for (NodeId n = 0; n < m.numCores(); ++n)
+        total += m.l1(n).array().occupancy();
     std::vector<Copy> copies;
+    copies.reserve(total);
     for (NodeId n = 0; n < m.numCores(); ++n) {
         m.l1(n).array().forEach([&](mem::CacheEntry &e) {
             auto state = static_cast<L1State>(e.state);
@@ -52,7 +63,7 @@ checkCoherence(Manycore &m)
             }
         });
     }
-    std::stable_sort(copies.begin(), copies.end(), lineLess);
+    std::sort(copies.begin(), copies.end(), lineNodeLess);
 
     for (auto group = copies.begin(); group != copies.end();) {
         const Addr line = group->line;

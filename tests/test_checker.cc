@@ -176,4 +176,50 @@ TEST(Checker, DetectsDirectoryStateDroppedToInvalid)
     EXPECT_TRUE(anyContains(v, "directory says I")) << joined(v);
 }
 
+// Complaint order: copies of one line are checked in node order. Plant
+// S copies of a fresh line at three nodes, give its home an S entry
+// with no pointers and a different LLC value, and the per-copy
+// complaints must name the nodes in ascending order. Each node also
+// caches lines of its own, so the gathered copies are many more than
+// a sort handles by insertion.
+TEST(Checker, ForgedSharersAreReportedInNodeOrder)
+{
+    constexpr Addr kB = 0x180000;
+    Manycore m(SystemConfig::widir(4));
+    m.run([](Thread &t) -> Task {
+        for (Addr i = 0; i < 24; ++i)
+            co_await t.load(0x300000 + t.id() * 0x10000 + i * 0x40);
+        co_await t.fence();
+        co_return;
+    });
+    ASSERT_TRUE(sys::checkCoherence(m).empty());
+
+    mem::LineData held;
+    held.setWord(kB, 99);
+    for (sim::NodeId n : {3u, 1u, 2u}) {
+        mem::CacheArray &arr = m.l1(n).array();
+        mem::CacheEntry *frame = arr.pickVictim(kB);
+        ASSERT_NE(frame, nullptr);
+        arr.fill(frame, kB, static_cast<std::uint8_t>(L1State::S), held);
+    }
+    sim::NodeId home = m.fabric().homeOf(kB);
+    mem::CacheArray &llc = m.dir(home).llc();
+    mem::CacheEntry *frame = llc.pickVictim(kB);
+    ASSERT_NE(frame, nullptr);
+    llc.fill(frame, kB, static_cast<std::uint8_t>(DirState::S),
+             mem::LineData{});
+    m.dir(home).mutableEntryForTest(kB).state = DirState::S;
+
+    std::vector<std::string> v = sys::checkCoherence(m);
+    const std::vector<std::string> want = {
+        "line 0x180000: sharer 1 missing from directory pointers",
+        "line 0x180000: sharer 2 missing from directory pointers",
+        "line 0x180000: sharer 3 missing from directory pointers",
+        "line 0x180000: S copy at 1 differs from LLC",
+        "line 0x180000: S copy at 2 differs from LLC",
+        "line 0x180000: S copy at 3 differs from LLC",
+    };
+    EXPECT_EQ(v, want) << joined(v);
+}
+
 } // namespace

@@ -237,11 +237,13 @@ TEST(SharerPtrs, PreservesVectorOrderSemantics)
 {
     SharerPtrs s;
     std::vector<sim::NodeId> ref;
-    for (sim::NodeId n : {5u, 63u, 1u, 17u, 40u}) {
+    // 1023 is the widest machine's last node: ids are stored in 16 bits.
+    for (sim::NodeId n : {5u, 1023u, 63u, 1u, 17u, 40u}) {
         s.push_back(n);
         ref.push_back(n);
     }
     EXPECT_TRUE(std::equal(s.begin(), s.end(), ref.begin(), ref.end()));
+    EXPECT_TRUE(s.contains(1023u));
 
     // remove-by-value shifts left, like std::vector::erase; removing
     // an absent id changes nothing.
@@ -256,9 +258,13 @@ TEST(SharerPtrs, PreservesVectorOrderSemantics)
     SharerPtrs copy = s; // finishToShared: entry.sharers = txn->ackIds
     EXPECT_TRUE(
         std::equal(copy.begin(), copy.end(), s.begin(), s.end()));
+    s.remove(1023u);
+    ref.erase(std::find(ref.begin(), ref.end(), 1023u));
+    EXPECT_TRUE(std::equal(s.begin(), s.end(), ref.begin(), ref.end()));
     s.clear();
     EXPECT_TRUE(s.empty());
-    EXPECT_EQ(copy.size(), 4u);
+    EXPECT_EQ(copy.size(), 5u);
+    EXPECT_EQ(copy.begin()[1], 1023u);
 }
 
 /**

@@ -253,6 +253,20 @@ class EagerArray
     /** Frames filled at least once: what the lazy array may allocate. */
     std::size_t everFilled() const { return everFilled_; }
 
+    /**
+     * Sets whose first @p ways ways were each filled at least once:
+     * with 1, the sets the lazy array gives a block; with 2, the sets
+     * it grows to a full block.
+     */
+    std::size_t
+    setsFilledTo(std::size_t ways) const
+    {
+        std::size_t n = 0;
+        for (std::size_t set = 0; set < numSets_; ++set)
+            n += frames_[set * assoc_ + ways - 1].lruStamp != 0;
+        return n;
+    }
+
     /** Valid frames in index order: what forEach must visit. */
     std::vector<const CacheEntry *>
     valid() const
@@ -292,21 +306,32 @@ expectSameFrame(const CacheEntry &lazy, const CacheEntry &ref)
     EXPECT_TRUE(lazy.data == ref.data);
 }
 
+/** How often a churn grew a one-way set, and how often its way was locked. */
+struct Grows
+{
+    std::size_t all = 0;
+    std::size_t locked = 0;
+};
+
 /**
- * Random fill/invalidate/lock/touch churn over 200 lines, mirrored into
- * the eager reference: every lookup, victim, forEach walk and occupancy
- * must agree, and only frames the reference ever filled are allocated.
+ * Random fill/invalidate/lock/touch churn over @p lines lines, mirrored
+ * into the eager reference: every lookup, victim, forEach walk and
+ * occupancy must agree, only frames the reference ever filled are
+ * allocated, and a set grows to a full block exactly when its second
+ * way is first filled. The grows are counted into @p grows.
  */
 void
 churnAgainstEagerReference(std::uint64_t size_bytes, std::uint32_t assoc,
-                           std::uint64_t divisor)
+                           std::uint64_t divisor, std::uint64_t lines,
+                           Grows &grows)
 {
     CacheArray lazy(size_bytes, assoc, divisor);
     EagerArray ref(size_bytes, assoc, divisor);
     std::mt19937_64 rng(12345);
     for (int step = 0; step < 20000; ++step) {
         SCOPED_TRACE(step);
-        sim::Addr addr = (rng() % 200) * mem::kLineBytes + (rng() % 8) * 8;
+        sim::Addr addr =
+            (rng() % lines) * mem::kLineBytes + (rng() % 8) * 8;
         CacheEntry *hit = lazy.lookup(addr);
         std::size_t ref_hit = ref.lookup(addr);
         ASSERT_EQ(hit == nullptr, ref_hit == EagerArray::kNone);
@@ -317,12 +342,20 @@ churnAgainstEagerReference(std::uint64_t size_bytes, std::uint32_t assoc,
           case 0: { // fill on a miss, into the chosen victim
             if (hit != nullptr)
                 break;
+            std::size_t wide = lazy.wideSets();
             CacheEntry *victim = lazy.pickVictim(addr);
             std::size_t ref_victim = ref.pickVictim(addr);
             ASSERT_EQ(victim == nullptr, ref_victim == EagerArray::kNone);
             if (victim == nullptr)
                 break;
             expectSameFrame(*victim, ref.at(ref_victim));
+            if (lazy.wideSets() != wide) {
+                // Growing hands out the fresh second way, beside the
+                // set's one resident line, whether or not it is locked.
+                ASSERT_EQ(ref_victim % assoc, 1u);
+                ++grows.all;
+                grows.locked += ref.at(ref_victim - 1).locked;
+            }
             LineData d;
             d.setWordAt(0, static_cast<std::uint64_t>(step));
             auto state = static_cast<std::uint8_t>(1 + rng() % 4);
@@ -361,23 +394,82 @@ churnAgainstEagerReference(std::uint64_t size_bytes, std::uint32_t assoc,
         if (::testing::Test::HasFailure())
             return;
     }
-    EXPECT_EQ(lazy.initialisedSets(), lazy.numSets());
+    EXPECT_EQ(lazy.initialisedSets(), ref.setsFilledTo(1));
+    EXPECT_EQ(lazy.wideSets(), ref.setsFilledTo(2));
+    EXPECT_EQ(grows.all, lazy.wideSets());
     EXPECT_EQ(lazy.allocatedFrames(), ref.everFilled());
 }
 
 TEST(CacheArray, LazySetsMatchEagerReferenceUnderChurn)
 {
     // 16 sets x 4 ways, LLC-style index divisor; 200 lines contend.
-    churnAgainstEagerReference(4096, 4, 3);
+    Grows dense, shifted, sparse;
+    churnAgainstEagerReference(4096, 4, 3, 200, dense);
+    EXPECT_EQ(dense.all, 16u);
     // A power-of-two divisor (the LLC's at 64 and 256 tiles) indexes
     // by shifting instead of dividing.
-    churnAgainstEagerReference(4096, 4, 4);
+    churnAgainstEagerReference(4096, 4, 4, 200, shifted);
+    // 256 sets x 4 ways and 300 lines: most sets keep one line for a
+    // long time, so a set often meets its second line while its one
+    // line is locked, and grown sets free blocks for new ones.
+    churnAgainstEagerReference(64 * 1024, 4, 1, 300, sparse);
+    EXPECT_EQ(sparse.all, 300u - 256u);
+    EXPECT_GT(sparse.locked, 0u);
 }
 
 TEST(CacheArray, LazyFramesMatchEagerReferenceInL1Shape)
 {
     // 16 sets x 2 ways, no index divisor: the private L1's shape.
-    churnAgainstEagerReference(2048, 2, 1);
+    Grows dense, sparse;
+    churnAgainstEagerReference(2048, 2, 1, 200, dense);
+    // 64 sets x 2 ways and 80 lines: the grow boundary, locked too.
+    churnAgainstEagerReference(8192, 2, 1, 80, sparse);
+    EXPECT_EQ(sparse.all, 80u - 64u);
+    EXPECT_GT(sparse.locked, 0u);
+}
+
+TEST(CacheArray, OneWayBlockGrowsOnSecondLine)
+{
+    CacheArray c(64 * 1024, 8); // 128 sets, 8 ways
+    LineData d;
+    const sim::Addr stride = c.numSets() * mem::kLineBytes;
+
+    // A set's first line holds a one-way block.
+    CacheEntry *first = c.pickVictim(0);
+    c.fill(first, 0, 1, d);
+    EXPECT_EQ(c.initialisedSets(), 1u);
+    EXPECT_EQ(c.wideSets(), 0u);
+    // Invalidating and refilling reuses the one way.
+    c.invalidate(first);
+    EXPECT_EQ(c.pickVictim(stride), first);
+    c.fill(first, stride, 1, d);
+    EXPECT_EQ(c.wideSets(), 0u);
+
+    // Its second line grows it; the first line's frame stays put.
+    CacheEntry *second = c.pickVictim(2 * stride);
+    ASSERT_NE(second, nullptr);
+    EXPECT_NE(second, first);
+    EXPECT_FALSE(second->valid);
+    EXPECT_EQ(c.wideSets(), 1u);
+    c.fill(second, 2 * stride, 1, d);
+    EXPECT_EQ(c.lookup(stride), first);
+    EXPECT_EQ(c.lookup(2 * stride), second);
+    EXPECT_EQ(c.initialisedSets(), 1u);
+    EXPECT_EQ(c.occupancy(), 2u);
+
+    // A one-way set whose only line is locked still grows and hands
+    // out a fresh frame, as the second never-used way would.
+    CacheEntry *pinned = c.pickVictim(mem::kLineBytes);
+    c.fill(pinned, mem::kLineBytes, 1, d);
+    pinned->locked = true;
+    CacheEntry *fresh = c.pickVictim(mem::kLineBytes + stride);
+    ASSERT_NE(fresh, nullptr);
+    EXPECT_NE(fresh, pinned);
+    EXPECT_FALSE(fresh->valid);
+    EXPECT_EQ(c.wideSets(), 2u);
+    EXPECT_EQ(c.initialisedSets(), 2u);
+    EXPECT_EQ(c.lookup(mem::kLineBytes), pinned);
+    EXPECT_EQ(c.allocatedFrames(), 4u);
 }
 
 TEST(CacheArray, SetBlocksFollowTouchedSets)
@@ -399,6 +491,7 @@ TEST(CacheArray, SetBlocksFollowTouchedSets)
             }
         }
         EXPECT_EQ(a.initialisedSets(), k);
+        EXPECT_EQ(a.wideSets(), k);
         EXPECT_EQ(a.allocatedFrames(), k * 8);
         EXPECT_EQ(a.occupancy(), k * 8);
     }
