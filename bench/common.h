@@ -1,16 +1,9 @@
 /**
  * @file
- * Shared helpers for the experiment benches (bench/fig*_* and
- * bench/table*_*). Each bench binary regenerates one table or figure
- * of the paper: it collects the relevant (app x protocol x cores)
- * configurations, runs them concurrently through sys::SweepRunner
- * (results are bit-identical to serial runs), prints the same rows or
- * series the paper reports, and dumps every ExperimentResult to
- * bench/out/<name>.json (widir-sweep-v1 schema, see
- * src/system/report.h) so the perf trajectory is machine-readable.
- *
- * Every bench accepts the same command line, parsed by bench::Options
- * from one declarative flag table (--help prints it):
+ * The command line shared by the figure binaries (bench/figures.cc):
+ * every table, figure and sensitivity binary accepts the same flags,
+ * parsed by bench::Options from one declarative flag table (--help
+ * prints it):
  *   --jobs N              worker threads for the sweep
  *   --trace               capture a protocol trace per configuration
  *                         and export Chrome trace-event JSON files
@@ -18,17 +11,16 @@
  *   --trace-window LO:HI  restrict tracing to cycles [LO, HI]
  *                         (implies --trace)
  *   --ber B               wireless frame bit-error rate
- *                         (docs/FAULTS.md; repeatable where a bench
- *                         sweeps it, e.g. sensitivity_ber)
+ *                         (docs/FAULTS.md; repeatable: sensitivity_ber
+ *                         sweeps the values given)
  *   --preamble-loss P     per-frame preamble-loss probability
  *   --tone-loss P         per-observation tone-pulse-loss probability
  *   --burst B:ENTER[:EXIT]  Gilbert-Elliott burst noise: burst-state
  *                         BER plus enter/exit probabilities
  *   --fault-retries N     per-transmission retry budget
  *   --fault-seed N        extra seed folded into the fault RNG stream
- *   --tiles N             tile count (repeatable; benches that sweep
- *                         core counts, e.g. fig10_scalability, replace
- *                         their default list with the given values)
+ *   --tiles N             tile count (repeatable; the values replace
+ *                         the figure's tile list)
  *   --mesh-concentration C  tiles per mesh router (concentrated mesh)
  *   --wireless-channels N frequency-multiplexed data sub-channels
  *   --home-map M          directory sharding: interleave | hash
@@ -40,10 +32,10 @@
  *                         WIDIR_BENCH_APPS when that is unset
  *
  * Environment (flags win over environment):
- *   WIDIR_BENCH_SCALE   work multiplier (default per bench)
- *   WIDIR_BENCH_CORES   override the core count where applicable
- *   WIDIR_BENCH_APPS    comma-separated subset of app names (exit 2
- *                       on any unknown name)
+ *   WIDIR_BENCH_SCALE   work multiplier (default per figure)
+ *   WIDIR_BENCH_APPS    comma-separated subset of app names; replaces
+ *                       the figure's app list (exit 2 on any unknown
+ *                       name)
  *   WIDIR_BENCH_JOBS    worker threads (--jobs wins; default: all
  *                       hardware threads)
  *   WIDIR_BENCH_OUT     JSON output directory (default bench/out)
@@ -54,7 +46,6 @@
 #ifndef WIDIR_BENCH_COMMON_H
 #define WIDIR_BENCH_COMMON_H
 
-#include <cmath>
 #include <climits>
 #include <cstdarg>
 #include <cstdint>
@@ -79,22 +70,24 @@ using sys::ExperimentSpec;
 using workload::AppInfo;
 
 /**
- * Apps to run: all of them, or the WIDIR_BENCH_APPS subset. Any name
- * that is not a known app exits 2 before anything runs, so a typo
- * never silently shrinks a sweep.
+ * Apps to run: the WIDIR_BENCH_APPS subset, else the comma list
+ * @p defaults, else all of them. Any name that is not a known app
+ * exits 2 before anything runs, so a typo never silently shrinks a
+ * sweep.
  */
 inline std::vector<const AppInfo *>
-benchApps()
+benchApps(const char *defaults)
 {
     std::vector<const AppInfo *> selected;
     const char *env = std::getenv("WIDIR_BENCH_APPS");
-    if (!env || !*env) {
+    const char *list_text = env && *env ? env : defaults;
+    if (!list_text) {
         for (const auto &app : workload::allApps())
             selected.push_back(&app);
         return selected;
     }
     bool any_unknown = false;
-    std::string list(env);
+    std::string list(list_text);
     std::size_t pos = 0;
     while (pos <= list.size()) {
         std::size_t comma = list.find(',', pos);
@@ -121,24 +114,11 @@ benchApps()
     }
     if (any_unknown) {
         std::fprintf(stderr,
-                     "WIDIR_BENCH_APPS='%s' names an unknown app\n", env);
+                     "WIDIR_BENCH_APPS='%s' names an unknown app\n",
+                     list_text);
         std::exit(2);
     }
     return selected;
-}
-
-/** Core count override. */
-inline std::uint32_t
-benchCores(std::uint32_t fallback)
-{
-    if (const char *env = std::getenv("WIDIR_BENCH_CORES")) {
-        long v = 0;
-        if (sys::parseEnvInt(env, 1, 1'000'000, v))
-            return static_cast<std::uint32_t>(v);
-        std::fprintf(stderr, "ignoring invalid WIDIR_BENCH_CORES='%s'\n",
-                     env);
-    }
-    return fallback;
 }
 
 /** JSON/trace output directory: WIDIR_BENCH_OUT or bench/out. */
@@ -150,12 +130,12 @@ benchOutDir()
 }
 
 /**
- * Parsed command line for one bench binary.
+ * Parsed command line for one figure binary.
  *
  * The constructor consumes argv against one declarative flag table
  * (the same table generates --help), applies the WIDIR_TRACE /
  * WIDIR_TRACE_WINDOW environment fallbacks, and exits with a usage
- * message on any unknown flag -- every bench therefore rejects typos
+ * message on any unknown flag -- every figure therefore rejects typos
  * instead of silently ignoring them.
  */
 class Options
@@ -223,8 +203,8 @@ class Options
                  fault_.seed = static_cast<std::uint64_t>(n);
              }},
             {"--tiles", "N",
-             "tile (core) count; repeatable where a bench sweeps core "
-             "counts (e.g. fig10_scalability)",
+             "tile (core) count; repeatable, replaces the figure's "
+             "tile list",
              [this](const char *v) {
                  long n = 0;
                  if (!sys::parseEnvInt(v, 1, 1'000'000, n))
@@ -321,7 +301,7 @@ class Options
 
         // --trace-in makes the external trace a first-class workload:
         // register it as "trace:<stem>" and, when the user did not
-        // pick an app subset, select exactly it -- so any bench runs
+        // pick an app subset, select exactly it -- so any figure runs
         // the external trace through its standard sweep. The env
         // write precedes any sweep worker, so it is safe.
         if (!traceIn_.empty()) {
@@ -340,15 +320,9 @@ class Options
         }
     }
 
-    const std::string &name() const { return name_; }
     /** Worker threads; 0 lets SweepRunner pick sys::defaultJobs(). */
     unsigned jobs() const { return jobs_; }
-    /// @name Tracing (mapped onto sys::TraceOptions per spec)
-    /// @{
     bool traceOn() const { return traceOn_; }
-    sim::Tick traceStart() const { return traceLo_; }
-    sim::Tick traceEnd() const { return traceHi_; }
-    /// @}
 
     /** Fault spec assembled from the fault flags (default: clean). */
     const fault::FaultSpec &fault() const { return fault_; }
@@ -356,27 +330,43 @@ class Options
     /** Every --ber value, in order (sensitivity_ber sweeps these). */
     const std::vector<double> &berList() const { return bers_; }
 
-    /** Every --tiles value, in order (empty: bench default counts). */
+    /** Every --tiles value, in order (empty: the figure's tiles). */
     const std::vector<std::uint32_t> &tilesList() const
     {
         return tiles_;
     }
 
-    /// @name Scale-out topology knobs (applied sweep-wide)
-    /// @{
-    std::uint32_t meshConcentration() const
+    /**
+     * Layer the sweep-wide topology, --record and tracing flags onto
+     * spec number @p index of the sweep; the index (with app,
+     * protocol and tile count) names its record and trace files.
+     */
+    void
+    apply(ExperimentSpec &spec, std::size_t index) const
     {
-        return meshConcentration_;
+        spec.meshConcentration = meshConcentration_;
+        spec.wirelessChannels = wirelessChannels_;
+        spec.homeMap = homeMap_;
+        char tag[64];
+        std::snprintf(tag, sizeof(tag), "%zu_%s_%s_%uc", index,
+                      spec.app->name,
+                      spec.protocol == Protocol::WiDir ? "widir"
+                                                       : "baseline",
+                      spec.cores);
+        // A trace-driven app has nothing to record; runExperiment
+        // replays it.
+        if (!recordDir_.empty() && spec.app->traceSource == nullptr) {
+            spec.frontend = frontend::FrontendKind::Record;
+            spec.recordPath = recordDir_ + "/" + tag + ".mtrace";
+        }
+        if (traceOn_) {
+            spec.trace.enabled = true;
+            spec.trace.start = traceLo_;
+            spec.trace.end = traceHi_;
+            spec.trace.file =
+                benchOutDir() + "/" + name_ + "." + tag + ".trace.json";
+        }
     }
-    std::uint32_t wirelessChannels() const { return wirelessChannels_; }
-    mem::HomeMap homeMap() const { return homeMap_; }
-    /// @}
-
-    /// @name Frontend selection (docs/FRONTEND.md)
-    /// @{
-    /** Trace output directory; empty when --record was not given. */
-    const std::string &recordDir() const { return recordDir_; }
-    /// @}
 
   private:
     [[noreturn]] void
@@ -470,199 +460,6 @@ class Options
     std::string traceIn_;
     std::string traceApp_;
 };
-
-/**
- * The bench pattern: phase 1 add()s every configuration (remembering
- * the returned index), run() executes them all on the thread pool,
- * then the printing code reads results back by index -- identical to
- * the old serial run-as-you-print flow, just batched.
- *
- * Sweep applies the bench-wide Options (tracing, fault injection) to
- * every queued spec, so a single --ber flag faults the whole sweep.
- */
-class Sweep
-{
-  public:
-    explicit Sweep(const Options &opt)
-        : runner_(opt.jobs()), name_(opt.name()),
-          traceOn_(opt.traceOn()), traceLo_(opt.traceStart()),
-          traceHi_(opt.traceEnd()), fault_(opt.fault()),
-          meshConcentration_(opt.meshConcentration()),
-          wirelessChannels_(opt.wirelessChannels()),
-          homeMap_(opt.homeMap()), recordDir_(opt.recordDir())
-    {
-    }
-
-    /** Queue one configuration; returns its result index. */
-    std::size_t
-    add(const AppInfo &app, Protocol proto, std::uint32_t cores,
-        std::uint32_t scale, std::uint32_t max_wired_sharers = 3,
-        std::uint32_t update_count_threshold = 0)
-    {
-        ExperimentSpec spec;
-        spec.app = &app;
-        spec.protocol = proto;
-        spec.cores = cores;
-        spec.scale = scale;
-        spec.maxWiredSharers = max_wired_sharers;
-        spec.updateCountThreshold = update_count_threshold;
-        spec.fault = fault_; // sweep-wide fault flags apply
-        return addSpec(std::move(spec));
-    }
-
-    /**
-     * Queue a fully custom spec. Only the sweep-wide trace options are
-     * layered on top; the caller owns the FaultSpec (sensitivity_ber
-     * sweeps its own BER per row and relies on that).
-     */
-    std::size_t
-    addSpec(ExperimentSpec spec)
-    {
-        // Topology flags apply sweep-wide unless the spec already
-        // carries a non-default value of its own.
-        if (spec.meshConcentration == 1)
-            spec.meshConcentration = meshConcentration_;
-        if (spec.wirelessChannels == 1)
-            spec.wirelessChannels = wirelessChannels_;
-        if (spec.homeMap == mem::HomeMap::Interleave)
-            spec.homeMap = homeMap_;
-        // --record applies sweep-wide to kernel apps (a trace-driven
-        // app has nothing to record; runExperiment replays it).
-        if (spec.frontend == frontend::FrontendKind::Coroutine &&
-            spec.app != nullptr && spec.app->traceSource == nullptr &&
-            !recordDir_.empty()) {
-            spec.frontend = frontend::FrontendKind::Record;
-            char tag[64];
-            std::snprintf(tag, sizeof(tag), "%zu_%s_%s_%uc",
-                          specs_.size(), spec.app->name,
-                          spec.protocol == Protocol::WiDir ? "widir"
-                                                           : "baseline",
-                          spec.cores);
-            spec.recordPath = recordDir_ + "/" + tag + ".mtrace";
-        }
-        if (traceOn_) {
-            spec.trace.enabled = true;
-            spec.trace.start = traceLo_;
-            spec.trace.end = traceHi_;
-            char tag[64];
-            std::snprintf(tag, sizeof(tag), ".%zu_%s_%s_%uc",
-                          specs_.size(), spec.app ? spec.app->name : "?",
-                          spec.protocol == Protocol::WiDir ? "widir"
-                                                           : "baseline",
-                          spec.cores);
-            spec.trace.file = benchOutDir() + "/" +
-                              (name_.empty() ? "sweep" : name_) + tag +
-                              ".trace.json";
-        }
-        specs_.push_back(std::move(spec));
-        return specs_.size() - 1;
-    }
-
-    /** Run every queued spec (in parallel, results in add() order). */
-    void
-    run()
-    {
-        results_ = runner_.run(specs_);
-        if (traceOn_)
-            std::printf("[%zu Chrome traces -> %s/%s.*.trace.json]\n",
-                        specs_.size(), benchOutDir().c_str(),
-                        name_.empty() ? "sweep" : name_.c_str());
-    }
-
-    const ExperimentResult &
-    operator[](std::size_t i) const
-    {
-        return results_.at(i);
-    }
-
-    /**
-     * Dump every result to <WIDIR_BENCH_OUT|bench/out>/<name>.json
-     * and report where it went.
-     */
-    void
-    writeJson(const char *bench_name) const
-    {
-        std::string path = benchOutDir() + "/" + bench_name + ".json";
-        if (sys::writeResultsJson(path, bench_name, results_))
-            std::printf("[%zu results -> %s]\n", results_.size(),
-                        path.c_str());
-    }
-
-  private:
-    sys::SweepRunner runner_;
-    std::string name_;
-    bool traceOn_;
-    sim::Tick traceLo_;
-    sim::Tick traceHi_;
-    fault::FaultSpec fault_;
-    std::uint32_t meshConcentration_;
-    std::uint32_t wirelessChannels_;
-    mem::HomeMap homeMap_;
-    std::string recordDir_;
-    std::vector<ExperimentSpec> specs_;
-    std::vector<ExperimentResult> results_;
-};
-
-/** Header banner naming the experiment being regenerated. */
-inline void
-banner(const char *what, const char *paper_ref)
-{
-    std::printf("==============================================="
-                "=====================\n");
-    std::printf("%s\n  (reproduces %s of the WiDir paper, HPCA 2021)\n",
-                what, paper_ref);
-    std::printf("==============================================="
-                "=====================\n");
-}
-
-/** Geometric mean helper for normalized ratios. */
-inline double
-geomean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double x : xs)
-        log_sum += std::log(x);
-    return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-/**
- * Peak resident set of this process in KiB (Linux VmHWM), 0 when
- * unknown. The scale-out benches print it as `host_peak_rss_kb N` so
- * tools/perf_check.sh --rss can gate footprint growth without needing
- * GNU time on the host (docs/PERF.md). A host-side figure like the
- * host_* JSON fields: never part of the widir-sweep-v1 stats.
- */
-inline std::uint64_t
-hostPeakRssKb()
-{
-    std::FILE *f = std::fopen("/proc/self/status", "r");
-    if (f == nullptr)
-        return 0;
-    std::uint64_t kb = 0;
-    char line[128];
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-        if (std::sscanf(line, "VmHWM: %llu",
-                        reinterpret_cast<unsigned long long *>(&kb)) ==
-            1)
-            break;
-    }
-    std::fclose(f);
-    return kb;
-}
-
-/** Arithmetic mean. */
-inline double
-mean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : xs)
-        s += x;
-    return s / static_cast<double>(xs.size());
-}
 
 } // namespace widir::bench
 

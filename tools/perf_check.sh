@@ -25,7 +25,10 @@ set -u
 #
 # Runs the fig10 sweep (fft only, scale 1, classic kernel) at 64 and
 # 256 tiles in separate processes and reads the `host_peak_rss_kb`
-# line each prints (bench/common.h reads VmHWM, so no GNU time needed).
+# line each prints (bench/figures.cc reads VmHWM, so no GNU time
+# needed). Both runs are serial (--jobs 1): with more workers, both
+# protocols' machines can be live at once, and the ratio would depend
+# on the host's CPU count and on thread timing.
 # Gates on peak RSS growing at most linearly in the tile count: 4x the
 # tiles may cost at most 4 * SLACK (default 1.5) times the memory.
 # The flat/SoA hot state (docs/PERF.md) is what makes this hold; a
@@ -51,7 +54,7 @@ if [ "${1:-}" = "--rss" ]; then
     trap 'rm -rf "$OUT"' EXIT
     rss_at() {
         WIDIR_BENCH_APPS=fft WIDIR_BENCH_SCALE=1 WIDIR_BENCH_OUT="$OUT" \
-            "$FIG10" --tiles "$1" |
+            "$FIG10" --tiles "$1" --jobs 1 |
             sed -n 's/^host_peak_rss_kb \([0-9][0-9]*\)$/\1/p'
     }
     echo "running $FIG10 at 64 and 256 tiles..."
