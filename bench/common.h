@@ -17,7 +17,6 @@
  *   --tone-loss P         per-observation tone-pulse-loss probability
  *   --burst B:ENTER[:EXIT]  Gilbert-Elliott burst noise: burst-state
  *                         BER plus enter/exit probabilities
- *   --fault-retries N     per-transmission retry budget
  *   --fault-seed N        extra seed folded into the fault RNG stream
  *   --tiles N             tile count (repeatable; the values replace
  *                         the figure's tile list)
@@ -186,14 +185,6 @@ class Options
              "Gilbert-Elliott burst noise: BER in the burst state "
              "plus enter/exit probabilities",
              [this](const char *v) { parseBurst(v); }},
-            {"--fault-retries", "N",
-             "per-transmission retry budget before wired fallback",
-             [this](const char *v) {
-                 long n = 0;
-                 if (!sys::parseEnvInt(v, 1, UINT32_MAX, n))
-                     die("invalid --fault-retries value '%s'", v);
-                 fault_.retryBudget = static_cast<std::uint32_t>(n);
-             }},
             {"--fault-seed", "N",
              "extra seed folded into the fault RNG stream",
              [this](const char *v) {

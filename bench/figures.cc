@@ -503,10 +503,6 @@ figures()
                       Agg::Sum},
                      {"retries", "%.0f", field<true, &R::faultRetries>,
                       Agg::Sum},
-                     {"drops", "%.0f", field<true, &R::frameFaultDrops>,
-                      Agg::Sum},
-                     {"fallbacks", "%.0f",
-                      field<true, &R::wirelessFallbacks>, Agg::Sum},
                      {"toneRetry", "%.0f", field<true, &R::toneRetries>,
                       Agg::Sum}},
          .definition = "norm.time: execution time of WiDir normalized per "
@@ -662,15 +658,6 @@ run(const Figure &fig, int argc, char **argv)
                 fig.title, fig.ref);
     std::printf("==============================================="
                 "=====================\n");
-    // A sweep that injects faults names its machine and retry budget.
-    auto faulted = [](const ExperimentSpec &s) { return s.fault.enabled(); };
-    if (std::any_of(specs.begin(), specs.end(), faulted)) {
-        std::string tile_list;
-        for (std::uint32_t n : tiles)
-            tile_list += (tile_list.empty() ? "" : ",") + std::to_string(n);
-        std::printf("%s cores, scale %u, retry budget %u, %zu apps\n\n",
-                    tile_list.c_str(), scale, opt.fault().retryBudget, A);
-    }
 
     auto tileLabel = [&](std::size_t t) {
         return T > 1 ? std::to_string(tiles[t]) + " cores" : "";

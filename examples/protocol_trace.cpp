@@ -2,9 +2,9 @@
  * @file
  * Scenario: watching the protocol work, message by message.
  *
- * Enables the fabric's wired-message trace and the wireless channel's
- * frame trace, then walks a 8-core machine through the lifecycle the
- * paper describes:
+ * Prints every wired message and every wireless frame that wins (or is
+ * jammed off) the channel from a sim::Tracer sink, then walks an
+ * 8-core machine through the lifecycle the paper describes:
  *
  *   1. cores 0..2 read a line      -> wired GetS, S state
  *   2. core 3 reads it             -> S->W: BrWirUpgr + census
@@ -12,11 +12,13 @@
  *   4. core 4 reads it             -> W->W wired join (WirUpgr/Ack)
  *   5. cores stop touching it      -> UpdateCount PutWs, W->S
  *
- * Run it and read the annotated trace on stderr.
+ * Run it and read the annotated trace on stderr (empty in a build
+ * with WIDIR_TRACE_DISABLED).
  */
 
 #include <cstdio>
 
+#include "sim/trace.h"
 #include "system/manycore.h"
 
 using namespace widir;
@@ -84,8 +86,23 @@ main()
 {
     sys::SystemConfig cfg = sys::SystemConfig::widir(8);
     sys::Manycore machine(cfg);
-    machine.fabric().setTrace(true);
-    machine.dataChannel()->setTrace(true);
+    sim::Tracer &tracer = machine.simulator().tracer();
+    tracer.setEnabled(true);
+    tracer.addSink([](const sim::TraceRecord &r) {
+        const auto tick = static_cast<unsigned long long>(r.tick);
+        const auto line = static_cast<unsigned long long>(r.line);
+        if (r.kind == sim::TraceKind::MsgSend)
+            std::fprintf(stderr, "%10llu  %2u -> %2u  %-10s line=%#llx%s\n",
+                         tick, r.node, r.peer, r.opName, line,
+                         r.note ? " (sharer)" : "");
+        else if (r.kind == sim::TraceKind::FrameWin)
+            std::fprintf(stderr, "%10llu  WNoC %2u %-10s line=%#llx\n",
+                         tick, r.node, r.opName, line);
+        else if (r.kind == sim::TraceKind::FrameJammed)
+            std::fprintf(stderr,
+                         "%10llu  WNoC %2u JAMMED %-10s line=%#llx\n",
+                         tick, r.node, r.opName, line);
+    });
 
     sim::Tick cycles =
         machine.run([](Thread &t) { return script(t); });

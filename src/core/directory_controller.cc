@@ -62,10 +62,10 @@ DirectoryController::describeOutstanding(std::string &out) const
     for (auto it = txns_.begin(); it != txns_.end(); ++it) {
         const DirTxn &t = it->second;
         out += sim::strfmt(
-            "  dir %u: line %#llx %s%s requester %d acksExpected %u "
+            "  dir %u: line %#llx %s requester %d acksExpected %u "
             "acksReceived %u ackIds {",
             node_, static_cast<unsigned long long>(t.line),
-            dirTxnTypeName(t.type), t.wired ? " (wired fallback)" : "",
+            dirTxnTypeName(t.type),
             t.requester == sim::kNodeNone ? -1
                                           : static_cast<int>(t.requester),
             t.acksExpected, t.acksReceived);
@@ -221,7 +221,6 @@ DirectoryController::receive(const Msg &msg)
       case DirEvent::FrameWirInv:
       case DirEvent::LlcEvict:
       case DirEvent::CensusDone:
-      case DirEvent::ChannelFault:
         break;
     }
     sim::panic("directory %u: %s is not a message event", node_,
@@ -246,13 +245,12 @@ DirectoryController::stepTxn(DirTxn &txn, DirEvent ev, const Msg &msg)
 {
     const Addr line = txn.line;
     const SenderRole role = senderRole(txn, msg);
-    const int row = dirTxnRuleFor(txn.type, txn.wired, ev, role);
+    const int row = dirTxnRuleFor(txn.type, ev, role);
     if (row < 0)
         sim::panic("directory %u: no step for %s from %s node %u during "
-                   "%s%s of line %#llx",
+                   "%s of line %#llx",
                    node_, dirEventName(ev), senderRoleName(role), msg.src,
                    dirTxnTypeName(txn.type),
-                   txn.wired ? " (wired fallback)" : "",
                    static_cast<unsigned long long>(line));
     ++txnRuleHits_[static_cast<std::size_t>(row)];
     switch (dirTxnRules()[static_cast<std::size_t>(row)].step) {
@@ -269,8 +267,7 @@ DirectoryController::stepTxn(DirTxn &txn, DirEvent ev, const Msg &msg)
       case DirStep::Ignore:
         return;
       case DirStep::LeaveCensus:
-        // Drop the pointer too: an aborted census re-dispatches the
-        // request against the sharer set (abortToWireless).
+        // Drop the pointer too: the node no longer shares the line.
         entryAt(line).sharers.remove(msg.src);
         WIDIR_ASSERT(txn.censusSharers > 0, "census underflow");
         --txn.censusSharers;
@@ -351,10 +348,6 @@ DirectoryController::stepTxn(DirTxn &txn, DirEvent ev, const Msg &msg)
         if (++txn.acksReceived == txn.acksExpected)
             finishRecall(line);
         return;
-      case DirStep::CollectFallbackAck:
-        if (++txn.acksReceived == txn.acksExpected)
-            finishToShared(line);
-        return;
       case DirStep::CollectJoinAck: {
         DirEntry &entry = entryAt(line);
         ++entry.sharerCount;
@@ -430,7 +423,7 @@ DirectoryController::grant(NodeId dst, Addr line, GrantState state,
 void
 DirectoryController::handleCachedRequest(const Msg &msg,
                                          CacheEntry *llc_entry,
-                                         DirEntry &entry, bool force_wired)
+                                         DirEntry &entry)
 {
     const auto &cfg = fabric_.config();
     llc_.touch(llc_entry, fabric_.simulator().now());
@@ -454,15 +447,15 @@ DirectoryController::handleCachedRequest(const Msg &msg,
                 grant(msg.src, msg.line, GrantState::S, *llc_entry);
                 return;
             }
-            if (cfg.wireless() && !force_wired && !entry.bcast &&
+            if (cfg.wireless() && !entry.bcast &&
                 entry.sharers.size() >= cfg.maxWiredSharers) {
                 // Table II, S->W: the new sharer would push the count
                 // past MaxWiredSharers. Never from a bcast entry: the
                 // census seeds SharerCount from the pointer list, so
-                // an imprecise entry (reachable only via the wired
-                // fault fallback overflowing the pointers) would
-                // undercount the group and dissolve it too early. Such
-                // lines stay wired until a GetX restores precision.
+                // an imprecise entry would undercount the group and
+                // dissolve it too early. (With MaxWiredSharers <=
+                // dirPointers the census starts before the pointers
+                // can overflow.)
                 startToWireless(msg, entry);
                 return;
             }
@@ -479,7 +472,7 @@ DirectoryController::handleCachedRequest(const Msg &msg,
         // GetX in S: either a WiDir transition or an invalidation
         // collect.
         bool sharer = entry.sharers.contains(msg.src);
-        if (cfg.wireless() && !force_wired && !sharer && !entry.bcast &&
+        if (cfg.wireless() && !sharer && !entry.bcast &&
             entry.sharers.size() >= cfg.maxWiredSharers) {
             startToWireless(msg, entry);
             return;
@@ -713,9 +706,7 @@ DirectoryController::startToWireless(const Msg &msg, DirEntry &entry)
     frame.src = node_;
     frame.kind = wireless::FrameKind::BrWirUpgr;
     frame.lineAddr = line;
-    fabric_.dataChannel()->transmit(
-        frame,
-        [this, line] {
+    fabric_.dataChannel()->transmit(frame, [this, line] {
         DirTxn *txn = txnOf(line);
         WIDIR_ASSERT(txn && txn->type == TxnType::ToWireless,
                      "BrWirUpgr commit without ToWireless txn");
@@ -736,8 +727,7 @@ DirectoryController::startToWireless(const Msg &msg, DirEntry &entry)
         fabric_.toneChannel()->beginCensus(
             fabric_.numNodes(),
             [this, line] { finishToWireless(line); });
-        },
-        [this, line] { abortToWireless(line); });
+        });
 }
 
 void
@@ -836,11 +826,7 @@ DirectoryController::startToShared(Addr line)
     frame.src = node_;
     frame.kind = wireless::FrameKind::WirDwgr;
     frame.lineAddr = line;
-    txn.frameToken =
-        fabric_.dataChannel()->transmit(frame, nullptr,
-                                        [this, line] {
-                                            fallbackToShared(line);
-                                        });
+    txn.frameToken = fabric_.dataChannel()->transmit(frame, nullptr);
     if (txn.acksExpected == 0) {
         // Every sharer already self-invalidated; nothing will ack.
         maybeFinishToShared(line);
@@ -902,95 +888,6 @@ DirectoryController::finishToShared(Addr line)
 }
 
 // ---------------------------------------------------------------------
-// Wired fallbacks under fault injection (docs/FAULTS.md)
-// ---------------------------------------------------------------------
-
-void
-DirectoryController::traceFallback(Addr line, const char *frame_kind)
-{
-    sim::Tracer &tracer = fabric_.simulator().tracer();
-    if (!(sim::kTraceCompiled && tracer.enabled()))
-        return;
-    sim::TraceRecord r;
-    r.tick = fabric_.simulator().now();
-    r.kind = sim::TraceKind::WirelessFallback;
-    r.comp = sim::TraceComponent::Directory;
-    r.node = node_;
-    r.line = line;
-    r.opName = frame_kind;
-    tracer.emit(r);
-}
-
-void
-DirectoryController::broadcastFallbackInvs(DirTxn &txn)
-{
-    // The dropped frame would have identified the survivors for us
-    // (WirDwgrAcks); without it we cannot tell who still holds a copy,
-    // so invalidate the whole machine. Every L1 acks an Inv even on a
-    // miss (the RecallS broadcast path relies on the same property),
-    // so completion is exactly numNodes InvAcks.
-    txn.wired = true;
-    txn.ackIds.clear();
-    txn.acksReceived = 0;
-    txn.acksExpected = fabric_.numNodes();
-    stats_.invsSent += fabric_.numNodes();
-    for (NodeId n = 0; n < fabric_.numNodes(); ++n) {
-        Msg inv;
-        inv.type = MsgType::Inv;
-        inv.dst = n;
-        inv.line = txn.line;
-        send(inv, fabric_.config().dirProcLatency);
-    }
-}
-
-void
-DirectoryController::abortToWireless(Addr line)
-{
-    DirTxn *txn = txnOf(line);
-    if (!txn || txn->type != TxnType::ToWireless)
-        return; // stale failure notification
-    // The BrWirUpgr never committed, so no L1 saw anything: the entry
-    // is still untouched in S and the requester is still waiting. Undo
-    // the transaction and re-dispatch the original request with the
-    // S->W transition suppressed -- it completes as a plain wired
-    // GetS/GetX against the (possibly overflowing) sharer set.
-    ++stats_.wirelessFallbacks;
-    traceFallback(line, "BrWirUpgr");
-    Msg req;
-    req.type = txn->reqType;
-    req.src = txn->requester;
-    req.line = line;
-    endTxn(line);
-    CacheEntry *e = llc_.lookup(line);
-    WIDIR_ASSERT(e, "aborted S->W without LLC entry");
-    auto it = entries_.find(line);
-    WIDIR_ASSERT(it != entries_.end(), "aborted S->W without dir entry");
-    handleCachedRequest(req, e, it->second, /*force_wired=*/true);
-}
-
-void
-DirectoryController::fallbackToShared(Addr line)
-{
-    DirTxn *txn = txnOf(line);
-    if (!txn || txn->type != TxnType::ToShared || txn->wired)
-        return; // stale failure notification
-    ++stats_.wirelessFallbacks;
-    traceFallback(line, "WirDwgr");
-    broadcastFallbackInvs(*txn);
-}
-
-void
-DirectoryController::fallbackRecallW(Addr line)
-{
-    DirTxn *txn = txnOf(line);
-    if (!txn || txn->type != TxnType::RecallW || txn->wired)
-        return; // stale failure notification
-    ++stats_.wirelessFallbacks;
-    traceFallback(line, "WirInv");
-    broadcastFallbackInvs(*txn);
-}
-
-// ---------------------------------------------------------------------
 // Wireless frames observed at the home slice
 // ---------------------------------------------------------------------
 
@@ -1032,7 +929,7 @@ DirectoryController::receiveFrame(const wireless::Frame &frame)
         // transition completes once the WirDwgrAcks are in -- which
         // may already be the case if racing PutWs drained the count.
         DirTxn *txn = txnOf(line);
-        if (txn && txn->type == TxnType::ToShared && !txn->wired) {
+        if (txn && txn->type == TxnType::ToShared) {
             txn->frameResolved = true;
             maybeFinishToShared(line);
         }
@@ -1145,10 +1042,7 @@ DirectoryController::startRecall(CacheEntry *victim)
         frame.src = node_;
         frame.kind = wireless::FrameKind::WirInv;
         frame.lineAddr = line;
-        fabric_.dataChannel()->transmit(frame, nullptr,
-                                        [this, line] {
-                                            fallbackRecallW(line);
-                                        });
+        fabric_.dataChannel()->transmit(frame, nullptr);
         return;
       }
       case DirState::I:

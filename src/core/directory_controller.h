@@ -106,7 +106,7 @@ class DirectoryController
         std::uint64_t wirInvs = 0;      ///< W->I evictions
         std::uint64_t updatesObserved = 0; ///< WirUpd applied to LLC
         std::uint64_t dirAccesses = 0;
-        /** Txns re-routed to the wired mesh (docs/FAULTS.md). */
+        /** Always 0; the benchmark PR deletes it (ROADMAP item 3). */
         std::uint64_t wirelessFallbacks = 0;
     };
     const Stats &stats() const { return stats_; }
@@ -156,24 +156,12 @@ class DirectoryController
          */
         std::uint64_t frameToken = 0;
         bool frameResolved = false;
-        /**
-         * Wired fallback mode (docs/FAULTS.md): the transaction's
-         * wireless frame exhausted its fault-retry budget and was
-         * replaced by a wired Inv broadcast; completion is now counted
-         * in InvAcks (dirTxnRules() keys its own rows on this mode).
-         */
-        bool wired = false;
     };
 
     // -- request path ---------------------------------------------------
     void handleRequest(const Msg &msg);
-    /**
-     * @param force_wired Suppress the S->W wireless transition for
-     *        this one dispatch (used when re-routing an aborted
-     *        ToWireless onto the wired path, docs/FAULTS.md).
-     */
     void handleCachedRequest(const Msg &msg, mem::CacheEntry *llc_entry,
-                             DirEntry &entry, bool force_wired = false);
+                             DirEntry &entry);
     void startFetch(const Msg &msg);
     void grant(sim::NodeId dst, sim::Addr line, GrantState state,
                const mem::CacheEntry &llc_entry);
@@ -198,17 +186,6 @@ class DirectoryController
     void startToShared(sim::Addr line);
     void maybeFinishToShared(sim::Addr line);
     void finishToShared(sim::Addr line);
-
-    // -- wired fallbacks under fault injection (docs/FAULTS.md) --------
-    /** BrWirUpgr never got through: re-dispatch on the wired path. */
-    void abortToWireless(sim::Addr line);
-    /** WirDwgr never got through: invalidate the group over the mesh. */
-    void fallbackToShared(sim::Addr line);
-    /** WirInv never got through: invalidate the group over the mesh. */
-    void fallbackRecallW(sim::Addr line);
-    /** Broadcast wired Invs to every node for a fallback txn. */
-    void broadcastFallbackInvs(DirTxn &txn);
-    void traceFallback(sim::Addr line, const char *frame_kind);
 
     // -- LLC management -----------------------------------------------------
     /**

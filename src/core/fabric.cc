@@ -1,7 +1,5 @@
 #include "core/fabric.h"
 
-#include <cstdio>
-
 #include "core/directory_controller.h"
 #include "core/l1_controller.h"
 #include "sim/log.h"
@@ -28,13 +26,6 @@ CoherenceFabric::sendWired(const Msg &msg, sim::Tick delay)
 {
     WIDIR_ASSERT(msg.src != sim::kNodeNone && msg.dst != sim::kNodeNone,
                  "wired message without endpoints");
-    if (trace_) {
-        std::fprintf(stderr, "%10llu  %2u -> %2u  %-10s line=%#llx%s\n",
-                     static_cast<unsigned long long>(sim_.now()),
-                     msg.src, msg.dst, msgTypeName(msg.type),
-                     static_cast<unsigned long long>(msg.line),
-                     msg.isSharer ? " (sharer)" : "");
-    }
     sim::Tracer &tracer = sim_.tracer();
     if (sim::kTraceCompiled && tracer.enabled()) {
         sim::TraceRecord r;

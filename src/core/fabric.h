@@ -92,14 +92,6 @@ class CoherenceFabric
      */
     void sendWired(const Msg &msg, sim::Tick delay = 0);
 
-    /**
-     * Enable/disable a human-readable trace of every wired message and
-     * its delivery, on stderr. Handy when debugging protocol races;
-     * examples/protocol_trace.cc demonstrates it.
-     */
-    void setTrace(bool on) { trace_ = on; }
-    bool trace() const { return trace_; }
-
     /** Wired bits for a message of this type. */
     std::uint32_t
     bitsFor(MsgType t) const
@@ -137,7 +129,6 @@ class CoherenceFabric
     std::vector<sim::Tick> lastEnqueue_;
     /** In-flight wired messages (see MsgPool in core/messages.h). */
     MsgPool pool_;
-    bool trace_ = false;
 };
 
 } // namespace widir::coherence

@@ -506,6 +506,22 @@ L1Controller::retryLanding(Addr line)
         auto it = txns_.find(line);
         WIDIR_ASSERT(it != txns_.end() && it->second.landing,
                      "landing transaction vanished");
+        // A fill that holds the census tone must not wait for this
+        // node's own wireless writes: a ToWireless census can jam
+        // them, and every census waits for this tone (one wired-OR
+        // for every line). Squash one that has not won the channel;
+        // it retries like any squashed write.
+        if (it->second.toneHeld) {
+            for (auto w = wirelessTxns_.begin(); w != wirelessTxns_.end();
+                 ++w) {
+                if (array_.setOf(w->first) == array_.setOf(line) &&
+                    fabric_.dataChannel()->cancelPending(
+                        w->second.channelToken)) {
+                    squashWireless(w->first);
+                    break;
+                }
+            }
+        }
         if (!landFill(it->second.landing->grant))
             retryLanding(line);
     });
@@ -553,60 +569,19 @@ L1Controller::issueWirelessWrite(const PendingOp &op)
     auto *channel = fabric_.dataChannel();
     WIDIR_ASSERT(channel, "wireless write without a wireless channel");
     ins->second.channelToken = channel->transmit(
-        frame, [this, line] { wirelessCommit(line); },
-        [this, line] { wirelessWriteFault(line); });
-}
-
-void
-L1Controller::wirelessWriteFault(Addr line)
-{
-    // With no write in flight the notification is stale: a racing
-    // WirDwgr/WirInv already squashed the transmission (and the line
-    // may have opened a wired miss since).
-    if (!wirelessTxns_.count(line))
-        return;
-    const L1Step step = txnStep(line, L1Event::ChannelFault);
-    WIDIR_ASSERT(step == L1Step::Fault, "L1 %u: %s for a channel fault",
-                 node_, l1StepName(step));
-    // The channel exhausted the fault-retry budget for our WirUpd
-    // (docs/FAULTS.md). The frame never committed, so no sharer saw
-    // anything. Degrade gracefully: leave the wireless sharing group
-    // exactly like an UpdateCount expiry (PutW to the home, W -> I)
-    // and retry the queued ops -- with the line now Invalid they take
-    // the wired GetX path.
-    ++stats_.wirelessFallbacks;
-    sim::Tracer &tracer = fabric_.simulator().tracer();
-    if (sim::kTraceCompiled && tracer.enabled()) {
-        sim::TraceRecord r;
-        r.tick = fabric_.simulator().now();
-        r.kind = sim::TraceKind::WirelessFallback;
-        r.comp = sim::TraceComponent::L1;
-        r.node = node_;
-        r.line = line;
-        r.opName = "WirUpd";
-        tracer.emit(r);
-    }
-    squashWireless(line);
-    CacheEntry *e = array_.lookup(line);
-    WIDIR_ASSERT(e && static_cast<L1State>(e->state) == L1State::W,
-                 "wireless fault on a non-W line");
-    ++stats_.putWSent;
-    Msg put;
-    put.type = MsgType::PutW;
-    put.dst = fabric_.homeOf(line);
-    put.line = line;
-    traceState(line, L1State::W, L1State::I, "fault");
-    array_.invalidate(e);
-    send(put);
+        frame, [this, line] { wirelessCommit(line); });
 }
 
 void
 L1Controller::wirelessCommit(Addr line)
 {
-    // With no write in flight the commit is stale: the write was
-    // squashed between the channel grant and this event.
-    if (!wirelessTxns_.count(line))
-        return;
+    // Nothing squashes a write once it has won the channel: the frames
+    // that squash it are for the same line, so they share its busy
+    // sub-channel, and the landing squash only withdraws a write that
+    // has not won.
+    WIDIR_ASSERT(wirelessTxns_.count(line),
+                 "L1 %u: commit for line %#llx with no write in flight",
+                 node_, static_cast<unsigned long long>(line));
     const L1Step step = txnStep(line, L1Event::ChannelCommit);
     WIDIR_ASSERT(step == L1Step::Commit, "L1 %u: %s for a channel commit",
                  node_, l1StepName(step));
@@ -740,9 +715,8 @@ L1Controller::receive(const Msg &msg)
         txns_.find(msg.line)->second.landing->waiting.emplace_back(msg);
         return;
     }
-    WIDIR_ASSERT(step == L1Step::Stable || step == L1Step::Squash,
-                 "L1 %u: %s is not a message step", node_,
-                 l1StepName(step));
+    WIDIR_ASSERT(step == L1Step::Stable, "L1 %u: %s is not a message step",
+                 node_, l1StepName(step));
     // With no transaction, a Nack answers an upgrade that a census
     // satisfied (Table I, S->W case 2) and is dropped; the home never
     // grants such an upgrade.
@@ -754,8 +728,6 @@ L1Controller::receive(const Msg &msg)
         sim::panic("L1 %u: %s for line %#llx without a request", node_,
                    msgTypeName(msg.type),
                    static_cast<unsigned long long>(msg.line));
-    if (step == L1Step::Squash)
-        squashWireless(msg.line);
 }
 
 void
@@ -767,18 +739,6 @@ L1Controller::handleInv(const Msg &msg)
     ack.dst = msg.src;
     ack.line = msg.line;
     if (e && static_cast<L1State>(e->state) != L1State::I) {
-        if (static_cast<L1State>(e->state) == L1State::W) {
-            // Wired-fallback invalidation (docs/FAULTS.md): the home
-            // could not get a WirDwgr/WirInv frame onto the faulty
-            // channel and broadcast wired Invs instead. Treat it like
-            // a WirInv: invalidate, ack without data (the home's LLC
-            // slice observes every committed WirUpd, so W data is
-            // never lost); a pending write is squashed (Squash step).
-            traceState(msg.line, L1State::W, L1State::I, "Inv");
-            array_.invalidate(e);
-            send(ack);
-            return;
-        }
         if (msg.needData &&
             (static_cast<L1State>(e->state) == L1State::M)) {
             ack.hasData = true;

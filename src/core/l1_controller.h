@@ -109,7 +109,7 @@ class L1Controller
         std::uint64_t wirelessWrites = 0;    ///< committed WirUpd frames
         std::uint64_t wirelessSquashes = 0;  ///< pending writes squashed
         std::uint64_t updatesApplied = 0;    ///< remote WirUpd applied
-        /** WirUpds re-routed to the wired path (docs/FAULTS.md). */
+        /** Always 0; the benchmark PR deletes it (ROADMAP item 3). */
         std::uint64_t wirelessFallbacks = 0;
     };
     const Stats &stats() const { return stats_; }
@@ -193,8 +193,6 @@ class L1Controller
     void issueWirelessWrite(const PendingOp &op);
     void wirelessCommit(sim::Addr line);
     void squashWireless(sim::Addr line);
-    /** Channel gave up on our WirUpd: degrade to the wired path. */
-    void wirelessWriteFault(sim::Addr line);
 
     // -- fills, hits, evictions ----------------------------------------
     void completeOps(std::vector<PendingOp> ops);
@@ -206,7 +204,11 @@ class L1Controller
      * @return false, changing nothing, while the set is fully pinned.
      */
     bool landFill(const Msg &grant);
-    /** Retry a landing fill 4 cycles from now. */
+    /**
+     * Retry a landing fill 4 cycles from now; a fill that holds the
+     * census tone first squashes one of this node's uncommitted
+     * wireless writes in its set.
+     */
     void retryLanding(sim::Addr line);
     void evict(mem::CacheEntry *victim);
 

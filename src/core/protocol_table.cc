@@ -117,7 +117,6 @@ l1EventName(L1Event e)
       case L1Event::FrameWirDwgr:   return "FrameWirDwgr";
       case L1Event::FrameWirInv:    return "FrameWirInv";
       case L1Event::ChannelCommit:  return "ChannelCommit";
-      case L1Event::ChannelFault:   return "ChannelFault";
     }
     return "?";
 }
@@ -140,7 +139,6 @@ dirEventName(DirEvent e)
       case DirEvent::FrameWirInv:   return "FrameWirInv";
       case DirEvent::LlcEvict:      return "LlcEvict";
       case DirEvent::CensusDone:    return "CensusDone";
-      case DirEvent::ChannelFault:  return "ChannelFault";
     }
     return "?";
 }
@@ -170,7 +168,6 @@ l1StepName(L1Step s)
       case L1Step::Squash:            return "Squash";
       case L1Step::UpdateDuringWrite: return "UpdateDuringWrite";
       case L1Step::Commit:            return "Commit";
-      case L1Step::Fault:             return "Fault";
     }
     return "?";
 }
@@ -204,7 +201,6 @@ dirStepName(DirStep s)
       case DirStep::RecallOwner:        return "RecallOwner";
       case DirStep::CollectUpgradeAck:  return "CollectUpgradeAck";
       case DirStep::CollectRecallAck:   return "CollectRecallAck";
-      case DirStep::CollectFallbackAck: return "CollectFallbackAck";
       case DirStep::CollectJoinAck:     return "CollectJoinAck";
       case DirStep::CollectDwgrAck:     return "CollectDwgrAck";
     }
@@ -294,71 +290,70 @@ constexpr L1State L1_W = L1State::W;
 // below covers the rest. A null note means "no traced transition".
 constexpr L1Rule kL1Rules[] = {
     // CPU load: hit everywhere but I (a W hit resets UpdateCount).
-    {L1_I, L1Event::CpuLoad, L1_I, nullptr, kRuleNone},
-    {L1_S, L1Event::CpuLoad, L1_S, nullptr, kRuleNone},
-    {L1_E, L1Event::CpuLoad, L1_E, nullptr, kRuleNone},
-    {L1_M, L1Event::CpuLoad, L1_M, nullptr, kRuleNone},
-    {L1_W, L1Event::CpuLoad, L1_W, nullptr, kRuleNone},
+    {L1_I, L1Event::CpuLoad, L1_I, nullptr},
+    {L1_S, L1Event::CpuLoad, L1_S, nullptr},
+    {L1_E, L1Event::CpuLoad, L1_E, nullptr},
+    {L1_M, L1Event::CpuLoad, L1_M, nullptr},
+    {L1_W, L1Event::CpuLoad, L1_W, nullptr},
 
     // CPU store: silent E->M upgrade, wireless broadcast from W,
     // sharer upgrade from S, plain miss from I.
-    {L1_I, L1Event::CpuStore, L1_I, nullptr, kRuleNone},
-    {L1_S, L1Event::CpuStore, L1_S, nullptr, kRuleNone},
-    {L1_E, L1Event::CpuStore, L1_M, "store", kRuleNone},
-    {L1_M, L1Event::CpuStore, L1_M, nullptr, kRuleNone},
-    {L1_W, L1Event::CpuStore, L1_W, nullptr, kRuleNone},
+    {L1_I, L1Event::CpuStore, L1_I, nullptr},
+    {L1_S, L1Event::CpuStore, L1_S, nullptr},
+    {L1_E, L1Event::CpuStore, L1_M, "store"},
+    {L1_M, L1Event::CpuStore, L1_M, nullptr},
+    {L1_W, L1Event::CpuStore, L1_W, nullptr},
 
     // CPU RMW: like a store (a no-op RMW in W linearizes as a load).
-    {L1_I, L1Event::CpuRmw, L1_I, nullptr, kRuleNone},
-    {L1_S, L1Event::CpuRmw, L1_S, nullptr, kRuleNone},
-    {L1_E, L1Event::CpuRmw, L1_M, "rmw", kRuleNone},
-    {L1_M, L1Event::CpuRmw, L1_M, nullptr, kRuleNone},
-    {L1_W, L1Event::CpuRmw, L1_W, nullptr, kRuleNone},
+    {L1_I, L1Event::CpuRmw, L1_I, nullptr},
+    {L1_S, L1Event::CpuRmw, L1_S, nullptr},
+    {L1_E, L1Event::CpuRmw, L1_M, "rmw"},
+    {L1_M, L1Event::CpuRmw, L1_M, nullptr},
+    {L1_W, L1Event::CpuRmw, L1_W, nullptr},
 
     // Capacity eviction: PutS/PutE/PutM/PutW to the home.
-    {L1_S, L1Event::Evict, L1_I, "evict", kRuleNone},
-    {L1_E, L1Event::Evict, L1_I, "evict", kRuleNone},
-    {L1_M, L1Event::Evict, L1_I, "evict", kRuleNone},
-    {L1_W, L1Event::Evict, L1_I, "evict", kRuleNone},
+    {L1_S, L1Event::Evict, L1_I, "evict"},
+    {L1_E, L1Event::Evict, L1_I, "evict"},
+    {L1_M, L1Event::Evict, L1_I, "evict"},
+    {L1_W, L1Event::Evict, L1_I, "evict"},
 
     // Data / WirUpgr: fill the outstanding miss (I->granted state, or
     // S->M on an upgrade; I->W when a census counted the requester,
     // Section III-B1 case iii, or on a W join). Every grant answers a
     // request whose transaction is still open.
-    {L1_I, L1Event::MsgData, L1_S, "fill", kRuleNone},
-    {L1_I, L1Event::MsgData, L1_E, "fill", kRuleNone},
-    {L1_I, L1Event::MsgData, L1_M, "fill", kRuleNone},
-    {L1_I, L1Event::MsgData, L1_W, "fill", kRuleNone},
-    {L1_S, L1Event::MsgData, L1_M, "fill", kRuleNone},
-    {L1_I, L1Event::MsgWirUpgr, L1_W, "fill", kRuleNone},
+    {L1_I, L1Event::MsgData, L1_S, "fill"},
+    {L1_I, L1Event::MsgData, L1_E, "fill"},
+    {L1_I, L1Event::MsgData, L1_M, "fill"},
+    {L1_I, L1Event::MsgData, L1_W, "fill"},
+    {L1_S, L1Event::MsgData, L1_M, "fill"},
+    {L1_I, L1Event::MsgWirUpgr, L1_W, "fill"},
 
     // Nack: back off and retry the outstanding request (releases a
     // held census tone). With none open the bounce is stale (a census
     // satisfied the upgrade it answers). No state change in any state.
-    {L1_I, L1Event::MsgNack, L1_I, nullptr, kRuleNone},
-    {L1_S, L1Event::MsgNack, L1_S, nullptr, kRuleNone},
-    {L1_E, L1Event::MsgNack, L1_E, nullptr, kRuleNone},
-    {L1_M, L1Event::MsgNack, L1_M, nullptr, kRuleNone},
-    {L1_W, L1Event::MsgNack, L1_W, nullptr, kRuleNone},
+    {L1_I, L1Event::MsgNack, L1_I, nullptr},
+    {L1_S, L1Event::MsgNack, L1_S, nullptr},
+    {L1_E, L1Event::MsgNack, L1_E, nullptr},
+    {L1_M, L1Event::MsgNack, L1_M, nullptr},
+    {L1_W, L1Event::MsgNack, L1_W, nullptr},
 
     // Inv: ack (with data on an owner recall) and drop the copy; a
-    // miss still acks (broadcast recalls target every node). An Inv
-    // reaching a W copy only happens via the wired fault fallback.
-    {L1_I, L1Event::MsgInv, L1_I, nullptr, kRuleNone},
-    {L1_S, L1Event::MsgInv, L1_I, "Inv", kRuleNone},
-    {L1_E, L1Event::MsgInv, L1_I, "Inv", kRuleNone},
-    {L1_M, L1Event::MsgInv, L1_I, "Inv", kRuleNone},
-    {L1_W, L1Event::MsgInv, L1_I, "Inv", kRuleFaultOnly},
+    // miss still acks (broadcast recalls target every node). The home
+    // sends no Inv for a line in W.
+    {L1_I, L1Event::MsgInv, L1_I, nullptr},
+    {L1_S, L1Event::MsgInv, L1_I, "Inv"},
+    {L1_E, L1Event::MsgInv, L1_I, "Inv"},
+    {L1_M, L1Event::MsgInv, L1_I, "Inv"},
 
     // FwdGetS / FwdGetX: the owner supplies data and downgrades or
     // invalidates. A node that already evicted drops the forward (its
     // PutE/PutM completes the directory's transaction instead).
-    {L1_I, L1Event::MsgFwdGetS, L1_I, nullptr, kRuleNone},
-    {L1_E, L1Event::MsgFwdGetS, L1_S, "FwdGetS", kRuleNone},
-    {L1_M, L1Event::MsgFwdGetS, L1_S, "FwdGetS", kRuleNone},
-    {L1_I, L1Event::MsgFwdGetX, L1_I, nullptr, kRuleNone},
-    {L1_E, L1Event::MsgFwdGetX, L1_I, "FwdGetX", kRuleNone},
-    {L1_M, L1Event::MsgFwdGetX, L1_I, "FwdGetX", kRuleNone},
+    {L1_I, L1Event::MsgFwdGetS, L1_I, nullptr},
+    {L1_E, L1Event::MsgFwdGetS, L1_S, "FwdGetS"},
+    {L1_M, L1Event::MsgFwdGetS, L1_S, "FwdGetS"},
+    {L1_I, L1Event::MsgFwdGetX, L1_I, nullptr},
+    {L1_E, L1Event::MsgFwdGetX, L1_I, "FwdGetX"},
+    {L1_M, L1Event::MsgFwdGetX, L1_I, "FwdGetX"},
 
     // The home sends WirUpd, WirDwgr and WirInv only for a line in W,
     // which leaves no S/E/M copy, and BrWirUpgr only for a line in S,
@@ -368,36 +363,28 @@ constexpr L1Rule kL1Rules[] = {
     // Foreign WirUpd: W sharers apply the word (and may self-
     // invalidate once UpdateCount trips); a node without a copy
     // ignores it.
-    {L1_I, L1Event::FrameWirUpd, L1_I, nullptr, kRuleNone},
-    {L1_W, L1Event::FrameWirUpd, L1_W, nullptr, kRuleNone},
-    {L1_W, L1Event::FrameWirUpd, L1_I, "UpdateCount", kRuleNone},
+    {L1_I, L1Event::FrameWirUpd, L1_I, nullptr},
+    {L1_W, L1Event::FrameWirUpd, L1_W, nullptr},
+    {L1_W, L1Event::FrameWirUpd, L1_I, "UpdateCount"},
 
     // BrWirUpgr census: every node raises the tone; current sharers
     // adopt W (case 1/2), nodes with a request in flight hold the
     // tone (case iii), everyone else drops it immediately (case i).
-    {L1_I, L1Event::FrameBrWirUpgr, L1_I, nullptr, kRuleNone},
-    {L1_S, L1Event::FrameBrWirUpgr, L1_W, "BrWirUpgr", kRuleNone},
+    {L1_I, L1Event::FrameBrWirUpgr, L1_I, nullptr},
+    {L1_S, L1Event::FrameBrWirUpgr, L1_W, "BrWirUpgr"},
 
     // WirDwgr: W sharers ack with their id and downgrade.
-    {L1_I, L1Event::FrameWirDwgr, L1_I, nullptr, kRuleNone},
-    {L1_W, L1Event::FrameWirDwgr, L1_S, "WirDwgr", kRuleNone},
+    {L1_I, L1Event::FrameWirDwgr, L1_I, nullptr},
+    {L1_W, L1Event::FrameWirDwgr, L1_S, "WirDwgr"},
 
     // WirInv: W sharers invalidate and retry pending writes wired.
-    {L1_I, L1Event::FrameWirInv, L1_I, nullptr, kRuleNone},
-    {L1_W, L1Event::FrameWirInv, L1_I, "WirInv", kRuleNone},
+    {L1_I, L1Event::FrameWirInv, L1_I, nullptr},
+    {L1_W, L1Event::FrameWirInv, L1_I, "WirInv"},
 
     // Own WirUpd reached its commit point: the word merges into the
-    // W copy. A write squashed between the channel grant and its
-    // commit point (losing the copy) leaves a stale commit.
-    {L1_I, L1Event::ChannelCommit, L1_I, nullptr, kRuleNone},
-    {L1_W, L1Event::ChannelCommit, L1_W, nullptr, kRuleNone},
-
-    // Own WirUpd exhausted its fault-retry budget: leave the group
-    // like an UpdateCount expiry and retry the write wired. Without a
-    // W copy the notification is stale (a racing wired Inv already
-    // squashed the transmission).
-    {L1_I, L1Event::ChannelFault, L1_I, nullptr, kRuleFaultOnly},
-    {L1_W, L1Event::ChannelFault, L1_I, "fault", kRuleFaultOnly},
+    // W copy. Only a write that won the channel commits, and nothing
+    // squashes it after that, so the copy is still W.
+    {L1_W, L1Event::ChannelCommit, L1_W, nullptr},
 };
 
 // ---------------------------------------------------------------------
@@ -411,51 +398,49 @@ using enum L1Event;
 using enum L1Step;
 
 // CPU operations queue behind an open transaction (a load that hits
-// is served), and a channel callback with no write in flight is stale,
-// so neither is a row. A missing cell panics; docs/PROTOCOL.md ("L1
-// events during a transaction") argues why each cannot happen.
+// is served), so they are not rows. A missing cell panics;
+// docs/PROTOCOL.md ("L1 events during a transaction") argues why each
+// cannot happen.
 constexpr L1TxnRule kL1TxnRules[] = {
     // Miss: only the reply ends it; a census that catches the request
     // counts the node, so the fill lands in W (Section III-B1, case
     // iii). Everything else meets an absent copy, as in Table I.
-    {Miss, MsgData, Fill, kRuleNone},
-    {Miss, MsgWirUpgr, Fill, kRuleNone},
-    {Miss, MsgNack, Retry, kRuleNone},
-    {Miss, MsgInv, Stable, kRuleNone},
-    {Miss, MsgFwdGetS, Stable, kRuleNone},
-    {Miss, MsgFwdGetX, Stable, kRuleNone},
-    {Miss, FrameWirUpd, Stable, kRuleNone},
-    {Miss, FrameBrWirUpgr, HoldTone, kRuleNone},
-    {Miss, FrameWirDwgr, Stable, kRuleNone},
-    {Miss, FrameWirInv, Stable, kRuleNone},
+    {Miss, MsgData, Fill},
+    {Miss, MsgWirUpgr, Fill},
+    {Miss, MsgNack, Retry},
+    {Miss, MsgInv, Stable},
+    {Miss, MsgFwdGetS, Stable},
+    {Miss, MsgFwdGetX, Stable},
+    {Miss, FrameWirUpd, Stable},
+    {Miss, FrameBrWirUpgr, HoldTone},
+    {Miss, FrameWirDwgr, Stable},
+    {Miss, FrameWirInv, Stable},
 
     // Upgrade: the pinned S copy is invalidated like any S copy, and a
     // census turns it W and sends the queued writes wireless (Table I,
     // S->W case 2); the directory discards the upgrade.
-    {Upgrade, MsgData, Fill, kRuleNone},
-    {Upgrade, MsgNack, Retry, kRuleNone},
-    {Upgrade, MsgInv, Stable, kRuleNone},
-    {Upgrade, FrameBrWirUpgr, SatisfyUpgrade, kRuleNone},
+    {Upgrade, MsgData, Fill},
+    {Upgrade, MsgNack, Retry},
+    {Upgrade, MsgInv, Stable},
+    {Upgrade, FrameBrWirUpgr, SatisfyUpgrade},
 
     // Landing: the directory has granted the line, so the node answers
     // for it once the line lands -- from the granted state, after the
     // queued ops. A census counts it (case iii).
-    {Landing, MsgInv, Wait, kRuleNone},
-    {Landing, MsgFwdGetS, Wait, kRuleNone},
-    {Landing, MsgFwdGetX, Wait, kRuleNone},
-    {Landing, FrameBrWirUpgr, HoldTone, kRuleNone},
+    {Landing, MsgInv, Wait},
+    {Landing, MsgFwdGetS, Wait},
+    {Landing, MsgFwdGetX, Wait},
+    {Landing, FrameBrWirUpgr, HoldTone},
 
     // Wireless: the commit point serializes the write. A racing
     // update voids a pending RMW's value; losing the W copy squashes
     // the write and retries it on the new state. A Nack is the stale
     // answer to an upgrade a census satisfied.
-    {Wireless, MsgNack, Stable, kRuleNone},
-    {Wireless, MsgInv, Squash, kRuleFaultOnly},
-    {Wireless, FrameWirUpd, UpdateDuringWrite, kRuleNone},
-    {Wireless, FrameWirDwgr, Squash, kRuleNone},
-    {Wireless, FrameWirInv, Squash, kRuleNone},
-    {Wireless, ChannelCommit, Commit, kRuleNone},
-    {Wireless, ChannelFault, Fault, kRuleFaultOnly},
+    {Wireless, MsgNack, Stable},
+    {Wireless, FrameWirUpd, UpdateDuringWrite},
+    {Wireless, FrameWirDwgr, Squash},
+    {Wireless, FrameWirInv, Squash},
+    {Wireless, ChannelCommit, Commit},
 };
 
 static_assert(std::size(kL1TxnRules) == kNumL1TxnRules);
@@ -477,123 +462,112 @@ constexpr DirRule kDirRules[] = {
     // begins); in EM a FwdS transaction opens; in W a join opens.
     // The S->W / EM->S / W->W transitions are traced when the census,
     // the owner return, or the join ack completes (see those events).
-    {D_I, DirEvent::MsgGetS, D_EM, "GetS", kRuleNone},
-    {D_I, DirEvent::MsgGetS, D_EM, "fetch", kRuleNone},
-    {D_S, DirEvent::MsgGetS, D_S, nullptr, kRuleNone},
-    {D_EM, DirEvent::MsgGetS, D_EM, nullptr, kRuleNone},
-    {D_W, DirEvent::MsgGetS, D_W, nullptr, kRuleNone},
+    {D_I, DirEvent::MsgGetS, D_EM, "GetS"},
+    {D_I, DirEvent::MsgGetS, D_EM, "fetch"},
+    {D_S, DirEvent::MsgGetS, D_S, nullptr},
+    {D_EM, DirEvent::MsgGetS, D_EM, nullptr},
+    {D_W, DirEvent::MsgGetS, D_W, nullptr},
 
     // GetX: like GetS, plus the immediate sole-sharer upgrade in S.
-    {D_I, DirEvent::MsgGetX, D_EM, "GetX", kRuleNone},
-    {D_I, DirEvent::MsgGetX, D_EM, "fetch", kRuleNone},
-    {D_S, DirEvent::MsgGetX, D_EM, "upgrade", kRuleNone},
-    {D_S, DirEvent::MsgGetX, D_S, nullptr, kRuleNone},
-    {D_EM, DirEvent::MsgGetX, D_EM, nullptr, kRuleNone},
-    {D_W, DirEvent::MsgGetX, D_W, nullptr, kRuleNone},
+    {D_I, DirEvent::MsgGetX, D_EM, "GetX"},
+    {D_I, DirEvent::MsgGetX, D_EM, "fetch"},
+    {D_S, DirEvent::MsgGetX, D_EM, "upgrade"},
+    {D_S, DirEvent::MsgGetX, D_S, nullptr},
+    {D_EM, DirEvent::MsgGetX, D_EM, nullptr},
+    {D_W, DirEvent::MsgGetX, D_W, nullptr},
 
     // PutS: drop the sharer pointer; the last sharer empties the
     // entry. A PutS finding the entry already in W predates the S->W
     // transition: the directory takes it as a PutW (rows below).
-    {D_I, DirEvent::MsgPutS, D_I, nullptr, kRuleNone},
-    {D_S, DirEvent::MsgPutS, D_I, "PutS", kRuleNone},
-    {D_S, DirEvent::MsgPutS, D_S, nullptr, kRuleNone},
-    {D_EM, DirEvent::MsgPutS, D_EM, nullptr, kRuleNone},
+    {D_I, DirEvent::MsgPutS, D_I, nullptr},
+    {D_S, DirEvent::MsgPutS, D_I, "PutS"},
+    {D_S, DirEvent::MsgPutS, D_S, nullptr},
+    {D_EM, DirEvent::MsgPutS, D_EM, nullptr},
 
     // PutE: the owner evicted clean. A PutE racing a Fwd*/RecallEM
     // completes that transaction in the owner's stead.
-    {D_I, DirEvent::MsgPutE, D_I, nullptr, kRuleNone},
-    {D_S, DirEvent::MsgPutE, D_S, nullptr, kRuleNone},
-    {D_EM, DirEvent::MsgPutE, D_I, "PutE", kRuleNone},
-    {D_EM, DirEvent::MsgPutE, D_S, "FwdGetS", kRuleNone},
-    {D_EM, DirEvent::MsgPutE, D_EM, "FwdGetX", kRuleNone},
-    {D_EM, DirEvent::MsgPutE, D_I, "recall", kRuleNone},
-    {D_W, DirEvent::MsgPutE, D_W, nullptr, kRuleNone},
+    {D_I, DirEvent::MsgPutE, D_I, nullptr},
+    {D_S, DirEvent::MsgPutE, D_S, nullptr},
+    {D_EM, DirEvent::MsgPutE, D_I, "PutE"},
+    {D_EM, DirEvent::MsgPutE, D_S, "FwdGetS"},
+    {D_EM, DirEvent::MsgPutE, D_EM, "FwdGetX"},
+    {D_EM, DirEvent::MsgPutE, D_I, "recall"},
+    {D_W, DirEvent::MsgPutE, D_W, nullptr},
 
     // PutM: like PutE but carries the dirty line.
-    {D_I, DirEvent::MsgPutM, D_I, nullptr, kRuleNone},
-    {D_S, DirEvent::MsgPutM, D_S, nullptr, kRuleNone},
-    {D_EM, DirEvent::MsgPutM, D_I, "PutM", kRuleNone},
-    {D_EM, DirEvent::MsgPutM, D_S, "FwdGetS", kRuleNone},
-    {D_EM, DirEvent::MsgPutM, D_EM, "FwdGetX", kRuleNone},
-    {D_EM, DirEvent::MsgPutM, D_I, "recall", kRuleNone},
-    {D_W, DirEvent::MsgPutM, D_W, nullptr, kRuleNone},
+    {D_I, DirEvent::MsgPutM, D_I, nullptr},
+    {D_S, DirEvent::MsgPutM, D_S, nullptr},
+    {D_EM, DirEvent::MsgPutM, D_I, "PutM"},
+    {D_EM, DirEvent::MsgPutM, D_S, "FwdGetS"},
+    {D_EM, DirEvent::MsgPutM, D_EM, "FwdGetX"},
+    {D_EM, DirEvent::MsgPutM, D_I, "recall"},
+    {D_W, DirEvent::MsgPutM, D_W, nullptr},
 
     // PutW: SharerCount--; the count falling to MaxWiredSharers
     // triggers W->S, and a group emptied outright collapses W->I
     // (finishToShared with no survivors). During transactions the
     // decrement is transaction bookkeeping (no traced transition).
-    {D_I, DirEvent::MsgPutW, D_I, nullptr, kRuleNone},
-    {D_S, DirEvent::MsgPutW, D_S, nullptr, kRuleNone},
-    {D_EM, DirEvent::MsgPutW, D_EM, nullptr, kRuleNone},
-    {D_W, DirEvent::MsgPutW, D_W, "PutW", kRuleNone},
-    {D_W, DirEvent::MsgPutW, D_W, nullptr, kRuleNone},
-    {D_W, DirEvent::MsgPutW, D_S, "WirDwgr", kRuleNone},
-    {D_W, DirEvent::MsgPutW, D_I, "WirDwgr", kRuleNone},
+    {D_I, DirEvent::MsgPutW, D_I, nullptr},
+    {D_S, DirEvent::MsgPutW, D_S, nullptr},
+    {D_EM, DirEvent::MsgPutW, D_EM, nullptr},
+    {D_W, DirEvent::MsgPutW, D_W, "PutW"},
+    {D_W, DirEvent::MsgPutW, D_W, nullptr},
+    {D_W, DirEvent::MsgPutW, D_S, "WirDwgr"},
+    {D_W, DirEvent::MsgPutW, D_I, "WirDwgr"},
 
-    // InvAck: completes InvColl (grant M), RecallS/RecallEM, and --
-    // under the wired fault fallback -- ToShared/RecallW.
-    {D_I, DirEvent::MsgInvAck, D_I, nullptr, kRuleNone},
-    {D_S, DirEvent::MsgInvAck, D_S, nullptr, kRuleNone},
-    {D_S, DirEvent::MsgInvAck, D_EM, "InvColl", kRuleNone},
-    {D_S, DirEvent::MsgInvAck, D_I, "recall", kRuleNone},
-    {D_EM, DirEvent::MsgInvAck, D_EM, nullptr, kRuleNone},
-    {D_EM, DirEvent::MsgInvAck, D_I, "recall", kRuleNone},
-    {D_W, DirEvent::MsgInvAck, D_W, nullptr, kRuleNone},
-    {D_W, DirEvent::MsgInvAck, D_I, "WirDwgr", kRuleFaultOnly},
-    {D_W, DirEvent::MsgInvAck, D_I, "recall", kRuleFaultOnly},
+    // InvAck: completes InvColl (grant M) and RecallS/RecallEM.
+    {D_I, DirEvent::MsgInvAck, D_I, nullptr},
+    {D_S, DirEvent::MsgInvAck, D_S, nullptr},
+    {D_S, DirEvent::MsgInvAck, D_EM, "InvColl"},
+    {D_S, DirEvent::MsgInvAck, D_I, "recall"},
+    {D_EM, DirEvent::MsgInvAck, D_EM, nullptr},
+    {D_EM, DirEvent::MsgInvAck, D_I, "recall"},
+    {D_W, DirEvent::MsgInvAck, D_W, nullptr},
 
     // OwnerData: completes FwdS (EM->S), FwdX (owner hand-off) or
     // RecallEM; stale after a racing PutE/PutM completed the txn.
-    {D_I, DirEvent::MsgOwnerData, D_I, nullptr, kRuleNone},
-    {D_S, DirEvent::MsgOwnerData, D_S, nullptr, kRuleNone},
-    {D_EM, DirEvent::MsgOwnerData, D_S, "FwdGetS", kRuleNone},
-    {D_EM, DirEvent::MsgOwnerData, D_EM, "FwdGetX", kRuleNone},
-    {D_EM, DirEvent::MsgOwnerData, D_I, "recall", kRuleNone},
-    {D_W, DirEvent::MsgOwnerData, D_W, nullptr, kRuleNone},
+    {D_I, DirEvent::MsgOwnerData, D_I, nullptr},
+    {D_S, DirEvent::MsgOwnerData, D_S, nullptr},
+    {D_EM, DirEvent::MsgOwnerData, D_S, "FwdGetS"},
+    {D_EM, DirEvent::MsgOwnerData, D_EM, "FwdGetX"},
+    {D_EM, DirEvent::MsgOwnerData, D_I, "recall"},
+    {D_W, DirEvent::MsgOwnerData, D_W, nullptr},
 
     // WirUpgrAck: a join completed; SharerCount++ (W->W). Any other
     // state would be a protocol bug (the directory panics).
-    {D_W, DirEvent::MsgWirUpgrAck, D_W, "join", kRuleNone},
+    {D_W, DirEvent::MsgWirUpgrAck, D_W, "join"},
 
     // WirDwgrAck: a survivor identified itself; the last expected ack
     // commits W->S (survivors always exist here -- a group that
     // drained to zero finishes via the PutW path instead).
-    {D_I, DirEvent::MsgWirDwgrAck, D_I, nullptr, kRuleNone},
-    {D_S, DirEvent::MsgWirDwgrAck, D_S, nullptr, kRuleNone},
-    {D_EM, DirEvent::MsgWirDwgrAck, D_EM, nullptr, kRuleNone},
-    {D_W, DirEvent::MsgWirDwgrAck, D_W, nullptr, kRuleNone},
-    {D_W, DirEvent::MsgWirDwgrAck, D_S, "WirDwgr", kRuleNone},
+    {D_I, DirEvent::MsgWirDwgrAck, D_I, nullptr},
+    {D_S, DirEvent::MsgWirDwgrAck, D_S, nullptr},
+    {D_EM, DirEvent::MsgWirDwgrAck, D_EM, nullptr},
+    {D_W, DirEvent::MsgWirDwgrAck, D_W, nullptr},
+    {D_W, DirEvent::MsgWirDwgrAck, D_S, "WirDwgr"},
 
     // WirUpd observed at the home: write the word through to the LLC
     // copy (W only; anything else is stale).
-    {D_I, DirEvent::FrameWirUpd, D_I, nullptr, kRuleNone},
-    {D_S, DirEvent::FrameWirUpd, D_S, nullptr, kRuleNone},
-    {D_EM, DirEvent::FrameWirUpd, D_EM, nullptr, kRuleNone},
-    {D_W, DirEvent::FrameWirUpd, D_W, nullptr, kRuleNone},
+    {D_I, DirEvent::FrameWirUpd, D_I, nullptr},
+    {D_S, DirEvent::FrameWirUpd, D_S, nullptr},
+    {D_EM, DirEvent::FrameWirUpd, D_EM, nullptr},
+    {D_W, DirEvent::FrameWirUpd, D_W, nullptr},
 
     // Own WirInv delivery: the W recall's broadcast completed.
-    {D_I, DirEvent::FrameWirInv, D_I, nullptr, kRuleNone},
-    {D_S, DirEvent::FrameWirInv, D_S, nullptr, kRuleNone},
-    {D_EM, DirEvent::FrameWirInv, D_EM, nullptr, kRuleNone},
-    {D_W, DirEvent::FrameWirInv, D_I, "recall", kRuleNone},
+    {D_I, DirEvent::FrameWirInv, D_I, nullptr},
+    {D_S, DirEvent::FrameWirInv, D_S, nullptr},
+    {D_EM, DirEvent::FrameWirInv, D_EM, nullptr},
+    {D_W, DirEvent::FrameWirInv, D_I, "recall"},
 
     // LLC eviction: silent replacement in I, a Recall* transaction
     // otherwise (completion is traced under the ack events above).
-    {D_I, DirEvent::LlcEvict, D_I, nullptr, kRuleNone},
-    {D_S, DirEvent::LlcEvict, D_S, nullptr, kRuleNone},
-    {D_EM, DirEvent::LlcEvict, D_EM, nullptr, kRuleNone},
-    {D_W, DirEvent::LlcEvict, D_W, nullptr, kRuleNone},
+    {D_I, DirEvent::LlcEvict, D_I, nullptr},
+    {D_S, DirEvent::LlcEvict, D_S, nullptr},
+    {D_EM, DirEvent::LlcEvict, D_EM, nullptr},
+    {D_W, DirEvent::LlcEvict, D_W, nullptr},
 
     // ToneAck census complete: commit S->W with the counted sharers.
-    {D_S, DirEvent::CensusDone, D_W, "census", kRuleNone},
-
-    // A directory frame exhausted its fault-retry budget: an aborted
-    // BrWirUpgr re-dispatches the request wired (which can still
-    // upgrade a sole sharer synchronously); a dropped WirDwgr/WirInv
-    // becomes a wired Inv broadcast completed under MsgInvAck.
-    {D_S, DirEvent::ChannelFault, D_S, nullptr, kRuleFaultOnly},
-    {D_S, DirEvent::ChannelFault, D_EM, "upgrade", kRuleFaultOnly},
-    {D_W, DirEvent::ChannelFault, D_W, nullptr, kRuleFaultOnly},
+    {D_S, DirEvent::CensusDone, D_W, "census"},
 };
 
 // ---------------------------------------------------------------------
@@ -605,8 +579,6 @@ namespace txn_rows {
 using enum DirTxnType;
 using enum DirEvent;
 using enum DirStep;
-constexpr bool kNormal = false; ///< the transaction as it began
-constexpr bool kWired = true;   ///< after the wired fault fallback
 
 // The blocking directory bounces every request except a W join. A
 // PutS that finds the entry in W arrives as a PutW. A combination no
@@ -614,90 +586,80 @@ constexpr bool kWired = true;   ///< after the wired fault fallback
 // during a transaction") argues why each missing one cannot happen.
 constexpr DirTxnRule kDirTxnRules[] = {
     // Fetch: memory read in flight, no directory entry yet.
-    {Fetch, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
-    {Fetch, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
-    {Fetch, kNormal, MsgPutW, kByAny, Ignore, kRuleNone},
-    {Fetch, kNormal, MsgInvAck, kByAny, Ignore, kRuleNone},
+    {Fetch, MsgGetS, kByAny, Nack},
+    {Fetch, MsgGetX, kByAny, Nack},
+    {Fetch, MsgPutW, kByAny, Ignore},
+    {Fetch, MsgInvAck, kByAny, Ignore},
 
     // FwdS / FwdX: the owner's OwnerData completes the forward, and
     // so does its PutE/PutM when it evicted first (the forward then
     // finds no copy and is dropped).
-    {FwdS, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
-    {FwdS, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
-    {FwdS, kNormal, MsgPutE, kByAny, OwnerToShared, kRuleNone},
-    {FwdS, kNormal, MsgPutM, kByAny, OwnerToShared, kRuleNone},
-    {FwdS, kNormal, MsgOwnerData, kByAny, OwnerToShared, kRuleNone},
-    {FwdX, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
-    {FwdX, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
-    {FwdX, kNormal, MsgPutE, kByAny, OwnerHandOff, kRuleNone},
-    {FwdX, kNormal, MsgPutM, kByAny, OwnerHandOff, kRuleNone},
-    {FwdX, kNormal, MsgOwnerData, kByAny, OwnerHandOff, kRuleNone},
+    {FwdS, MsgGetS, kByAny, Nack},
+    {FwdS, MsgGetX, kByAny, Nack},
+    {FwdS, MsgPutE, kByAny, OwnerToShared},
+    {FwdS, MsgPutM, kByAny, OwnerToShared},
+    {FwdS, MsgOwnerData, kByAny, OwnerToShared},
+    {FwdX, MsgGetS, kByAny, Nack},
+    {FwdX, MsgGetX, kByAny, Nack},
+    {FwdX, MsgPutE, kByAny, OwnerHandOff},
+    {FwdX, MsgPutM, kByAny, OwnerHandOff},
+    {FwdX, MsgOwnerData, kByAny, OwnerHandOff},
 
     // InvColl / RecallS: every Inv is acked, even by a sharer that
     // evicted first, so its PutS changes nothing.
-    {InvColl, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
-    {InvColl, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
-    {InvColl, kNormal, MsgPutS, kByAny, Ignore, kRuleNone},
-    {InvColl, kNormal, MsgInvAck, kByAny, CollectUpgradeAck, kRuleNone},
-    {RecallS, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
-    {RecallS, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
-    {RecallS, kNormal, MsgPutS, kByAny, Ignore, kRuleNone},
-    {RecallS, kNormal, MsgInvAck, kByAny, CollectRecallAck, kRuleNone},
+    {InvColl, MsgGetS, kByAny, Nack},
+    {InvColl, MsgGetX, kByAny, Nack},
+    {InvColl, MsgPutS, kByAny, Ignore},
+    {InvColl, MsgInvAck, kByAny, CollectUpgradeAck},
+    {RecallS, MsgGetS, kByAny, Nack},
+    {RecallS, MsgGetX, kByAny, Nack},
+    {RecallS, MsgPutS, kByAny, Ignore},
+    {RecallS, MsgInvAck, kByAny, CollectRecallAck},
 
     // RecallEM: the owner's InvAck (with data when dirty) ends the
     // recall, or its racing PutE/PutM does.
-    {RecallEM, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
-    {RecallEM, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
-    {RecallEM, kNormal, MsgPutE, kByAny, RecallOwner, kRuleNone},
-    {RecallEM, kNormal, MsgPutM, kByAny, RecallOwner, kRuleNone},
-    {RecallEM, kNormal, MsgInvAck, kByAny, RecallOwner, kRuleNone},
+    {RecallEM, MsgGetS, kByAny, Nack},
+    {RecallEM, MsgGetX, kByAny, Nack},
+    {RecallEM, MsgPutE, kByAny, RecallOwner},
+    {RecallEM, MsgPutM, kByAny, RecallOwner},
+    {RecallEM, MsgInvAck, kByAny, RecallOwner},
 
     // RecallW: the WirInv frame's own delivery ends the recall
-    // (receiveFrame), so a member's PutW changes nothing; after the
-    // wired fallback the InvAcks end it.
-    {RecallW, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
-    {RecallW, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
-    {RecallW, kNormal, MsgPutW, kByAny, Ignore, kRuleNone},
-    {RecallW, kWired, MsgGetS, kByAny, Nack, kRuleFaultOnly},
-    {RecallW, kWired, MsgGetX, kByAny, Nack, kRuleFaultOnly},
-    {RecallW, kWired, MsgPutW, kByAny, Ignore, kRuleFaultOnly},
-    {RecallW, kWired, MsgInvAck, kByAny, CollectRecallAck, kRuleFaultOnly},
+    // (receiveFrame), so a member's PutW changes nothing.
+    {RecallW, MsgGetS, kByAny, Nack},
+    {RecallW, MsgGetX, kByAny, Nack},
+    {RecallW, MsgPutW, kByAny, Ignore},
 
     // ToWireless: a counted sharer that evicts before the census ends
     // will not join the group; neither will a requester that already
     // left its fresh W copy. Requests bounce, a sharer's upgrade
     // included: the bounce releases its tone (Section III-B1, case
     // iii) and the retry meets the settled W state.
-    {ToWireless, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
-    {ToWireless, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
-    {ToWireless, kNormal, MsgPutS, kBySharer, LeaveCensus, kRuleNone},
-    {ToWireless, kNormal, MsgPutW, kByRequester, RequesterLeft, kRuleNone},
-    {ToWireless, kNormal, MsgPutW, kBySharer, LeaveCensus, kRuleNone},
+    {ToWireless, MsgGetS, kByAny, Nack},
+    {ToWireless, MsgGetX, kByAny, Nack},
+    {ToWireless, MsgPutS, kBySharer, LeaveCensus},
+    {ToWireless, MsgPutW, kByRequester, RequesterLeft},
+    {ToWireless, MsgPutW, kBySharer, LeaveCensus},
 
     // WJoin: further joiners ride the open join; a sharer's stale
     // upgrade (the census already made it W) waits for the join.
-    {WJoin, kNormal, MsgGetS, kByAny, AdmitJoiner, kRuleNone},
-    {WJoin, kNormal, MsgGetX, kBySharer, Nack, kRuleNone},
-    {WJoin, kNormal, MsgGetX, kByRequester | kByAcked | kByOther,
-     AdmitJoiner, kRuleNone},
-    {WJoin, kNormal, MsgPutW, kByAny, LeaveGroup, kRuleNone},
-    {WJoin, kNormal, MsgWirUpgrAck, kByAny, CollectJoinAck, kRuleNone},
+    {WJoin, MsgGetS, kByAny, AdmitJoiner},
+    {WJoin, MsgGetX, kBySharer, Nack},
+    {WJoin, MsgGetX, kByRequester | kByAcked | kByOther, AdmitJoiner},
+    {WJoin, MsgPutW, kByAny, LeaveGroup},
+    {WJoin, MsgWirUpgrAck, kByAny, CollectJoinAck},
 
     // ToShared: a W copy that leaves before the WirDwgr reaches it
     // never acks, so expect one ack fewer. A node that acked and then
     // evicted its new S copy was counted by its ack: it only stops
     // being a survivor (docs/PROTOCOL.md, the W->S ack-then-PutS
-    // race). After the wired fallback only the InvAcks count.
-    {ToShared, kNormal, MsgGetS, kByAny, Nack, kRuleNone},
-    {ToShared, kNormal, MsgGetX, kByAny, Nack, kRuleNone},
-    {ToShared, kNormal, MsgPutW, kByAcked, DropSurvivor, kRuleNone},
-    {ToShared, kNormal, MsgPutW, kByRequester | kBySharer | kByOther,
-     LeaveDowngrade, kRuleNone},
-    {ToShared, kNormal, MsgWirDwgrAck, kByAny, CollectDwgrAck, kRuleNone},
-    {ToShared, kWired, MsgGetS, kByAny, Nack, kRuleFaultOnly},
-    {ToShared, kWired, MsgGetX, kByAny, Nack, kRuleFaultOnly},
-    {ToShared, kWired, MsgPutW, kByAny, Ignore, kRuleFaultOnly},
-    {ToShared, kWired, MsgInvAck, kByAny, CollectFallbackAck, kRuleFaultOnly},
+    // race).
+    {ToShared, MsgGetS, kByAny, Nack},
+    {ToShared, MsgGetX, kByAny, Nack},
+    {ToShared, MsgPutW, kByAcked, DropSurvivor},
+    {ToShared, MsgPutW, kByRequester | kBySharer | kByOther,
+     LeaveDowngrade},
+    {ToShared, MsgWirDwgrAck, kByAny, CollectDwgrAck},
 };
 
 static_assert(std::size(kDirTxnRules) == kNumDirTxnRules);
@@ -716,9 +678,9 @@ l1TxnCell(L1Phase p, L1Event e)
 }
 
 constexpr std::size_t
-txnCell(DirTxnType t, bool wired, DirEvent e, SenderRole r)
+txnCell(DirTxnType t, DirEvent e, SenderRole r)
 {
-    return ((static_cast<std::size_t>(t) * 2 + wired) * kNumDirEvents +
+    return (static_cast<std::size_t>(t) * kNumDirEvents +
             static_cast<std::size_t>(e)) *
                kNumSenderRoles +
            static_cast<std::size_t>(r);
@@ -730,7 +692,7 @@ struct DerivedTables
     std::array<std::int8_t, kNumL1Phases * kNumL1Events> l1Txn;
     /** Row index into txn_rows::kDirTxnRules per cell, -1 when none. */
     std::array<std::int16_t,
-               kNumDirTxnTypes * 2 * kNumDirEvents * kNumSenderRoles>
+               kNumDirTxnTypes * kNumDirEvents * kNumSenderRoles>
         dirTxn;
     // edge masks: bit `to` set in [from] when a noted rule traces it
     std::array<std::uint8_t, kNumL1States> l1Edges;
@@ -770,7 +732,7 @@ buildTables()
             if (!((r.roles >> role) & 1u))
                 continue;
             std::int16_t &cell = t.dirTxn[txnCell(
-                r.txn, r.wired, r.event, static_cast<SenderRole>(role))];
+                r.txn, r.event, static_cast<SenderRole>(role))];
             WIDIR_ASSERT(cell < 0,
                          "in-transaction rows %d and %zu overlap on "
                          "(%s, %s, %s)",
@@ -823,9 +785,9 @@ dirTxnRules()
 }
 
 int
-dirTxnRuleFor(DirTxnType t, bool wired, DirEvent e, SenderRole r)
+dirTxnRuleFor(DirTxnType t, DirEvent e, SenderRole r)
 {
-    return tables().dirTxn[txnCell(t, wired, e, r)];
+    return tables().dirTxn[txnCell(t, e, r)];
 }
 
 bool

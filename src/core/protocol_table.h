@@ -27,8 +27,7 @@
  * Rows with a non-null `note` are *traced edges*: the controller emits
  * an `L1Transition`/`DirTransition` record with that note when the
  * rule fires. Rows with a null note are tolerated no-ops or transient
- * bookkeeping. `kRuleFaultOnly` marks rows only reachable under fault
- * injection.
+ * bookkeeping.
  *
  * The protocol vocabulary (states, transaction kinds) and every
  * enum -> string helper live here as well, so a new enumerator has
@@ -108,7 +107,7 @@ const char *protocolName(Protocol p);
 /**
  * Everything that can happen to an L1 line: CPU operations, capacity
  * eviction, wired messages addressed to a cache, wireless frames, and
- * the data channel giving up on our WirUpd (fault injection).
+ * the commit point of our own WirUpd.
  */
 enum class L1Event : std::uint8_t
 {
@@ -127,15 +126,14 @@ enum class L1Event : std::uint8_t
     FrameWirDwgr,
     FrameWirInv,
     ChannelCommit,  ///< own WirUpd reached its commit point
-    ChannelFault,   ///< own WirUpd exhausted its fault-retry budget
 };
-inline constexpr std::size_t kNumL1Events = 16;
+inline constexpr std::size_t kNumL1Events = 15;
 
 /**
  * Everything that can happen to a directory entry: wired messages
  * addressed to a home slice, frames observed on the data channel, and
- * the internal events (LLC replacement, census completion, wireless
- * fault fallback) that drive transitions without a message arriving.
+ * the internal events (LLC replacement, census completion) that drive
+ * transitions without a message arriving.
  */
 enum class DirEvent : std::uint8_t
 {
@@ -153,9 +151,8 @@ enum class DirEvent : std::uint8_t
     FrameWirInv,    ///< own W->I broadcast completed
     LlcEvict,       ///< replacement selected this line as victim
     CensusDone,     ///< ToneAck census fell silent (S->W commit)
-    ChannelFault,   ///< own frame exhausted its fault-retry budget
 };
-inline constexpr std::size_t kNumDirEvents = 15;
+inline constexpr std::size_t kNumDirEvents = 14;
 
 const char *l1EventName(L1Event e);
 const char *dirEventName(DirEvent e);
@@ -175,13 +172,6 @@ L1Event l1EventOf(wireless::FrameKind k);
 // Rules
 // ---------------------------------------------------------------------
 
-/// @name Rule flags
-/// @{
-inline constexpr std::uint8_t kRuleNone = 0;
-/** Row only reachable with fault injection armed (docs/FAULTS.md). */
-inline constexpr std::uint8_t kRuleFaultOnly = 1u << 0;
-/// @}
-
 /**
  * One row of Table I: in state `from`, event `event` may leave the
  * line in `to`. `note` is the exact string the controller puts into
@@ -196,7 +186,6 @@ struct L1Rule
     L1Event event;
     L1State to;
     const char *note;
-    std::uint8_t flags;
 };
 
 /** One row of Table II; same contract as L1Rule. */
@@ -206,7 +195,6 @@ struct DirRule
     DirEvent event;
     DirState to;
     const char *note;
-    std::uint8_t flags;
 };
 
 /** The full rule sets (a cell with no row cannot occur). */
@@ -247,7 +235,6 @@ enum class L1Step : std::uint8_t
     Squash,         ///< Table I answers, then the pending write retries
     UpdateDuringWrite, ///< apply the word; a pending RMW retries
     Commit,         ///< own WirUpd committed: merge it, issue the next
-    Fault,          ///< own WirUpd dropped: PutW, retry the write wired
 };
 
 const char *l1PhaseName(L1Phase p);
@@ -262,11 +249,10 @@ struct L1TxnRule
     L1Phase phase;
     L1Event event;
     L1Step step;
-    std::uint8_t flags;
 };
 
 std::span<const L1TxnRule> l1TxnRules();
-inline constexpr std::size_t kNumL1TxnRules = 25;
+inline constexpr std::size_t kNumL1TxnRules = 23;
 
 /** Index into l1TxnRules() of the row for a cell, or -1 if none. */
 int l1TxnRuleFor(L1Phase p, L1Event e);
@@ -310,8 +296,7 @@ enum class DirStep : std::uint8_t
     OwnerHandOff,      ///< FwdX done: EM->EM, grant M to the requester
     RecallOwner,       ///< RecallEM done: write back, drop the line
     CollectUpgradeAck, ///< InvColl: the last InvAck grants M
-    CollectRecallAck,  ///< RecallS or fallback RecallW: last one drops
-    CollectFallbackAck, ///< fallback ToShared: the last InvAck ends W->S
+    CollectRecallAck,  ///< RecallS: the last InvAck drops the line
     CollectJoinAck,    ///< WirUpgrAck: SharerCount + 1
     CollectDwgrAck,    ///< WirDwgrAck: record a survivor
 };
@@ -321,27 +306,24 @@ const char *dirStepName(DirStep s);
 
 /**
  * One in-transaction rule: a wired message `event` from a sender whose
- * role is in `roles`, arriving while a `txn` transaction is open (in
- * its wired fault-fallback mode when `wired`), takes `step`. Rows for
- * one (txn, wired, event) never share a role; a combination no row
- * covers is a protocol bug and the directory panics. `flags` is
- * kRuleFaultOnly for rows that need fault injection.
+ * role is in `roles`, arriving while a `txn` transaction is open,
+ * takes `step`. Rows for one (txn, event) never share a role; a
+ * combination no row covers is a protocol bug and the directory
+ * panics.
  */
 struct DirTxnRule
 {
     DirTxnType txn;
-    bool wired;
     DirEvent event;
     std::uint8_t roles;
     DirStep step;
-    std::uint8_t flags;
 };
 
 std::span<const DirTxnRule> dirTxnRules();
-inline constexpr std::size_t kNumDirTxnRules = 53;
+inline constexpr std::size_t kNumDirTxnRules = 45;
 
 /** Index into dirTxnRules() of the row for a cell, or -1 if none. */
-int dirTxnRuleFor(DirTxnType t, bool wired, DirEvent e, SenderRole r);
+int dirTxnRuleFor(DirTxnType t, DirEvent e, SenderRole r);
 
 } // namespace widir::coherence
 

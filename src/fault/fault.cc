@@ -57,8 +57,13 @@ FaultSpec::validate() const
         append(err, "burstExitProb must be > 0 when bursts can start");
     if (frameBits == 0)
         append(err, "frameBits must be > 0");
-    if (enabled() && retryBudget == 0)
-        append(err, "retryBudget must be > 0 when faults are enabled");
+    // A faulted frame retries until it gets through, so a spec that
+    // faults every frame could never finish a run.
+    if (preambleLossProb == 1.0)
+        append(err, "preambleLossProb 1 loses every frame");
+    if (isProb(ber) && frameBits > 0 &&
+        frameCorruptProb(ber, frameBits) == 1.0)
+        append(err, "ber corrupts every frame");
     return err;
 }
 

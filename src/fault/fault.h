@@ -18,8 +18,9 @@
  * commit point. A corrupted or preamble-lost frame therefore never
  * commits and never reaches any receiver: each attempt is
  * all-or-nothing, which preserves the commit point's role as the
- * protocol's serialization point. Recovery (retry, then wired
- * fallback) lives in the channels and controllers, not here.
+ * protocol's serialization point. Recovery lives in the channels,
+ * not here: a faulted frame retries through the BRS backoff until it
+ * gets through, and a missed silence pulse is re-polled.
  */
 
 #ifndef WIDIR_FAULT_FAULT_H
@@ -66,15 +67,6 @@ struct FaultSpec
      */
     std::uint32_t frameBits = 80;
 
-    /**
-     * Fault retries allowed per transmission (on top of normal
-     * collision/jam retries, which are unbounded as before). When a
-     * frame's fault-retry budget is exhausted the channel drops it and
-     * runs the sender's on_fail callback, which re-routes the
-     * transaction onto the wired mesh path.
-     */
-    std::uint32_t retryBudget = 8;
-
     /** Extra stream perturbation for the fault Rng (seed sweeps). */
     std::uint64_t seed = 0;
 
@@ -87,7 +79,12 @@ struct FaultSpec
                (burstEnterProb > 0.0 && burstBer > 0.0);
     }
 
-    /** Empty string if valid, else a description of every problem. */
+    /**
+     * Empty string if valid, else a description of every problem. A
+     * spec under which no frame can ever get through (a preamble lost
+     * or a payload corrupted with certainty) is invalid: faulted
+     * frames retry until they are delivered.
+     */
     std::string validate() const;
 };
 

@@ -237,6 +237,15 @@ class CacheArray
     /** Frames handed out by the slab (class note). */
     std::size_t allocatedFrames() const { return framesUsed_; }
 
+    /** The set @p line maps to. */
+    std::size_t
+    setOf(Addr line) const
+    {
+        std::uint64_t n = lineNumber(line);
+        n = indexShift_ != kNoShift ? n >> indexShift_ : n / indexDivisor_;
+        return static_cast<std::size_t>(n & (numSets_ - 1));
+    }
+
   private:
     /** Slab chunk sizes; chunks are never moved or freed. */
     static constexpr std::size_t kChunkFrames = 64;
@@ -254,14 +263,6 @@ class CacheArray
         Addr tag;          ///< kAddrNone: invalid or never used
         CacheEntry *frame; ///< null until the way is first used
     };
-
-    std::size_t
-    setOf(Addr line) const
-    {
-        std::uint64_t n = lineNumber(line);
-        n = indexShift_ != kNoShift ? n >> indexShift_ : n / indexDivisor_;
-        return static_cast<std::size_t>(n & (numSets_ - 1));
-    }
 
     /** The ways of block-index entry @p block (nonzero). */
     Way *

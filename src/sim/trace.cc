@@ -70,9 +70,7 @@ traceKindName(TraceKind k)
       case TraceKind::Warn: return "Warn";
       case TraceKind::FrameCrcError: return "FrameCrcError";
       case TraceKind::FramePreambleLoss: return "FramePreambleLoss";
-      case TraceKind::FrameFaultDrop: return "FrameFaultDrop";
       case TraceKind::ToneRetry: return "ToneRetry";
-      case TraceKind::WirelessFallback: return "WirelessFallback";
     }
     return "?";
 }

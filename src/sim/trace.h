@@ -99,9 +99,7 @@ enum class TraceKind : std::uint8_t {
     Warn,           ///< sim::warn() fired during this simulation
     FrameCrcError,  ///< injected payload corruption; CRC NACK + retry
     FramePreambleLoss, ///< injected preamble fade; retry via backoff
-    FrameFaultDrop, ///< fault-retry budget exhausted; on_fail runs
     ToneRetry,      ///< initiator missed the silence pulse; re-polls
-    WirelessFallback, ///< transaction re-routed onto the wired mesh
 };
 
 const char *traceKindName(TraceKind k);

@@ -375,11 +375,9 @@ runExperiment(const ExperimentSpec &spec)
         r.frameCrcErrors = ch->crcErrors();
         r.framePreambleLosses = ch->preambleLosses();
         r.faultRetries = ch->faultRetries();
-        r.frameFaultDrops = ch->faultDrops();
     }
     if (auto *tc = m.toneChannel())
         r.toneRetries = tc->toneRetries();
-    r.wirelessFallbacks = l1.wirelessFallbacks + dir.wirelessFallbacks;
 
     energy::EnergyInputs ein;
     ein.cycles = r.cycles;

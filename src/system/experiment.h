@@ -109,9 +109,11 @@ struct ExperimentResult
     std::uint64_t frameCrcErrors = 0;      ///< corrupted data frames
     std::uint64_t framePreambleLosses = 0; ///< undetected frame starts
     std::uint64_t faultRetries = 0;        ///< frame re-transmissions
-    std::uint64_t frameFaultDrops = 0;     ///< retry budget exhausted
+    /** Always 0; the benchmark PR deletes it (ROADMAP item 3). */
+    std::uint64_t frameFaultDrops = 0;
     std::uint64_t toneRetries = 0;         ///< missed silence re-polls
-    std::uint64_t wirelessFallbacks = 0;   ///< L1 + directory re-routes
+    /** Always 0; the benchmark PR deletes it (ROADMAP item 3). */
+    std::uint64_t wirelessFallbacks = 0;
     /// @}
 
     /// @name Host performance (docs/PERF.md)

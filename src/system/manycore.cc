@@ -166,7 +166,6 @@ Manycore::l1Totals() const
         total.wirelessWrites += s.wirelessWrites;
         total.wirelessSquashes += s.wirelessSquashes;
         total.updatesApplied += s.updatesApplied;
-        total.wirelessFallbacks += s.wirelessFallbacks;
     }
     return total;
 }
@@ -192,7 +191,6 @@ Manycore::dirTotals() const
         total.wirInvs += s.wirInvs;
         total.updatesObserved += s.updatesObserved;
         total.dirAccesses += s.dirAccesses;
-        total.wirelessFallbacks += s.wirelessFallbacks;
     }
     return total;
 }

@@ -169,8 +169,6 @@ const ReportField kFields[] = {
      "bad -> good, per sampled frame"},
     {"fault", "frame_bits", false, GET(r.fault.frameBits), faulted,
      "bits protected by the frame CRC"},
-    {"fault", "retry_budget", false, GET(r.fault.retryBudget), faulted,
-     "fault retries allowed per transmission"},
     {"fault", "fault_seed", false, GET(r.fault.seed), faulted,
      "fault RNG stream perturbation"},
     {"fault", "frame_crc_errors", false, GET(r.frameCrcErrors), faulted,
@@ -180,12 +178,8 @@ const ReportField kFields[] = {
      "undetected frame starts"},
     {"fault", "fault_retries", false, GET(r.faultRetries), faulted,
      "frame re-transmissions after a fault"},
-    {"fault", "frame_fault_drops", false, GET(r.frameFaultDrops), faulted,
-     "frames dropped with the retry budget exhausted"},
     {"fault", "tone_retries", false, GET(r.toneRetries), faulted,
      "tone-channel re-polls after a missed silence"},
-    {"fault", "wireless_fallbacks", false, GET(r.wirelessFallbacks), faulted,
-     "L1 and directory transactions re-routed onto the mesh"},
     {"energy", "core", false, GET(r.energy.core), nullptr,
      "core energy, pJ (Fig. 9)"},
     {"energy", "l1", false, GET(r.energy.l1), nullptr, "L1 energy, pJ"},

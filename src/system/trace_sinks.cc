@@ -64,9 +64,7 @@ eventName(const sim::TraceRecord &r)
       case sim::TraceKind::Warn:
       case sim::TraceKind::FrameCrcError:
       case sim::TraceKind::FramePreambleLoss:
-      case sim::TraceKind::FrameFaultDrop:
       case sim::TraceKind::ToneRetry:
-      case sim::TraceKind::WirelessFallback:
         break;
     }
     if (r.opName)

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/log.h"
-#include <cstdio>
 
 namespace widir::wireless {
 
@@ -77,8 +76,7 @@ DataChannel::signature(sim::Addr line) const
 }
 
 std::uint64_t
-DataChannel::transmit(const Frame &frame, sim::EventFn on_commit,
-                      sim::EventFn on_fail)
+DataChannel::transmit(const Frame &frame, sim::EventFn on_commit)
 {
     WIDIR_ASSERT(frame.src < cfg_.numNodes,
                  "frame source out of range");
@@ -88,7 +86,6 @@ DataChannel::transmit(const Frame &frame, sim::EventFn on_commit,
     tx.frame = frame;
     tx.readyAt = sim_.now();
     tx.onCommit = std::move(on_commit);
-    tx.onFail = std::move(on_fail);
     traceFrame(sim::TraceKind::FrameQueued, frame, tx.token);
     std::uint32_t ch = channelOf(frame.lineAddr);
     channels_[ch].pending.push_back(std::move(tx));
@@ -260,12 +257,6 @@ DataChannel::evaluate(std::uint32_t ch)
     // negative-ack in the collision-detect cycle.
     std::size_t idx = ready.front();
     if (jammedBy(c.pending[idx])) {
-        if (trace_) {
-            std::fprintf(stderr, "%10llu  WNoC %2u JAMMED %-10s line=%#llx\n",
-                         (unsigned long long)now, c.pending[idx].frame.src,
-                         frameKindName(c.pending[idx].frame.kind),
-                         (unsigned long long)c.pending[idx].frame.lineAddr);
-        }
         ++jamRejects_;
         traceFrame(sim::TraceKind::FrameJammed, c.pending[idx].frame);
         Tick after = now + 1 + cfg_.collisionCycles;
@@ -288,8 +279,7 @@ DataChannel::evaluate(std::uint32_t ch)
     // any receiver -- each attempt is all-or-nothing, preserving the
     // commit point as the protocol's serialization point. The sender
     // retries through the normal BRS exponential backoff until the
-    // per-transmission budget runs out, then drops the frame and runs
-    // its on_fail callback (wired fallback).
+    // frame gets through, exactly as after a collision.
     if (fault_) {
         fault::FrameFate fate = fault_->sampleFrame();
         if (fate != fault::FrameFate::Clean) {
@@ -313,23 +303,10 @@ DataChannel::evaluate(std::uint32_t ch)
             }
             c.busyUntil = after;
             busyCycles_ += after - now;
-            if (tx.faultRetries > fault_->spec().retryBudget) {
-                ++faultDrops_;
-                traceFrame(sim::TraceKind::FrameFaultDrop, tx.frame,
-                           tx.faultRetries);
-                sim::EventFn on_fail = std::move(tx.onFail);
-                c.pending.erase(c.pending.begin() +
-                                static_cast<std::ptrdiff_t>(idx));
-                if (on_fail)
-                    sim_.scheduleAt(after, std::move(on_fail));
-            } else {
-                ++faultRetries_;
-                ++tx.attempt;
-                std::uint32_t exp =
-                    std::min(tx.attempt, cfg_.maxBackoffExp);
-                tx.readyAt =
-                    after + rng_.below(1ULL << exp) * cfg_.backoffSlot;
-            }
+            ++faultRetries_;
+            ++tx.attempt;
+            std::uint32_t exp = std::min(tx.attempt, cfg_.maxBackoffExp);
+            tx.readyAt = after + rng_.below(1ULL << exp) * cfg_.backoffSlot;
             scheduleEval(ch);
             return;
         }
@@ -337,13 +314,6 @@ DataChannel::evaluate(std::uint32_t ch)
 
     // Successful acquisition: commit at now+commitOffset, deliver the
     // frame everywhere at the end of the frame.
-    if (trace_) {
-        std::fprintf(stderr, "%10llu  WNoC %2u %-10s line=%#llx val=%llu\n",
-                     (unsigned long long)now, c.pending[idx].frame.src,
-                     frameKindName(c.pending[idx].frame.kind),
-                     (unsigned long long)c.pending[idx].frame.lineAddr,
-                     (unsigned long long)c.pending[idx].frame.value);
-    }
     PendingTx tx = std::move(c.pending[idx]);
     c.pending.erase(c.pending.begin() +
                     static_cast<std::ptrdiff_t>(idx));

@@ -96,22 +96,16 @@ class DataChannel
     /**
      * Queue @p frame for transmission from frame.src.
      *
-     * The sender keeps retrying through back-off on collisions and
-     * jams until it succeeds or is cancelled. With fault injection
-     * active (docs/FAULTS.md), corrupted/preamble-lost acquisitions
-     * also retry -- but only fault::FaultSpec::retryBudget times; after
-     * that the frame is dropped and @p on_fail runs so the sender can
-     * fall back to the wired path.
+     * The sender keeps retrying through back-off on collisions, jams
+     * and injected faults (docs/FAULTS.md) until it succeeds or is
+     * cancelled: the channel never drops a frame.
      *
      * @param on_commit Runs at the commit point (transmission
      *                  guaranteed); may be null. Hot path: keep the
      *                  captures within sim::InlineEvent's budget.
-     * @param on_fail   Runs if the fault-retry budget is exhausted
-     *                  (never with faults disabled); may be null.
      * @return a token that can cancel the pending transmission.
      */
-    std::uint64_t transmit(const Frame &frame, sim::EventFn on_commit,
-                           sim::EventFn on_fail = {});
+    std::uint64_t transmit(const Frame &frame, sim::EventFn on_commit);
 
     /**
      * Attach the fault-injection sampler (null: clean channel). Set
@@ -141,9 +135,6 @@ class DataChannel
     /** Append one line per frame still queued (watchdog dump). */
     void describePending(std::string &out) const;
 
-    /** Trace frame lifecycle (queue/commit/deliver/jam) to stderr. */
-    void setTrace(bool on) { trace_ = on; }
-
     /// @name Statistics
     /// @{
     std::uint64_t successes() const { return successes_; }
@@ -159,8 +150,8 @@ class DataChannel
     std::uint64_t preambleLosses() const { return preambleLosses_; }
     /** Backoff retries caused by injected faults. */
     std::uint64_t faultRetries() const { return faultRetries_; }
-    /** Transmissions dropped after exhausting the retry budget. */
-    std::uint64_t faultDrops() const { return faultDrops_; }
+    /** Always 0; the benchmark PR deletes it (ROADMAP item 3). */
+    std::uint64_t faultDrops() const { return 0; }
     /// @}
     /** Busy cycles (for energy: medium occupied). */
     std::uint64_t busyCycles() const { return busyCycles_; }
@@ -190,7 +181,6 @@ class DataChannel
         std::uint32_t attempt = 0;
         std::uint32_t faultRetries = 0; ///< injected-fault retries so far
         sim::EventFn onCommit;
-        sim::EventFn onFail;
         bool cancelled = false;
     };
 
@@ -256,7 +246,6 @@ class DataChannel
     std::vector<JamFilter> jams_;
     std::uint64_t nextToken_ = 1;
     JamId nextJamId_ = 1;
-    bool trace_ = false;
 
     std::uint64_t successes_ = 0;
     std::uint64_t collisionEvents_ = 0;
@@ -267,7 +256,6 @@ class DataChannel
     std::uint64_t crcErrors_ = 0;
     std::uint64_t preambleLosses_ = 0;
     std::uint64_t faultRetries_ = 0;
-    std::uint64_t faultDrops_ = 0;
 };
 
 } // namespace widir::wireless

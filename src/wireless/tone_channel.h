@@ -43,6 +43,13 @@ using sim::Tick;
 class ToneChannel
 {
   public:
+    /**
+     * Missed silence pulses an initiator re-polls before it takes the
+     * silence as observed; the census then completes late, never
+     * wrongly.
+     */
+    static constexpr std::uint32_t kMaxRepolls = 8;
+
     ToneChannel(Simulator &sim, std::uint32_t num_nodes,
                 Tick tone_latency = 1)
         : sim_(sim), numNodes_(num_nodes), toneLatency_(tone_latency)
@@ -97,7 +104,8 @@ class ToneChannel
      * Attach the fault-injection sampler (null: clean channel). With
      * faults, a census initiator can miss the one-cycle silence pulse
      * (tone-pulse loss) and re-polls after an exponentially growing
-     * interval -- latency only, the census outcome is unchanged.
+     * interval, at most kMaxRepolls times -- latency only, the census
+     * outcome is unchanged.
      */
     void setFaultModel(fault::FaultModel *model) { fault_ = model; }
 
@@ -151,8 +159,7 @@ class ToneChannel
     {
         if (!cb)
             return;
-        if (fault_ && attempt < fault_->spec().retryBudget &&
-            fault_->sampleToneLoss()) {
+        if (fault_ && attempt < kMaxRepolls && fault_->sampleToneLoss()) {
             ++toneRetries_;
             sim::Tracer &tracer = sim_.tracer();
             if (sim::kTraceCompiled && tracer.enabled()) {

@@ -83,14 +83,11 @@ faulted(ExperimentResult r)
     r.fault.burstEnterProb = 0.001;
     r.fault.burstExitProb = 0.125;
     r.fault.frameBits = 96;
-    r.fault.retryBudget = 5;
     r.fault.seed = 77;
     r.frameCrcErrors = 11;
     r.framePreambleLosses = 22;
     r.faultRetries = 33;
-    r.frameFaultDrops = 44;
     r.toneRetries = 55;
-    r.wirelessFallbacks = 66;
     return r;
 }
 
@@ -392,14 +389,11 @@ TEST(Report, DocumentBytesArePinned)
         "burst_enter_prob": 0.001,
         "burst_exit_prob": 0.125,
         "frame_bits": 96,
-        "retry_budget": 5,
         "fault_seed": 77,
         "frame_crc_errors": 11,
         "frame_preamble_losses": 22,
         "fault_retries": 33,
-        "frame_fault_drops": 44,
-        "tone_retries": 55,
-        "wireless_fallbacks": 66
+        "tone_retries": 55
       },)";
     const std::string energy = R"(
       "energy": {

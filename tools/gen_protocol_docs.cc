@@ -47,12 +47,6 @@ endMarker(const char *tag)
     return std::string("<!-- END GENERATED: ") + tag + " -->";
 }
 
-std::string
-flagText(std::uint8_t flags)
-{
-    return (flags & kRuleFaultOnly) ? "fault-only" : "";
-}
-
 /** A DirTxnRule role mask: "any", or the roles it names. */
 std::string
 rolesText(std::uint8_t roles)
@@ -104,9 +98,8 @@ protocolTable()
            "with a trace note are *traced edges*: the controller emits\n"
            "a transition record with exactly that note when the row\n"
            "fires. Rows without a note are tolerated no-ops or\n"
-           "transient bookkeeping; `fault-only` rows require fault\n"
-           "injection (docs/FAULTS.md), and a (state, event) cell with\n"
-           "no row cannot occur. The two in-transaction tables say\n"
+           "transient bookkeeping, and a (state, event) cell with no\n"
+           "row cannot occur. The two in-transaction tables say\n"
            "what the L1 does with an event, and the directory with a\n"
            "wired message, for a line whose transaction is still open;\n"
            "a combination they do not list makes the controller\n"
@@ -126,41 +119,39 @@ protocolTable()
            "SharerCount changes (`PutW`, `join`).\n\n";
 
     out += "### L1 rules (Table I)\n\n";
-    out += "| From | Event | To | Trace note | Flags |\n";
-    out += "|---|---|---|---|---|\n";
+    out += "| From | Event | To | Trace note |\n";
+    out += "|---|---|---|---|\n";
     for (const L1Rule &r : l1Rules()) {
         out += std::string("| ") + l1StateName(r.from) + " | " +
                l1EventName(r.event) + " | " + l1StateName(r.to) + " | " +
                (r.note ? (std::string("`") + r.note + "`") : "-") +
-               " | " + flagText(r.flags) + " |\n";
+               " |\n";
     }
     out += "\n### L1 events during a transaction\n\n";
-    out += "| Phase | Event | Step | Flags |\n";
-    out += "|---|---|---|---|\n";
+    out += "| Phase | Event | Step |\n";
+    out += "|---|---|---|\n";
     for (const L1TxnRule &r : l1TxnRules()) {
         out += std::string("| ") + l1PhaseName(r.phase) + " | " +
                l1EventName(r.event) + " | " + l1StepName(r.step) +
-               " | " + flagText(r.flags) + " |\n";
+               " |\n";
     }
     out += "\n### Directory rules (Table II)\n\n";
-    out += "| From | Event | To | Trace note | Flags |\n";
-    out += "|---|---|---|---|---|\n";
+    out += "| From | Event | To | Trace note |\n";
+    out += "|---|---|---|---|\n";
     for (const DirRule &r : dirRules()) {
         out += std::string("| ") + dirStateName(r.from) + " | " +
                dirEventName(r.event) + " | " + dirStateName(r.to) +
                " | " +
                (r.note ? (std::string("`") + r.note + "`") : "-") +
-               " | " + flagText(r.flags) + " |\n";
+               " |\n";
     }
     out += "\n### Directory messages during a transaction\n\n";
-    out += "| Transaction | Mode | Event | Sender | Step | Flags |\n";
-    out += "|---|---|---|---|---|---|\n";
+    out += "| Transaction | Event | Sender | Step |\n";
+    out += "|---|---|---|---|\n";
     for (const DirTxnRule &r : dirTxnRules()) {
         out += std::string("| ") + dirTxnTypeName(r.txn) + " | " +
-               (r.wired ? "wired fallback" : "-") + " | " +
                dirEventName(r.event) + " | " + rolesText(r.roles) +
-               " | " + dirStepName(r.step) + " | " + flagText(r.flags) +
-               " |\n";
+               " | " + dirStepName(r.step) + " |\n";
     }
     out += "\n";
     return out;
