@@ -286,6 +286,7 @@ L1Controller::startMiss(const PendingOp &op, Addr line)
     }
     Txn txn;
     txn.line = line;
+    txn.seq = nextTxnSeq_++;
     txn.request = (op.kind == TxnKind::Read) ? MsgType::GetS
                                              : MsgType::GetX;
     txn.ops.push_back(op);
@@ -341,11 +342,15 @@ L1Controller::retryAfterNack(Txn &txn)
                  rng_.below((cfg.nackRetryJitter ? cfg.nackRetryJitter
                                                  : 1) *
                             scale);
-    fabric_.simulator().scheduleInline(delay, [this, line = txn.line] {
-        auto it = txns_.find(line);
-        if (it != txns_.end())
-            sendRequest(it->second);
-    });
+    fabric_.simulator().scheduleInline(
+        delay, [this, line = txn.line, seq = txn.seq] {
+            // The Nacked transaction may have ended (a census satisfied
+            // the upgrade) and a new one opened for the line: that one
+            // has sent its own request and must not send it twice.
+            auto it = txns_.find(line);
+            if (it != txns_.end() && it->second.seq == seq)
+                sendRequest(it->second);
+        });
 }
 
 // ---------------------------------------------------------------------

@@ -152,6 +152,12 @@ class L1Controller
     struct Txn
     {
         sim::Addr line;
+        /**
+         * Per-controller sequence number. A Nack's retry timer can
+         * outlive its transaction; it resends only while the open
+         * transaction for its line is still the one it was set for.
+         */
+        std::uint32_t seq;
         MsgType request;          ///< GetS or GetX
         bool toneHeld = false;    ///< census waits on this txn
         /**
@@ -244,6 +250,8 @@ class L1Controller
     mem::FlatAddrMap<WirelessTxn> wirelessTxns_;
     Stats stats_;
     std::array<std::uint32_t, kNumL1TxnRules> txnRuleHits_{};
+    /** Txn::seq of the next transaction this controller opens. */
+    std::uint32_t nextTxnSeq_ = 0;
 };
 
 } // namespace widir::coherence

@@ -30,9 +30,9 @@ namespace {
  * ferret).
  */
 Task
-pipeline(Thread &t, const WorkloadParams &p, std::uint64_t slot,
-         std::uint64_t items, std::uint64_t compute_producer,
-         std::uint64_t compute_consumer, std::uint64_t private_lines)
+pipeline(Thread &t, std::uint64_t slot, std::uint64_t items,
+         std::uint64_t compute_producer, std::uint64_t compute_consumer,
+         std::uint64_t private_lines)
 {
     std::uint32_t n = t.numThreads();
     std::uint32_t pred = (t.id() + n - 1) % n;
@@ -64,7 +64,7 @@ dedup(Thread &t, const WorkloadParams &p)
 {
     // Chunking + SHA1 hashing: hash arithmetic dominates; private
     // chunk buffers stream (Table IV: 4.1 MPKI).
-    return pipeline(t, p, /*slot=*/14,
+    return pipeline(t, /*slot=*/14,
                     /*items=*/p.perThread(6, t.numThreads()),
                     /*compute_producer=*/260, /*compute_consumer=*/120,
                     /*private_lines=*/8);
@@ -75,7 +75,7 @@ ferret(Thread &t, const WorkloadParams &p)
 {
     // Image-similarity search: heavier per-item compute and a larger
     // streamed feature footprint (Table IV: 6.34 MPKI).
-    return pipeline(t, p, /*slot=*/15,
+    return pipeline(t, /*slot=*/15,
                     /*items=*/p.perThread(5, t.numThreads()),
                     /*compute_producer=*/170, /*compute_consumer=*/140,
                     /*private_lines=*/14);

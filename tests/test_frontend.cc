@@ -143,11 +143,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 /** One stream per thread of everyKindTrace(). */
 const std::vector<std::vector<Op>> kEveryKindOps = {
-    {{OpKind::Compute, cpu::SyncNote::External, 0, 100, 0},
-     {OpKind::Load, cpu::SyncNote::External, 0x10000040, 0, 0},
-     {OpKind::LoadNb, cpu::SyncNote::External, 0x10000080, 0, 0},
-     {OpKind::Store, cpu::SyncNote::External, 0x100000C0, 42, 0},
-     {OpKind::Rmw, cpu::SyncNote::External, 0x10000100, 7, 8},
+    {{OpKind::Compute, cpu::SyncNote::External, 0, 100, 0, {}},
+     {OpKind::Load, cpu::SyncNote::External, 0x10000040, 0, 0, {}},
+     {OpKind::LoadNb, cpu::SyncNote::External, 0x10000080, 0, 0, {}},
+     {OpKind::Store, cpu::SyncNote::External, 0x100000C0, 42, 0, {}},
+     {OpKind::Rmw, cpu::SyncNote::External, 0x10000100, 7, 8, {}},
      // A squashed-and-retried RMW carries its speculative modify
      // evaluations (mtrace.h) -- they must survive the round trip.
      {OpKind::Rmw,
@@ -156,11 +156,11 @@ const std::vector<std::vector<Op>> kEveryKindOps = {
       3,
       3,
       {{1, 2}, {9, 10}}},
-     {OpKind::Idle, cpu::SyncNote::External, 0, 64, 0},
-     {OpKind::Fence, cpu::SyncNote::External, 0, 0, 0},
-     {OpKind::Sync, cpu::SyncNote::LockAcquire, 0x10000140, 17, 0}},
+     {OpKind::Idle, cpu::SyncNote::External, 0, 64, 0, {}},
+     {OpKind::Fence, cpu::SyncNote::External, 0, 0, 0, {}},
+     {OpKind::Sync, cpu::SyncNote::LockAcquire, 0x10000140, 17, 0, {}}},
     {}, // an empty stream must survive too
-    {{OpKind::Sync, cpu::SyncNote::BarrierArrive, 0, 33, 0}},
+    {{OpKind::Sync, cpu::SyncNote::BarrierArrive, 0, 33, 0, {}}},
 };
 
 /** Every record kind and every header field, none at its default. */
@@ -265,8 +265,8 @@ TEST(Mtrace, RejectsCorruptInput)
     // A valid trace to corrupt.
     MemTrace t;
     t.threads = {
-        streamOf({{OpKind::Load, cpu::SyncNote::External, 64, 0, 0},
-                  {OpKind::Store, cpu::SyncNote::External, 128, 1, 0}})};
+        streamOf({{OpKind::Load, cpu::SyncNote::External, 64, 0, 0, {}},
+                  {OpKind::Store, cpu::SyncNote::External, 128, 1, 0, {}}})};
     std::string good = testTempPath("good.mtrace");
     std::string err;
     ASSERT_TRUE(frontend::writeMtrace(good, t, err)) << err;
@@ -404,7 +404,7 @@ TEST(Frontend, ValidateTraceRejectsUnreplayable)
     EXPECT_FALSE(frontend::validateTrace(t, 4).empty()) << "no threads";
 
     t.threads.assign(8, {});
-    t.threads[0].append({OpKind::Load, cpu::SyncNote::External, 64, 0, 0});
+    t.threads[0].append({OpKind::Load, cpu::SyncNote::External, 64, 0, 0, {}});
     EXPECT_FALSE(frontend::validateTrace(t, 4).empty())
         << "more streams than cores";
     EXPECT_TRUE(frontend::validateTrace(t, 8).empty());
@@ -417,8 +417,8 @@ TEST(Frontend, ValidateTraceRejectsUnreplayable)
     EXPECT_TRUE(frontend::validateTrace(t, 8).empty());
 
     // Non-monotone per-thread sync keys would deadlock the gate.
-    t.threads[1].append({OpKind::Sync, cpu::SyncNote::External, 0, 5, 0});
-    t.threads[1].append({OpKind::Sync, cpu::SyncNote::External, 0, 4, 0});
+    t.threads[1].append({OpKind::Sync, cpu::SyncNote::External, 0, 5, 0, {}});
+    t.threads[1].append({OpKind::Sync, cpu::SyncNote::External, 0, 4, 0, {}});
     EXPECT_FALSE(frontend::validateTrace(t, 8).empty());
 }
 

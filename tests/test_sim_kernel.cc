@@ -387,6 +387,94 @@ TEST(EventQueue, WheelSlotsReusedAcrossRevolutions)
     EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, RecycledNodesKeepSameTickFifo)
+{
+    // Wheel nodes return to a LIFO free list, so a bucket's list
+    // threads through recycled nodes in no particular index order.
+    // Same-tick events must still run in schedule order, including
+    // one appended to the bucket that is being drained.
+    sim::EventQueue q;
+    std::vector<int> order;
+    auto rec = [&order](int i) {
+        return [&order, i] { order.push_back(i); };
+    };
+    for (int i = 0; i < 8; ++i)
+        q.scheduleAt(1, rec(i));
+    EXPECT_TRUE(q.run());
+    const std::size_t pool = q.wheelNodesForTest();
+    EXPECT_EQ(pool, 8u);
+
+    order.clear();
+    for (int i = 0; i < 8; ++i)
+        q.scheduleAt(3 - i % 2, rec(i)); // ticks 3, 2, 3, 2, ...
+    q.scheduleAt(2, [&] {
+        order.push_back(8);
+        q.schedule(0, rec(9)); // same tick, behind 1..7
+    });
+    EXPECT_TRUE(q.run());
+    EXPECT_EQ(order,
+              (std::vector<int>{1, 3, 5, 7, 8, 9, 0, 2, 4, 6}));
+    EXPECT_EQ(q.wheelNodesForTest(), 9u); // peak pending: 8 + 1
+}
+
+TEST(EventQueue, SameTickWheelHeapInterleaveAfterRecycling)
+{
+    // The (tick, seq) tie-break reads the wheel side's head node; with
+    // recycled nodes that head is no longer the lowest index.
+    sim::EventQueue q;
+    for (int i = 0; i < 6; ++i)
+        q.scheduleAt(10 + i, [] {});
+    EXPECT_TRUE(q.run());
+
+    std::vector<int> order;
+    auto rec = [&order](int i) {
+        return [&order, i] { order.push_back(i); };
+    };
+    q.scheduleAt(50, rec(0)); // wheel
+    {
+        ForceHeapGuard heap_only(true);
+        q.scheduleAt(50, rec(1)); // heap
+    }
+    q.scheduleAt(40, rec(2)); // wheel, earlier tick
+    q.scheduleAt(50, rec(3)); // wheel
+    {
+        ForceHeapGuard heap_only(true);
+        q.scheduleAt(50, rec(4)); // heap
+    }
+    q.scheduleAt(50, rec(5)); // wheel
+    EXPECT_TRUE(q.run());
+    EXPECT_EQ(order, (std::vector<int>{2, 0, 1, 3, 4, 5}));
+    EXPECT_EQ(q.wheelNodesForTest(), 6u);
+}
+
+TEST(EventQueue, WheelNodePoolBoundedByPeakPending)
+{
+    // The wheel holds as many nodes as events were ever pending on it
+    // at once: a 10K burst into one tick leaves 10K nodes, and a chain
+    // that keeps one event pending while it walks every bucket for
+    // five revolutions reuses them instead of growing the pool.
+    sim::EventQueue q;
+    constexpr std::size_t kBurst = 10000;
+    std::size_t ran = 0;
+    for (std::size_t i = 0; i < kBurst; ++i)
+        q.scheduleAt(7, [&ran] { ++ran; });
+    EXPECT_TRUE(q.run());
+    EXPECT_EQ(ran, kBurst);
+    EXPECT_EQ(q.wheelNodesForTest(), kBurst);
+
+    constexpr sim::Tick kStep = 1023; // slides one slot per revolution
+    constexpr int kHops = 5 * 1024;
+    int fired = 0;
+    std::function<void()> chain = [&] {
+        if (++fired < kHops)
+            q.schedule(kStep, [&chain] { chain(); });
+    };
+    q.schedule(kStep, [&chain] { chain(); });
+    EXPECT_TRUE(q.run());
+    EXPECT_EQ(fired, kHops);
+    EXPECT_EQ(q.wheelNodesForTest(), kBurst);
+}
+
 using EventQueueDeathTest = ::testing::Test;
 
 TEST(EventQueueDeathTest, SchedulingInThePastPanics)

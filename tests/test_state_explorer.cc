@@ -35,6 +35,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/protocol_table.h"
@@ -1054,6 +1055,63 @@ TEST(StateExplorer, FaultStormsStayCoherentAndAtomic)
     ex.expectObservedSubsetOfTable();
     ex.expectEveryTableEdgeObserved();
 }
+
+TEST(StateExplorer, CleanCounterStormsStayAtomic)
+{
+    // Counter storms on a clean channel over a plain seed range (it
+    // holds seed 24 of StaleRetryStormP): every storm must finish
+    // coherent and legal, with each counter equal to its adds.
+    Explorer ex;
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        CounterTally tally;
+        ex.run(stormCfg(8, seed), [seed, &tally](Thread &t) -> Task {
+            return counterStorm(t, seed, 8, tally);
+        });
+        EXPECT_EQ(tally.final, tally.added) << "counter storm seed " << seed;
+    }
+    ex.expectObservedSubsetOfTable();
+}
+
+/** An 8-tile counter storm that resent a newer transaction's request:
+ *  (seed, under burstFaults). */
+using StaleRetryStorm = std::pair<std::uint64_t, bool>;
+
+class StaleRetryStormP : public ::testing::TestWithParam<StaleRetryStorm>
+{
+};
+
+/**
+ * A Nack's backoff timer outlived its transaction (a census satisfied
+ * the upgrade) and fired after a new transaction for the line had
+ * opened. It sent the new request a second time, a W join admitted the
+ * duplicate, and its second WirUpgr panicked the node ("no step for
+ * MsgWirUpgr during Wireless"). The timer now resends only for the
+ * transaction it was set for, and each storm finishes with every
+ * counter equal to its number of adds.
+ */
+TEST_P(StaleRetryStormP, CountersMatchTheirAdds)
+{
+    const auto [seed, faulted] = GetParam();
+    SystemConfig cfg = stormCfg(8, seed);
+    if (faulted)
+        cfg = burstFaults(cfg, seed);
+    Explorer ex;
+    CounterTally tally;
+    ex.run(cfg, [seed, &tally](Thread &t) -> Task {
+        return counterStorm(t, seed, 8, tally);
+    });
+    EXPECT_EQ(tally.final, tally.added);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StateExplorer, StaleRetryStormP,
+    ::testing::Values(StaleRetryStorm{24, false},
+                      StaleRetryStorm{219, false},
+                      StaleRetryStorm{84, true}),
+    [](const ::testing::TestParamInfo<StaleRetryStorm> &info) {
+        return "Seed" + std::to_string(info.param.first) +
+               (info.param.second ? "BurstFaults" : "Clean");
+    });
 
 /** A storm that deadlocked through the census tone: (tiles, seed,
  *  MaxWiredSharers). */

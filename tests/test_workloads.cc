@@ -95,8 +95,9 @@ TEST(Workloads, RegistryIsComplete)
             ++server;
         // Table IV tabulates MPKI for the paper suites only; the
         // server additions are off-table by design.
-        if (suite == "SPLASH-3" || suite == "PARSEC")
+        if (suite == "SPLASH-3" || suite == "PARSEC") {
             EXPECT_GT(app.paperMpki, 0.0) << app.name;
+        }
         EXPECT_NE(app.kernel, nullptr) << app.name;
         EXPECT_EQ(app.traceSource, nullptr) << app.name;
     }
