@@ -25,10 +25,10 @@
  *   --home-map M          directory sharding: interleave | hash
  *   --record DIR          record a widir-mtrace-v1 trace per
  *                         configuration into DIR (docs/FRONTEND.md)
- *   --trace-in FILE       register FILE (mtrace or text format) as
- *                         workload "trace:<stem>" (replayed through the
- *                         core model) and select it via
- *                         WIDIR_BENCH_APPS when that is unset
+ *
+ * A figure runs the apps' kernels only; a recorded or text trace
+ * replays through bench/replay_trace, which sets
+ * ExperimentSpec::replayPath (docs/FRONTEND.md).
  *
  * Environment (flags win over environment):
  *   WIDIR_BENCH_SCALE   work multiplier (default per figure)
@@ -237,14 +237,6 @@ class Options
                      die("--record wants a directory");
                  recordDir_ = v;
              }},
-            {"--trace-in", "FILE",
-             "register FILE (mtrace or text format) as workload "
-             "'trace:<stem>'; selected via WIDIR_BENCH_APPS when unset",
-             [this](const char *v) {
-                 if (!*v)
-                     die("--trace-in wants a file");
-                 traceIn_ = v;
-             }},
         };
 
         if (const char *env = std::getenv("WIDIR_TRACE"))
@@ -289,26 +281,6 @@ class Options
 
         if (std::string err = fault_.validate(); !err.empty())
             die("invalid fault options: %s", err.c_str());
-
-        // --trace-in makes the external trace a first-class workload:
-        // register it as "trace:<stem>" and, when the user did not
-        // pick an app subset, select exactly it -- so any figure runs
-        // the external trace through its standard sweep. The env
-        // write precedes any sweep worker, so it is safe.
-        if (!traceIn_.empty()) {
-            std::string stem = traceIn_;
-            if (std::size_t slash = stem.find_last_of('/');
-                slash != std::string::npos)
-                stem.erase(0, slash + 1);
-            if (std::size_t dot = stem.find_last_of('.');
-                dot != std::string::npos && dot > 0)
-                stem.erase(dot);
-            traceApp_ = "trace:" + stem;
-            workload::registerTraceApp(traceApp_, traceIn_);
-            const char *sel = std::getenv("WIDIR_BENCH_APPS");
-            if (!sel || !*sel)
-                setenv("WIDIR_BENCH_APPS", traceApp_.c_str(), 1);
-        }
     }
 
     /** Worker threads; 0 lets SweepRunner pick sys::defaultJobs(). */
@@ -344,9 +316,7 @@ class Options
                       spec.protocol == Protocol::WiDir ? "widir"
                                                        : "baseline",
                       spec.cores);
-        // A trace-driven app has nothing to record; runExperiment
-        // replays it.
-        if (!recordDir_.empty() && spec.app->traceSource == nullptr) {
+        if (!recordDir_.empty()) {
             spec.frontend = frontend::FrontendKind::Record;
             spec.recordPath = recordDir_ + "/" + tag + ".mtrace";
         }
@@ -448,8 +418,6 @@ class Options
     std::uint32_t wirelessChannels_ = 1;
     mem::HomeMap homeMap_ = mem::HomeMap::Interleave;
     std::string recordDir_;
-    std::string traceIn_;
-    std::string traceApp_;
 };
 
 } // namespace widir::bench

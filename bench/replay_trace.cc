@@ -13,9 +13,11 @@
  *                [--tiles N] [--scale N] [--out FILE.json]
  *                [--diff REF.json]
  *
- * The machine flags only matter for headerless text traces; a recorded
- * trace carries its machine and overrides them. Exits 0 on success,
- * 1 when --diff finds a mismatch, 2 on usage or I/O errors.
+ * The machine flags supply the machine for a headerless text trace; a
+ * recorded trace carries its machine, so giving one of them for it is
+ * a usage error. The replay is named by the trace: its header's app,
+ * else "trace:<file stem>". Exits 0 on success (and --help), 1 when
+ * --diff finds a mismatch, 2 on usage or I/O errors.
  */
 
 #include <cstdio>
@@ -23,6 +25,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common.h"
 #include "frontend/frontend.h"
@@ -31,17 +35,33 @@ namespace {
 
 using widir::sys::json::Value;
 
-[[noreturn]] void
-usage(const char *why)
+void
+printUsage(std::FILE *to)
 {
-    std::fprintf(stderr,
-                 "replay_trace: %s\n"
-                 "usage: replay_trace --trace-in FILE "
-                 "[--protocol widir|baseline]\n"
-                 "       [--tiles N] [--scale N] [--out FILE.json] "
-                 "[--diff REF.json]\n",
-                 why);
+    std::fprintf(to, "usage: replay_trace --trace-in FILE "
+                     "[--protocol widir|baseline]\n"
+                     "       [--tiles N] [--scale N] [--out FILE.json] "
+                     "[--diff REF.json]\n");
+}
+
+[[noreturn]] void
+usage(const std::string &why)
+{
+    std::fprintf(stderr, "replay_trace: %s\n", why.c_str());
+    printUsage(stderr);
     std::exit(2);
+}
+
+/** The value recorded header @p h holds for machine flag @p flag. */
+std::string
+pinnedValue(const widir::frontend::TraceHeader &h, const std::string &flag)
+{
+    if (flag == "--tiles")
+        return std::to_string(h.cores);
+    if (flag == "--scale")
+        return std::to_string(h.scale);
+    return widir::coherence::protocolName(
+        static_cast<widir::coherence::Protocol>(h.protocol));
 }
 
 /**
@@ -75,12 +95,14 @@ main(int argc, char **argv)
     coherence::Protocol proto = coherence::Protocol::WiDir;
     std::uint32_t tiles = 64;
     std::uint32_t scale = 1;
+    // Machine flags as given (flag, value), checked against the header.
+    std::vector<std::pair<std::string, std::string>> machine_flags;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         auto operand = [&]() -> const char * {
             if (i + 1 >= argc)
-                usage("missing operand");
+                usage(std::string(arg) + " requires an operand");
             return argv[++i];
         };
         if (!std::strcmp(arg, "--trace-in")) {
@@ -93,36 +115,60 @@ main(int argc, char **argv)
                 proto = coherence::Protocol::BaselineMESI;
             else
                 usage("--protocol wants widir|baseline");
+            machine_flags.emplace_back(arg, v);
         } else if (!std::strcmp(arg, "--tiles")) {
+            const char *v = operand();
             long n = 0;
-            if (!sys::parseEnvInt(operand(), 1, 1'000'000, n))
+            if (!sys::parseEnvInt(v, 1, 1'000'000, n))
                 usage("invalid --tiles value");
             tiles = static_cast<std::uint32_t>(n);
+            machine_flags.emplace_back(arg, v);
         } else if (!std::strcmp(arg, "--scale")) {
+            const char *v = operand();
             long n = 0;
-            if (!sys::parseEnvInt(operand(), 1, 1'000'000, n))
+            if (!sys::parseEnvInt(v, 1, 1'000'000, n))
                 usage("invalid --scale value");
             scale = static_cast<std::uint32_t>(n);
+            machine_flags.emplace_back(arg, v);
         } else if (!std::strcmp(arg, "--out")) {
             out_path = operand();
         } else if (!std::strcmp(arg, "--diff")) {
             diff_path = operand();
         } else if (!std::strcmp(arg, "--help") ||
                    !std::strcmp(arg, "-h")) {
-            usage("replay one trace file");
+            std::printf("replay_trace: replay one trace file\n");
+            printUsage(stdout);
+            return 0;
         } else {
-            usage("unknown flag");
+            usage(std::string("unknown flag '") + arg + "'");
         }
     }
     if (trace_in.empty())
         usage("--trace-in is required");
 
+    // A recorded trace pins the machine, so a machine flag could only
+    // be ignored: refuse it, naming the value the header holds.
+    if (!machine_flags.empty()) {
+        frontend::MemTrace t;
+        std::string err;
+        if (!frontend::loadTraceFile(trace_in, t, err)) {
+            std::fprintf(stderr, "replay_trace: %s\n", err.c_str());
+            return 2;
+        }
+        if (t.header.hasMachine) {
+            const auto &[flag, given] = machine_flags.front();
+            usage(flag + " " + given + ": " + trace_in +
+                  " is a recording whose header pins " + flag + " " +
+                  pinnedValue(t.header, flag));
+        }
+    }
+
     sys::ExperimentSpec spec;
-    spec.app = workload::registerTraceApp("trace:replay", trace_in);
     spec.protocol = proto;
     spec.cores = tiles;
     spec.scale = scale;
     spec.frontend = frontend::FrontendKind::ReplayFull;
+    spec.replayPath = trace_in;
     sys::ExperimentResult r = sys::runExperiment(spec);
 
     std::printf("%s %s: %s replay of %s\n", r.app.c_str(),

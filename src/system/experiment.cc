@@ -79,7 +79,10 @@ ExperimentSpec::validate() const
             err += "; ";
         err += msg;
     };
-    if (app == nullptr)
+    // A replay's stimulus is its trace, so only the other frontends
+    // need an app.
+    const bool is_replay = frontend == frontend::FrontendKind::ReplayFull;
+    if (app == nullptr && !is_replay)
         add("no app selected");
     if (cores == 0)
         add("cores must be positive");
@@ -96,28 +99,18 @@ ExperimentSpec::validate() const
     if (maxWiredSharers > coherence::SharerPtrs::kCapacity)
         add(sim::strfmt("maxWiredSharers must be at most %u",
                         coherence::SharerPtrs::kCapacity));
-    const bool is_replay = frontend == frontend::FrontendKind::ReplayFull;
-    const bool trace_app = app != nullptr && app->traceSource != nullptr;
     if (frontend == frontend::FrontendKind::Record) {
         if (recordPath.empty())
             add("frontend=record needs a recordPath");
-        if (trace_app)
-            add("cannot record a trace-driven app (it has no kernel)");
     } else if (!recordPath.empty()) {
         add("recordPath set but frontend is not record");
     }
     if (is_replay) {
-        if (replayPath.empty() && !trace_app)
-            add("replay frontend needs a replayPath "
-                "(or a trace-driven app)");
+        if (replayPath.empty())
+            add("replay frontend needs a replayPath");
     } else if (!replayPath.empty()) {
         add("replayPath set but frontend is not replay-full");
     }
-    if (trace_app && !replayPath.empty())
-        add("trace-driven app already supplies its trace; "
-            "replayPath must be empty");
-    if (app != nullptr && app->kernel == nullptr && !trace_app)
-        add("app has neither a kernel nor a trace source");
     add(trace.validate());
     add(fault.validate());
     return err;
@@ -156,6 +149,20 @@ benchScale(std::uint32_t fallback)
 
 namespace {
 
+/**
+ * Name of a replay before its header is read: "trace:<stem>" of
+ * @p path, which a recorded machine header then overrides.
+ */
+std::string
+traceName(const std::string &path)
+{
+    std::string stem = path.substr(path.find_last_of('/') + 1);
+    if (std::size_t dot = stem.find_last_of('.');
+        dot != std::string::npos && dot > 0)
+        stem.erase(dot);
+    return "trace:" + stem;
+}
+
 double
 secondsSince(std::chrono::steady_clock::time_point start)
 {
@@ -172,21 +179,15 @@ runExperiment(const ExperimentSpec &spec)
     if (std::string err = spec.validate(); !err.empty())
         sim::fatal("invalid ExperimentSpec: %s", err.c_str());
 
-    // Resolve the effective frontend: a trace-driven app upgrades the
-    // default Coroutine frontend to full-fidelity replay of its trace.
-    frontend::FrontendKind fk = spec.frontend;
-    std::string replay_path = spec.replayPath;
-    if (spec.app->traceSource != nullptr) {
-        replay_path = spec.app->traceSource->path;
-        if (fk == frontend::FrontendKind::Coroutine)
-            fk = frontend::FrontendKind::ReplayFull;
-    }
+    const frontend::FrontendKind fk = spec.frontend;
     const bool is_replay = fk == frontend::FrontendKind::ReplayFull;
 
     // Effective machine knobs: the spec's, unless a replayed trace
     // carries the recorded machine -- then the recording wins so the
-    // replay reproduces the recorded run (docs/FRONTEND.md).
-    std::string app_name = spec.app->name;
+    // replay reproduces the recorded run (docs/FRONTEND.md). A replay
+    // is named by its trace, never by spec.app.
+    std::string app_name =
+        is_replay ? traceName(spec.replayPath) : spec.app->name;
     coherence::Protocol protocol = spec.protocol;
     std::uint32_t cores = spec.cores;
     std::uint32_t scale = spec.scale;
@@ -200,7 +201,7 @@ runExperiment(const ExperimentSpec &spec)
     frontend::MemTrace trace;
     if (is_replay) {
         std::string terr;
-        if (!frontend::loadTraceFile(replay_path, trace, terr))
+        if (!frontend::loadTraceFile(spec.replayPath, trace, terr))
             sim::fatal("experiment %s: %s", app_name.c_str(),
                        terr.c_str());
         if (trace.header.hasMachine) {
@@ -283,9 +284,9 @@ runExperiment(const ExperimentSpec &spec)
     r.homeMap = home_map;
     r.frontendKind = fk;
     r.recordPath = spec.recordPath;
-    r.replayPath = is_replay ? replay_path : std::string();
-    // The replay frontends ignore the program; a trace app has no
-    // kernel to wrap, so only build one when it will actually run.
+    r.replayPath = spec.replayPath;
+    // The replay frontend ignores the program (and a replay spec need
+    // not name an app), so only build one when it will actually run.
     cpu::Program program;
     if (!is_replay)
         program = workload::makeProgram(*spec.app, params);

@@ -163,6 +163,7 @@ struct TraceOptions
  */
 struct ExperimentSpec
 {
+    /** Workload kernel; required unless frontend is ReplayFull. */
     const workload::AppInfo *app = nullptr;
     coherence::Protocol protocol = coherence::Protocol::BaselineMESI;
     std::uint32_t cores = 64;
@@ -205,12 +206,12 @@ struct ExperimentSpec
      * Stimulus source. Coroutine (default) runs the app's kernel on
      * the core model; Record does the same while writing a
      * widir-mtrace-v1 op stream to recordPath; ReplayFull drives the
-     * machine from replayPath (or the app's trace source). An app
-     * registered from an external trace (registerTraceApp /
-     * `--trace-in`) auto-upgrades Coroutine to ReplayFull. When a
-     * replayed trace carries a machine header, its machine knobs
-     * (protocol, cores, seed, scale, sharer limits, topology) override
-     * this spec so the replayed run reproduces the recorded one.
+     * machine from replayPath, the only way to run a trace. A replay
+     * ignores `app` and is named by its trace: the recorded header's
+     * app, else "trace:<file stem>". When a replayed trace carries a
+     * machine header, its machine knobs (protocol, cores, seed, scale,
+     * sharer limits, topology) override this spec so the replayed run
+     * reproduces the recorded one.
      */
     frontend::FrontendKind frontend =
         frontend::FrontendKind::Coroutine;
@@ -218,10 +219,7 @@ struct ExperimentSpec
     /** widir-mtrace-v1 output path; required iff frontend is Record. */
     std::string recordPath;
 
-    /**
-     * Trace input path (mtrace or text format); required for
-     * ReplayFull unless the app itself is trace-driven.
-     */
+    /** Trace input (mtrace or text format); required iff ReplayFull. */
     std::string replayPath;
     /// @}
 

@@ -1,35 +1,8 @@
 #include "workload/registry.h"
 
-#include <deque>
-
 #include "workload/kernels.h"
 
 namespace widir::workload {
-
-namespace {
-
-/** One registered trace workload: owned name/path + stable AppInfo. */
-struct TraceApp
-{
-    std::string name;
-    TraceSource source;
-    AppInfo info;
-};
-
-/**
- * Registered trace apps. A deque keeps every AppInfo (and the strings
- * its pointers borrow) at a stable address across registrations --
- * callers hold `const AppInfo *` into this storage, exactly as they do
- * into the static allApps() vector.
- */
-std::deque<TraceApp> &
-traceApps()
-{
-    static std::deque<TraceApp> apps;
-    return apps;
-}
-
-} // namespace
 
 const std::vector<AppInfo> &
 allApps()
@@ -90,32 +63,7 @@ findApp(std::string_view name)
         if (name == app.name)
             return &app;
     }
-    for (const auto &t : traceApps()) {
-        if (name == t.info.name)
-            return &t.info;
-    }
     return nullptr;
-}
-
-const AppInfo *
-registerTraceApp(std::string name, std::string path)
-{
-    for (auto &t : traceApps()) {
-        if (t.name == name) {
-            t.source.path = std::move(path);
-            return &t.info;
-        }
-    }
-    TraceApp &t = traceApps().emplace_back();
-    t.name = std::move(name);
-    t.source.path = std::move(path);
-    t.info = AppInfo{t.name.c_str(),
-                     "TRACE",
-                     0.0,
-                     nullptr,
-                     "externally recorded trace (docs/FRONTEND.md)",
-                     &t.source};
-    return &t.info;
 }
 
 cpu::Program

@@ -7,7 +7,6 @@
 #ifndef WIDIR_WORKLOAD_REGISTRY_H
 #define WIDIR_WORKLOAD_REGISTRY_H
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -17,41 +16,21 @@
 
 namespace widir::workload {
 
-/**
- * External stimulus behind a trace-driven app: a widir-mtrace-v1 or
- * text-format trace file replayed by a replay frontend instead of a
- * kernel coroutine (docs/FRONTEND.md).
- */
-struct TraceSource
-{
-    std::string path; ///< trace file (either format)
-};
-
 /** One evaluated application. */
 struct AppInfo
 {
     const char *name;   ///< paper's name, e.g. "radiosity"
-    const char *suite;  ///< "SPLASH-3", "PARSEC", "SERVER" or "TRACE"
+    const char *suite;  ///< "SPLASH-3", "PARSEC" or "SERVER"
     double paperMpki;   ///< Table IV: Baseline L1 MPKI (0 off-table)
     cpu::Task (*kernel)(cpu::Thread &, const WorkloadParams &);
     const char *pattern; ///< one-line sharing-pattern summary
-    /** Non-null for trace-driven apps (kernel is null then). */
-    const TraceSource *traceSource = nullptr;
 };
 
 /** The built-in applications, SPLASH-3 first (Table IV order). */
 const std::vector<AppInfo> &allApps();
 
-/** Find by name (built-in or registered trace); nullptr if unknown. */
+/** Find by name; nullptr if unknown. */
 const AppInfo *findApp(std::string_view name);
-
-/**
- * Register an external trace file as a first-class workload named
- * @p name (replacing an earlier registration of the same name).
- * Returns the stable AppInfo for it. The file is not opened here;
- * loading and validation happen when an experiment runs it.
- */
-const AppInfo *registerTraceApp(std::string name, std::string path);
 
 /** Bind an app + params into a per-core program. */
 cpu::Program makeProgram(const AppInfo &app, const WorkloadParams &p);

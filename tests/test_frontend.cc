@@ -11,8 +11,8 @@
  *    rejected loudly;
  *  - text ingestion: the documented grammar parses, and a garbage
  *    matrix (parseEnvInt style) fails with line-numbered errors;
- *  - external text traces run as first-class registry workloads,
- *    replayed through the core model.
+ *  - an external text trace replays through replayPath alone, named
+ *    by its file stem, re-driven through the core model.
  */
 
 #include <gtest/gtest.h>
@@ -496,8 +496,6 @@ TEST(Frontend, SpecValidationCatchesBadCombinations)
 {
     const AppInfo *fft = workload::findApp("fft");
     ASSERT_NE(fft, nullptr);
-    const AppInfo *tapp = workload::registerTraceApp(
-        "trace:validation", testTempPath("nonexistent.trc"));
 
     ExperimentSpec s;
     s.app = fft;
@@ -522,24 +520,19 @@ TEST(Frontend, SpecValidationCatchesBadCombinations)
     EXPECT_FALSE(s.validate().empty());
 
     s = ExperimentSpec{};
-    s.app = tapp; // trace app: replay path comes from the registry
+    s.frontend = FrontendKind::ReplayFull; // a replay needs no app
+    s.replayPath = "x.mtrace";
     EXPECT_TRUE(s.validate().empty()) << s.validate();
-    s.replayPath = "other.trc"; // ...so an explicit one is ambiguous
-    EXPECT_FALSE(s.validate().empty());
-
-    s = ExperimentSpec{};
-    s.app = tapp;
-    s.frontend = FrontendKind::Record; // nothing to record
-    s.recordPath = "x.mtrace";
+    s.frontend = FrontendKind::Coroutine; // ...but a kernel run does
+    s.replayPath.clear();
     EXPECT_FALSE(s.validate().empty());
 }
 
-TEST(TextTrace, RunsAsRegistryWorkloadUnderBothReplayers)
+TEST(TextTrace, ReplaysThroughReplayPath)
 {
-    // An external text trace is a first-class workload: registered,
-    // found, and runnable both ways -- explicitly as replay-full, and
-    // through the default frontend's auto-upgrade. Either way the core
-    // model re-drives it, honoring the S-token global order.
+    // An external text trace is a stimulus, not an app: replayPath
+    // alone runs it, the core model re-drives it honoring the S-token
+    // global order, and the result is named after the file's stem.
     std::string path = testTempPath("external.txt");
     {
         std::ofstream f(path, std::ios::trunc);
@@ -551,31 +544,24 @@ TEST(TextTrace, RunsAsRegistryWorkloadUnderBothReplayers)
              "2 R 0x11000040\n"
              "2 W 0x11000040 9\n";
     }
-    const AppInfo *app =
-        workload::registerTraceApp("trace:external", path);
-    ASSERT_NE(app, nullptr);
-    ASSERT_EQ(workload::findApp("trace:external"), app);
-
+    const std::string name =
+        "trace:" + std::filesystem::path(path).stem().string();
     ExperimentSpec full;
-    full.app = app;
     full.frontend = FrontendKind::ReplayFull;
+    full.replayPath = path;
     full.protocol = coherence::Protocol::WiDir;
     full.cores = 4;
     ExperimentResult r = sys::runExperiment(full);
     EXPECT_EQ(r.frontendKind, FrontendKind::ReplayFull);
     EXPECT_EQ(r.replayPath, path);
-    EXPECT_EQ(r.app, "trace:external");
+    EXPECT_EQ(r.app, name);
     EXPECT_EQ(r.loads, 2u);
     EXPECT_EQ(r.stores, 2u);
     EXPECT_GT(r.cycles, 0u);
 
-    // The default frontend auto-upgrades to full replay for trace
-    // apps -- `--trace-in` workloads run without any extra flags.
-    ExperimentSpec s;
-    s.app = app;
-    s.cores = 4;
-    ExperimentResult def = sys::runExperiment(s);
-    EXPECT_EQ(def.frontendKind, FrontendKind::ReplayFull);
+    // A replay ignores spec.app: the trace still names the run.
+    full.app = workload::findApp("fft");
+    EXPECT_EQ(sys::runExperiment(full).app, name);
 }
 
 } // namespace

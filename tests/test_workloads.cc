@@ -99,7 +99,6 @@ TEST(Workloads, RegistryIsComplete)
             EXPECT_GT(app.paperMpki, 0.0) << app.name;
         }
         EXPECT_NE(app.kernel, nullptr) << app.name;
-        EXPECT_EQ(app.traceSource, nullptr) << app.name;
     }
     EXPECT_EQ(splash, 13);
     EXPECT_EQ(parsec, 7);
@@ -107,32 +106,6 @@ TEST(Workloads, RegistryIsComplete)
     EXPECT_NE(workload::findApp("radiosity"), nullptr);
     EXPECT_NE(workload::findApp("kvstore"), nullptr);
     EXPECT_EQ(workload::findApp("nonesuch"), nullptr);
-}
-
-TEST(Workloads, TraceAppRegistration)
-{
-    // Registered trace workloads are first-class registry entries:
-    // findApp resolves them, the pointer stays stable across further
-    // registrations, and re-registering a name swaps its trace path.
-    const AppInfo *a =
-        workload::registerTraceApp("trace:unittest-a", "/tmp/a.trc");
-    ASSERT_NE(a, nullptr);
-    EXPECT_EQ(workload::findApp("trace:unittest-a"), a);
-    EXPECT_STREQ(a->suite, "TRACE");
-    EXPECT_EQ(a->kernel, nullptr);
-    ASSERT_NE(a->traceSource, nullptr);
-    EXPECT_EQ(a->traceSource->path, "/tmp/a.trc");
-
-    const AppInfo *b =
-        workload::registerTraceApp("trace:unittest-b", "/tmp/b.trc");
-    EXPECT_EQ(workload::findApp("trace:unittest-a"), a);
-    EXPECT_EQ(a->traceSource->path, "/tmp/a.trc");
-
-    const AppInfo *a2 =
-        workload::registerTraceApp("trace:unittest-a", "/tmp/a2.trc");
-    EXPECT_EQ(a2, a);
-    EXPECT_EQ(a->traceSource->path, "/tmp/a2.trc");
-    EXPECT_NE(b, a);
 }
 
 TEST(Workloads, HighSharingAppsGoWireless)

@@ -4,14 +4,14 @@
 # for the trace schema, docs/FAULTS.md for the fault model -- and the
 # generated transition-table section of PROTOCOL.md must match the
 # protocol table compiled into the simulator. Every environment knob
-# the prose docs name must also still exist in the code, so a removed
-# knob cannot linger in a table. The generated result-schema section of
-# EXPERIMENTS.md must likewise match the report field table. Run from
-# anywhere: pass the repo root as $1 and (optionally) the built
-# gen_protocol_docs binary as $2.
+# and every --flag the prose docs name must also still exist in the
+# code, so a removed knob or flag cannot linger in a table. The
+# generated result-schema section of EXPERIMENTS.md must likewise match
+# the report field table. Run from anywhere: pass the repo root as $1
+# and (optionally) the built gen_protocol_docs binary as $2.
 # Registered as the `docs_check` CTest (tests/CMakeLists.txt) so the
 # references cannot drift when a message type, state, trace kind,
-# fault knob or environment knob is added or removed.
+# fault knob, environment knob or flag is added or removed.
 set -u
 
 root="${1:-.}"
@@ -106,6 +106,22 @@ for knob in $knobs; do
         echo "docs-check: $knob is documented but occurs nowhere in" \
              "src/, bench/, tools/, tests/, examples/, CMakeLists.txt" \
              "or .github/" >&2
+        fail=1
+    fi
+done
+
+# Likewise every --flag the prose docs name, so a deleted flag cannot
+# linger in the prose either.
+flags=$(cat "$root/README.md" "$root/DESIGN.md" "$root/EXPERIMENTS.md" \
+            "$root"/docs/*.md | grep -oE -- '--[a-z][a-z0-9_-]*[a-z0-9]' |
+            sort -u)
+for flag in $flags; do
+    if ! grep -rqswF -- "$flag" "$root/src" "$root/bench" "$root/tools" \
+            "$root/tests" "$root/examples" "$root/perfbench" \
+            "$root/CMakeLists.txt" "$root/.github"; then
+        echo "docs-check: $flag is documented but occurs nowhere in" \
+             "src/, bench/, tools/, tests/, examples/, perfbench/," \
+             "CMakeLists.txt or .github/" >&2
         fail=1
     fi
 done
