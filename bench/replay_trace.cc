@@ -147,19 +147,17 @@ main(int argc, char **argv)
         usage("--trace-in is required");
 
     // A recorded trace pins the machine, so a machine flag could only
-    // be ignored: refuse it, naming the value the header holds.
+    // be ignored: refuse it, naming the value the header holds. Only
+    // the header is read; a text trace has none, and the replay below
+    // loads and checks the whole file.
     if (!machine_flags.empty()) {
-        frontend::MemTrace t;
+        frontend::TraceHeader h;
         std::string err;
-        if (!frontend::loadTraceFile(trace_in, t, err)) {
-            std::fprintf(stderr, "replay_trace: %s\n", err.c_str());
-            return 2;
-        }
-        if (t.header.hasMachine) {
+        if (frontend::readMtraceHeader(trace_in, h, err) && h.hasMachine) {
             const auto &[flag, given] = machine_flags.front();
             usage(flag + " " + given + ": " + trace_in +
                   " is a recording whose header pins " + flag + " " +
-                  pinnedValue(t.header, flag));
+                  pinnedValue(h, flag));
         }
     }
 

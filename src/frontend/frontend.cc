@@ -79,7 +79,7 @@ ReplayGate::ReplayGate(const MemTrace &trace)
     for (std::uint32_t tid = 0; tid < trace.numThreads(); ++tid)
     {
         std::uint64_t idx = 0;
-        OpCursor cur(trace.threads[tid].bytes);
+        StreamCursor cur(trace.threads[tid]);
         while (cur.next(op))
         {
             if (op.kind == OpKind::Sync)
@@ -130,7 +130,7 @@ validateTrace(const MemTrace &trace, std::uint32_t num_cores)
     {
         std::uint64_t prev = 0;
         bool first = true;
-        OpCursor cur(trace.threads[tid].bytes);
+        StreamCursor cur(trace.threads[tid]);
         while (cur.next(op))
         {
             if (op.kind != OpKind::Sync)
@@ -143,6 +143,8 @@ validateTrace(const MemTrace &trace, std::uint32_t num_cores)
             prev = op.a;
             first = false;
         }
+        if (!cur.error().empty())
+            return "thread " + std::to_string(tid) + ": " + cur.error();
     }
     return "";
 }
@@ -158,8 +160,9 @@ makeReplayProgram(const MemTrace &trace, ReplayGate *gate)
     return [tr, gate](cpu::Thread &t) -> cpu::Task {
         if (t.id() >= tr->threads.size())
             co_return;
-        // Decode one record at a time: the trace stays encoded.
-        OpCursor cur(tr->threads[t.id()].bytes);
+        // Decode one record at a time: the trace stays encoded, in
+        // its file but for the recorder's last partial piece.
+        StreamCursor cur(tr->threads[t.id()]);
         Op op;
         while (cur.next(op))
         {

@@ -1,10 +1,17 @@
 #include "frontend/mtrace.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <istream>
 #include <string_view>
+
+#include "sim/log.h"
 
 namespace widir::frontend {
 
@@ -44,13 +51,14 @@ truncatedAt(std::size_t byte)
            std::to_string(byte) + ")";
 }
 
-/** Strict bounds-checked reads over a byte range of a file image. */
+/** Strict bounds-checked reads over a byte range of a file. */
 struct ByteReader
 {
     std::string_view buf;
     std::size_t pos = 0;
-    std::size_t base = 0; ///< offset of buf in the file (messages)
+    std::uint64_t base = 0; ///< offset of buf in the file (messages)
     std::string &err;
+    bool &ranOut; ///< set when a read failed at the end of buf
 
     bool
     fail(const std::string &msg)
@@ -59,11 +67,19 @@ struct ByteReader
         return false;
     }
 
+    /** Fail because the value runs past the end of buf. */
+    bool
+    failShort(const std::string &msg)
+    {
+        ranOut = true;
+        return fail(msg);
+    }
+
     bool
     getByte(std::uint8_t &v)
     {
         if (pos >= buf.size())
-            return fail(truncatedAt(base + pos));
+            return failShort(truncatedAt(base + pos));
         v = static_cast<std::uint8_t>(buf[pos++]);
         return true;
     }
@@ -92,9 +108,9 @@ struct ByteReader
         if (!getVarint(len))
             return false;
         if (len > buf.size() - pos)
-            return fail("mtrace: truncated file (string of " +
-                        std::to_string(len) + " bytes at byte " +
-                        std::to_string(base + pos) + ")");
+            return failShort("mtrace: truncated file (string of " +
+                             std::to_string(len) + " bytes at byte " +
+                             std::to_string(base + pos) + ")");
         s.assign(buf.substr(pos, static_cast<std::size_t>(len)));
         pos += static_cast<std::size_t>(len);
         return true;
@@ -102,44 +118,25 @@ struct ByteReader
 };
 
 bool
-hasMagic(const std::string &image)
+hasMagic(std::string_view bytes)
 {
-    return image.size() >= sizeof kMagic &&
-           std::memcmp(image.data(), kMagic, sizeof kMagic) == 0;
+    return bytes.size() >= sizeof kMagic &&
+           std::memcmp(bytes.data(), kMagic, sizeof kMagic) == 0;
 }
 
-bool
-readWholeFile(const std::string &path, std::string &out,
-              std::string &err)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-    {
-        err = path + ": " + std::strerror(errno);
-        return false;
-    }
-    out.clear();
-    char chunk[1 << 16];
-    std::size_t n = 0;
-    while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0)
-        out.append(chunk, n);
-    const bool ok = std::ferror(f) == 0;
-    std::fclose(f);
-    if (!ok)
-        err = path + ": read error";
-    return ok;
-}
+/** Size of the load pass's read window. */
+constexpr std::size_t kWindowBytes = 1 << 16;
+
+/** Size of the stdio buffer a writer's spills go through. */
+constexpr std::size_t kSpillBufferBytes = 1 << 16;
 
 /**
- * Decode a widir-mtrace-v1 file image that starts with the magic.
- * Every record is walked once with an OpCursor, then each stream's
- * byte range is copied out as it stands.
+ * Header fields after the magic (version, flags, machine), into
+ * @p h. The magic itself is checked by the caller.
  */
 bool
-decodeMtrace(const std::string &image, MemTrace &out, std::string &err)
+decodeHeader(ByteReader &r, TraceHeader &h)
 {
-    ByteReader r{image, sizeof kMagic, 0, err};
-
     std::uint64_t version = 0;
     if (!r.getVarint(version))
         return false;
@@ -160,79 +157,362 @@ decodeMtrace(const std::string &image, MemTrace &out, std::string &err)
                       hex);
     }
 
-    out = MemTrace{};
-    out.header.hasMachine = (flags & kFlagHasMachine) != 0;
-    if (out.header.hasMachine)
+    h = TraceHeader{};
+    h.hasMachine = (flags & kFlagHasMachine) != 0;
+    if (!h.hasMachine)
+        return true;
+    std::uint8_t b = 0;
+    std::uint64_t v = 0;
+    if (!r.getString(h.app) || !r.getByte(b))
+        return false;
+    h.protocol = b;
+    if (!r.getByte(b))
+        return false;
+    h.homeMap = b;
+    if (!r.getVarint(v))
+        return false;
+    h.cores = static_cast<std::uint32_t>(v);
+    if (!r.getVarint(v))
+        return false;
+    h.scale = static_cast<std::uint32_t>(v);
+    if (!r.getVarint(v))
+        return false;
+    h.maxWiredSharers = static_cast<std::uint32_t>(v);
+    if (!r.getVarint(v))
+        return false;
+    h.updateCountThreshold = static_cast<std::uint32_t>(v);
+    if (!r.getVarint(v))
+        return false;
+    h.meshConcentration = static_cast<std::uint32_t>(v);
+    if (!r.getVarint(v))
+        return false;
+    h.wirelessChannels = static_cast<std::uint32_t>(v);
+    return r.getVarint(h.seed);
+}
+
+/**
+ * Decode one record at @p r's position into @p op (every field
+ * overwritten). With encodeOp, the only code that knows each kind's
+ * operands.
+ */
+bool
+getOp(ByteReader &r, Op &op)
+{
+    const std::uint64_t at = r.base + r.pos;
+    std::uint8_t kind = 0;
+    if (!r.getByte(kind))
+        return false;
+    if (kind >= kOpKindCount)
+        return r.fail("mtrace: unknown record kind " +
+                      std::to_string(kind) + " at byte " +
+                      std::to_string(at));
+    op.kind = static_cast<OpKind>(kind);
+    op.sync = cpu::SyncNote::External;
+    op.addr = 0;
+    op.a = 0;
+    op.b = 0;
+    op.evals.clear();
+    switch (op.kind)
     {
-        TraceHeader &h = out.header;
-        std::uint8_t b = 0;
-        std::uint64_t v = 0;
-        if (!r.getString(h.app) || !r.getByte(b))
+    case OpKind::Compute:
+    case OpKind::Idle:
+        if (!r.getVarint(op.a))
             return false;
-        h.protocol = b;
-        if (!r.getByte(b))
+        break;
+    case OpKind::Load:
+    case OpKind::LoadNb:
+        if (!r.getVarint(op.addr))
             return false;
-        h.homeMap = b;
-        if (!r.getVarint(v))
+        break;
+    case OpKind::Store:
+        if (!r.getVarint(op.addr) || !r.getVarint(op.a))
             return false;
-        h.cores = static_cast<std::uint32_t>(v);
-        if (!r.getVarint(v))
+        break;
+    case OpKind::Rmw:
+    {
+        std::uint64_t nEvals = 0;
+        if (!r.getVarint(op.addr) || !r.getVarint(op.a) ||
+            !r.getVarint(op.b) || !r.getVarint(nEvals))
             return false;
-        h.scale = static_cast<std::uint32_t>(v);
-        if (!r.getVarint(v))
+        // Two bytes minimum per pair -- a guard against a corrupt
+        // count forcing a huge allocation.
+        if (nEvals > (r.buf.size() - r.pos) / 2 + 1)
+            return r.failShort("mtrace: truncated file (rmw eval count " +
+                               std::to_string(nEvals) +
+                               " exceeds remaining bytes)");
+        for (std::uint64_t e = 0; e < nEvals; ++e)
+        {
+            std::uint64_t in = 0, result = 0;
+            if (!r.getVarint(in) || !r.getVarint(result))
+                return false;
+            op.evals.emplace_back(in, result);
+        }
+        break;
+    }
+    case OpKind::Fence:
+        break;
+    case OpKind::Sync:
+    {
+        std::uint8_t note = 0;
+        if (!r.getByte(note))
             return false;
-        h.maxWiredSharers = static_cast<std::uint32_t>(v);
-        if (!r.getVarint(v))
+        if (note > static_cast<std::uint8_t>(cpu::SyncNote::TaskClaim))
+            return r.fail("mtrace: unknown sync note " +
+                          std::to_string(note));
+        op.sync = static_cast<cpu::SyncNote>(note);
+        if (!r.getVarint(op.addr) || !r.getVarint(op.a))
             return false;
-        h.updateCountThreshold = static_cast<std::uint32_t>(v);
-        if (!r.getVarint(v))
+        break;
+    }
+    }
+    return true;
+}
+
+} // namespace
+
+std::shared_ptr<TraceStore>
+TraceStore::open(const std::string &path, std::string &err)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr || std::fseek(f, 0, SEEK_END) != 0)
+    {
+        err = path + ": " + std::strerror(errno);
+        if (f != nullptr)
+            std::fclose(f);
+        return nullptr;
+    }
+    auto store = std::make_shared<TraceStore>();
+    store->f_ = f;
+    store->size_ = static_cast<std::uint64_t>(std::ftell(f));
+    store->readOnly_ = true;
+    return store;
+}
+
+TraceStore::~TraceStore()
+{
+    if (f_ != nullptr)
+        std::fclose(f_);
+}
+
+std::uint64_t
+TraceStore::append(std::string_view bytes)
+{
+    WIDIR_ASSERT(!readOnly_, "a loaded trace is read-only");
+    if (f_ == nullptr)
+    {
+        // On disk, not in a memfd or tmpfs: the point is to keep the
+        // bytes out of memory, not to hide them from the process.
+        f_ = std::tmpfile();
+        if (f_ == nullptr)
+            sim::fatal("trace store: cannot create a temporary file: %s",
+                       std::strerror(errno));
+        buffer_ = std::make_unique<char[]>(kSpillBufferBytes);
+        std::setvbuf(f_, buffer_.get(), _IOFBF, kSpillBufferBytes);
+    }
+    if (std::fwrite(bytes.data(), 1, bytes.size(), f_) != bytes.size())
+        sim::fatal("trace store: write error: %s", std::strerror(errno));
+    unflushed_ = true;
+    const std::uint64_t offset = size_;
+    size_ += bytes.size();
+    return offset;
+}
+
+bool
+TraceStore::read(std::uint64_t offset, char *out, std::size_t len)
+{
+    if (unflushed_)
+    {
+        if (std::fflush(f_) != 0)
             return false;
-        h.meshConcentration = static_cast<std::uint32_t>(v);
-        if (!r.getVarint(v))
+        unflushed_ = false;
+    }
+    const int fd = fileno(f_);
+    while (len > 0)
+    {
+        const ssize_t n = ::pread(fd, out, len, static_cast<off_t>(offset));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
             return false;
-        h.wirelessChannels = static_cast<std::uint32_t>(v);
-        if (!r.getVarint(h.seed))
-            return false;
+        out += n;
+        offset += static_cast<std::uint64_t>(n);
+        len -= static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+namespace {
+
+std::string
+readErrorAt(std::uint64_t byte)
+{
+    return "mtrace: read error at byte " + std::to_string(byte);
+}
+
+/**
+ * The load pass's sequential view of a store: kWindowBytes of the
+ * file, refilled as the pass consumes it. It widens only while a
+ * single record straddles it.
+ */
+class Window
+{
+  public:
+    explicit Window(TraceStore &store) : store_(store) {}
+
+    /** The unconsumed bytes in the window. */
+    std::string_view
+    view() const
+    {
+        return std::string_view(buf_).substr(pos_);
     }
 
+    /** File offset of view(). */
+    std::uint64_t offset() const { return start_ + pos_; }
+
+    void consume(std::size_t n) { pos_ += n; }
+
+    /**
+     * Drop the consumed bytes and read on: up to kWindowBytes, or
+     * kWindowBytes more when the unconsumed bytes already fill the
+     * window. False at the end of the file, leaving @p err as it is,
+     * or on a read error, saying so in @p err.
+     */
+    bool
+    refill(std::string &err)
+    {
+        buf_.erase(0, pos_);
+        start_ += pos_;
+        pos_ = 0;
+        const std::uint64_t end = start_ + buf_.size();
+        if (end == store_.size())
+            return false;
+        const std::size_t want = buf_.size() < kWindowBytes
+                                     ? kWindowBytes - buf_.size()
+                                     : kWindowBytes;
+        const auto n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(want, store_.size() - end));
+        const std::size_t had = buf_.size();
+        buf_.resize(had + n);
+        if (!store_.read(end, buf_.data() + had, n))
+        {
+            err = readErrorAt(end);
+            return false;
+        }
+        return true;
+    }
+
+    /**
+     * Run @p decode (a ByteReader -> bool) over view(), refilling and
+     * retrying while it fails for want of bytes; consume what it read.
+     */
+    template <typename Decode>
+    bool
+    decode(std::string &err, Decode &&fn)
+    {
+        for (;;)
+        {
+            bool ranOut = false;
+            ByteReader r{view(), 0, offset(), err, ranOut};
+            if (fn(r))
+            {
+                consume(r.pos);
+                return true;
+            }
+            if (!ranOut || !refill(err))
+                return false;
+        }
+    }
+
+  private:
+    TraceStore &store_;
+    std::string buf_;
+    std::uint64_t start_ = 0; ///< file offset of buf_[0]
+    std::size_t pos_ = 0;
+};
+
+/** The magic and header at the start of the window's file. */
+bool
+readHeader(Window &w, const std::string &path, TraceHeader &h,
+           std::string &err)
+{
+    err.clear();
+    if (!w.refill(err) && !err.empty())
+        return false;
+    if (!hasMagic(w.view()))
+    {
+        err = "mtrace: bad magic (not a widir-mtrace file): " + path;
+        return false;
+    }
+    w.consume(sizeof kMagic);
+    return w.decode(err, [&h](ByteReader &r) { return decodeHeader(r, h); });
+}
+
+/**
+ * Decode a widir-mtrace-v1 file that @p store holds open. One
+ * sequential pass decodes every record and cuts each stream into
+ * pieces of the file at record boundaries every kPieceBytes.
+ */
+bool
+decodeMtrace(const std::shared_ptr<TraceStore> &store,
+             const std::string &path, MemTrace &out, std::string &err)
+{
+    out = MemTrace{};
+    Window w(*store);
+    if (!readHeader(w, path, out.header, err))
+        return false;
+
     std::uint64_t numThreads = 0;
-    if (!r.getVarint(numThreads))
+    if (!w.decode(err,
+                  [&](ByteReader &r) { return r.getVarint(numThreads); }))
         return false;
     if (numThreads > kMaxThreads)
-        return r.fail("mtrace: implausible thread count " +
-                      std::to_string(numThreads));
-    out.threads.resize(static_cast<std::size_t>(numThreads));
+    {
+        err = "mtrace: implausible thread count " +
+              std::to_string(numThreads);
+        return false;
+    }
+    out.threads.assign(static_cast<std::size_t>(numThreads),
+                       OpStream(store));
 
     Op op;
     for (OpStream &stream : out.threads)
     {
         std::uint64_t count = 0;
-        if (!r.getVarint(count))
+        if (!w.decode(err, [&](ByteReader &r) { return r.getVarint(count); }))
             return false;
         // Every record is >= 1 byte, so a sane count cannot exceed the
         // bytes left -- reject before a corrupt header forces a huge
         // allocation.
-        if (count > image.size() - r.pos)
-            return r.fail("mtrace: truncated file (op count " +
-                          std::to_string(count) +
-                          " exceeds remaining bytes)");
-        OpCursor cur(std::string_view(image).substr(r.pos), r.pos);
+        if (count > store->size() - w.offset())
+        {
+            err = "mtrace: truncated file (op count " +
+                  std::to_string(count) + " exceeds remaining bytes)";
+            return false;
+        }
+        std::uint64_t pieceStart = w.offset();
+        auto cut = [&](std::uint64_t end) {
+            stream.pieces.push_back({pieceStart, end - pieceStart});
+            pieceStart = end;
+        };
         for (std::uint64_t i = 0; i < count; ++i)
         {
-            if (!cur.next(op))
-                return r.fail(cur.error().empty()
-                                  ? truncatedAt(image.size())
-                                  : cur.error());
+            if (!w.decode(err, [&](ByteReader &r) { return getOp(r, op); }))
+                return false;
+            if (w.offset() - pieceStart >= kPieceBytes)
+                cut(w.offset());
         }
-        stream.bytes.assign(image, r.pos, cur.consumed());
+        if (w.offset() > pieceStart)
+            cut(w.offset());
         stream.ops = count;
-        r.pos += cur.consumed();
     }
 
-    if (r.pos != image.size())
-        return r.fail("mtrace: trailing garbage after op streams (" +
-                      std::to_string(image.size() - r.pos) +
-                      " bytes)");
+    if (w.offset() != store->size())
+    {
+        err = "mtrace: trailing garbage after op streams (" +
+              std::to_string(store->size() - w.offset()) + " bytes)";
+        return false;
+    }
+    err.clear();
     return true;
 }
 
@@ -284,74 +564,64 @@ OpCursor::next(Op &op)
 {
     if (!err_.empty() || pos_ == bytes_.size())
         return false;
-    ByteReader r{bytes_, pos_, base_, err_};
-    std::uint8_t kind = 0;
-    r.getByte(kind); // cannot fail: pos_ < size
-    if (kind >= kOpKindCount)
-        return r.fail("mtrace: unknown record kind " +
-                      std::to_string(kind) + " at byte " +
-                      std::to_string(base_ + pos_));
-    op.kind = static_cast<OpKind>(kind);
-    op.sync = cpu::SyncNote::External;
-    op.addr = 0;
-    op.a = 0;
-    op.b = 0;
-    op.evals.clear();
-    switch (op.kind)
-    {
-    case OpKind::Compute:
-    case OpKind::Idle:
-        if (!r.getVarint(op.a))
-            return false;
-        break;
-    case OpKind::Load:
-    case OpKind::LoadNb:
-        if (!r.getVarint(op.addr))
-            return false;
-        break;
-    case OpKind::Store:
-        if (!r.getVarint(op.addr) || !r.getVarint(op.a))
-            return false;
-        break;
-    case OpKind::Rmw:
-    {
-        std::uint64_t nEvals = 0;
-        if (!r.getVarint(op.addr) || !r.getVarint(op.a) ||
-            !r.getVarint(op.b) || !r.getVarint(nEvals))
-            return false;
-        // Two bytes minimum per pair -- a guard against a corrupt
-        // count forcing a huge allocation.
-        if (nEvals > (bytes_.size() - r.pos) / 2 + 1)
-            return r.fail("mtrace: truncated file (rmw eval count " +
-                          std::to_string(nEvals) +
-                          " exceeds remaining bytes)");
-        for (std::uint64_t e = 0; e < nEvals; ++e)
-        {
-            std::uint64_t in = 0, result = 0;
-            if (!r.getVarint(in) || !r.getVarint(result))
-                return false;
-            op.evals.emplace_back(in, result);
-        }
-        break;
-    }
-    case OpKind::Fence:
-        break;
-    case OpKind::Sync:
-    {
-        std::uint8_t note = 0;
-        if (!r.getByte(note))
-            return false;
-        if (note > static_cast<std::uint8_t>(cpu::SyncNote::TaskClaim))
-            return r.fail("mtrace: unknown sync note " +
-                          std::to_string(note));
-        op.sync = static_cast<cpu::SyncNote>(note);
-        if (!r.getVarint(op.addr) || !r.getVarint(op.a))
-            return false;
-        break;
-    }
-    }
+    bool ranOut = false;
+    ByteReader r{bytes_, pos_, base_, err_, ranOut};
+    if (!getOp(r, op))
+        return false;
     pos_ = r.pos;
     return true;
+}
+
+void
+OpStream::append(const Op &op)
+{
+    encodeOp(tail, op);
+    ++ops;
+    if (tail.size() < kPieceBytes)
+        return;
+    if (!store)
+        store = std::make_shared<TraceStore>();
+    pieces.push_back({store->append(tail), tail.size()});
+    tail.clear();
+}
+
+bool
+StreamCursor::next(Op &op)
+{
+    for (;;)
+    {
+        if (cur_.next(op))
+            return true;
+        if (!cur_.error().empty())
+        {
+            err_ = cur_.error();
+            return false;
+        }
+        if (!err_.empty())
+            return false;
+        if (piece_ < stream_.pieces.size())
+        {
+            // Records never straddle a piece, so each decodes alone.
+            const Piece &piece = stream_.pieces[piece_++];
+            buf_.resize(static_cast<std::size_t>(piece.length));
+            if (!stream_.store->read(piece.offset, buf_.data(),
+                                     buf_.size()))
+            {
+                err_ = readErrorAt(piece.offset);
+                return false;
+            }
+            cur_ = OpCursor(buf_, piece.offset);
+        }
+        else if (!tailRead_)
+        {
+            tailRead_ = true;
+            cur_ = OpCursor(stream_.tail);
+        }
+        else
+        {
+            return false;
+        }
+    }
 }
 
 bool
@@ -360,7 +630,7 @@ MemTrace::hasSync() const
     Op op;
     for (const OpStream &stream : threads)
     {
-        OpCursor cur(stream.bytes);
+        StreamCursor cur(stream);
         while (cur.next(op))
         {
             if (op.kind == OpKind::Sync)
@@ -406,17 +676,26 @@ writeMtrace(const std::string &path, const MemTrace &trace,
         err = path + ": " + std::strerror(errno);
         return false;
     }
-    // The streams go out as they are held: no concatenated copy.
     auto put = [f](std::string_view bytes) {
         return std::fwrite(bytes.data(), 1, bytes.size(), f) ==
                bytes.size();
     };
     bool ok = put(head);
+    std::string piece; // one piece at a time: never a whole stream
     for (const OpStream &stream : trace.threads)
     {
         std::string count;
         putVarint(count, stream.ops);
-        ok = ok && put(count) && put(stream.bytes);
+        ok = ok && put(count);
+        for (const Piece &pc : stream.pieces)
+        {
+            piece.resize(static_cast<std::size_t>(pc.length));
+            ok = ok &&
+                 stream.store->read(pc.offset, piece.data(),
+                                    piece.size()) &&
+                 put(piece);
+        }
+        ok = ok && put(stream.tail);
     }
     const bool closed = std::fclose(f) == 0;
     if (!ok || !closed)
@@ -428,17 +707,21 @@ writeMtrace(const std::string &path, const MemTrace &trace,
 }
 
 bool
+readMtraceHeader(const std::string &path, TraceHeader &out,
+                 std::string &err)
+{
+    const auto store = TraceStore::open(path, err);
+    if (!store)
+        return false;
+    Window w(*store);
+    return readHeader(w, path, out, err);
+}
+
+bool
 readMtrace(const std::string &path, MemTrace &out, std::string &err)
 {
-    std::string image;
-    if (!readWholeFile(path, image, err))
-        return false;
-    if (!hasMagic(image))
-    {
-        err = "mtrace: bad magic (not a widir-mtrace file): " + path;
-        return false;
-    }
-    return decodeMtrace(image, out, err);
+    const auto store = TraceStore::open(path, err);
+    return store && decodeMtrace(store, path, out, err);
 }
 
 namespace {
@@ -483,23 +766,18 @@ parseU64(const std::string &tok, std::uint64_t &out)
 } // namespace
 
 bool
-parseTextTrace(const std::string &text, MemTrace &out,
-               std::string &err)
+parseTextTrace(std::istream &in, MemTrace &out, std::string &err)
 {
     out = MemTrace{};
+    // One spill file for every thread's stream.
+    const auto store = std::make_shared<TraceStore>();
     bool sawOp = false;
 
-    std::size_t lineStart = 0;
+    std::string line;
     std::size_t lineNo = 0;
-    while (lineStart <= text.size())
+    while (std::getline(in, line))
     {
         ++lineNo;
-        std::size_t lineEnd = text.find('\n', lineStart);
-        if (lineEnd == std::string::npos)
-            lineEnd = text.size();
-        std::string line =
-            text.substr(lineStart, lineEnd - lineStart);
-        lineStart = lineEnd + 1;
 
         // Strip a trailing comment, then tokenize on whitespace.
         const std::size_t hash = line.find('#');
@@ -573,11 +851,17 @@ parseTextTrace(const std::string &text, MemTrace &out,
         }
 
         if (tid + 1 > out.threads.size())
-            out.threads.resize(static_cast<std::size_t>(tid) + 1);
+            out.threads.resize(static_cast<std::size_t>(tid) + 1,
+                               OpStream(store));
         out.threads[static_cast<std::size_t>(tid)].append(op);
         sawOp = true;
     }
 
+    if (in.bad())
+    {
+        err = "trace: read error";
+        return false;
+    }
     if (!sawOp)
     {
         err = "trace: no operations found";
@@ -589,12 +873,21 @@ parseTextTrace(const std::string &text, MemTrace &out,
 bool
 loadTraceFile(const std::string &path, MemTrace &out, std::string &err)
 {
-    std::string buf;
-    if (!readWholeFile(path, buf, err))
+    const auto store = TraceStore::open(path, err);
+    if (!store)
         return false;
-    if (hasMagic(buf))
-        return decodeMtrace(buf, out, err);
-    return parseTextTrace(buf, out, err);
+    char magic[sizeof kMagic];
+    if (store->size() >= sizeof magic &&
+        store->read(0, magic, sizeof magic) &&
+        hasMagic(std::string_view(magic, sizeof magic)))
+        return decodeMtrace(store, path, out, err);
+    std::ifstream in(path);
+    if (!in)
+    {
+        err = path + ": " + std::strerror(errno);
+        return false;
+    }
+    return parseTextTrace(in, out, err);
 }
 
 } // namespace widir::frontend

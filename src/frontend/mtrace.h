@@ -20,6 +20,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -49,7 +52,7 @@ inline constexpr std::uint8_t kOpKindCount = 8;
 /**
  * One decoded record. Field use per kind is documented on OpKind.
  * Traces are never held as Ops: an OpStream keeps the encoded record
- * bytes and an OpCursor decodes them one at a time.
+ * bytes and a StreamCursor decodes them one at a time.
  */
 struct Op
 {
@@ -80,8 +83,8 @@ struct Op
 };
 
 /**
- * Append @p op's widir-mtrace-v1 record to @p out. With OpCursor, the
- * only code that knows each kind's operands.
+ * Append @p op's widir-mtrace-v1 record to @p out. With the decoder
+ * behind OpCursor, the only code that knows each kind's operands.
  */
 void encodeOp(std::string &out, const Op &op);
 
@@ -118,20 +121,116 @@ class OpCursor
     std::string err_;
 };
 
-/** One thread's records, kept encoded (the file's bytes for them). */
+/**
+ * Size at which a writer spills its unflushed records to the store as
+ * one piece, and at which the reader cuts a loaded stream into pieces.
+ * A piece holds whole records, so it can exceed this by one record.
+ */
+inline constexpr std::size_t kPieceBytes = 4096;
+
+/**
+ * The file a trace's record bytes live in, shared by every stream of
+ * the trace: the widir-mtrace-v1 file a reader loaded (kept open, so
+ * the trace reads the inode it validated even after an unlink), or an
+ * unlinked temporary file that writers spill into.
+ */
+class TraceStore
+{
+  public:
+    /** An empty temporary store; its file is made at the first append. */
+    TraceStore() = default;
+
+    /**
+     * @p path opened for reading; null, with a message in @p err, on
+     * failure.
+     */
+    static std::shared_ptr<TraceStore> open(const std::string &path,
+                                            std::string &err);
+
+    TraceStore(const TraceStore &) = delete;
+    TraceStore &operator=(const TraceStore &) = delete;
+    ~TraceStore();
+
+    /** Bytes in the file. */
+    std::uint64_t size() const { return size_; }
+
+    /**
+     * Append @p bytes at the end of a temporary store's file, through
+     * a 64 KB stdio buffer; returns their offset.
+     */
+    std::uint64_t append(std::string_view bytes);
+
+    /** Read @p len bytes at @p offset into @p out; false on a short read. */
+    bool read(std::uint64_t offset, char *out, std::size_t len);
+
+  private:
+    std::FILE *f_ = nullptr;
+    std::unique_ptr<char[]> buffer_; ///< stdio buffer of a temp store
+    std::uint64_t size_ = 0;
+    bool readOnly_ = false;
+    bool unflushed_ = false; ///< appended bytes may sit in buffer_
+};
+
+/** A byte range of a TraceStore holding whole records. */
+struct Piece
+{
+    std::uint64_t offset = 0;
+    std::uint64_t length = 0;
+};
+
+/**
+ * One thread's records, kept encoded: the pieces in the store, then
+ * the writer's unflushed tail, always shorter than kPieceBytes.
+ */
 struct OpStream
 {
-    std::string bytes;
-    std::uint64_t ops = 0; ///< records in bytes
+    /// Where the pieces live; a stream with no store makes its own
+    /// temporary one at its first spill.
+    std::shared_ptr<TraceStore> store;
+    std::vector<Piece> pieces;
+    std::string tail;
+    std::uint64_t ops = 0; ///< records in pieces and tail
 
-    void
-    append(const Op &op)
+    OpStream() = default;
+    explicit OpStream(std::shared_ptr<TraceStore> s) : store(std::move(s))
     {
-        encodeOp(bytes, op);
-        ++ops;
     }
 
-    bool operator==(const OpStream &) const = default;
+    /**
+     * Append @p op's record: the one write path of the recorder, the
+     * text parser and tests. A tail that reaches kPieceBytes spills to
+     * the store as one piece.
+     */
+    void append(const Op &op);
+};
+
+/**
+ * Decodes one stream in order: reads each piece from the store into a
+ * small buffer and runs an OpCursor over it, then over the tail. The
+ * stream must outlive the cursor.
+ */
+class StreamCursor
+{
+  public:
+    explicit StreamCursor(const OpStream &stream) : stream_(stream) {}
+
+    // cur_ views buf_: a copy would read the original's buffer.
+    StreamCursor(const StreamCursor &) = delete;
+    StreamCursor &operator=(const StreamCursor &) = delete;
+
+    /** Decode the next record into @p op; false at the end or on error. */
+    bool next(Op &op);
+
+    /** Why next() failed; empty at a clean end. */
+    const std::string &error() const { return err_; }
+
+  private:
+    const OpStream &stream_;
+    std::size_t piece_ = 0; ///< next piece to read
+    bool tailRead_ = false;
+    std::string buf_;
+    OpCursor cur_{std::string_view()};
+    std::string err_;
 };
 
 /**
@@ -182,24 +281,37 @@ struct MemTrace
 };
 
 /**
- * Write @p trace to @p path in widir-mtrace-v1. Returns false (with a
- * message in @p err) on I/O failure.
+ * Write @p trace to @p path in widir-mtrace-v1, copying each stream's
+ * pieces, then its tail, through a one-piece buffer. @p path must not
+ * be the file @p trace was loaded from: opening it truncates the
+ * pieces. Returns false (with a message in @p err) on I/O failure.
  */
 bool writeMtrace(const std::string &path, const MemTrace &trace,
                  std::string &err);
 
 /**
+ * Read the header of a widir-mtrace-v1 file into @p out, and nothing
+ * after it. Rejects a bad magic, an unsupported version or unknown
+ * header flags with a message in @p err.
+ */
+bool readMtraceHeader(const std::string &path, TraceHeader &out,
+                      std::string &err);
+
+/**
  * Read a widir-mtrace-v1 file. Strict: a bad magic, an unsupported
  * version, an unknown record kind, or a truncated stream is rejected
  * with a message in @p err -- never silently repaired. Every record
- * is decoded once here, so a corrupt trace fails at load, never
- * partway through a replay.
+ * is decoded once here, in one sequential pass through a 64 KB window,
+ * so a corrupt trace fails at load, never partway through a replay.
+ * The streams are pieces of the file, which stays open while any of
+ * them lives.
  */
 bool readMtrace(const std::string &path, MemTrace &out,
                 std::string &err);
 
 /**
- * Parse the text ingestion format (docs/FRONTEND.md):
+ * Parse the text ingestion format (docs/FRONTEND.md) from @p in, line
+ * by line:
  *
  *   # comment (blank lines ignored)
  *   <thread> R <addr>
@@ -211,8 +323,7 @@ bool readMtrace(const std::string &path, MemTrace &out,
  * + 1. Strict like parseEnvInt: any malformed line fails the whole
  * parse with a line-numbered message in @p err.
  */
-bool parseTextTrace(const std::string &text, MemTrace &out,
-                    std::string &err);
+bool parseTextTrace(std::istream &in, MemTrace &out, std::string &err);
 
 /**
  * Load a trace file of either format: widir-mtrace-v1 when the file

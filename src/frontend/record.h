@@ -3,7 +3,8 @@
  * Recorder: the cpu::OpSink implementation behind the recording
  * frontend. One ThreadRecorder per core appends encoded
  * widir-mtrace-v1 records to a private OpStream as the core issues
- * them.
+ * them; every stream spills its full pieces into one shared temporary
+ * file, so the recorder holds less than a piece per core.
  *
  * Recording is pure observation (see cpu/op_sink.h): the recorded run
  * is byte-identical to the same run unrecorded.
@@ -28,9 +29,10 @@ class Recorder
   public:
     explicit Recorder(std::uint32_t num_threads)
     {
+        const auto store = std::make_shared<TraceStore>();
         threads_.reserve(num_threads);
         for (std::uint32_t t = 0; t < num_threads; ++t)
-            threads_.push_back(std::make_unique<ThreadRecorder>());
+            threads_.push_back(std::make_unique<ThreadRecorder>(store));
     }
 
     /** The sink to install on core @p tid. */
@@ -54,7 +56,7 @@ class Recorder
         {
             // An RMW still waiting for its result (the run stopped
             // with it in flight) is kept with old == new == 0.
-            t->flushTail();
+            t->flushWaiting();
             trace.threads.push_back(std::move(t->stream));
         }
         return trace;
@@ -63,11 +65,16 @@ class Recorder
   private:
     struct ThreadRecorder final : cpu::OpSink
     {
+        explicit ThreadRecorder(std::shared_ptr<TraceStore> store)
+            : stream(std::move(store))
+        {
+        }
+
         OpStream stream;
         /// The in-flight RMW, whose old and new values arrive later
         /// (rmwResult()), and every record issued after it: encoded
         /// in order once the RMW completes. Empty otherwise.
-        std::vector<Op> tail;
+        std::vector<Op> waiting;
         /// modify evaluations of the in-flight RMW (rmwEval()).
         std::vector<std::pair<std::uint64_t, std::uint64_t>>
             pendingEvals;
@@ -75,18 +82,18 @@ class Recorder
         void
         add(const Op &op)
         {
-            if (tail.empty())
+            if (waiting.empty())
                 stream.append(op);
             else
-                tail.push_back(op);
+                waiting.push_back(op);
         }
 
         void
-        flushTail()
+        flushWaiting()
         {
-            for (const Op &op : tail)
+            for (const Op &op : waiting)
                 stream.append(op);
-            tail.clear();
+            waiting.clear();
         }
 
         void
@@ -114,9 +121,9 @@ class Recorder
         rmw(sim::Addr addr) override
         {
             // A core has at most one RMW in flight (Core asserts it),
-            // so the tail holds one RMW, at its front.
+            // so waiting holds one RMW, at its front.
             pendingEvals.clear();
-            tail.push_back(
+            waiting.push_back(
                 {OpKind::Rmw, cpu::SyncNote::External, addr, 0, 0, {}});
         }
 
@@ -138,7 +145,7 @@ class Recorder
         rmwResult(std::uint64_t old_value,
                   std::uint64_t new_value) override
         {
-            Op &op = tail.at(0);
+            Op &op = waiting.at(0);
             op.a = old_value;
             op.b = new_value;
             // Keep only evaluations the final (a, b) pair cannot
@@ -150,7 +157,7 @@ class Recorder
                     op.evals.emplace_back(in, result);
             }
             pendingEvals.clear();
-            flushTail();
+            flushWaiting();
         }
 
         void

@@ -6,9 +6,10 @@
  *    full-fidelity replay reproduces the recording -- both pinned
  *    across apps x protocols;
  *  - widir-mtrace-v1: every record kind round-trips, the writer's
- *    bytes are pinned, and a loaded trace costs its encoded size; bad
- *    magic, version or flags, unknown kinds, and truncation are
- *    rejected loudly;
+ *    bytes are pinned, a loaded trace is pieces of its file, and a
+ *    recorder holds less than a piece per core; bad magic, version or
+ *    flags, unknown kinds, and truncation -- also across the reader's
+ *    64 KB window -- are rejected loudly;
  *  - text ingestion: the documented grammar parses, and a garbage
  *    matrix (parseEnvInt style) fails with line-numbered errors;
  *  - an external text trace replays through replayPath alone, named
@@ -21,12 +22,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "frontend/frontend.h"
 #include "frontend/mtrace.h"
+#include "system/manycore.h"
 #include "system/report.h"
 #include "temp_path.h"
 #include "workload/registry.h"
@@ -59,13 +62,21 @@ std::vector<Op>
 opsOf(const OpStream &stream)
 {
     std::vector<Op> ops;
-    frontend::OpCursor cur(stream.bytes);
+    frontend::StreamCursor cur(stream);
     Op op;
     while (cur.next(op))
         ops.push_back(op);
     EXPECT_TRUE(cur.error().empty()) << cur.error();
     EXPECT_EQ(ops.size(), stream.ops);
     return ops;
+}
+
+/** parseTextTrace over @p text. */
+bool
+parseText(const std::string &text, MemTrace &out, std::string &err)
+{
+    std::istringstream in(text);
+    return frontend::parseTextTrace(in, out, err);
 }
 
 std::string
@@ -206,7 +217,6 @@ TEST(Mtrace, EveryKindRoundTrips)
               t.header.meshConcentration);
     EXPECT_EQ(back.header.wirelessChannels, t.header.wirelessChannels);
     EXPECT_EQ(back.header.seed, t.header.seed);
-    ASSERT_EQ(back.threads, t.threads);
     ASSERT_EQ(back.numThreads(), kEveryKindOps.size());
     for (std::uint32_t tid = 0; tid < back.numThreads(); ++tid)
         EXPECT_EQ(opsOf(back.threads[tid]), kEveryKindOps[tid]) << tid;
@@ -216,7 +226,9 @@ TEST(Mtrace, EveryKindRoundTrips)
     // loadTraceFile must sniff the binary magic and take this path.
     MemTrace sniffed;
     ASSERT_TRUE(frontend::loadTraceFile(path, sniffed, err)) << err;
-    EXPECT_EQ(sniffed.threads, t.threads);
+    ASSERT_EQ(sniffed.numThreads(), kEveryKindOps.size());
+    for (std::uint32_t tid = 0; tid < sniffed.numThreads(); ++tid)
+        EXPECT_EQ(opsOf(sniffed.threads[tid]), kEveryKindOps[tid]) << tid;
 }
 
 TEST(Mtrace, WriterBytesArePinned)
@@ -332,14 +344,14 @@ TEST(TextTrace, ParsesTheDocumentedGrammar)
 {
     MemTrace t;
     std::string err;
-    ASSERT_TRUE(frontend::parseTextTrace("# demo trace\n"
-                                         "\n"
-                                         "0 R 0x1000\n"
-                                         "1 W 4096 77\n"
-                                         "1 W 4160\n"
-                                         "0 S 1\n"
-                                         "3 R 64\n",
-                                         t, err))
+    ASSERT_TRUE(parseText("# demo trace\n"
+                          "\n"
+                          "0 R 0x1000\n"
+                          "1 W 4096 77\n"
+                          "1 W 4160\n"
+                          "0 S 1\n"
+                          "3 R 64\n",
+                          t, err))
         << err;
     EXPECT_FALSE(t.header.hasMachine);
     ASSERT_EQ(t.numThreads(), 4u); // max tid 3 -> 4 streams, 2 empty
@@ -356,7 +368,8 @@ TEST(TextTrace, ParsesTheDocumentedGrammar)
     EXPECT_EQ(t1[0].a, 77u);
     EXPECT_EQ(t1[1].a, 0u); // value defaults to 0
     EXPECT_EQ(t.threads[2].ops, 0u);
-    EXPECT_TRUE(t.threads[2].bytes.empty());
+    EXPECT_TRUE(t.threads[2].pieces.empty());
+    EXPECT_TRUE(t.threads[2].tail.empty());
     EXPECT_TRUE(t.hasSync());
 }
 
@@ -386,15 +399,13 @@ TEST(TextTrace, GarbageMatrixFailsWithLineNumbers)
     for (const char *text : bad) {
         MemTrace t;
         std::string err;
-        EXPECT_FALSE(frontend::parseTextTrace(text, t, err)) << text;
+        EXPECT_FALSE(parseText(text, t, err)) << text;
         EXPECT_FALSE(err.empty()) << text;
     }
     // Line numbers point at the offending line, not the file start.
     MemTrace t;
     std::string err;
-    EXPECT_FALSE(
-        frontend::parseTextTrace("0 R 64\n1 W 64 1\nbogus line\n", t,
-                                 err));
+    EXPECT_FALSE(parseText("0 R 64\n1 W 64 1\nbogus line\n", t, err));
     EXPECT_NE(err.find("line 3"), std::string::npos) << err;
 }
 
@@ -424,8 +435,9 @@ TEST(Frontend, ValidateTraceRejectsUnreplayable)
 
 TEST(Frontend, RecordedTraceStaysEncoded)
 {
-    // A loaded trace holds exactly the file's record bytes, one
-    // stream per thread, and writes back out unchanged.
+    // A loaded trace is exactly the file's record bytes, one stream
+    // per thread, each cut into contiguous pieces of the file, and
+    // writes back out unchanged.
     const std::string path = testTempPath("encoded.mtrace");
     ExperimentSpec rec;
     rec.app = workload::findApp("fft");
@@ -443,16 +455,32 @@ TEST(Frontend, RecordedTraceStaysEncoded)
     ASSERT_TRUE(frontend::loadTraceFile(path, t, err)) << err;
     ASSERT_EQ(t.numThreads(), 16u);
     std::uint64_t record_bytes = 0;
-    for (const OpStream &stream : t.threads)
-        record_bytes += stream.bytes.size();
+    for (const OpStream &stream : t.threads) {
+        EXPECT_TRUE(stream.tail.empty());
+        ASSERT_FALSE(stream.pieces.empty());
+        for (std::size_t i = 0; i < stream.pieces.size(); ++i) {
+            const frontend::Piece &piece = stream.pieces[i];
+            record_bytes += piece.length;
+            if (i + 1 == stream.pieces.size())
+                continue;
+            // Cut at the first record boundary past kPieceBytes; only
+            // a stream's last piece is shorter.
+            EXPECT_GE(piece.length, frontend::kPieceBytes);
+            EXPECT_EQ(piece.offset + piece.length,
+                      stream.pieces[i + 1].offset);
+        }
+    }
     EXPECT_GT(t.totalOps(), 0u);
 
     // Everything else in the file is the header and one op-count
     // varint per stream: a copy with the records dropped measures it.
     MemTrace framing;
     framing.header = t.header;
-    for (const OpStream &stream : t.threads)
-        framing.threads.push_back({std::string(), stream.ops});
+    for (const OpStream &stream : t.threads) {
+        OpStream counted;
+        counted.ops = stream.ops;
+        framing.threads.push_back(counted);
+    }
     const std::string framing_path = testTempPath("framing.mtrace");
     ASSERT_TRUE(frontend::writeMtrace(framing_path, framing, err)) << err;
     EXPECT_EQ(record_bytes + std::filesystem::file_size(framing_path),
@@ -461,6 +489,163 @@ TEST(Frontend, RecordedTraceStaysEncoded)
     const std::string back = testTempPath("encoded_back.mtrace");
     ASSERT_TRUE(frontend::writeMtrace(back, t, err)) << err;
     EXPECT_EQ(fileBytes(back), file);
+}
+
+TEST(Mtrace, LoadStraddlesItsReadWindow)
+{
+    // The reader decodes through a 64 KB window that it refills as it
+    // goes and widens only while one record straddles it. Three
+    // streams of 100K records make a file of many windows. An RMW with
+    // 2,000 evaluation pairs starts 10 bytes before the first window
+    // ends, and one with 10,000 pairs is wider than a whole window.
+    constexpr std::size_t kWindow = 1 << 16;
+    constexpr std::size_t kRecords = 100'000;
+    constexpr std::uint64_t kWide = 0xFFFFFFFFull; // a 5-byte varint
+    auto wideRmw = [](std::uint64_t evals) {
+        Op op{OpKind::Rmw, cpu::SyncNote::External, 0x10000000, kWide,
+              kWide - 1, {}};
+        for (std::uint64_t e = 0; e < evals; ++e)
+            op.evals.emplace_back(kWide + e, kWide - e);
+        return op;
+    };
+    std::vector<std::vector<Op>> want(3);
+    // A headerless trace: 11 header bytes, then thread 0's 3-byte op
+    // count, then its 2-byte Compute records up to the straddling RMW.
+    const std::size_t rmw_at = kWindow - 10;
+    for (std::size_t at = 14; at < rmw_at; at += 2)
+        want[0].push_back({OpKind::Compute, cpu::SyncNote::External, 0,
+                           at % 100, 0, {}});
+    want[0].push_back(wideRmw(2'000));
+    while (want[0].size() < kRecords)
+        want[0].push_back(
+            {OpKind::Idle, cpu::SyncNote::External, 0, 7, 0, {}});
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+        want[1].push_back({OpKind::Load, cpu::SyncNote::External,
+                           64 * i * 977, 0, 0, {}});
+        if (i == kRecords / 2)
+            want[1].push_back(wideRmw(10'000));
+        want[2].push_back({OpKind::Store, cpu::SyncNote::External,
+                           0x20000000 + 64 * i, i, 0, {}});
+    }
+    MemTrace t;
+    for (const auto &ops : want)
+        t.threads.push_back(streamOf(ops));
+    const std::string path = testTempPath("windows.mtrace");
+    std::string err;
+    ASSERT_TRUE(frontend::writeMtrace(path, t, err)) << err;
+    const std::string file = fileBytes(path);
+    ASSERT_GT(file.size(), 16 * kWindow);
+    ASSERT_EQ(file[rmw_at - 2], static_cast<char>(OpKind::Compute));
+    ASSERT_EQ(file[rmw_at], static_cast<char>(OpKind::Rmw));
+
+    MemTrace back;
+    ASSERT_TRUE(frontend::readMtrace(path, back, err)) << err;
+    ASSERT_EQ(back.numThreads(), 3u);
+    for (std::uint32_t tid = 0; tid < 3; ++tid)
+        EXPECT_EQ(opsOf(back.threads[tid]), want[tid]) << tid;
+    const std::string again = testTempPath("windows_back.mtrace");
+    ASSERT_TRUE(frontend::writeMtrace(again, back, err)) << err;
+    EXPECT_EQ(fileBytes(again), file);
+
+    // Cut around the first 16 window boundaries, inside the straddling
+    // RMW, and one byte short of the end: every cut is rejected.
+    std::vector<std::size_t> cuts = {rmw_at + 1, rmw_at + 9000,
+                                     file.size() - 1};
+    for (std::size_t k = 1; k <= 16; ++k) {
+        cuts.push_back(k * kWindow - 1);
+        cuts.push_back(k * kWindow);
+        cuts.push_back(k * kWindow + 1);
+    }
+    const std::string cut_path = testTempPath("windows_cut.mtrace");
+    for (std::size_t cut : cuts) {
+        {
+            std::ofstream f(cut_path, std::ios::binary | std::ios::trunc);
+            f.write(file.data(), static_cast<std::streamsize>(cut));
+        }
+        MemTrace out;
+        EXPECT_FALSE(frontend::readMtrace(cut_path, out, err))
+            << "cut at " << cut << " bytes";
+        EXPECT_NE(err.find("truncated"), std::string::npos)
+            << "cut at " << cut << ": " << err;
+    }
+}
+
+TEST(Frontend, ReplayOutlivesUnlinkedRecording)
+{
+    // A loaded trace keeps its file open, so it replays the recording
+    // it validated after the path is unlinked and reused.
+    const std::string path = testTempPath("unlinked.mtrace");
+    ExperimentSpec rec;
+    rec.app = workload::findApp("fft");
+    ASSERT_NE(rec.app, nullptr);
+    rec.protocol = coherence::Protocol::WiDir;
+    rec.cores = 16;
+    rec.scale = 1;
+    rec.frontend = FrontendKind::Record;
+    rec.recordPath = path;
+    const ExperimentResult recorded = sys::runExperiment(rec);
+    const std::string file = fileBytes(path);
+
+    MemTrace t;
+    std::string err;
+    ASSERT_TRUE(frontend::loadTraceFile(path, t, err)) << err;
+    ASSERT_TRUE(std::filesystem::remove(path));
+    {
+        std::ofstream f(path, std::ios::trunc);
+        f << "0 R 64\n";
+    }
+
+    const std::string back = testTempPath("unlinked_back.mtrace");
+    ASSERT_TRUE(frontend::writeMtrace(back, t, err)) << err;
+    EXPECT_EQ(fileBytes(back), file);
+
+    // machineJson needs an ExperimentResult, which only runExperiment
+    // builds, and it loads by path: compare the machine's own totals.
+    sys::SystemConfig cfg = sys::SystemConfig::widir(16);
+    cfg.seed = recorded.seed;
+    sys::Manycore m(cfg);
+    m.installFrontend({FrontendKind::ReplayFull, &t});
+    EXPECT_EQ(m.run({}, 2'000'000'000ull), recorded.cycles);
+    EXPECT_EQ(m.simulator().executedEvents(), recorded.executedEvents);
+    const auto cpu = m.cpuTotals();
+    EXPECT_EQ(cpu.instructions, recorded.instructions);
+    EXPECT_EQ(cpu.loads, recorded.loads);
+    EXPECT_EQ(cpu.stores + cpu.rmws, recorded.stores);
+    EXPECT_EQ(m.l1Totals().readMisses, recorded.readMisses);
+    EXPECT_EQ(m.mesh().messages(), recorded.wiredMessages);
+}
+
+TEST(Frontend, RecorderHoldsUnderOnePiecePerThread)
+{
+    // Each core's stream spills every full piece to one temporary file
+    // that all cores share, so the recorder holds less than
+    // kPieceBytes of records per core however long the run.
+    constexpr std::uint32_t kThreads = 4;
+    frontend::Recorder rec(kThreads);
+    std::vector<std::vector<Op>> want(kThreads);
+    for (std::uint64_t i = 0; i < 20'000; ++i) {
+        for (std::uint32_t tid = 0; tid < kThreads; ++tid) {
+            const sim::Addr addr = 64 * (i * kThreads + tid);
+            rec.sink(tid).store(addr, i);
+            want[tid].push_back(
+                {OpKind::Store, cpu::SyncNote::External, addr, i, 0, {}});
+        }
+    }
+    const MemTrace t = rec.finish({});
+    ASSERT_EQ(t.numThreads(), kThreads);
+    // A Store record is at most 21 bytes: kind and two varints.
+    constexpr std::size_t kMaxStoreRecord = 21;
+    for (std::uint32_t tid = 0; tid < kThreads; ++tid) {
+        const OpStream &s = t.threads[tid];
+        EXPECT_EQ(s.store, t.threads[0].store) << tid;
+        EXPECT_LT(s.tail.size(), frontend::kPieceBytes) << tid;
+        EXPECT_GT(s.pieces.size(), 10u) << tid;
+        for (const frontend::Piece &piece : s.pieces) {
+            EXPECT_GE(piece.length, frontend::kPieceBytes);
+            EXPECT_LT(piece.length, frontend::kPieceBytes + kMaxStoreRecord);
+        }
+        EXPECT_EQ(opsOf(s), want[tid]) << tid;
+    }
 }
 
 TEST(Frontend, RecorderKeepsRecordsBehindAnInFlightRmw)

@@ -9,8 +9,9 @@
 # Any divergence fails: full-fidelity replay is contractually
 # byte-identical to the recorded run.
 #
-# WORK_DIR keeps the trace and both JSON documents; the CI
-# replay-smoke lane publishes it as an artifact.
+# WORK_DIR keeps the trace and both JSON documents. The Tier-1
+# replay_cli CTest runs this script into build/replay_check_out, which
+# CI's tier1 job publishes as an artifact.
 set -eu
 
 build="${1:?usage: replay_check.sh BUILD_DIR [WORK_DIR]}"
