@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "core/messages.h"
-#include "mem/cache_array.h"
+#include "core/l1_controller.h"
 #include "noc/mesh.h"
 #include "sim/event_queue.h"
 #include "sim/inline_event.h"
@@ -390,11 +390,11 @@ BENCHMARK(BM_MessagePoolRoundTrip);
 void
 BM_CacheArrayLookup(benchmark::State &state)
 {
-    mem::CacheArray cache(64 * 1024, 2);
+    coherence::L1Array cache(64 * 1024, 2);
     mem::LineData d;
     for (std::uint64_t i = 0; i < 512; ++i) {
         sim::Addr a = i * 64;
-        cache.fill(cache.pickVictim(a), a, 1, d);
+        cache.fill(cache.pickVictim(a), a, d);
     }
     std::uint64_t i = 0;
     for (auto _ : state) {

@@ -17,7 +17,8 @@
  * recorded trace carries its machine, so giving one of them for it is
  * a usage error. The replay is named by the trace: its header's app,
  * else "trace:<file stem>". Exits 0 on success (and --help), 1 when
- * --diff finds a mismatch, 2 on usage or I/O errors.
+ * --diff finds a mismatch, 2 on usage or I/O errors, including a trace
+ * file that cannot be loaded or does not fit the machine.
  */
 
 #include <cstdio>
@@ -158,6 +159,26 @@ main(int argc, char **argv)
             usage(flag + " " + given + ": " + trace_in +
                   " is a recording whose header pins " + flag + " " +
                   pinnedValue(h, flag));
+        }
+    }
+
+    // Load and check the trace before the run, so a file that cannot be
+    // read, decoded or replayed is reported here, naming the file. The
+    // load streams the file and keeps only piece offsets; the run
+    // loads it again.
+    {
+        frontend::MemTrace trace;
+        std::string err;
+        if (frontend::loadTraceFile(trace_in, trace, err)) {
+            err = frontend::validateTrace(
+                trace, trace.header.hasMachine ? trace.header.cores : tiles);
+        }
+        if (!err.empty()) {
+            // Some loader messages already start with the path.
+            if (err.compare(0, trace_in.size(), trace_in) != 0)
+                err = trace_in + ": " + err;
+            std::fprintf(stderr, "replay_trace: %s\n", err.c_str());
+            return 2;
         }
     }
 

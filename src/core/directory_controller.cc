@@ -5,7 +5,6 @@
 
 namespace widir::coherence {
 
-using mem::CacheEntry;
 using mem::lineAlign;
 using sim::Addr;
 using sim::NodeId;
@@ -24,8 +23,16 @@ DirectoryController::DirectoryController(CoherenceFabric &fabric,
 const DirEntry *
 DirectoryController::entryOf(Addr line) const
 {
-    auto it = entries_.find(lineAlign(line));
-    return it == entries_.end() ? nullptr : &it->second;
+    return llc_.lookup(line);
+}
+
+DirEntry &
+DirectoryController::mutableEntryForTest(Addr line)
+{
+    LlcFrame *e = llc_.lookup(line);
+    WIDIR_ASSERT(e, "line %#llx is not in the LLC",
+                 static_cast<unsigned long long>(lineAlign(line)));
+    return *e;
 }
 
 DirState
@@ -41,12 +48,12 @@ DirectoryController::busy(Addr line) const
     return txns_.count(lineAlign(line)) > 0;
 }
 
-DirEntry &
+LlcFrame &
 DirectoryController::entryAt(Addr line)
 {
-    auto it = entries_.find(line);
-    WIDIR_ASSERT(it != entries_.end(), "transaction without dir entry");
-    return it->second;
+    LlcFrame *e = llc_.lookup(line);
+    WIDIR_ASSERT(e, "transaction without dir entry");
+    return *e;
 }
 
 DirectoryController::DirTxn *
@@ -104,7 +111,7 @@ DirectoryController::beginTxn(TxnType type, Addr line)
     WIDIR_ASSERT(ok, "directory txn already in flight for the line");
     it->second.type = type;
     it->second.line = lineAlign(line);
-    if (CacheEntry *e = llc_.lookup(line))
+    if (LlcFrame *e = llc_.lookup(line))
         e->locked = true;
     sim::Tracer &tracer = fabric_.simulator().tracer();
     if (sim::kTraceCompiled && tracer.enabled()) {
@@ -143,7 +150,7 @@ DirectoryController::endTxn(Addr line)
         tracer.emit(r);
     }
     txns_.erase(it);
-    if (CacheEntry *e = llc_.lookup(line))
+    if (LlcFrame *e = llc_.lookup(line))
         e->locked = false;
 }
 
@@ -291,7 +298,7 @@ DirectoryController::stepTxn(DirTxn &txn, DirEvent ev, const Msg &msg)
         return;
       case DirStep::OwnerToShared: {
         absorbData(line, msg);
-        DirEntry &entry = entryAt(line);
+        LlcFrame &entry = entryAt(line);
         NodeId requester = txn.requester;
         traceState(line, DirState::EM, DirState::S, "FwdGetS",
                    requester);
@@ -303,22 +310,20 @@ DirectoryController::stepTxn(DirTxn &txn, DirEvent ev, const Msg &msg)
             entry.sharers.push_back(entry.owner);
         entry.sharers.push_back(requester);
         entry.owner = sim::kNodeNone;
-        CacheEntry *e = llc_.lookup(line);
-        e->state = static_cast<std::uint8_t>(DirState::S);
         endTxn(line);
-        grant(requester, line, GrantState::S, *e);
+        grant(requester, line, GrantState::S, entry);
         return;
       }
       case DirStep::OwnerHandOff: {
         absorbData(line, msg);
-        DirEntry &entry = entryAt(line);
+        LlcFrame &entry = entryAt(line);
         NodeId requester = txn.requester;
         // Owner hand-off: EM->EM with a new owner (arg).
         traceState(line, DirState::EM, DirState::EM, "FwdGetX",
                    requester);
         entry.owner = requester;
         endTxn(line);
-        grant(requester, line, GrantState::M, *llc_.lookup(line));
+        grant(requester, line, GrantState::M, entry);
         return;
       }
       case DirStep::RecallOwner:
@@ -330,17 +335,15 @@ DirectoryController::stepTxn(DirTxn &txn, DirEvent ev, const Msg &msg)
         if (++txn.acksReceived < txn.acksExpected)
             return;
         NodeId requester = txn.requester;
-        DirEntry &entry = entryAt(line);
-        CacheEntry *e = llc_.lookup(line);
+        LlcFrame &entry = entryAt(line);
         traceState(line, DirState::S, DirState::EM, "InvColl",
                    requester);
         entry.state = DirState::EM;
         entry.owner = requester;
         entry.sharers.clear();
         entry.bcast = false;
-        e->state = static_cast<std::uint8_t>(DirState::EM);
         endTxn(line);
-        grant(requester, line, GrantState::M, *e);
+        grant(requester, line, GrantState::M, entry);
         return;
       }
       case DirStep::CollectRecallAck:
@@ -375,7 +378,7 @@ DirectoryController::absorbData(Addr line, const Msg &msg)
 {
     if (!msg.hasData)
         return;
-    CacheEntry *e = llc_.lookup(line);
+    LlcFrame *e = llc_.lookup(line);
     WIDIR_ASSERT(e, "%s data without LLC entry", msgTypeName(msg.type));
     e->data = msg.data;
     e->dirty = e->dirty || msg.dirtyData;
@@ -388,11 +391,11 @@ DirectoryController::absorbData(Addr line, const Msg &msg)
 void
 DirectoryController::handleRequest(const Msg &msg)
 {
-    CacheEntry *llc_entry = llc_.lookup(msg.line);
-    if (!llc_entry) {
+    LlcFrame *entry = llc_.lookup(msg.line);
+    if (!entry) {
         // LLC miss: fetch from memory (or bounce if the set is stuck
         // behind a recall).
-        CacheEntry *room = makeRoom(msg.line);
+        LlcFrame *room = makeRoom(msg.line);
         if (!room) {
             nack(msg);
             return;
@@ -400,15 +403,12 @@ DirectoryController::handleRequest(const Msg &msg)
         startFetch(msg);
         return;
     }
-    auto it = entries_.find(lineAlign(msg.line));
-    WIDIR_ASSERT(it != entries_.end(),
-                 "LLC entry without directory entry");
-    handleCachedRequest(msg, llc_entry, it->second);
+    handleCachedRequest(msg, *entry);
 }
 
 void
 DirectoryController::grant(NodeId dst, Addr line, GrantState state,
-                           const CacheEntry &llc_entry)
+                           const LlcFrame &llc_entry)
 {
     Msg resp;
     resp.type = MsgType::Data;
@@ -421,12 +421,10 @@ DirectoryController::grant(NodeId dst, Addr line, GrantState state,
 }
 
 void
-DirectoryController::handleCachedRequest(const Msg &msg,
-                                         CacheEntry *llc_entry,
-                                         DirEntry &entry)
+DirectoryController::handleCachedRequest(const Msg &msg, LlcFrame &entry)
 {
     const auto &cfg = fabric_.config();
-    llc_.touch(llc_entry, fabric_.simulator().now());
+    llc_.touch(&entry, fabric_.simulator().now());
 
     switch (entry.state) {
       case DirState::I:
@@ -435,16 +433,15 @@ DirectoryController::handleCachedRequest(const Msg &msg,
                    msgTypeName(msg.type), msg.src);
         entry.state = DirState::EM;
         entry.owner = msg.src;
-        llc_entry->state = static_cast<std::uint8_t>(DirState::EM);
         grant(msg.src, msg.line,
               msg.type == MsgType::GetS ? GrantState::E : GrantState::M,
-              *llc_entry);
+              entry);
         return;
 
       case DirState::S: {
         if (msg.type == MsgType::GetS) {
             if (entry.sharers.contains(msg.src)) {
-                grant(msg.src, msg.line, GrantState::S, *llc_entry);
+                grant(msg.src, msg.line, GrantState::S, entry);
                 return;
             }
             if (cfg.wireless() && !entry.bcast &&
@@ -465,7 +462,7 @@ DirectoryController::handleCachedRequest(const Msg &msg,
                 // Dir_3_B overflow (Baseline): give up precision.
                 entry.bcast = true;
             }
-            grant(msg.src, msg.line, GrantState::S, *llc_entry);
+            grant(msg.src, msg.line, GrantState::S, entry);
             return;
         }
 
@@ -507,8 +504,7 @@ DirectoryController::handleCachedRequest(const Msg &msg,
             entry.owner = msg.src;
             entry.sharers.clear();
             entry.bcast = false;
-            llc_entry->state = static_cast<std::uint8_t>(DirState::EM);
-            grant(msg.src, msg.line, GrantState::M, *llc_entry);
+            grant(msg.src, msg.line, GrantState::M, entry);
             return;
         }
         DirTxn &txn = beginTxn(TxnType::InvColl, msg.line);
@@ -591,7 +587,7 @@ DirectoryController::startFetch(const Msg &msg)
         MsgType req_type = txn->reqType;
         endTxn(line);
 
-        CacheEntry *frame = makeRoom(line);
+        LlcFrame *frame = makeRoom(line);
         if (!frame) {
             // The set filled up while we were fetching (recalls in
             // flight). Bounce; the retry will find the set drained.
@@ -601,12 +597,10 @@ DirectoryController::startFetch(const Msg &msg)
             nack(fake);
             return;
         }
-        llc_.fill(frame, line, static_cast<std::uint8_t>(DirState::EM),
-                  data);
+        llc_.fill(frame, line, data);
         traceState(line, DirState::I, DirState::EM, "fetch", requester);
-        DirEntry &entry = entries_[line];
-        entry.state = DirState::EM;
-        entry.owner = requester;
+        frame->state = DirState::EM;
+        frame->owner = requester;
         grant(requester, line,
               req_type == MsgType::GetS ? GrantState::E
                                         : GrantState::M,
@@ -622,21 +616,18 @@ void
 DirectoryController::handlePutS(const Msg &msg)
 {
     Addr line = lineAlign(msg.line);
-    auto it = entries_.find(line);
-    if (it == entries_.end())
+    DirEntry *entry = llc_.lookup(line);
+    if (!entry)
         return;
-    DirEntry &entry = it->second;
     // Drop the evicting node's pointer: a stale one would inflate a
     // later S->W census snapshot (the protocol relies on the "always
     // inform the directory" rule for exact counts, Section III-B).
-    entry.sharers.remove(msg.src);
+    entry->sharers.remove(msg.src);
     // In I or EM the notice is one of Table II's no-op rows.
-    if (entry.state == DirState::S && entry.sharers.empty() &&
-        !entry.bcast) {
+    if (entry->state == DirState::S && entry->sharers.empty() &&
+        !entry->bcast) {
         traceState(line, DirState::S, DirState::I, "PutS");
-        entry.state = DirState::I;
-        if (CacheEntry *e = llc_.lookup(line))
-            e->state = static_cast<std::uint8_t>(DirState::I);
+        entry->state = DirState::I;
     }
 }
 
@@ -644,33 +635,27 @@ void
 DirectoryController::handlePutEM(const Msg &msg)
 {
     Addr line = lineAlign(msg.line);
-    auto it = entries_.find(line);
-    if (it == entries_.end() || it->second.state != DirState::EM ||
-        it->second.owner != msg.src)
+    DirEntry *entry = llc_.lookup(line);
+    if (!entry || entry->state != DirState::EM || entry->owner != msg.src)
         return; // not from the owner: one of Table II's no-op rows
-    DirEntry &entry = it->second;
     absorbData(line, msg);
     traceState(line, DirState::EM, DirState::I, msgTypeName(msg.type),
                msg.src);
-    entry.state = DirState::I;
-    entry.owner = sim::kNodeNone;
-    CacheEntry *e = llc_.lookup(line);
-    WIDIR_ASSERT(e, "directory entry without LLC entry");
-    e->state = static_cast<std::uint8_t>(DirState::I);
+    entry->state = DirState::I;
+    entry->owner = sim::kNodeNone;
 }
 
 void
 DirectoryController::handlePutW(const Msg &msg)
 {
     Addr line = lineAlign(msg.line);
-    auto it = entries_.find(line);
-    if (it == entries_.end() || it->second.state != DirState::W)
+    DirEntry *entry = llc_.lookup(line);
+    if (!entry || entry->state != DirState::W)
         return; // the group is gone (e.g. after WirInv): a no-op row
-    DirEntry &entry = it->second;
-    WIDIR_ASSERT(entry.sharerCount > 0, "SharerCount underflow");
-    --entry.sharerCount;
+    WIDIR_ASSERT(entry->sharerCount > 0, "SharerCount underflow");
+    --entry->sharerCount;
     traceState(line, DirState::W, DirState::W, "PutW",
-               entry.sharerCount);
+               entry->sharerCount);
     // Table II, W->S: when the count falls back to MaxWiredSharers,
     // return the line to the wired protocol.
     maybeStartToShared(line);
@@ -713,7 +698,7 @@ DirectoryController::startToWireless(const Msg &msg, DirEntry &entry)
         txn->jamId = fabric_.dataChannel()->startJamming(node_, line);
         txn->jamming = true;
 
-        CacheEntry *e = llc_.lookup(line);
+        LlcFrame *e = llc_.lookup(line);
         WIDIR_ASSERT(e, "S->W without LLC entry");
         Msg upg;
         upg.type = MsgType::WirUpgr;
@@ -736,21 +721,18 @@ DirectoryController::finishToWireless(Addr line)
     DirTxn *txn = txnOf(line);
     WIDIR_ASSERT(txn && txn->type == TxnType::ToWireless,
                  "finishing unknown S->W transition");
-    auto it = entries_.find(line);
-    WIDIR_ASSERT(it != entries_.end(), "S->W without dir entry");
-    DirEntry &entry = it->second;
+    DirEntry *entry = llc_.lookup(line);
+    WIDIR_ASSERT(entry, "S->W without dir entry");
     // Census = surviving pre-transition sharers + the requester
     // (unless the requester already evicted again).
-    entry.state = DirState::W;
-    entry.sharerCount =
+    entry->state = DirState::W;
+    entry->sharerCount =
         txn->censusSharers + (txn->censusRequesterLeft ? 0 : 1);
     traceState(line, DirState::S, DirState::W, "census",
-               entry.sharerCount);
-    entry.sharers.clear();
-    entry.bcast = false;
-    entry.owner = sim::kNodeNone;
-    if (CacheEntry *e = llc_.lookup(line))
-        e->state = static_cast<std::uint8_t>(DirState::W);
+               entry->sharerCount);
+    entry->sharers.clear();
+    entry->bcast = false;
+    entry->owner = sim::kNodeNone;
     endTxn(line); // also stops jamming
     // Self-invalidations during the census may already have drained
     // the group.
@@ -774,7 +756,7 @@ DirectoryController::admitJoiner(DirTxn &txn, sim::NodeId requester)
     Addr line = txn.line;
     fabric_.simulator().scheduleInline(
         fabric_.config().llcDataLatency, [this, line, requester] {
-            CacheEntry *e = llc_.lookup(line);
+            LlcFrame *e = llc_.lookup(line);
             WIDIR_ASSERT(e, "W join without LLC entry");
             Msg upg;
             upg.type = MsgType::WirUpgr;
@@ -802,12 +784,12 @@ DirectoryController::startWJoin(const Msg &msg)
 void
 DirectoryController::maybeStartToShared(Addr line)
 {
-    auto it = entries_.find(line);
-    if (it == entries_.end() || it->second.state != DirState::W)
+    const DirEntry *entry = entryOf(line);
+    if (!entry || entry->state != DirState::W)
         return;
     if (txnOf(line))
         return;
-    if (it->second.sharerCount > fabric_.config().maxWiredSharers)
+    if (entry->sharerCount > fabric_.config().maxWiredSharers)
         return;
     startToShared(line);
 }
@@ -816,12 +798,11 @@ void
 DirectoryController::startToShared(Addr line)
 {
     ++stats_.toShared;
-    auto it = entries_.find(line);
-    WIDIR_ASSERT(it != entries_.end() &&
-                     it->second.state == DirState::W,
+    const DirEntry *entry = entryOf(line);
+    WIDIR_ASSERT(entry && entry->state == DirState::W,
                  "W->S on a non-W line");
     DirTxn &txn = beginTxn(TxnType::ToShared, line);
-    txn.acksExpected = it->second.sharerCount;
+    txn.acksExpected = entry->sharerCount;
     wireless::Frame frame;
     frame.src = node_;
     frame.kind = wireless::FrameKind::WirDwgr;
@@ -863,24 +844,19 @@ DirectoryController::finishToShared(Addr line)
     DirTxn *txn = txnOf(line);
     WIDIR_ASSERT(txn && txn->type == TxnType::ToShared,
                  "finishing unknown W->S transition");
-    auto it = entries_.find(line);
-    WIDIR_ASSERT(it != entries_.end(), "W->S without dir entry");
-    DirEntry &entry = it->second;
-    entry.sharers = txn->ackIds;
-    entry.sharerCount = 0;
-    entry.owner = sim::kNodeNone;
-    entry.bcast = false;
-    CacheEntry *e = llc_.lookup(line);
-    WIDIR_ASSERT(e, "W->S without LLC entry");
-    if (entry.sharers.empty()) {
+    LlcFrame *e = llc_.lookup(line);
+    WIDIR_ASSERT(e, "W->S without dir entry");
+    e->sharers = txn->ackIds;
+    e->sharerCount = 0;
+    e->owner = sim::kNodeNone;
+    e->bcast = false;
+    if (e->sharers.empty()) {
         traceState(line, DirState::W, DirState::I, "WirDwgr");
-        entry.state = DirState::I;
-        e->state = static_cast<std::uint8_t>(DirState::I);
+        e->state = DirState::I;
     } else {
         traceState(line, DirState::W, DirState::S, "WirDwgr",
-                   entry.sharers.size());
-        entry.state = DirState::S;
-        e->state = static_cast<std::uint8_t>(DirState::S);
+                   e->sharers.size());
+        e->state = DirState::S;
     }
     // Table II, W->S row: a dirty LLC copy is written to memory.
     writebackIfDirty(e);
@@ -899,11 +875,9 @@ DirectoryController::receiveFrame(const wireless::Frame &frame)
     Addr line = lineAlign(frame.lineAddr);
     switch (frame.kind) {
       case wireless::FrameKind::WirUpd: {
-        auto it = entries_.find(line);
-        if (it == entries_.end() || it->second.state != DirState::W)
+        LlcFrame *e = llc_.lookup(line);
+        if (!e || e->state != DirState::W)
             return;
-        CacheEntry *e = llc_.lookup(line);
-        WIDIR_ASSERT(e, "W entry without LLC line");
         // Keep the LLC copy current so wired joins ship fresh data.
         // (The paper's Table II says SharerCount++ here; we treat that
         // as an erratum -- see DESIGN.md -- and leave the count to the
@@ -912,9 +886,9 @@ DirectoryController::receiveFrame(const wireless::Frame &frame)
         e->dirty = true;
         ++stats_.updatesObserved;
         // Fig. 5: how many other caches this write updated.
-        WIDIR_ASSERT(it->second.sharerCount > 0,
+        WIDIR_ASSERT(e->sharerCount > 0,
                      "update on an empty wireless group");
-        sharersUpdated_.sample(it->second.sharerCount - 1);
+        sharersUpdated_.sample(e->sharerCount - 1);
         return;
       }
       case wireless::FrameKind::WirInv: {
@@ -947,7 +921,7 @@ DirectoryController::receiveFrame(const wireless::Frame &frame)
 // ---------------------------------------------------------------------
 
 void
-DirectoryController::writebackIfDirty(CacheEntry *e)
+DirectoryController::writebackIfDirty(LlcFrame *e)
 {
     if (!e->dirty)
         return;
@@ -956,23 +930,19 @@ DirectoryController::writebackIfDirty(CacheEntry *e)
     e->dirty = false;
 }
 
-mem::CacheEntry *
+LlcFrame *
 DirectoryController::makeRoom(Addr line)
 {
-    if (CacheEntry *hit = llc_.lookup(line))
+    if (LlcFrame *hit = llc_.lookup(line))
         return hit;
-    CacheEntry *victim = llc_.pickVictim(line);
+    LlcFrame *victim = llc_.pickVictim(line);
     if (!victim)
         return nullptr; // set fully locked by in-flight transactions
     if (!victim->valid)
         return victim;
-    auto it = entries_.find(victim->line);
-    WIDIR_ASSERT(it != entries_.end(),
-                 "valid LLC entry without directory entry");
-    if (it->second.state == DirState::I) {
+    if (victim->state == DirState::I) {
         // No cached copies: silent replacement (write back if dirty).
         writebackIfDirty(victim);
-        entries_.erase(it);
         llc_.invalidate(victim);
         return victim;
     }
@@ -982,13 +952,12 @@ DirectoryController::makeRoom(Addr line)
 }
 
 void
-DirectoryController::startRecall(CacheEntry *victim)
+DirectoryController::startRecall(LlcFrame *victim)
 {
     ++stats_.llcRecalls;
+    WIDIR_ASSERT(victim->valid, "recall without dir entry");
     Addr line = victim->line;
-    auto it = entries_.find(line);
-    WIDIR_ASSERT(it != entries_.end(), "recall without dir entry");
-    DirEntry &entry = it->second;
+    const DirEntry &entry = *victim;
     const auto &cfg = fabric_.config();
 
     switch (entry.state) {
@@ -1053,14 +1022,10 @@ DirectoryController::startRecall(CacheEntry *victim)
 void
 DirectoryController::finishRecall(Addr line)
 {
-    CacheEntry *e = llc_.lookup(line);
+    LlcFrame *e = llc_.lookup(line);
     WIDIR_ASSERT(e, "recall without LLC entry");
     writebackIfDirty(e);
-    auto eit = entries_.find(line);
-    if (eit != entries_.end()) {
-        traceState(line, eit->second.state, DirState::I, "recall");
-        entries_.erase(eit);
-    }
+    traceState(line, e->state, DirState::I, "recall");
     endTxn(line);
     llc_.invalidate(e);
 }

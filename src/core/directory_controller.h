@@ -35,7 +35,12 @@
 
 namespace widir::coherence {
 
-/** Directory metadata for one resident line (Fig. 3 of the paper). */
+/**
+ * Directory metadata for one resident line (Fig. 3 of the paper). It
+ * lives in the line's LLC frame, so it exists exactly while the line
+ * is in the (inclusive) LLC, and a filled or invalidated frame starts
+ * from this default.
+ */
 struct DirEntry
 {
     DirState state = DirState::I;
@@ -44,6 +49,10 @@ struct DirEntry
     sim::NodeId owner = sim::kNodeNone;
     std::uint32_t sharerCount = 0;    ///< W state census (Fig. 3)
 };
+
+using LlcFrame = mem::CacheFrame<DirEntry>;
+using LlcArray = mem::CacheArray<DirEntry>;
+static_assert(sizeof(LlcFrame) <= 120, "LLC frame grew past 120 bytes");
 
 /** Directory slice + LLC bank controller. */
 class DirectoryController
@@ -71,16 +80,13 @@ class DirectoryController
     const DirEntry *entryOf(sim::Addr line) const;
     DirState stateOf(sim::Addr line) const;
     bool busy(sim::Addr line) const;
-    mem::CacheArray &llc() { return llc_; }
+    LlcArray &llc() { return llc_; }
     /**
-     * Mutable directory metadata for @p line, created if absent.
-     * Test support only: lets sys::checkCoherence's negative tests
-     * corrupt a quiesced system's state.
+     * Mutable directory metadata for @p line, which must be in the LLC
+     * (panics otherwise). Test support only: lets sys::checkCoherence's
+     * negative tests corrupt a quiesced system's state.
      */
-    DirEntry &mutableEntryForTest(sim::Addr line)
-    {
-        return entries_[line];
-    }
+    DirEntry &mutableEntryForTest(sim::Addr line);
     /** Append one line per open transaction (watchdog dump). */
     void describeOutstanding(std::string &out) const;
     /** Times each dirTxnRules() row was taken (coverage tests). */
@@ -115,7 +121,7 @@ class DirectoryController
     std::uint64_t
     mapRehashes() const
     {
-        return entries_.rehashes() + txns_.rehashes();
+        return txns_.rehashes();
     }
 
     /**
@@ -160,11 +166,10 @@ class DirectoryController
 
     // -- request path ---------------------------------------------------
     void handleRequest(const Msg &msg);
-    void handleCachedRequest(const Msg &msg, mem::CacheEntry *llc_entry,
-                             DirEntry &entry);
+    void handleCachedRequest(const Msg &msg, LlcFrame &entry);
     void startFetch(const Msg &msg);
     void grant(sim::NodeId dst, sim::Addr line, GrantState state,
-               const mem::CacheEntry &llc_entry);
+               const LlcFrame &llc_entry);
 
     // -- eviction notifications (no transaction open) ------------------
     void handlePutS(const Msg &msg);
@@ -193,10 +198,10 @@ class DirectoryController
      * the set is blocked (recall started or all frames locked), in
      * which case the requester must be bounced.
      */
-    mem::CacheEntry *makeRoom(sim::Addr line);
-    void startRecall(mem::CacheEntry *victim);
+    LlcFrame *makeRoom(sim::Addr line);
+    void startRecall(LlcFrame *victim);
     void finishRecall(sim::Addr line);
-    void writebackIfDirty(mem::CacheEntry *e);
+    void writebackIfDirty(LlcFrame *e);
 
     // -- tracing (sim/trace.h; no-ops unless the tracer is enabled) ----
     void traceState(sim::Addr line, DirState from, DirState to,
@@ -204,7 +209,8 @@ class DirectoryController
 
     // -- plumbing -------------------------------------------------------------
     DirTxn *txnOf(sim::Addr line);
-    DirEntry &entryAt(sim::Addr line);
+    /** The LLC frame (and entry) of a line that must be resident. */
+    LlcFrame &entryAt(sim::Addr line);
     DirTxn &beginTxn(TxnType type, sim::Addr line);
     void endTxn(sim::Addr line);
     void nack(const Msg &msg);
@@ -212,8 +218,7 @@ class DirectoryController
 
     CoherenceFabric &fabric_;
     sim::NodeId node_;
-    mem::CacheArray llc_;
-    mem::FlatAddrMap<DirEntry> entries_;
+    LlcArray llc_;
     mem::FlatAddrMap<DirTxn> txns_;
     Stats stats_;
     sim::BinnedHistogram sharersUpdated_{{5, 10, 25, 49}, true};

@@ -8,7 +8,6 @@
 
 namespace widir::coherence {
 
-using mem::CacheEntry;
 using mem::lineAlign;
 using sim::Addr;
 using sim::Tick;
@@ -105,14 +104,14 @@ L1Controller::complete(std::uint64_t token, std::uint64_t value)
 L1State
 L1Controller::stateOf(Addr addr) const
 {
-    const CacheEntry *e = array_.lookup(addr);
-    return e ? static_cast<L1State>(e->state) : L1State::I;
+    const L1Frame *e = array_.lookup(addr);
+    return e ? e->state : L1State::I;
 }
 
 bool
 L1Controller::peekWord(Addr addr, std::uint64_t &value) const
 {
-    const CacheEntry *e = array_.lookup(addr);
+    const L1Frame *e = array_.lookup(addr);
     if (!e)
         return false;
     value = e->data.word(addr);
@@ -128,8 +127,8 @@ L1Controller::read(Addr addr, std::uint64_t token)
 {
     WIDIR_ASSERT(mem::wordAligned(addr), "unaligned load");
     ++stats_.loads;
-    CacheEntry *e = array_.lookup(addr);
-    L1State st = e ? static_cast<L1State>(e->state) : L1State::I;
+    L1Frame *e = array_.lookup(addr);
+    L1State st = e ? e->state : L1State::I;
     if (st != L1State::I) {
         // Hit in S/E/M/W: serve after the L1 round trip. A local access
         // to a W line resets UpdateCount (Table I, W->W on read).
@@ -154,8 +153,8 @@ L1Controller::write(Addr addr, std::uint64_t value, std::uint64_t token)
 {
     WIDIR_ASSERT(mem::wordAligned(addr), "unaligned store");
     ++stats_.stores;
-    CacheEntry *e = array_.lookup(addr);
-    L1State st = e ? static_cast<L1State>(e->state) : L1State::I;
+    L1Frame *e = array_.lookup(addr);
+    L1State st = e ? e->state : L1State::I;
 
     PendingOp op;
     op.kind = TxnKind::Write;
@@ -185,7 +184,7 @@ L1Controller::write(Addr addr, std::uint64_t value, std::uint64_t token)
         ++stats_.storeHits;
         if (st == L1State::E)
             traceState(line, L1State::E, L1State::M, "store");
-        e->state = static_cast<std::uint8_t>(L1State::M);
+        e->state = L1State::M;
         e->dirty = true;
         e->data.setWord(addr, value);
         array_.touch(e, fabric_.simulator().now());
@@ -210,8 +209,8 @@ L1Controller::rmw(Addr addr,
 {
     WIDIR_ASSERT(mem::wordAligned(addr), "unaligned RMW");
     ++stats_.rmws;
-    CacheEntry *e = array_.lookup(addr);
-    L1State st = e ? static_cast<L1State>(e->state) : L1State::I;
+    L1Frame *e = array_.lookup(addr);
+    L1State st = e ? e->state : L1State::I;
 
     PendingOp op;
     op.kind = TxnKind::Rmw;
@@ -238,7 +237,7 @@ L1Controller::rmw(Addr addr,
         std::uint64_t old = e->data.word(addr);
         if (st == L1State::E)
             traceState(line, L1State::E, L1State::M, "rmw");
-        e->state = static_cast<std::uint8_t>(L1State::M);
+        e->state = L1State::M;
         e->dirty = true;
         e->data.setWord(addr, op.modify(old));
         array_.touch(e, fabric_.simulator().now());
@@ -292,7 +291,7 @@ L1Controller::startMiss(const PendingOp &op, Addr line)
     txn.ops.push_back(op);
     // Pin a resident copy (upgrade in flight) against replacement; the
     // fill or invalidation that ends the transaction unpins it.
-    CacheEntry *upgrade = array_.lookup(line);
+    L1Frame *upgrade = array_.lookup(line);
     if (upgrade)
         upgrade->locked = true;
     if (op.kind == TxnKind::Read)
@@ -315,12 +314,12 @@ L1Controller::sendRequest(Txn &txn)
     // flight, and a stale "I am a sharer" flag would let a W-state
     // directory discard the request as redundant (Table II, W->W
     // case 2) when it is not.
-    CacheEntry *e = array_.lookup(txn.line);
+    L1Frame *e = array_.lookup(txn.line);
     Msg msg;
     msg.type = txn.request;
     msg.dst = fabric_.homeOf(txn.line);
     msg.line = txn.line;
-    msg.isSharer = e && static_cast<L1State>(e->state) == L1State::S;
+    msg.isSharer = e && e->state == L1State::S;
     send(msg);
 }
 
@@ -367,8 +366,8 @@ L1Controller::completeOps(std::vector<PendingOp> ops)
     for (auto &op : ops) {
         switch (op.kind) {
           case TxnKind::Read: {
-            CacheEntry *e = array_.lookup(op.addr);
-            if (e && static_cast<L1State>(e->state) != L1State::I) {
+            L1Frame *e = array_.lookup(op.addr);
+            if (e && e->state != L1State::I) {
                 e->updateCount = 0;
                 complete(op.token, e->data.word(op.addr));
             } else {
@@ -396,13 +395,13 @@ L1Controller::completeOps(std::vector<PendingOp> ops)
 // ---------------------------------------------------------------------
 
 void
-L1Controller::evict(CacheEntry *victim)
+L1Controller::evict(L1Frame *victim)
 {
     ++stats_.evictions;
     Msg msg;
     msg.line = victim->line;
     msg.dst = fabric_.homeOf(victim->line);
-    switch (static_cast<L1State>(victim->state)) {
+    switch (victim->state) {
       case L1State::M:
         msg.type = MsgType::PutM;
         msg.hasData = true;
@@ -425,7 +424,7 @@ L1Controller::evict(CacheEntry *victim)
         array_.invalidate(victim);
         return;
     }
-    traceState(victim->line, static_cast<L1State>(victim->state),
+    traceState(victim->line, victim->state,
                L1State::I, "evict");
     array_.invalidate(victim);
     send(msg);
@@ -436,8 +435,8 @@ L1Controller::landFill(const Msg &grant)
 {
     auto it = txns_.find(grant.line);
     WIDIR_ASSERT(it != txns_.end(), "fill without a transaction");
-    CacheEntry *hit = array_.lookup(grant.line);
-    CacheEntry *frame = hit ? hit : array_.pickVictim(grant.line);
+    L1Frame *hit = array_.lookup(grant.line);
+    L1Frame *frame = hit ? hit : array_.pickVictim(grant.line);
     if (!frame)
         return false;
     // Moving the transaction out keeps a landing grant alive until the
@@ -469,9 +468,9 @@ L1Controller::landFill(const Msg &grant)
     WIDIR_ASSERT(grant.hasData, "fill without data");
     // The frame still holds the pre-fill copy on an in-place upgrade
     // (same line); a fresh or recycled frame fills from I.
-    L1State old = hit ? static_cast<L1State>(hit->state) : L1State::I;
-    array_.fill(frame, grant.line, static_cast<std::uint8_t>(st),
-                grant.data);
+    L1State old = hit ? hit->state : L1State::I;
+    array_.fill(frame, grant.line, grant.data);
+    frame->state = st;
     if (st == L1State::M)
         frame->dirty = true;
     if (old != st)
@@ -540,8 +539,8 @@ void
 L1Controller::issueWirelessWrite(const PendingOp &op)
 {
     Addr line = lineAlign(op.addr);
-    CacheEntry *e = array_.lookup(op.addr);
-    WIDIR_ASSERT(e && static_cast<L1State>(e->state) == L1State::W,
+    L1Frame *e = array_.lookup(op.addr);
+    WIDIR_ASSERT(e && e->state == L1State::W,
                  "wireless write on a non-W line");
     // Pin the line: it may not be evicted while its update is queued
     // at the transceiver (and Section IV-C pins RMW lines explicitly).
@@ -595,8 +594,8 @@ L1Controller::wirelessCommit(Addr line)
     wirelessTxns_.erase(it);
     traceMshr(sim::TraceKind::MshrRetire, line, "WirUpd", "commit");
 
-    CacheEntry *e = array_.lookup(line);
-    WIDIR_ASSERT(e && static_cast<L1State>(e->state) == L1State::W,
+    L1Frame *e = array_.lookup(line);
+    WIDIR_ASSERT(e && e->state == L1State::W,
                  "wireless commit on a non-W line");
     ++stats_.wirelessWrites;
     e->locked = false;
@@ -638,7 +637,7 @@ L1Controller::squashWireless(Addr line)
     fabric_.dataChannel()->cancelPending(wtxn.channelToken);
     ++stats_.wirelessSquashes;
 
-    if (CacheEntry *e = array_.lookup(line))
+    if (L1Frame *e = array_.lookup(line))
         e->locked = false;
 
     // Section IV-C: squash the pending write and retry it; the retry
@@ -670,10 +669,10 @@ L1Controller::txnStep(Addr line, L1Event ev)
     if (auto it = txns_.find(line); it != txns_.end()) {
         if (it->second.landing) {
             phase = L1Phase::Landing;
-        } else if (const CacheEntry *e = array_.lookup(line)) {
-            WIDIR_ASSERT(static_cast<L1State>(e->state) == L1State::S,
+        } else if (const L1Frame *e = array_.lookup(line)) {
+            WIDIR_ASSERT(e->state == L1State::S,
                          "miss in flight on a %s copy",
-                         l1StateName(static_cast<L1State>(e->state)));
+                         l1StateName(e->state));
             phase = L1Phase::Upgrade;
         } else {
             phase = L1Phase::Miss;
@@ -738,19 +737,19 @@ L1Controller::receive(const Msg &msg)
 void
 L1Controller::handleInv(const Msg &msg)
 {
-    CacheEntry *e = array_.lookup(msg.line);
+    L1Frame *e = array_.lookup(msg.line);
     Msg ack;
     ack.type = MsgType::InvAck;
     ack.dst = msg.src;
     ack.line = msg.line;
-    if (e && static_cast<L1State>(e->state) != L1State::I) {
+    if (e && e->state != L1State::I) {
         if (msg.needData &&
-            (static_cast<L1State>(e->state) == L1State::M)) {
+            (e->state == L1State::M)) {
             ack.hasData = true;
             ack.data = e->data;
             ack.dirtyData = true;
         }
-        traceState(msg.line, static_cast<L1State>(e->state),
+        traceState(msg.line, e->state,
                    L1State::I, "Inv");
         array_.invalidate(e);
     }
@@ -760,13 +759,13 @@ L1Controller::handleInv(const Msg &msg)
 void
 L1Controller::handleFwd(const Msg &msg)
 {
-    CacheEntry *e = array_.lookup(msg.line);
-    if (!e || static_cast<L1State>(e->state) == L1State::I) {
+    L1Frame *e = array_.lookup(msg.line);
+    if (!e || e->state == L1State::I) {
         // We already evicted: our PutE/PutM is in flight and will
         // complete the directory's transaction; drop the forward.
         return;
     }
-    L1State st = static_cast<L1State>(e->state);
+    L1State st = e->state;
     WIDIR_ASSERT(st == L1State::E || st == L1State::M,
                  "Fwd to non-owner (state %s)", l1StateName(st));
     Msg resp;
@@ -778,7 +777,7 @@ L1Controller::handleFwd(const Msg &msg)
     resp.dirtyData = (st == L1State::M);
     if (msg.type == MsgType::FwdGetS) {
         traceState(msg.line, st, L1State::S, "FwdGetS");
-        e->state = static_cast<std::uint8_t>(L1State::S);
+        e->state = L1State::S;
         e->dirty = false;
     } else {
         traceState(msg.line, st, L1State::I, "FwdGetX");
@@ -842,8 +841,8 @@ L1Controller::receiveFrame(const wireless::Frame &frame)
 void
 L1Controller::handleWirUpd(const wireless::Frame &frame)
 {
-    CacheEntry *e = array_.lookup(frame.lineAddr);
-    if (!e || static_cast<L1State>(e->state) != L1State::W)
+    L1Frame *e = array_.lookup(frame.lineAddr);
+    if (!e || e->state != L1State::W)
         return;
     // Apply the fine-grain update.
     e->data.setWord(frame.wordAddr, frame.value);
@@ -884,11 +883,11 @@ L1Controller::handleBrWirUpgr(Addr line, L1Step step)
         txn.fillAsW = true;
         return;
     }
-    CacheEntry *e = array_.lookup(line);
-    if (e && static_cast<L1State>(e->state) == L1State::S) {
+    L1Frame *e = array_.lookup(line);
+    if (e && e->state == L1State::S) {
         // Table I, S->W case 1: a current sharer moves to W.
         traceState(line, L1State::S, L1State::W, "BrWirUpgr");
-        e->state = static_cast<std::uint8_t>(L1State::W);
+        e->state = L1State::W;
         e->updateCount = 0;
     }
     if (step == L1Step::SatisfyUpgrade) {
@@ -923,15 +922,15 @@ L1Controller::dropToneIfHeld(Txn &txn)
 void
 L1Controller::handleWirDwgr(const wireless::Frame &frame)
 {
-    CacheEntry *e = array_.lookup(frame.lineAddr);
-    if (!e || static_cast<L1State>(e->state) != L1State::W)
+    L1Frame *e = array_.lookup(frame.lineAddr);
+    if (!e || e->state != L1State::W)
         return;
     // Table I, W->S: acknowledge with our core id over the wired
     // network and downgrade. A queued wireless write is squashed
     // (Squash step) and re-issues after the downgrade, so it takes the
     // wired upgrade path as a plain S sharer.
     traceState(frame.lineAddr, L1State::W, L1State::S, "WirDwgr");
-    e->state = static_cast<std::uint8_t>(L1State::S);
+    e->state = L1State::S;
     e->updateCount = 0;
     Msg ack;
     ack.type = MsgType::WirDwgrAck;
@@ -943,8 +942,8 @@ L1Controller::handleWirDwgr(const wireless::Frame &frame)
 void
 L1Controller::handleWirInv(const wireless::Frame &frame)
 {
-    CacheEntry *e = array_.lookup(frame.lineAddr);
-    if (!e || static_cast<L1State>(e->state) != L1State::W)
+    L1Frame *e = array_.lookup(frame.lineAddr);
+    if (!e || e->state != L1State::W)
         return;
     // Table I, W->I: invalidate. A pending write is squashed (Squash
     // step) and retried through the wired network (it will

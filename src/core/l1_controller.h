@@ -35,6 +35,21 @@
 
 namespace widir::coherence {
 
+/** Per-line L1 metadata, kept in the line's cache frame. */
+struct L1Line
+{
+    L1State state = L1State::I;
+    /**
+     * WiDir: wireless updates received since the local core last touched
+     * the line (saturating; see UpdateCount, Section III-B2).
+     */
+    std::uint8_t updateCount = 0;
+};
+
+using L1Frame = mem::CacheFrame<L1Line>;
+using L1Array = mem::CacheArray<L1Line>;
+static_assert(sizeof(L1Frame) == 88, "L1 frame grew past 88 bytes");
+
 /** Private L1 data cache + coherence controller for one tile. */
 class L1Controller
 {
@@ -88,7 +103,7 @@ class L1Controller
     L1State stateOf(sim::Addr addr) const;
     /** Functional word value if present, or std::nullopt semantics via ok. */
     bool peekWord(sim::Addr addr, std::uint64_t &value) const;
-    mem::CacheArray &array() { return array_; }
+    L1Array &array() { return array_; }
     /// @}
 
     /// @name Statistics
@@ -216,7 +231,7 @@ class L1Controller
      * wireless writes in its set.
      */
     void retryLanding(sim::Addr line);
-    void evict(mem::CacheEntry *victim);
+    void evict(L1Frame *victim);
 
     // -- incoming wired handlers ---------------------------------------
     void handleInv(const Msg &msg);
@@ -243,7 +258,7 @@ class L1Controller
 
     CoherenceFabric &fabric_;
     sim::NodeId node_;
-    mem::CacheArray array_;
+    L1Array array_;
     sim::Rng rng_;
     CompletionFn complete_;
     mem::FlatAddrMap<Txn> txns_;

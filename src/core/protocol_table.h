@@ -52,7 +52,7 @@ namespace widir::coherence {
 // Protocol vocabulary
 // ---------------------------------------------------------------------
 
-/** L1 line states (stored in mem::CacheEntry::state). */
+/** L1 line states (stored in coherence::L1Line::state). */
 enum class L1State : std::uint8_t
 {
     I = 0,

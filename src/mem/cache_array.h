@@ -3,10 +3,11 @@
  * Set-associative cache array with LRU replacement.
  *
  * Used for both the private L1 data caches and the shared-LLC slices.
- * The array stores, per line: the protocol state byte (interpreted by
- * the owning controller), a dirty bit, the functional payload, and the
- * WiDir UpdateCount / non-evictable bookkeeping described in Sections
- * III-B2 and IV-C of the paper.
+ * Every frame stores the line address, the functional payload, a
+ * dirty bit and the non-evictable bookkeeping of Section IV-C; beside
+ * them it keeps the per-line metadata its owner defines: the L1's
+ * state and WiDir UpdateCount (Section III-B2), or the LLC's
+ * directory entry (Fig. 3).
  *
  * Replacement honors a per-entry `locked` flag: entries that are mid
  * transaction (or pinned by a wireless RMW) are never chosen as victims.
@@ -30,23 +31,24 @@ namespace widir::mem {
 
 using sim::Tick;
 
-/** One cache frame (way) in the array. */
-struct CacheEntry
+/**
+ * One cache frame (way) in the array. @p Meta is the per-line metadata
+ * the owning controller keeps beside the frame; a default-constructed
+ * Meta is the metadata of an empty frame. It is the base, so the owner
+ * reaches its fields directly and a frame pointer converts to a Meta
+ * pointer, and the flags below pack behind it.
+ */
+template <typename Meta>
+struct CacheFrame : Meta
 {
-    Addr line = sim::kAddrNone; ///< line-aligned address
     bool valid = false;
-    std::uint8_t state = 0;     ///< controller-defined protocol state
     bool dirty = false;
-    /**
-     * WiDir: wireless updates received since the local core last touched
-     * the line (saturating; see UpdateCount, Section III-B2).
-     */
-    std::uint8_t updateCount = 0;
     /**
      * Entry may not be replaced: set while a transaction on the line is
      * in flight, or while a wireless RMW has the line pinned (IV-C).
      */
     bool locked = false;
+    Addr line = sim::kAddrNone; ///< line-aligned address
     Tick lruStamp = 0;          ///< larger == more recently used
     LineData data;
 };
@@ -63,17 +65,20 @@ struct CacheEntry
  * block goes on a free list for the next newly used set, so a set that
  * never needs a second way stays at 16 bytes. Frames come from a
  * chunked slab, and a way gets its frame the first time pickVictim()
- * reaches it. Frames never move or get freed, so a CacheEntry pointer
- * stays valid. Until a set has a block, lookup() misses without
+ * reaches it. Frames never move or get freed, so a frame pointer stays
+ * valid. Until a set has a block, lookup() misses without
  * touching it and forEach()/occupancy() skip it, so an untouched set
  * costs 4 bytes however large the cache. The victim is always the
  * first invalid way, so never-used ways form a suffix of each set:
  * victim choice and visiting order equal those of an array whose
  * frames were all constructed up front.
  */
+template <typename Meta>
 class CacheArray
 {
   public:
+    using Frame = CacheFrame<Meta>;
+
     /**
      * @param size_bytes    Total capacity.
      * @param assoc         Ways per set.
@@ -106,7 +111,7 @@ class CacheArray
     std::uint32_t assoc() const { return assoc_; }
 
     /** Find the entry holding @p addr's line, or nullptr. */
-    CacheEntry *
+    Frame *
     lookup(Addr addr)
     {
         Addr line = lineAlign(addr);
@@ -121,7 +126,7 @@ class CacheArray
         return nullptr;
     }
 
-    const CacheEntry *
+    const Frame *
     lookup(Addr addr) const
     {
         return const_cast<CacheArray *>(this)->lookup(addr);
@@ -129,7 +134,7 @@ class CacheArray
 
     /** Mark @p e most recently used. */
     void
-    touch(CacheEntry *e, Tick /* now */)
+    touch(Frame *e, Tick /* now */)
     {
         e->lruStamp = ++lruCounter_;
     }
@@ -141,7 +146,7 @@ class CacheArray
      * way of a one-way set first grows it to a full block.
      * @return nullptr if every frame in the set is locked.
      */
-    CacheEntry *
+    Frame *
     pickVictim(Addr addr)
     {
         std::uint32_t &block = blockOf_[setOf(lineAlign(addr))];
@@ -158,11 +163,11 @@ class CacheArray
             block = grow(block);
         }
         Way *ways = waysOf(block);
-        CacheEntry *victim = nullptr;
+        Frame *victim = nullptr;
         for (std::uint32_t w = 0; w < assoc_; ++w) {
             if (ways[w].frame == nullptr)
                 return ways[w].frame = allocateFrame();
-            CacheEntry *f = ways[w].frame;
+            Frame *f = ways[w].frame;
             if (ways[w].tag == sim::kAddrNone)
                 return f;
             if (f->locked)
@@ -175,36 +180,33 @@ class CacheArray
 
     /**
      * Install @p line into @p frame (which must belong to line's set),
-     * resetting all metadata. The caller handles any eviction of the
-     * previous occupant first.
+     * resetting all metadata, the owner's to a default Meta. The caller
+     * handles any eviction of the previous occupant first.
      */
     void
-    fill(CacheEntry *frame, Addr line, std::uint8_t state,
-         const LineData &data)
+    fill(Frame *frame, Addr line, const LineData &data)
     {
         line = lineAlign(line);
         wayOf(line, frame).tag = line;
+        static_cast<Meta &>(*frame) = Meta{};
         frame->line = line;
         frame->valid = true;
-        frame->state = state;
         frame->dirty = false;
-        frame->updateCount = 0;
         frame->locked = false;
         frame->data = data;
         frame->lruStamp = ++lruCounter_;
     }
 
-    /** Invalidate @p frame. */
+    /** Invalidate @p frame, resetting the owner's metadata too. */
     void
-    invalidate(CacheEntry *frame)
+    invalidate(Frame *frame)
     {
         if (frame->valid)
             wayOf(frame->line, frame).tag = sim::kAddrNone;
+        static_cast<Meta &>(*frame) = Meta{};
         frame->valid = false;
         frame->line = sim::kAddrNone;
-        frame->state = 0;
         frame->dirty = false;
-        frame->updateCount = 0;
         frame->locked = false;
     }
 
@@ -216,7 +218,7 @@ class CacheArray
     void
     forEach(Fn &&fn)
     {
-        forEachValid([&](CacheEntry *frame) { fn(*frame); });
+        forEachValid([&](Frame *frame) { fn(*frame); });
     }
 
     /** Count of valid entries. */
@@ -224,7 +226,7 @@ class CacheArray
     occupancy() const
     {
         std::size_t n = 0;
-        forEachValid([&](CacheEntry *) { ++n; });
+        forEachValid([&](Frame *) { ++n; });
         return n;
     }
 
@@ -261,7 +263,7 @@ class CacheArray
     struct Way
     {
         Addr tag;          ///< kAddrNone: invalid or never used
-        CacheEntry *frame; ///< null until the way is first used
+        Frame *frame; ///< null until the way is first used
     };
 
     /** The ways of block-index entry @p block (nonzero). */
@@ -285,7 +287,7 @@ class CacheArray
 
     /** The way holding @p frame in @p line's set. */
     Way &
-    wayOf(Addr line, const CacheEntry *frame)
+    wayOf(Addr line, const Frame *frame)
     {
         std::uint32_t block = blockOf_[setOf(line)];
         WIDIR_ASSERT(block != 0, "frame's set has no block");
@@ -346,11 +348,11 @@ class CacheArray
     }
 
     /** A fresh (invalid) frame from the slab. */
-    CacheEntry *
+    Frame *
     allocateFrame()
     {
         if (framesUsed_ % kChunkFrames == 0)
-            chunks_.push_back(std::make_unique<CacheEntry[]>(kChunkFrames));
+            chunks_.push_back(std::make_unique<Frame[]>(kChunkFrames));
         return &chunks_.back()[framesUsed_++ % kChunkFrames];
     }
 
@@ -402,7 +404,7 @@ class CacheArray
     std::size_t oneWayUsed_ = 0;
     std::uint32_t freeOneWay_ = 0; ///< free-list head (entry), 0 if empty
     std::size_t setsUsed_ = 0;
-    std::vector<std::unique_ptr<CacheEntry[]>> chunks_; ///< frame slab
+    std::vector<std::unique_ptr<Frame[]>> chunks_; ///< frame slab
     std::size_t framesUsed_ = 0;
     std::uint64_t lruCounter_ = 0;
 };

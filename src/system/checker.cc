@@ -21,7 +21,7 @@ struct Copy
     Addr line;
     NodeId node;
     L1State state;
-    const mem::CacheEntry *frame;
+    const coherence::L1Frame *frame;
 };
 
 bool
@@ -53,10 +53,9 @@ checkCoherence(Manycore &m)
     std::vector<Copy> copies;
     copies.reserve(total);
     for (NodeId n = 0; n < m.numCores(); ++n) {
-        m.l1(n).array().forEach([&](mem::CacheEntry &e) {
-            auto state = static_cast<L1State>(e.state);
-            copies.push_back({e.line, n, state, &e});
-            if (state != L1State::I && e.locked) {
+        m.l1(n).array().forEach([&](coherence::L1Frame &e) {
+            copies.push_back({e.line, n, e.state, &e});
+            if (e.state != L1State::I && e.locked) {
                 complain(sim::strfmt(
                     "node %u: line %#llx still locked at quiescence", n,
                     static_cast<unsigned long long>(e.line)));
@@ -86,8 +85,8 @@ checkCoherence(Manycore &m)
 
         NodeId home = m.fabric().homeOf(line);
         auto &dir = m.dir(home);
-        const auto *entry = dir.entryOf(line);
-        auto *llc = dir.llc().lookup(line);
+        const coherence::LlcFrame *llc = dir.llc().lookup(line);
+        const coherence::DirEntry *entry = llc;
         std::size_t exclusive = num_e + num_m;
 
         if (dir.busy(line)) {
@@ -113,7 +112,7 @@ checkCoherence(Manycore &m)
                 static_cast<unsigned long long>(line)));
         }
 
-        if (!entry || !llc) {
+        if (!llc) {
             complain(sim::strfmt(
                 "line %#llx: cached copies but no home directory entry",
                 static_cast<unsigned long long>(line)));
@@ -204,7 +203,7 @@ checkCoherence(Manycore &m)
     // Clean LLC lines must agree with memory; and W/EM/S entries with
     // no corresponding cached copies are stale metadata.
     for (NodeId n = 0; n < m.numCores(); ++n) {
-        m.dir(n).llc().forEach([&](mem::CacheEntry &e) {
+        m.dir(n).llc().forEach([&](coherence::LlcFrame &e) {
             if (!e.dirty) {
                 if (!(m.memory().peekLine(e.line) == e.data)) {
                     complain(sim::strfmt(
@@ -213,26 +212,20 @@ checkCoherence(Manycore &m)
                         static_cast<unsigned long long>(e.line), n));
                 }
             }
-            const auto *entry = m.dir(n).entryOf(e.line);
-            if (!entry) {
-                complain(sim::strfmt(
-                    "line %#llx: LLC entry without directory entry",
-                    static_cast<unsigned long long>(e.line)));
-                return;
-            }
+            const coherence::DirEntry &entry = e;
             // A Dir_3_B entry with the broadcast bit set cannot track
             // evictions, so S+bcast may legitimately outlive every
             // cached copy (the next write broadcast-invalidates and
             // re-establishes precision).
-            bool imprecise = entry->state == DirState::S && entry->bcast;
-            if (entry->state != DirState::I && !imprecise &&
+            bool imprecise = entry.state == DirState::S && entry.bcast;
+            if (entry.state != DirState::I && !imprecise &&
                 !std::binary_search(copies.begin(), copies.end(),
                                     Copy{e.line, 0, L1State::I, nullptr},
                                     lineLess)) {
                 complain(sim::strfmt(
                     "line %#llx: directory %s but no cached copies",
                     static_cast<unsigned long long>(e.line),
-                    coherence::dirStateName(entry->state)));
+                    coherence::dirStateName(entry.state)));
             }
         });
     }

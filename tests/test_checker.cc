@@ -93,12 +93,13 @@ TEST(Checker, DetectsForgedSecondModifiedCopy)
     ASSERT_TRUE(sys::checkCoherence(m).empty());
 
     // Node 2 never touched kA; plant a fake dirty-M copy there.
-    mem::CacheArray &arr = m.l1(2).array();
-    mem::CacheEntry *frame = arr.pickVictim(kA);
+    coherence::L1Array &arr = m.l1(2).array();
+    coherence::L1Frame *frame = arr.pickVictim(kA);
     ASSERT_NE(frame, nullptr);
     mem::LineData forged;
     forged.setWord(kA, 99);
-    arr.fill(frame, kA, static_cast<std::uint8_t>(L1State::M), forged);
+    arr.fill(frame, kA, forged);
+    frame->state = L1State::M;
 
     std::vector<std::string> v = sys::checkCoherence(m);
     EXPECT_TRUE(anyContains(v, "SWMR violated")) << joined(v);
@@ -151,7 +152,7 @@ TEST(Checker, DetectsStaleLlcData)
     ASSERT_TRUE(sys::checkCoherence(m).empty());
 
     sim::NodeId home = m.fabric().homeOf(kA);
-    mem::CacheEntry *llcLine = m.dir(home).llc().lookup(kA);
+    coherence::LlcFrame *llcLine = m.dir(home).llc().lookup(kA);
     ASSERT_NE(llcLine, nullptr);
     llcLine->data.setWord(kA, 0xdeadu);
 
@@ -197,17 +198,17 @@ TEST(Checker, ForgedSharersAreReportedInNodeOrder)
     mem::LineData held;
     held.setWord(kB, 99);
     for (sim::NodeId n : {3u, 1u, 2u}) {
-        mem::CacheArray &arr = m.l1(n).array();
-        mem::CacheEntry *frame = arr.pickVictim(kB);
+        coherence::L1Array &arr = m.l1(n).array();
+        coherence::L1Frame *frame = arr.pickVictim(kB);
         ASSERT_NE(frame, nullptr);
-        arr.fill(frame, kB, static_cast<std::uint8_t>(L1State::S), held);
+        arr.fill(frame, kB, held);
+        frame->state = L1State::S;
     }
     sim::NodeId home = m.fabric().homeOf(kB);
-    mem::CacheArray &llc = m.dir(home).llc();
-    mem::CacheEntry *frame = llc.pickVictim(kB);
+    coherence::LlcArray &llc = m.dir(home).llc();
+    coherence::LlcFrame *frame = llc.pickVictim(kB);
     ASSERT_NE(frame, nullptr);
-    llc.fill(frame, kB, static_cast<std::uint8_t>(DirState::S),
-             mem::LineData{});
+    llc.fill(frame, kB, mem::LineData{});
     m.dir(home).mutableEntryForTest(kB).state = DirState::S;
 
     std::vector<std::string> v = sys::checkCoherence(m);
@@ -220,6 +221,19 @@ TEST(Checker, ForgedSharersAreReportedInNodeOrder)
         "line 0x180000: S copy at 3 differs from LLC",
     };
     EXPECT_EQ(v, want) << joined(v);
+}
+
+// The directory entry lives in the LLC frame, so the back door reaches
+// only lines the LLC holds: any other line has no entry to corrupt.
+TEST(CheckerDeathTest, MutableEntryNeedsAnLlcLine)
+{
+    constexpr Addr kNever = 0x700000;
+    Manycore m(SystemConfig::widir(4));
+    m.run(sharedReaders);
+    sim::NodeId home = m.fabric().homeOf(kNever);
+    ASSERT_EQ(m.dir(home).llc().lookup(kNever), nullptr);
+    EXPECT_DEATH(m.dir(home).mutableEntryForTest(kNever),
+                 "not in the LLC");
 }
 
 } // namespace

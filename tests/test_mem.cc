@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -21,9 +22,13 @@
 namespace {
 
 using namespace widir;
-using mem::CacheArray;
-using mem::CacheEntry;
+using coherence::DirEntry;
+using coherence::DirState;
+using coherence::L1Line;
+using coherence::L1State;
 using mem::LineData;
+using coherence::L1Array;
+using coherence::L1Frame;
 
 TEST(Address, LineMath)
 {
@@ -56,22 +61,23 @@ TEST(LineData, WordAccess)
 
 TEST(CacheArray, GeometryFromSize)
 {
-    CacheArray c(64 * 1024, 2); // 64KB 2-way: 512 sets
+    L1Array c(64 * 1024, 2); // 64KB 2-way: 512 sets
     EXPECT_EQ(c.numSets(), 512u);
     EXPECT_EQ(c.assoc(), 2u);
 }
 
 TEST(CacheArray, FillLookupInvalidate)
 {
-    CacheArray c(1024, 2); // 8 sets
+    L1Array c(1024, 2); // 8 sets
     LineData d;
     d.setWord(0, 7);
-    CacheEntry *v = c.pickVictim(0x0);
+    L1Frame *v = c.pickVictim(0x0);
     ASSERT_NE(v, nullptr);
-    c.fill(v, 0x0, 3, d);
-    CacheEntry *e = c.lookup(0x8); // same line
+    c.fill(v, 0x0, d);
+    v->state = L1State::M;
+    L1Frame *e = c.lookup(0x8); // same line
     ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->state, 3);
+    EXPECT_EQ(e->state, L1State::M);
     EXPECT_EQ(e->data.word(0x0), 7u);
     c.invalidate(e);
     EXPECT_EQ(c.lookup(0x0), nullptr);
@@ -79,28 +85,28 @@ TEST(CacheArray, FillLookupInvalidate)
 
 TEST(CacheArray, LruEvictsOldest)
 {
-    CacheArray c(1024, 2); // 8 sets, 2 ways
+    L1Array c(1024, 2); // 8 sets, 2 ways
     LineData d;
     // Two lines in the same set: set = lineNumber % 8.
     sim::Addr a1 = 0 * 64, a2 = 8 * 64, a3 = 16 * 64;
-    c.fill(c.pickVictim(a1), a1, 1, d);
-    c.fill(c.pickVictim(a2), a2, 1, d);
+    c.fill(c.pickVictim(a1), a1, d);
+    c.fill(c.pickVictim(a2), a2, d);
     // Touch a1 so a2 is LRU.
     c.touch(c.lookup(a1), 0);
-    CacheEntry *victim = c.pickVictim(a3);
+    L1Frame *victim = c.pickVictim(a3);
     ASSERT_NE(victim, nullptr);
     EXPECT_EQ(victim->line, a2);
 }
 
 TEST(CacheArray, LockedEntriesNotVictimized)
 {
-    CacheArray c(1024, 2);
+    L1Array c(1024, 2);
     LineData d;
     sim::Addr a1 = 0 * 64, a2 = 8 * 64, a3 = 16 * 64;
-    c.fill(c.pickVictim(a1), a1, 1, d);
-    c.fill(c.pickVictim(a2), a2, 1, d);
+    c.fill(c.pickVictim(a1), a1, d);
+    c.fill(c.pickVictim(a2), a2, d);
     c.lookup(a1)->locked = true;
-    CacheEntry *victim = c.pickVictim(a3);
+    L1Frame *victim = c.pickVictim(a3);
     ASSERT_NE(victim, nullptr);
     EXPECT_EQ(victim->line, a2);
     c.lookup(a2)->locked = true;
@@ -109,30 +115,30 @@ TEST(CacheArray, LockedEntriesNotVictimized)
 
 TEST(CacheArray, OccupancyAndForEach)
 {
-    CacheArray c(1024, 2);
+    L1Array c(1024, 2);
     LineData d;
-    c.fill(c.pickVictim(0), 0, 1, d);
-    c.fill(c.pickVictim(64), 64, 2, d);
+    c.fill(c.pickVictim(0), 0, d);
+    c.fill(c.pickVictim(64), 64, d);
     EXPECT_EQ(c.occupancy(), 2u);
     int seen = 0;
-    c.forEach([&](CacheEntry &) { ++seen; });
+    c.forEach([&](L1Frame &) { ++seen; });
     EXPECT_EQ(seen, 2);
 }
 
 TEST(CacheArray, FreshArrayIsEmptyAndUninitialised)
 {
-    CacheArray c(64 * 1024, 2);
+    L1Array c(64 * 1024, 2);
     EXPECT_EQ(c.initialisedSets(), 0u);
     EXPECT_EQ(c.lookup(0x0), nullptr);
     EXPECT_EQ(c.lookup(0x12340), nullptr);
     EXPECT_EQ(c.occupancy(), 0u);
     int seen = 0;
-    c.forEach([&](CacheEntry &) { ++seen; });
+    c.forEach([&](L1Frame &) { ++seen; });
     EXPECT_EQ(seen, 0);
 
     // Asking for a victim initialises exactly that set, and its frames
     // start invalid.
-    CacheEntry *v = c.pickVictim(0x12340);
+    L1Frame *v = c.pickVictim(0x12340);
     ASSERT_NE(v, nullptr);
     EXPECT_FALSE(v->valid);
     EXPECT_EQ(c.initialisedSets(), 1u);
@@ -142,32 +148,32 @@ TEST(CacheArray, FreshArrayIsEmptyAndUninitialised)
 
 TEST(CacheArray, FramesAreAllocatedPerWayOnFirstFill)
 {
-    CacheArray c(64 * 1024, 8); // 128 sets, 8 ways
+    L1Array c(64 * 1024, 8); // 128 sets, 8 ways
     LineData d;
     auto same_set = [&](sim::Addr i) {
         return i * c.numSets() * mem::kLineBytes;
     };
     EXPECT_EQ(c.allocatedFrames(), 0u);
 
-    c.fill(c.pickVictim(same_set(0)), same_set(0), 1, d);
+    c.fill(c.pickVictim(same_set(0)), same_set(0), d);
     EXPECT_EQ(c.allocatedFrames(), 1u);
     EXPECT_EQ(c.initialisedSets(), 1u);
 
     for (sim::Addr i = 1; i < 8; ++i)
-        c.fill(c.pickVictim(same_set(i)), same_set(i), 1, d);
+        c.fill(c.pickVictim(same_set(i)), same_set(i), d);
     EXPECT_EQ(c.allocatedFrames(), 8u);
     EXPECT_EQ(c.occupancy(), 8u);
 
     // A freed way is reused; the full set evicts in place.
-    CacheEntry *e = c.lookup(same_set(3));
+    L1Frame *e = c.lookup(same_set(3));
     ASSERT_NE(e, nullptr);
     c.invalidate(e);
     EXPECT_EQ(c.lookup(same_set(3)), nullptr);
-    CacheEntry *v = c.pickVictim(same_set(8));
+    L1Frame *v = c.pickVictim(same_set(8));
     EXPECT_EQ(v, e);
-    c.fill(v, same_set(8), 1, d);
+    c.fill(v, same_set(8), d);
     EXPECT_EQ(c.lookup(same_set(8)), e);
-    c.fill(c.pickVictim(same_set(9)), same_set(9), 1, d);
+    c.fill(c.pickVictim(same_set(9)), same_set(9), d);
     EXPECT_EQ(c.allocatedFrames(), 8u);
     EXPECT_EQ(c.occupancy(), 8u);
 }
@@ -177,9 +183,11 @@ TEST(CacheArray, FramesAreAllocatedPerWayOnFirstFill)
  * per-way frames, with every frame constructed up front and frames
  * named by index.
  */
+template <typename Meta>
 class EagerArray
 {
   public:
+    using Frame = mem::CacheFrame<Meta>;
     static constexpr std::size_t kNone = ~std::size_t{0};
 
     EagerArray(std::uint64_t size_bytes, std::uint32_t assoc,
@@ -208,7 +216,7 @@ class EagerArray
         sim::Addr line = mem::lineAlign(addr);
         std::size_t victim = kNone;
         for (std::size_t i = begin(line); i < begin(line) + assoc_; ++i) {
-            const CacheEntry &f = frames_[i];
+            const Frame &f = frames_[i];
             if (!f.valid)
                 return i;
             if (f.locked)
@@ -220,16 +228,14 @@ class EagerArray
     }
 
     void
-    fill(std::size_t i, sim::Addr line, std::uint8_t state,
-         const LineData &d)
+    fill(std::size_t i, sim::Addr line, const LineData &d)
     {
-        CacheEntry &f = frames_[i];
+        Frame &f = frames_[i];
         if (f.lruStamp == 0)
             ++everFilled_;
-        f = CacheEntry{};
+        f = Frame{};
         f.line = mem::lineAlign(line);
         f.valid = true;
-        f.state = state;
         f.data = d;
         f.lruStamp = ++lru_;
     }
@@ -239,16 +245,15 @@ class EagerArray
     void
     invalidate(std::size_t i)
     {
-        CacheEntry &f = frames_[i];
+        Frame &f = frames_[i];
+        static_cast<Meta &>(f) = Meta{};
         f.valid = false;
         f.line = sim::kAddrNone;
-        f.state = 0;
         f.dirty = false;
-        f.updateCount = 0;
         f.locked = false;
     }
 
-    CacheEntry &at(std::size_t i) { return frames_[i]; }
+    Frame &at(std::size_t i) { return frames_[i]; }
 
     /** Frames filled at least once: what the lazy array may allocate. */
     std::size_t everFilled() const { return everFilled_; }
@@ -268,11 +273,11 @@ class EagerArray
     }
 
     /** Valid frames in index order: what forEach must visit. */
-    std::vector<const CacheEntry *>
+    std::vector<const Frame *>
     valid() const
     {
-        std::vector<const CacheEntry *> out;
-        for (const CacheEntry &f : frames_) {
+        std::vector<const Frame *> out;
+        for (const Frame &f : frames_) {
             if (f.valid)
                 out.push_back(&f);
         }
@@ -290,17 +295,63 @@ class EagerArray
     std::size_t assoc_;
     std::size_t numSets_;
     std::uint64_t divisor_;
-    std::vector<CacheEntry> frames_;
+    std::vector<Frame> frames_;
     std::uint64_t lru_ = 0;
     std::size_t everFilled_ = 0;
 };
 
+/**
+ * Write some of the owner's metadata from @p r on top of what the
+ * frame holds: a fill that kept the previous line's metadata shows up
+ * as a field the next scribble leaves alone, or as one extra sharer.
+ */
 void
-expectSameFrame(const CacheEntry &lazy, const CacheEntry &ref)
+scribble(L1Line &m, std::uint64_t r)
+{
+    m.state = static_cast<L1State>(1 + r % 4);
+    if ((r & 8) != 0)
+        m.updateCount = static_cast<std::uint8_t>(1 + (r >> 4) % 3);
+}
+
+void
+scribble(DirEntry &e, std::uint64_t r)
+{
+    e.state = static_cast<DirState>(1 + r % 3);
+    e.sharers.push_back(static_cast<sim::NodeId>((r >> 4) % 64));
+    if ((r & 8) != 0)
+        e.owner = static_cast<sim::NodeId>((r >> 10) % 64);
+    if ((r & 16) != 0)
+        e.bcast = true;
+    if ((r & 32) != 0)
+        e.sharerCount = static_cast<std::uint32_t>(1 + (r >> 16) % 7);
+}
+
+void
+expectSameMeta(const L1Line &lazy, const L1Line &ref)
+{
+    EXPECT_EQ(lazy.state, ref.state);
+    EXPECT_EQ(lazy.updateCount, ref.updateCount);
+}
+
+void
+expectSameMeta(const DirEntry &lazy, const DirEntry &ref)
+{
+    EXPECT_EQ(lazy.state, ref.state);
+    EXPECT_TRUE(std::equal(lazy.sharers.begin(), lazy.sharers.end(),
+                           ref.sharers.begin(), ref.sharers.end()));
+    EXPECT_EQ(lazy.bcast, ref.bcast);
+    EXPECT_EQ(lazy.owner, ref.owner);
+    EXPECT_EQ(lazy.sharerCount, ref.sharerCount);
+}
+
+template <typename Meta>
+void
+expectSameFrame(const mem::CacheFrame<Meta> &lazy,
+                const mem::CacheFrame<Meta> &ref)
 {
     EXPECT_EQ(lazy.valid, ref.valid);
     EXPECT_EQ(lazy.line, ref.line);
-    EXPECT_EQ(lazy.state, ref.state);
+    expectSameMeta(lazy, ref);
     EXPECT_EQ(lazy.locked, ref.locked);
     EXPECT_EQ(lazy.lruStamp, ref.lruStamp);
     EXPECT_TRUE(lazy.data == ref.data);
@@ -318,23 +369,26 @@ struct Grows
  * into the eager reference: every lookup, victim, forEach walk and
  * occupancy must agree, only frames the reference ever filled are
  * allocated, and a set grows to a full block exactly when its second
- * way is first filled. The grows are counted into @p grows.
+ * way is first filled. Each fill scribbles the owner's metadata, so a
+ * frame that is filled again or invalidated must come back to the
+ * default Meta. The grows are counted into @p grows.
  */
+template <typename Meta>
 void
 churnAgainstEagerReference(std::uint64_t size_bytes, std::uint32_t assoc,
                            std::uint64_t divisor, std::uint64_t lines,
                            Grows &grows)
 {
-    CacheArray lazy(size_bytes, assoc, divisor);
-    EagerArray ref(size_bytes, assoc, divisor);
+    mem::CacheArray<Meta> lazy(size_bytes, assoc, divisor);
+    EagerArray<Meta> ref(size_bytes, assoc, divisor);
     std::mt19937_64 rng(12345);
     for (int step = 0; step < 20000; ++step) {
         SCOPED_TRACE(step);
         sim::Addr addr =
             (rng() % lines) * mem::kLineBytes + (rng() % 8) * 8;
-        CacheEntry *hit = lazy.lookup(addr);
+        mem::CacheFrame<Meta> *hit = lazy.lookup(addr);
         std::size_t ref_hit = ref.lookup(addr);
-        ASSERT_EQ(hit == nullptr, ref_hit == EagerArray::kNone);
+        ASSERT_EQ(hit == nullptr, ref_hit == EagerArray<Meta>::kNone);
         if (hit != nullptr)
             expectSameFrame(*hit, ref.at(ref_hit));
 
@@ -343,9 +397,10 @@ churnAgainstEagerReference(std::uint64_t size_bytes, std::uint32_t assoc,
             if (hit != nullptr)
                 break;
             std::size_t wide = lazy.wideSets();
-            CacheEntry *victim = lazy.pickVictim(addr);
+            mem::CacheFrame<Meta> *victim = lazy.pickVictim(addr);
             std::size_t ref_victim = ref.pickVictim(addr);
-            ASSERT_EQ(victim == nullptr, ref_victim == EagerArray::kNone);
+            ASSERT_EQ(victim == nullptr,
+                      ref_victim == EagerArray<Meta>::kNone);
             if (victim == nullptr)
                 break;
             expectSameFrame(*victim, ref.at(ref_victim));
@@ -358,9 +413,11 @@ churnAgainstEagerReference(std::uint64_t size_bytes, std::uint32_t assoc,
             }
             LineData d;
             d.setWordAt(0, static_cast<std::uint64_t>(step));
-            auto state = static_cast<std::uint8_t>(1 + rng() % 4);
-            lazy.fill(victim, addr, state, d);
-            ref.fill(ref_victim, addr, state, d);
+            std::uint64_t meta = rng();
+            lazy.fill(victim, addr, d);
+            ref.fill(ref_victim, addr, d);
+            scribble(*victim, meta);
+            scribble(ref.at(ref_victim), meta);
             break;
           }
           case 1:
@@ -384,9 +441,10 @@ churnAgainstEagerReference(std::uint64_t size_bytes, std::uint32_t assoc,
         }
 
         // forEach visits the same frames in the same (frame) order.
-        std::vector<const CacheEntry *> want = ref.valid();
-        std::vector<const CacheEntry *> got;
-        lazy.forEach([&](CacheEntry &e) { got.push_back(&e); });
+        using Frame = mem::CacheFrame<Meta>;
+        std::vector<const Frame *> want = ref.valid();
+        std::vector<const Frame *> got;
+        lazy.forEach([&](Frame &e) { got.push_back(&e); });
         ASSERT_EQ(got.size(), want.size());
         EXPECT_EQ(lazy.occupancy(), want.size());
         for (std::size_t i = 0; i < got.size(); ++i)
@@ -400,19 +458,41 @@ churnAgainstEagerReference(std::uint64_t size_bytes, std::uint32_t assoc,
     EXPECT_EQ(lazy.allocatedFrames(), ref.everFilled());
 }
 
+/**
+ * Churn the L1 frame and the LLC frame (directory entry) alike. The
+ * metadata never steers replacement, so both see the same grows.
+ */
+Grows
+churnBothFrames(std::uint64_t size_bytes, std::uint32_t assoc,
+                std::uint64_t divisor, std::uint64_t lines)
+{
+    Grows l1, llc;
+    {
+        SCOPED_TRACE("L1 frame");
+        churnAgainstEagerReference<L1Line>(size_bytes, assoc, divisor,
+                                           lines, l1);
+    }
+    {
+        SCOPED_TRACE("LLC frame");
+        churnAgainstEagerReference<DirEntry>(size_bytes, assoc, divisor,
+                                             lines, llc);
+    }
+    EXPECT_EQ(l1.all, llc.all);
+    EXPECT_EQ(l1.locked, llc.locked);
+    return l1;
+}
+
 TEST(CacheArray, LazySetsMatchEagerReferenceUnderChurn)
 {
     // 16 sets x 4 ways, LLC-style index divisor; 200 lines contend.
-    Grows dense, shifted, sparse;
-    churnAgainstEagerReference(4096, 4, 3, 200, dense);
-    EXPECT_EQ(dense.all, 16u);
+    EXPECT_EQ(churnBothFrames(4096, 4, 3, 200).all, 16u);
     // A power-of-two divisor (the LLC's at 64 and 256 tiles) indexes
     // by shifting instead of dividing.
-    churnAgainstEagerReference(4096, 4, 4, 200, shifted);
+    churnBothFrames(4096, 4, 4, 200);
     // 256 sets x 4 ways and 300 lines: most sets keep one line for a
     // long time, so a set often meets its second line while its one
     // line is locked, and grown sets free blocks for new ones.
-    churnAgainstEagerReference(64 * 1024, 4, 1, 300, sparse);
+    Grows sparse = churnBothFrames(64 * 1024, 4, 1, 300);
     EXPECT_EQ(sparse.all, 300u - 256u);
     EXPECT_GT(sparse.locked, 0u);
 }
@@ -420,38 +500,37 @@ TEST(CacheArray, LazySetsMatchEagerReferenceUnderChurn)
 TEST(CacheArray, LazyFramesMatchEagerReferenceInL1Shape)
 {
     // 16 sets x 2 ways, no index divisor: the private L1's shape.
-    Grows dense, sparse;
-    churnAgainstEagerReference(2048, 2, 1, 200, dense);
+    churnBothFrames(2048, 2, 1, 200);
     // 64 sets x 2 ways and 80 lines: the grow boundary, locked too.
-    churnAgainstEagerReference(8192, 2, 1, 80, sparse);
+    Grows sparse = churnBothFrames(8192, 2, 1, 80);
     EXPECT_EQ(sparse.all, 80u - 64u);
     EXPECT_GT(sparse.locked, 0u);
 }
 
 TEST(CacheArray, OneWayBlockGrowsOnSecondLine)
 {
-    CacheArray c(64 * 1024, 8); // 128 sets, 8 ways
+    L1Array c(64 * 1024, 8); // 128 sets, 8 ways
     LineData d;
     const sim::Addr stride = c.numSets() * mem::kLineBytes;
 
     // A set's first line holds a one-way block.
-    CacheEntry *first = c.pickVictim(0);
-    c.fill(first, 0, 1, d);
+    L1Frame *first = c.pickVictim(0);
+    c.fill(first, 0, d);
     EXPECT_EQ(c.initialisedSets(), 1u);
     EXPECT_EQ(c.wideSets(), 0u);
     // Invalidating and refilling reuses the one way.
     c.invalidate(first);
     EXPECT_EQ(c.pickVictim(stride), first);
-    c.fill(first, stride, 1, d);
+    c.fill(first, stride, d);
     EXPECT_EQ(c.wideSets(), 0u);
 
     // Its second line grows it; the first line's frame stays put.
-    CacheEntry *second = c.pickVictim(2 * stride);
+    L1Frame *second = c.pickVictim(2 * stride);
     ASSERT_NE(second, nullptr);
     EXPECT_NE(second, first);
     EXPECT_FALSE(second->valid);
     EXPECT_EQ(c.wideSets(), 1u);
-    c.fill(second, 2 * stride, 1, d);
+    c.fill(second, 2 * stride, d);
     EXPECT_EQ(c.lookup(stride), first);
     EXPECT_EQ(c.lookup(2 * stride), second);
     EXPECT_EQ(c.initialisedSets(), 1u);
@@ -459,10 +538,10 @@ TEST(CacheArray, OneWayBlockGrowsOnSecondLine)
 
     // A one-way set whose only line is locked still grows and hands
     // out a fresh frame, as the second never-used way would.
-    CacheEntry *pinned = c.pickVictim(mem::kLineBytes);
-    c.fill(pinned, mem::kLineBytes, 1, d);
+    L1Frame *pinned = c.pickVictim(mem::kLineBytes);
+    c.fill(pinned, mem::kLineBytes, d);
     pinned->locked = true;
-    CacheEntry *fresh = c.pickVictim(mem::kLineBytes + stride);
+    L1Frame *fresh = c.pickVictim(mem::kLineBytes + stride);
     ASSERT_NE(fresh, nullptr);
     EXPECT_NE(fresh, pinned);
     EXPECT_FALSE(fresh->valid);
@@ -476,18 +555,18 @@ TEST(CacheArray, SetBlocksFollowTouchedSets)
 {
     // One set block per distinct set ever used, however many lines
     // pass through it.
-    CacheArray c(1024 * 8 * mem::kLineBytes, 8); // 1,024 sets, 8 ways
+    L1Array c(1024 * 8 * mem::kLineBytes, 8); // 1,024 sets, 8 ways
     ASSERT_EQ(c.numSets(), 1024u);
     LineData d;
     const sim::Addr stride = c.numSets() * mem::kLineBytes;
     for (std::size_t k : {1u, 2u, 37u, 600u, 1024u}) {
-        CacheArray a(1024 * 8 * mem::kLineBytes, 8);
+        L1Array a(1024 * 8 * mem::kLineBytes, 8);
         for (std::size_t set = 0; set < k; ++set) {
             // Spread the sets out and put ten lines through each.
             sim::Addr base = ((set * 389) % 1024) * mem::kLineBytes;
             for (sim::Addr i = 0; i < 10; ++i) {
                 sim::Addr line = base + i * stride;
-                a.fill(a.pickVictim(line), line, 1, d);
+                a.fill(a.pickVictim(line), line, d);
             }
         }
         EXPECT_EQ(a.initialisedSets(), k);

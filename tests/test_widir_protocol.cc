@@ -290,10 +290,13 @@ TEST(WiDir, WirelessRmwIsAtomic)
 
 /**
  * W->I: evicting the LLC line broadcasts WirInv; cached copies vanish
- * and the next access re-allocates through the wired path.
+ * and the next access re-allocates through the wired path. With
+ * @p w_frame set, core 0 notes the LLC frame holding kA before it
+ * streams the lines that evict it.
  */
 Task
-wirInvBody(Thread &t)
+wirInvBody(Thread &t, Manycore *m = nullptr,
+           coherence::LlcFrame **w_frame = nullptr)
 {
     if (t.id() < 4) {
         // Build the wireless group on kA.
@@ -314,6 +317,8 @@ wirInvBody(Thread &t)
                 break;
             co_await t.compute(20);
         }
+        if (w_frame != nullptr)
+            *w_frame = m->dir(m->fabric().homeOf(kA)).llc().lookup(kA);
         // Stream lines that map to kA's home slice and LLC set (8
         // nodes, 8-set slice: line-number stride 64, i.e. 4KB) to
         // force the W line's eviction. These hit distinct L1 sets, so
@@ -341,6 +346,46 @@ TEST(WiDir, LlcEvictionOfWirelessLineBroadcastsWirInv)
         for (sim::NodeId n = 0; n < 8; ++n)
             EXPECT_NE(m.l1(n).stateOf(kA), L1State::W) << n;
     }
+}
+
+// The directory entry lives in the LLC frame, so a recycled frame must
+// not inherit the old line's sharers, owner or SharerCount: the frame
+// that held kA's wireless group is refilled by the stream with only
+// the fetch's own entry, and filling kA back into it starts from I.
+TEST(WiDir, RecycledLlcFrameStartsWithCleanEntry)
+{
+    SystemConfig cfg = smallWiDir(8);
+    cfg.llc.sizeBytes = 4096;
+    Manycore m(cfg);
+    coherence::LlcFrame *frame = nullptr;
+    m.run([&m, &frame](Thread &t) { return wirInvBody(t, &m, &frame); });
+
+    ASSERT_GE(m.dirTotals().wirInvs, 1u);
+    auto &home = m.dir(m.fabric().homeOf(kA));
+    ASSERT_NE(frame, nullptr);
+    ASSERT_EQ(home.llc().lookup(kA), nullptr);
+    ASSERT_TRUE(frame->valid);
+    EXPECT_NE(frame->line, mem::lineAlign(kA));
+    EXPECT_TRUE(frame->sharers.empty());
+    EXPECT_FALSE(frame->bcast);
+    EXPECT_EQ(frame->sharerCount, 0u);
+    EXPECT_EQ(frame->owner,
+              frame->state == DirState::EM ? 0u : sim::kNodeNone);
+
+    // Give the frame a busy entry, then fill kA back into it.
+    frame->state = DirState::W;
+    frame->sharers.push_back(3);
+    frame->bcast = true;
+    frame->owner = 2;
+    frame->sharerCount = 5;
+    home.llc().fill(frame, kA, mem::LineData{});
+    const coherence::DirEntry *e = home.entryOf(kA);
+    ASSERT_EQ(e, frame);
+    EXPECT_EQ(e->state, DirState::I);
+    EXPECT_TRUE(e->sharers.empty());
+    EXPECT_EQ(e->owner, sim::kNodeNone);
+    EXPECT_FALSE(e->bcast);
+    EXPECT_EQ(e->sharerCount, 0u);
 }
 
 /** The triggering request may be a write (GetX path of Table I). */
