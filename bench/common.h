@@ -198,8 +198,9 @@ class Options
              "tile list",
              [this](const char *v) {
                  long n = 0;
-                 if (!sys::parseEnvInt(v, 1, 1'000'000, n))
-                     die("invalid --tiles value '%s'", v);
+                 if (!sys::parseEnvInt(v, 1, sys::kMaxCores, n))
+                     die("invalid --tiles value '%s' (at most %u)", v,
+                         sys::kMaxCores);
                  tiles_.push_back(static_cast<std::uint32_t>(n));
              }},
             {"--mesh-concentration", "C",

@@ -48,14 +48,6 @@ DirectoryController::busy(Addr line) const
     return txns_.count(lineAlign(line)) > 0;
 }
 
-LlcFrame &
-DirectoryController::entryAt(Addr line)
-{
-    LlcFrame *e = llc_.lookup(line);
-    WIDIR_ASSERT(e, "transaction without dir entry");
-    return *e;
-}
-
 DirectoryController::DirTxn *
 DirectoryController::txnOf(Addr line)
 {
@@ -82,6 +74,18 @@ DirectoryController::describeOutstanding(std::string &out) const
     }
 }
 
+sim::TraceRecord
+DirectoryController::record(sim::TraceKind kind, Addr line) const
+{
+    sim::TraceRecord r;
+    r.tick = fabric_.simulator().now();
+    r.kind = kind;
+    r.comp = sim::TraceComponent::Directory;
+    r.node = node_;
+    r.line = line;
+    return r;
+}
+
 void
 DirectoryController::traceState(Addr line, DirState from, DirState to,
                                 const char *why, std::uint64_t arg)
@@ -89,12 +93,7 @@ DirectoryController::traceState(Addr line, DirState from, DirState to,
     sim::Tracer &tracer = fabric_.simulator().tracer();
     if (!(sim::kTraceCompiled && tracer.enabled()))
         return;
-    sim::TraceRecord r;
-    r.tick = fabric_.simulator().now();
-    r.kind = sim::TraceKind::DirTransition;
-    r.comp = sim::TraceComponent::Directory;
-    r.node = node_;
-    r.line = line;
+    sim::TraceRecord r = record(sim::TraceKind::DirTransition, line);
     r.from = static_cast<std::uint8_t>(from);
     r.to = static_cast<std::uint8_t>(to);
     r.fromName = dirStateName(from);
@@ -104,32 +103,33 @@ DirectoryController::traceState(Addr line, DirState from, DirState to,
     tracer.emit(r);
 }
 
+void
+DirectoryController::traceTxn(sim::TraceKind kind, const DirTxn &txn)
+{
+    sim::Tracer &tracer = fabric_.simulator().tracer();
+    if (!(sim::kTraceCompiled && tracer.enabled()))
+        return;
+    sim::TraceRecord r = record(kind, txn.line);
+    r.op = static_cast<std::uint8_t>(txn.type);
+    r.opName = dirTxnTypeName(txn.type);
+    tracer.emit(r);
+}
+
 DirectoryController::DirTxn &
-DirectoryController::beginTxn(TxnType type, Addr line)
+DirectoryController::beginTxn(TxnType type, Addr line, LlcFrame *frame)
 {
     auto [it, ok] = txns_.try_emplace(lineAlign(line));
     WIDIR_ASSERT(ok, "directory txn already in flight for the line");
     it->second.type = type;
     it->second.line = lineAlign(line);
-    if (LlcFrame *e = llc_.lookup(line))
-        e->locked = true;
-    sim::Tracer &tracer = fabric_.simulator().tracer();
-    if (sim::kTraceCompiled && tracer.enabled()) {
-        sim::TraceRecord r;
-        r.tick = fabric_.simulator().now();
-        r.kind = sim::TraceKind::DirTxnBegin;
-        r.comp = sim::TraceComponent::Directory;
-        r.node = node_;
-        r.line = it->second.line;
-        r.op = static_cast<std::uint8_t>(type);
-        r.opName = dirTxnTypeName(type);
-        tracer.emit(r);
-    }
+    if (frame)
+        frame->locked = true;
+    traceTxn(sim::TraceKind::DirTxnBegin, it->second);
     return it->second;
 }
 
 void
-DirectoryController::endTxn(Addr line)
+DirectoryController::endTxn(Addr line, LlcFrame *frame)
 {
     auto it = txns_.find(lineAlign(line));
     WIDIR_ASSERT(it != txns_.end(), "ending unknown directory txn");
@@ -137,21 +137,10 @@ DirectoryController::endTxn(Addr line)
         fabric_.dataChannel()->stopJamming(it->second.jamId);
         it->second.jamming = false;
     }
-    sim::Tracer &tracer = fabric_.simulator().tracer();
-    if (sim::kTraceCompiled && tracer.enabled()) {
-        sim::TraceRecord r;
-        r.tick = fabric_.simulator().now();
-        r.kind = sim::TraceKind::DirTxnEnd;
-        r.comp = sim::TraceComponent::Directory;
-        r.node = node_;
-        r.line = it->second.line;
-        r.op = static_cast<std::uint8_t>(it->second.type);
-        r.opName = dirTxnTypeName(it->second.type);
-        tracer.emit(r);
-    }
+    traceTxn(sim::TraceKind::DirTxnEnd, it->second);
     txns_.erase(it);
-    if (LlcFrame *e = llc_.lookup(line))
-        e->locked = false;
+    if (frame)
+        frame->locked = false;
 }
 
 void
@@ -173,7 +162,7 @@ DirectoryController::nack(const Msg &msg)
 }
 
 // ---------------------------------------------------------------------
-// Incoming wired messages
+// Dispatch: every event picks one row, and runStep runs its step
 // ---------------------------------------------------------------------
 
 void
@@ -190,221 +179,427 @@ DirectoryController::receive(const Msg &msg)
         ++stats_.getS;
     else if (msg.type == MsgType::GetX)
         ++stats_.getX;
+    // The line's one LLC lookup: the rewrite below, the guards and the
+    // step all work on this frame (null when the line is not resident).
+    LlcFrame *frame = llc_.lookup(msg.line);
     // A PutS that finds the entry in W predates the S->W transition:
     // the census counted the node, so it leaves the group like a PutW.
-    if (ev == DirEvent::MsgPutS && stateOf(msg.line) == DirState::W)
+    if (ev == DirEvent::MsgPutS && frame && frame->state == DirState::W)
         ev = DirEvent::MsgPutW;
-    // A transaction in flight decides through the in-transaction table;
-    // otherwise the handlers apply Table II to the stable entry.
     if (DirTxn *txn = txnOf(msg.line)) {
-        stepTxn(*txn, ev, msg);
+        stepTxn(*txn, ev, msg, frame);
         return;
     }
-    switch (ev) {
-      case DirEvent::MsgGetS:
-      case DirEvent::MsgGetX:
-        handleRequest(msg);
-        return;
-      case DirEvent::MsgPutS:
-        handlePutS(msg);
-        return;
-      case DirEvent::MsgPutE:
-      case DirEvent::MsgPutM:
-        handlePutEM(msg);
-        return;
-      case DirEvent::MsgPutW:
-        handlePutW(msg);
-        return;
-      case DirEvent::MsgInvAck:
-      case DirEvent::MsgOwnerData:
-      case DirEvent::MsgWirDwgrAck:
-        // A reply that outlived its transaction, such as the owner's
-        // InvAck after its own Put ended a RecallEM: a no-op row.
-        return;
-      case DirEvent::MsgWirUpgrAck:
-        sim::panic("directory %u: WirUpgrAck without a WJoin txn",
-                   node_);
-      case DirEvent::FrameWirUpd:
-      case DirEvent::FrameWirInv:
-      case DirEvent::LlcEvict:
-      case DirEvent::CensusDone:
-        break;
+    // A request for a resident line refreshes its LRU stamp.
+    if (frame && (ev == DirEvent::MsgGetS || ev == DirEvent::MsgGetX))
+        llc_.touch(frame, fabric_.simulator().now());
+    const DirState state = frame ? frame->state : DirState::I;
+    const DirGuards guards = guardsOf(msg, frame);
+    const int row = dirRuleFor(state, ev, guards);
+    if (row < 0)
+        sim::panic("directory %u: no Table II row for %s in %s with "
+                   "{%s} from node %u, line %#llx",
+                   node_, dirEventName(ev), dirStateName(state),
+                   dirGuardText({0xff, guards}).c_str(), msg.src,
+                   static_cast<unsigned long long>(lineAlign(msg.line)));
+    ++stableRuleHits_[static_cast<std::size_t>(row)];
+    const DirRule &rule = dirRules()[static_cast<std::size_t>(row)];
+    runStep(rule.step, msg, frame, nullptr, &rule);
+}
+
+DirGuards
+DirectoryController::guardsOf(const Msg &msg, const LlcFrame *frame) const
+{
+    DirGuards g = msg.isSharer ? guardBit(DirGuard::IsSharer) : 0;
+    if (!frame)
+        return g;
+    const auto &cfg = fabric_.config();
+    const std::uint32_t ptrs = frame->sharers.size();
+    // A broadcast entry may name any node, so it always has another
+    // invalidation target.
+    bool sharer = false, others = frame->bcast;
+    for (NodeId n : frame->sharers) {
+        if (n == msg.src)
+            sharer = true;
+        else
+            others = true;
     }
-    sim::panic("directory %u: %s is not a message event", node_,
-               dirEventName(ev));
+    g |= guardBit(DirGuard::InLlc);
+    if (sharer)
+        g |= guardBit(DirGuard::Sharer);
+    if (frame->bcast)
+        g |= guardBit(DirGuard::Bcast);
+    if (cfg.wireless() && ptrs >= cfg.maxWiredSharers)
+        g |= guardBit(DirGuard::Crowded);
+    if (ptrs >= cfg.dirPointers)
+        g |= guardBit(DirGuard::PtrsFull);
+    if (!others)
+        g |= guardBit(DirGuard::Alone);
+    if (frame->owner == msg.src)
+        g |= guardBit(DirGuard::Owner);
+    return g;
 }
 
 SenderRole
-DirectoryController::senderRole(const DirTxn &txn, const Msg &msg) const
+DirectoryController::senderRole(const DirTxn &txn, const Msg &msg,
+                                const LlcFrame *frame) const
 {
     if (msg.src == txn.requester)
         return SenderRole::Requester;
     if (txn.ackIds.contains(msg.src))
         return SenderRole::Acked;
-    const DirEntry *entry = entryOf(txn.line);
-    if (msg.isSharer || (entry && entry->sharers.contains(msg.src)))
+    if (msg.isSharer || (frame && frame->sharers.contains(msg.src)))
         return SenderRole::Sharer;
     return SenderRole::Other;
 }
 
 void
-DirectoryController::stepTxn(DirTxn &txn, DirEvent ev, const Msg &msg)
+DirectoryController::stepTxn(DirTxn &txn, DirEvent ev, const Msg &msg,
+                             LlcFrame *frame)
 {
-    const Addr line = txn.line;
-    const SenderRole role = senderRole(txn, msg);
+    const SenderRole role = senderRole(txn, msg, frame);
     const int row = dirTxnRuleFor(txn.type, ev, role);
     if (row < 0)
         sim::panic("directory %u: no step for %s from %s node %u during "
                    "%s of line %#llx",
                    node_, dirEventName(ev), senderRoleName(role), msg.src,
                    dirTxnTypeName(txn.type),
-                   static_cast<unsigned long long>(line));
+                   static_cast<unsigned long long>(txn.line));
     ++txnRuleHits_[static_cast<std::size_t>(row)];
-    switch (dirTxnRules()[static_cast<std::size_t>(row)].step) {
+    runStep(dirTxnRules()[static_cast<std::size_t>(row)].step, msg, frame,
+            &txn, nullptr);
+}
+
+void
+DirectoryController::ownEvent(DirEvent ev, Addr line, LlcFrame *frame,
+                              const mem::LineData *data)
+{
+    DirTxn *txn = txnOf(line);
+    if (!txn)
+        sim::panic("directory %u: %s for line %#llx with no transaction "
+                   "open",
+                   node_, dirEventName(ev),
+                   static_cast<unsigned long long>(line));
+    Msg own;
+    own.src = node_;
+    own.line = line;
+    if (data) {
+        own.hasData = true;
+        own.data = *data;
+    }
+    stepTxn(*txn, ev, own, frame);
+}
+
+void
+DirectoryController::enter(LlcFrame &frame, const DirRule &rule,
+                           Addr line, std::uint64_t arg)
+{
+    if (rule.note)
+        traceState(line, rule.from, rule.to, rule.note, arg);
+    frame.state = rule.to;
+}
+
+void
+DirectoryController::runStep(DirStep step, const Msg &msg, LlcFrame *frame,
+                             DirTxn *txn, const DirRule *rule)
+{
+    const auto &cfg = fabric_.config();
+    const Addr line = txn ? txn->line : lineAlign(msg.line);
+    switch (step) {
+      // -- Table II: no transaction open ---------------------------------
+      case DirStep::GrantExclusive:
+        enter(*frame, *rule, line, msg.src);
+        frame->owner = msg.src;
+        grant(msg.src, line,
+              msg.type == MsgType::GetS ? GrantState::E : GrantState::M,
+              *frame);
+        return;
+      case DirStep::AddSharer:
+        frame->sharers.push_back(msg.src);
+        grant(msg.src, line, GrantState::S, *frame);
+        return;
+      case DirStep::SetBroadcast:
+        // Dir_3_B overflow (Baseline): give up precision.
+        frame->bcast = true;
+        grant(msg.src, line, GrantState::S, *frame);
+        return;
+      case DirStep::StartCensus:
+        startToWireless(msg, *frame);
+        return;
+      case DirStep::Upgrade:
+        enter(*frame, *rule, line, msg.src);
+        frame->owner = msg.src;
+        frame->sharers.clear();
+        frame->bcast = false;
+        grant(msg.src, line, GrantState::M, *frame);
+        return;
+      case DirStep::InvalidateSharers: {
+        if (frame->bcast)
+            ++stats_.bcastInvBursts;
+        DirTxn &coll = beginTxn(TxnType::InvColl, line, frame);
+        coll.requester = msg.src;
+        coll.reqType = msg.type;
+        coll.acksExpected = sendInvs(*frame, msg.src);
+        frame->sharers.clear();
+        frame->bcast = false;
+        return;
+      }
+      case DirStep::Forward: {
+        ++stats_.fwds;
+        const bool gets = msg.type == MsgType::GetS;
+        DirTxn &fwd_txn =
+            beginTxn(gets ? TxnType::FwdS : TxnType::FwdX, line, frame);
+        fwd_txn.requester = msg.src;
+        fwd_txn.reqType = msg.type;
+        Msg fwd;
+        fwd.type = gets ? MsgType::FwdGetS : MsgType::FwdGetX;
+        fwd.dst = frame->owner;
+        fwd.line = line;
+        fwd.requester = msg.src;
+        send(fwd, cfg.dirProcLatency);
+        return;
+      }
+      case DirStep::FetchFromMemory:
+        // Bounce when the set is stuck behind a recall.
+        if (!makeRoom(line)) {
+            nack(msg);
+            return;
+        }
+        {
+            DirTxn &fetch = beginTxn(TxnType::Fetch, line, nullptr);
+            fetch.requester = msg.src;
+            fetch.reqType = msg.type;
+        }
+        ++stats_.memFetches;
+        fabric_.memory().readLine(line,
+                                  [this, line](const mem::LineData &data) {
+            ownEvent(DirEvent::MemData, line, nullptr, &data);
+        });
+        return;
+      case DirStep::JoinWireless: {
+        DirTxn &join = beginTxn(TxnType::WJoin, line, frame);
+        join.requester = msg.src;
+        join.reqType = msg.type;
+        join.jamId = fabric_.dataChannel()->startJamming(node_, line);
+        join.jamming = true;
+        admitJoiner(join, msg.src);
+        return;
+      }
+      case DirStep::DropPointer:
+        // A stale pointer would inflate a later S->W census snapshot
+        // (the protocol relies on the "always inform the directory"
+        // rule for exact counts, Section III-B).
+        frame->sharers.remove(msg.src);
+        enter(*frame, *rule, line);
+        return;
+      case DirStep::OwnerPut:
+        absorbData(frame, msg);
+        enter(*frame, *rule, line, msg.src);
+        frame->owner = sim::kNodeNone;
+        return;
+      case DirStep::ShrinkGroup:
+        WIDIR_ASSERT(frame->sharerCount > 0, "SharerCount underflow");
+        --frame->sharerCount;
+        enter(*frame, *rule, line, frame->sharerCount);
+        maybeStartToShared(*frame);
+        return;
+
+      // -- either table ---------------------------------------------------
       case DirStep::Nack:
         nack(msg);
         return;
+      case DirStep::Ignore:
+        return;
+
+      // -- a transaction is open ------------------------------------------
       case DirStep::AdmitJoiner:
         // Each joiner gets its own WirUpgr and WirUpgrAck, and
         // SharerCount increments commute, so batching them under one
         // transaction (jamming held until the last ack) is safe and
         // avoids serializing a burst of first-time readers.
-        admitJoiner(txn, msg.src);
-        return;
-      case DirStep::Ignore:
+        admitJoiner(*txn, msg.src);
         return;
       case DirStep::LeaveCensus:
         // Drop the pointer too: the node no longer shares the line.
-        entryAt(line).sharers.remove(msg.src);
-        WIDIR_ASSERT(txn.censusSharers > 0, "census underflow");
-        --txn.censusSharers;
+        frame->sharers.remove(msg.src);
+        WIDIR_ASSERT(txn->censusSharers > 0, "census underflow");
+        --txn->censusSharers;
         return;
       case DirStep::RequesterLeft:
-        txn.censusRequesterLeft = true;
+        txn->censusRequesterLeft = true;
         return;
-      case DirStep::LeaveGroup: {
-        DirEntry &entry = entryAt(line);
-        WIDIR_ASSERT(entry.sharerCount > 0, "SharerCount underflow");
-        --entry.sharerCount;
+      case DirStep::LeaveGroup:
+        WIDIR_ASSERT(frame->sharerCount > 0, "SharerCount underflow");
+        --frame->sharerCount;
         return;
-      }
       case DirStep::LeaveDowngrade:
-        WIDIR_ASSERT(txn.acksExpected > 0, "ack underflow");
-        --txn.acksExpected;
-        maybeFinishToShared(line);
+        WIDIR_ASSERT(txn->acksExpected > 0, "ack underflow");
+        --txn->acksExpected;
+        maybeFinishToShared(*txn, *frame);
         return;
       case DirStep::DropSurvivor:
-        txn.ackIds.remove(msg.src);
+        txn->ackIds.remove(msg.src);
         return;
       case DirStep::OwnerToShared: {
-        absorbData(line, msg);
-        LlcFrame &entry = entryAt(line);
-        NodeId requester = txn.requester;
+        absorbData(frame, msg);
+        const NodeId requester = txn->requester;
         traceState(line, DirState::EM, DirState::S, "FwdGetS",
                    requester);
-        entry.state = DirState::S;
-        entry.sharers.clear();
+        frame->state = DirState::S;
+        frame->sharers.clear();
         // The old owner keeps an S copy unless it evicted (its PutE or
         // PutM completed the forward instead).
         if (msg.type == MsgType::OwnerData)
-            entry.sharers.push_back(entry.owner);
-        entry.sharers.push_back(requester);
-        entry.owner = sim::kNodeNone;
-        endTxn(line);
-        grant(requester, line, GrantState::S, entry);
+            frame->sharers.push_back(frame->owner);
+        frame->sharers.push_back(requester);
+        frame->owner = sim::kNodeNone;
+        endAndGrant(*frame, requester, GrantState::S);
         return;
       }
-      case DirStep::OwnerHandOff: {
-        absorbData(line, msg);
-        LlcFrame &entry = entryAt(line);
-        NodeId requester = txn.requester;
+      case DirStep::OwnerHandOff:
+        absorbData(frame, msg);
         // Owner hand-off: EM->EM with a new owner (arg).
         traceState(line, DirState::EM, DirState::EM, "FwdGetX",
-                   requester);
-        entry.owner = requester;
-        endTxn(line);
-        grant(requester, line, GrantState::M, entry);
+                   txn->requester);
+        frame->owner = txn->requester;
+        endAndGrant(*frame, txn->requester, GrantState::M);
         return;
-      }
-      case DirStep::RecallOwner:
-        absorbData(line, msg);
-        finishRecall(line);
+      case DirStep::FinishRecall:
+        absorbData(frame, msg);
+        finishRecall(*frame);
         return;
-      case DirStep::CollectUpgradeAck: {
-        absorbData(line, msg);
-        if (++txn.acksReceived < txn.acksExpected)
+      case DirStep::CollectUpgradeAck:
+        absorbData(frame, msg);
+        if (++txn->acksReceived < txn->acksExpected)
             return;
-        NodeId requester = txn.requester;
-        LlcFrame &entry = entryAt(line);
         traceState(line, DirState::S, DirState::EM, "InvColl",
-                   requester);
-        entry.state = DirState::EM;
-        entry.owner = requester;
-        entry.sharers.clear();
-        entry.bcast = false;
-        endTxn(line);
-        grant(requester, line, GrantState::M, entry);
+                   txn->requester);
+        frame->state = DirState::EM;
+        frame->owner = txn->requester;
+        frame->sharers.clear();
+        frame->bcast = false;
+        endAndGrant(*frame, txn->requester, GrantState::M);
         return;
-      }
       case DirStep::CollectRecallAck:
-        absorbData(line, msg);
-        if (++txn.acksReceived == txn.acksExpected)
-            finishRecall(line);
+        absorbData(frame, msg);
+        if (++txn->acksReceived == txn->acksExpected)
+            finishRecall(*frame);
         return;
-      case DirStep::CollectJoinAck: {
-        DirEntry &entry = entryAt(line);
-        ++entry.sharerCount;
+      case DirStep::CollectJoinAck:
+        ++frame->sharerCount;
         // W->W join: SharerCount grew (arg = new count).
         traceState(line, DirState::W, DirState::W, "join",
-                   entry.sharerCount);
-        if (++txn.acksReceived < txn.acksExpected)
+                   frame->sharerCount);
+        if (++txn->acksReceived < txn->acksExpected)
             return; // more joiners in flight under this transaction
-        endTxn(line);
+        endTxn(line, frame);
         // PutWs that drained during the join may have left the count
         // at or below the threshold.
-        maybeStartToShared(line);
+        maybeStartToShared(*frame);
+        return;
+      case DirStep::CollectDwgrAck:
+        txn->ackIds.push_back(msg.src);
+        ++txn->acksReceived;
+        maybeFinishToShared(*txn, *frame);
+        return;
+      case DirStep::FillFromMemory: {
+        const NodeId requester = txn->requester;
+        const MsgType req_type = txn->reqType;
+        endTxn(line, nullptr);
+        LlcFrame *fill = makeRoom(line);
+        if (!fill) {
+            // The set filled up while we were fetching (recalls in
+            // flight). Bounce; the retry will find the set drained.
+            Msg bounce;
+            bounce.src = requester;
+            bounce.line = line;
+            nack(bounce);
+            return;
+        }
+        llc_.fill(fill, line, msg.data);
+        traceState(line, DirState::I, DirState::EM, "fetch", requester);
+        fill->state = DirState::EM;
+        fill->owner = requester;
+        grant(requester, line,
+              req_type == MsgType::GetS ? GrantState::E : GrantState::M,
+              *fill);
         return;
       }
-      case DirStep::CollectDwgrAck:
-        txn.ackIds.push_back(msg.src);
-        ++txn.acksReceived;
-        maybeFinishToShared(line);
+      case DirStep::CommitCensus:
+        // Census = surviving pre-transition sharers + the requester
+        // (unless the requester already evicted again).
+        frame->state = DirState::W;
+        frame->sharerCount =
+            txn->censusSharers + (txn->censusRequesterLeft ? 0 : 1);
+        traceState(line, DirState::S, DirState::W, "census",
+                   frame->sharerCount);
+        frame->sharers.clear();
+        frame->bcast = false;
+        frame->owner = sim::kNodeNone;
+        endTxn(line, frame); // also stops jamming
+        // Self-invalidations during the census may already have
+        // drained the group.
+        maybeStartToShared(*frame);
+        return;
+      case DirStep::DowngradeSent:
+        // Our own downgrade broadcast is on the air no longer; the
+        // transition completes once the WirDwgrAcks are in -- which
+        // may already be the case if racing PutWs drained the count.
+        txn->frameResolved = true;
+        maybeFinishToShared(*txn, *frame);
         return;
     }
 }
 
+std::uint32_t
+DirectoryController::sendInvs(const LlcFrame &e, NodeId except)
+{
+    // A broadcast entry may name any node: it invalidates every node
+    // in ascending order. A precise one keeps the pointers' insertion
+    // order, which is the send order the mesh observes.
+    std::uint32_t sent = 0;
+    auto send_inv = [&](NodeId n) {
+        if (n == except)
+            return;
+        Msg inv;
+        inv.type = MsgType::Inv;
+        inv.dst = n;
+        inv.line = e.line;
+        send(inv, fabric_.config().dirProcLatency);
+        ++sent;
+    };
+    if (e.bcast) {
+        for (NodeId n = 0; n < fabric_.numNodes(); ++n)
+            send_inv(n);
+    } else {
+        for (NodeId n : e.sharers)
+            send_inv(n);
+    }
+    stats_.invsSent += sent;
+    return sent;
+}
+
 void
-DirectoryController::absorbData(Addr line, const Msg &msg)
+DirectoryController::endAndGrant(LlcFrame &frame, NodeId requester,
+                                 GrantState state)
+{
+    endTxn(frame.line, &frame);
+    grant(requester, frame.line, state, frame);
+}
+
+void
+DirectoryController::absorbData(LlcFrame *frame, const Msg &msg)
 {
     if (!msg.hasData)
         return;
-    LlcFrame *e = llc_.lookup(line);
-    WIDIR_ASSERT(e, "%s data without LLC entry", msgTypeName(msg.type));
-    e->data = msg.data;
-    e->dirty = e->dirty || msg.dirtyData;
+    WIDIR_ASSERT(frame, "%s data without LLC entry", msgTypeName(msg.type));
+    frame->data = msg.data;
+    frame->dirty = frame->dirty || msg.dirtyData;
 }
 
 // ---------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------
-
-void
-DirectoryController::handleRequest(const Msg &msg)
-{
-    LlcFrame *entry = llc_.lookup(msg.line);
-    if (!entry) {
-        // LLC miss: fetch from memory (or bounce if the set is stuck
-        // behind a recall).
-        LlcFrame *room = makeRoom(msg.line);
-        if (!room) {
-            nack(msg);
-            return;
-        }
-        startFetch(msg);
-        return;
-    }
-    handleCachedRequest(msg, *entry);
-}
 
 void
 DirectoryController::grant(NodeId dst, Addr line, GrantState state,
@@ -420,253 +615,12 @@ DirectoryController::grant(NodeId dst, Addr line, GrantState state,
     send(resp, fabric_.config().llcDataLatency);
 }
 
-void
-DirectoryController::handleCachedRequest(const Msg &msg, LlcFrame &entry)
-{
-    const auto &cfg = fabric_.config();
-    llc_.touch(&entry, fabric_.simulator().now());
-
-    switch (entry.state) {
-      case DirState::I:
-        // First reader gets Exclusive, first writer gets Modified.
-        traceState(lineAlign(msg.line), DirState::I, DirState::EM,
-                   msgTypeName(msg.type), msg.src);
-        entry.state = DirState::EM;
-        entry.owner = msg.src;
-        grant(msg.src, msg.line,
-              msg.type == MsgType::GetS ? GrantState::E : GrantState::M,
-              entry);
-        return;
-
-      case DirState::S: {
-        if (msg.type == MsgType::GetS) {
-            if (entry.sharers.contains(msg.src)) {
-                grant(msg.src, msg.line, GrantState::S, entry);
-                return;
-            }
-            if (cfg.wireless() && !entry.bcast &&
-                entry.sharers.size() >= cfg.maxWiredSharers) {
-                // Table II, S->W: the new sharer would push the count
-                // past MaxWiredSharers. Never from a bcast entry: the
-                // census seeds SharerCount from the pointer list, so
-                // an imprecise entry would undercount the group and
-                // dissolve it too early. (With MaxWiredSharers <=
-                // dirPointers the census starts before the pointers
-                // can overflow.)
-                startToWireless(msg, entry);
-                return;
-            }
-            if (entry.sharers.size() < cfg.dirPointers) {
-                entry.sharers.push_back(msg.src);
-            } else {
-                // Dir_3_B overflow (Baseline): give up precision.
-                entry.bcast = true;
-            }
-            grant(msg.src, msg.line, GrantState::S, entry);
-            return;
-        }
-
-        // GetX in S: either a WiDir transition or an invalidation
-        // collect.
-        bool sharer = entry.sharers.contains(msg.src);
-        if (cfg.wireless() && !sharer && !entry.bcast &&
-            entry.sharers.size() >= cfg.maxWiredSharers) {
-            startToWireless(msg, entry);
-            return;
-        }
-
-        // Invalidation targets: a broadcast burst walks a fixed-width
-        // bitset in ascending node order (the order the old heap
-        // vector was built in); a precise entry keeps the pointers'
-        // insertion order, which is the send order the mesh observes.
-        SharerBits bcast_targets;
-        std::uint32_t n_targets = 0;
-        bool was_bcast = entry.bcast;
-        if (was_bcast) {
-            // Broadcast invalidation: every node but the requester.
-            ++stats_.bcastInvBursts;
-            for (NodeId n = 0; n < fabric_.numNodes(); ++n) {
-                if (n != msg.src)
-                    bcast_targets.set(n);
-            }
-            n_targets = bcast_targets.count();
-        } else {
-            for (NodeId n : entry.sharers) {
-                if (n != msg.src)
-                    ++n_targets;
-            }
-        }
-        if (n_targets == 0) {
-            // Requester is the sole sharer: immediate upgrade.
-            traceState(lineAlign(msg.line), DirState::S, DirState::EM,
-                       "upgrade", msg.src);
-            entry.state = DirState::EM;
-            entry.owner = msg.src;
-            entry.sharers.clear();
-            entry.bcast = false;
-            grant(msg.src, msg.line, GrantState::M, entry);
-            return;
-        }
-        DirTxn &txn = beginTxn(TxnType::InvColl, msg.line);
-        txn.requester = msg.src;
-        txn.reqType = msg.type;
-        txn.acksExpected = n_targets;
-        stats_.invsSent += n_targets;
-        auto send_inv = [&](NodeId n) {
-            Msg inv;
-            inv.type = MsgType::Inv;
-            inv.dst = n;
-            inv.line = lineAlign(msg.line);
-            send(inv, cfg.dirProcLatency);
-        };
-        if (was_bcast) {
-            bcast_targets.forEachSet(send_inv);
-        } else {
-            for (NodeId n : entry.sharers) {
-                if (n != msg.src)
-                    send_inv(n);
-            }
-        }
-        entry.sharers.clear();
-        entry.bcast = false;
-        return;
-      }
-
-      case DirState::EM: {
-        if (entry.owner == msg.src) {
-            // The owner cannot want a line it still holds: its
-            // PutE/PutM is in flight and this (smaller, faster)
-            // request packet overtook the data-carrying writeback in
-            // the mesh. Bounce it; the retry lands after the Put has
-            // settled the entry back to I.
-            nack(msg);
-            return;
-        }
-        ++stats_.fwds;
-        DirTxn &txn = beginTxn(msg.type == MsgType::GetS
-                                   ? TxnType::FwdS
-                                   : TxnType::FwdX,
-                               msg.line);
-        txn.requester = msg.src;
-        txn.reqType = msg.type;
-        Msg fwd;
-        fwd.type = msg.type == MsgType::GetS ? MsgType::FwdGetS
-                                             : MsgType::FwdGetX;
-        fwd.dst = entry.owner;
-        fwd.line = lineAlign(msg.line);
-        fwd.requester = msg.src;
-        send(fwd, cfg.dirProcLatency);
-        return;
-      }
-
-      case DirState::W:
-        if (msg.type == MsgType::GetX && msg.isSharer) {
-            // Table II, W->W case 2: stale sharer upgrade; discard.
-            return;
-        }
-        // Table II, W->W case 1: wired join of the wireless group.
-        startWJoin(msg);
-        return;
-    }
-}
-
-void
-DirectoryController::startFetch(const Msg &msg)
-{
-    DirTxn &txn = beginTxn(TxnType::Fetch, msg.line);
-    txn.requester = msg.src;
-    txn.reqType = msg.type;
-    ++stats_.memFetches;
-    Addr line = lineAlign(msg.line);
-    fabric_.memory().readLine(line,
-                              [this, line](const mem::LineData &data) {
-        DirTxn *txn = txnOf(line);
-        WIDIR_ASSERT(txn && txn->type == TxnType::Fetch,
-                     "memory fill without fetch txn");
-        NodeId requester = txn->requester;
-        MsgType req_type = txn->reqType;
-        endTxn(line);
-
-        LlcFrame *frame = makeRoom(line);
-        if (!frame) {
-            // The set filled up while we were fetching (recalls in
-            // flight). Bounce; the retry will find the set drained.
-            Msg fake;
-            fake.src = requester;
-            fake.line = line;
-            nack(fake);
-            return;
-        }
-        llc_.fill(frame, line, data);
-        traceState(line, DirState::I, DirState::EM, "fetch", requester);
-        frame->state = DirState::EM;
-        frame->owner = requester;
-        grant(requester, line,
-              req_type == MsgType::GetS ? GrantState::E
-                                        : GrantState::M,
-              *frame);
-    });
-}
-
-// ---------------------------------------------------------------------
-// Eviction notifications
-// ---------------------------------------------------------------------
-
-void
-DirectoryController::handlePutS(const Msg &msg)
-{
-    Addr line = lineAlign(msg.line);
-    DirEntry *entry = llc_.lookup(line);
-    if (!entry)
-        return;
-    // Drop the evicting node's pointer: a stale one would inflate a
-    // later S->W census snapshot (the protocol relies on the "always
-    // inform the directory" rule for exact counts, Section III-B).
-    entry->sharers.remove(msg.src);
-    // In I or EM the notice is one of Table II's no-op rows.
-    if (entry->state == DirState::S && entry->sharers.empty() &&
-        !entry->bcast) {
-        traceState(line, DirState::S, DirState::I, "PutS");
-        entry->state = DirState::I;
-    }
-}
-
-void
-DirectoryController::handlePutEM(const Msg &msg)
-{
-    Addr line = lineAlign(msg.line);
-    DirEntry *entry = llc_.lookup(line);
-    if (!entry || entry->state != DirState::EM || entry->owner != msg.src)
-        return; // not from the owner: one of Table II's no-op rows
-    absorbData(line, msg);
-    traceState(line, DirState::EM, DirState::I, msgTypeName(msg.type),
-               msg.src);
-    entry->state = DirState::I;
-    entry->owner = sim::kNodeNone;
-}
-
-void
-DirectoryController::handlePutW(const Msg &msg)
-{
-    Addr line = lineAlign(msg.line);
-    DirEntry *entry = llc_.lookup(line);
-    if (!entry || entry->state != DirState::W)
-        return; // the group is gone (e.g. after WirInv): a no-op row
-    WIDIR_ASSERT(entry->sharerCount > 0, "SharerCount underflow");
-    --entry->sharerCount;
-    traceState(line, DirState::W, DirState::W, "PutW",
-               entry->sharerCount);
-    // Table II, W->S: when the count falls back to MaxWiredSharers,
-    // return the line to the wired protocol.
-    maybeStartToShared(line);
-}
-
 // ---------------------------------------------------------------------
 // WiDir transitions (Table II)
 // ---------------------------------------------------------------------
 
 void
-DirectoryController::startToWireless(const Msg &msg, DirEntry &entry)
+DirectoryController::startToWireless(const Msg &msg, LlcFrame &entry)
 {
     ++stats_.toWireless;
     auto *data_channel = fabric_.dataChannel();
@@ -674,13 +628,13 @@ DirectoryController::startToWireless(const Msg &msg, DirEntry &entry)
     WIDIR_ASSERT(data_channel && tone,
                  "S->W transition without wireless hardware");
 
-    DirTxn &txn = beginTxn(TxnType::ToWireless, msg.line);
+    Addr line = lineAlign(msg.line);
+    DirTxn &txn = beginTxn(TxnType::ToWireless, line, &entry);
     txn.requester = msg.src;
     txn.reqType = msg.type;
     txn.censusSharers =
         static_cast<std::uint32_t>(entry.sharers.size());
 
-    Addr line = lineAlign(msg.line);
     // Broadcast BrWirUpgr on the data channel. At the commit point:
     // start jamming the line, send WirUpgr + line to the requester
     // over the wired network (Table II, S->W row), and begin the
@@ -709,34 +663,10 @@ DirectoryController::startToWireless(const Msg &msg, DirEntry &entry)
         upg.data = e->data;
         send(upg);
 
-        fabric_.toneChannel()->beginCensus(
-            fabric_.numNodes(),
-            [this, line] { finishToWireless(line); });
+        fabric_.toneChannel()->beginCensus(fabric_.numNodes(), [this, line] {
+            ownEvent(DirEvent::CensusDone, line, llc_.lookup(line));
         });
-}
-
-void
-DirectoryController::finishToWireless(Addr line)
-{
-    DirTxn *txn = txnOf(line);
-    WIDIR_ASSERT(txn && txn->type == TxnType::ToWireless,
-                 "finishing unknown S->W transition");
-    DirEntry *entry = llc_.lookup(line);
-    WIDIR_ASSERT(entry, "S->W without dir entry");
-    // Census = surviving pre-transition sharers + the requester
-    // (unless the requester already evicted again).
-    entry->state = DirState::W;
-    entry->sharerCount =
-        txn->censusSharers + (txn->censusRequesterLeft ? 0 : 1);
-    traceState(line, DirState::S, DirState::W, "census",
-               entry->sharerCount);
-    entry->sharers.clear();
-    entry->bcast = false;
-    entry->owner = sim::kNodeNone;
-    endTxn(line); // also stops jamming
-    // Self-invalidations during the census may already have drained
-    // the group.
-    maybeStartToShared(line);
+        });
 }
 
 void
@@ -770,97 +700,67 @@ DirectoryController::admitJoiner(DirTxn &txn, sim::NodeId requester)
 }
 
 void
-DirectoryController::startWJoin(const Msg &msg)
+DirectoryController::maybeStartToShared(LlcFrame &entry)
 {
-    DirTxn &txn = beginTxn(TxnType::WJoin, msg.line);
-    txn.requester = msg.src;
-    txn.reqType = msg.type;
-    txn.jamId = fabric_.dataChannel()->startJamming(node_,
-                                                    lineAlign(msg.line));
-    txn.jamming = true;
-    admitJoiner(txn, msg.src);
-}
-
-void
-DirectoryController::maybeStartToShared(Addr line)
-{
-    const DirEntry *entry = entryOf(line);
-    if (!entry || entry->state != DirState::W)
+    // Table II, W->S: when the count falls back to MaxWiredSharers,
+    // return the line to the wired protocol. Every caller holds a W
+    // line with no transaction open.
+    if (entry.sharerCount > fabric_.config().maxWiredSharers)
         return;
-    if (txnOf(line))
-        return;
-    if (entry->sharerCount > fabric_.config().maxWiredSharers)
-        return;
-    startToShared(line);
-}
-
-void
-DirectoryController::startToShared(Addr line)
-{
     ++stats_.toShared;
-    const DirEntry *entry = entryOf(line);
-    WIDIR_ASSERT(entry && entry->state == DirState::W,
-                 "W->S on a non-W line");
-    DirTxn &txn = beginTxn(TxnType::ToShared, line);
-    txn.acksExpected = entry->sharerCount;
+    DirTxn &txn = beginTxn(TxnType::ToShared, entry.line, &entry);
+    txn.acksExpected = entry.sharerCount;
     wireless::Frame frame;
     frame.src = node_;
     frame.kind = wireless::FrameKind::WirDwgr;
-    frame.lineAddr = line;
+    frame.lineAddr = entry.line;
     txn.frameToken = fabric_.dataChannel()->transmit(frame, nullptr);
     if (txn.acksExpected == 0) {
         // Every sharer already self-invalidated; nothing will ack.
-        maybeFinishToShared(line);
+        maybeFinishToShared(txn, entry);
     }
 }
 
 void
-DirectoryController::maybeFinishToShared(Addr line)
+DirectoryController::maybeFinishToShared(DirTxn &txn, LlcFrame &entry)
 {
-    DirTxn *txn = txnOf(line);
-    WIDIR_ASSERT(txn && txn->type == TxnType::ToShared,
-                 "completing unknown W->S transition");
-    if (txn->acksReceived < txn->acksExpected)
+    if (txn.acksReceived < txn.acksExpected)
         return;
-    if (!txn->frameResolved) {
+    if (!txn.frameResolved) {
         // Every expected ack is in (or racing PutWs drained the count
         // to zero) but the WirDwgr broadcast is still inside the MAC.
         // Withdraw it if it has not committed; otherwise hold the
         // transaction open until our own delivery resolves it --
         // completing now would orphan a chip-wide downgrade that could
         // land in the middle of this line's next wireless epoch.
-        if (fabric_.dataChannel()->cancelPending(txn->frameToken)) {
-            txn->frameResolved = true;
-            finishToShared(line);
+        if (fabric_.dataChannel()->cancelPending(txn.frameToken)) {
+            txn.frameResolved = true;
+            finishToShared(txn, entry);
         }
-        return; // otherwise handleFrame(WirDwgr) finishes
+        return; // otherwise the DowngradeSent step finishes
     }
-    finishToShared(line);
+    finishToShared(txn, entry);
 }
 
 void
-DirectoryController::finishToShared(Addr line)
+DirectoryController::finishToShared(DirTxn &txn, LlcFrame &e)
 {
-    DirTxn *txn = txnOf(line);
-    WIDIR_ASSERT(txn && txn->type == TxnType::ToShared,
-                 "finishing unknown W->S transition");
-    LlcFrame *e = llc_.lookup(line);
-    WIDIR_ASSERT(e, "W->S without dir entry");
-    e->sharers = txn->ackIds;
-    e->sharerCount = 0;
-    e->owner = sim::kNodeNone;
-    e->bcast = false;
-    if (e->sharers.empty()) {
+    const Addr line = txn.line;
+    e.sharers = txn.ackIds;
+    e.sharerCount = 0;
+    e.owner = sim::kNodeNone;
+    e.bcast = false;
+    if (e.sharers.empty()) {
         traceState(line, DirState::W, DirState::I, "WirDwgr");
-        e->state = DirState::I;
+        e.state = DirState::I;
     } else {
         traceState(line, DirState::W, DirState::S, "WirDwgr",
-                   e->sharers.size());
-        e->state = DirState::S;
+                   e.sharers.size());
+        e.state = DirState::S;
     }
     // Table II, W->S row: a dirty LLC copy is written to memory.
-    writebackIfDirty(e);
-    endTxn(line);
+    writebackIfDirty(&e);
+    endTxn(line, &e);
 }
 
 // ---------------------------------------------------------------------
@@ -891,24 +791,13 @@ DirectoryController::receiveFrame(const wireless::Frame &frame)
         sharersUpdated_.sample(e->sharerCount - 1);
         return;
       }
-      case wireless::FrameKind::WirInv: {
+      case wireless::FrameKind::WirInv:
         // Our own W->I eviction completed its broadcast.
-        DirTxn *txn = txnOf(line);
-        if (txn && txn->type == TxnType::RecallW)
-            finishRecall(line);
+        ownEvent(DirEvent::FrameWirInv, line, llc_.lookup(line));
         return;
-      }
-      case wireless::FrameKind::WirDwgr: {
-        // Our own downgrade broadcast is on the air no longer; the
-        // transition completes once the WirDwgrAcks are in -- which
-        // may already be the case if racing PutWs drained the count.
-        DirTxn *txn = txnOf(line);
-        if (txn && txn->type == TxnType::ToShared) {
-            txn->frameResolved = true;
-            maybeFinishToShared(line);
-        }
+      case wireless::FrameKind::WirDwgr:
+        ownEvent(DirEvent::FrameWirDwgr, line, llc_.lookup(line));
         return;
-      }
       case wireless::FrameKind::BrWirUpgr:
         // Our own census broadcast: it completes through the tone
         // callback, not through this delivery.
@@ -933,8 +822,6 @@ DirectoryController::writebackIfDirty(LlcFrame *e)
 LlcFrame *
 DirectoryController::makeRoom(Addr line)
 {
-    if (LlcFrame *hit = llc_.lookup(line))
-        return hit;
     LlcFrame *victim = llc_.pickVictim(line);
     if (!victim)
         return nullptr; // set fully locked by in-flight transactions
@@ -962,7 +849,7 @@ DirectoryController::startRecall(LlcFrame *victim)
 
     switch (entry.state) {
       case DirState::EM: {
-        DirTxn &txn = beginTxn(TxnType::RecallEM, line);
+        DirTxn &txn = beginTxn(TxnType::RecallEM, line, victim);
         txn.acksExpected = 1;
         Msg inv;
         inv.type = MsgType::Inv;
@@ -973,40 +860,18 @@ DirectoryController::startRecall(LlcFrame *victim)
         return;
       }
       case DirState::S: {
-        DirTxn &txn = beginTxn(TxnType::RecallS, line);
-        // Imprecise entries recall with a full ascending broadcast
-        // (bitset walk); precise ones walk the pointer list in
-        // insertion order, exactly as the old target vector did.
-        auto send_inv = [&](NodeId n) {
-            Msg inv;
-            inv.type = MsgType::Inv;
-            inv.dst = n;
-            inv.line = line;
-            send(inv, cfg.dirProcLatency);
-        };
-        if (entry.bcast) {
-            SharerBits targets;
-            for (NodeId n = 0; n < fabric_.numNodes(); ++n)
-                targets.set(n);
-            txn.acksExpected = targets.count();
-            stats_.invsSent += txn.acksExpected;
-            targets.forEachSet(send_inv);
-        } else {
-            txn.acksExpected = entry.sharers.size();
-            stats_.invsSent += txn.acksExpected;
-            for (NodeId n : entry.sharers)
-                send_inv(n);
-        }
+        DirTxn &txn = beginTxn(TxnType::RecallS, line, victim);
+        txn.acksExpected = sendInvs(*victim, sim::kNodeNone);
         if (txn.acksExpected == 0)
-            finishRecall(line);
+            finishRecall(*victim);
         return;
       }
       case DirState::W: {
         // Table II, W->I: broadcast WirInv; no acknowledgments are
         // needed (reliable wireless broadcast); completion is the
-        // frame's own delivery, observed in receiveFrame.
+        // frame's own delivery (the FrameWirInv row).
         ++stats_.wirInvs;
-        beginTxn(TxnType::RecallW, line);
+        beginTxn(TxnType::RecallW, line, victim);
         wireless::Frame frame;
         frame.src = node_;
         frame.kind = wireless::FrameKind::WirInv;
@@ -1020,14 +885,12 @@ DirectoryController::startRecall(LlcFrame *victim)
 }
 
 void
-DirectoryController::finishRecall(Addr line)
+DirectoryController::finishRecall(LlcFrame &e)
 {
-    LlcFrame *e = llc_.lookup(line);
-    WIDIR_ASSERT(e, "recall without LLC entry");
-    writebackIfDirty(e);
-    traceState(line, e->state, DirState::I, "recall");
-    endTxn(line);
-    llc_.invalidate(e);
+    writebackIfDirty(&e);
+    traceState(e.line, e.state, DirState::I, "recall");
+    endTxn(e.line, &e);
+    llc_.invalidate(&e);
 }
 
 } // namespace widir::coherence

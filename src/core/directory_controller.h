@@ -8,6 +8,8 @@
  *  - the WiDir Wireless (W) state and every directory transition of
  *    Table II: S->W with ToneAck census + selective jamming, W->W
  *    joins, W->S downgrades, and W->I wireless invalidations,
+ *    decided by the rows of `dirRules()` (no transaction open) and
+ *    `dirTxnRules()` (protocol_table.h),
  *  - the inclusive LLC slice (with recall of cached copies on LLC
  *    eviction) backed by main memory.
  *
@@ -89,6 +91,8 @@ class DirectoryController
     DirEntry &mutableEntryForTest(sim::Addr line);
     /** Append one line per open transaction (watchdog dump). */
     void describeOutstanding(std::string &out) const;
+    /** Times each dirRules() row was taken (coverage tests). */
+    const auto &stableRuleHits() const { return stableRuleHits_; }
     /** Times each dirTxnRules() row was taken (coverage tests). */
     const auto &txnRuleHits() const { return txnRuleHits_; }
     /// @}
@@ -112,7 +116,7 @@ class DirectoryController
         std::uint64_t wirInvs = 0;      ///< W->I evictions
         std::uint64_t updatesObserved = 0; ///< WirUpd applied to LLC
         std::uint64_t dirAccesses = 0;
-        /** Always 0; the benchmark PR deletes it (ROADMAP item 3). */
+        /** Always 0; the benchmark PR deletes it (ROADMAP item 1). */
         std::uint64_t wirelessFallbacks = 0;
     };
     const Stats &stats() const { return stats_; }
@@ -164,55 +168,60 @@ class DirectoryController
         bool frameResolved = false;
     };
 
-    // -- request path ---------------------------------------------------
-    void handleRequest(const Msg &msg);
-    void handleCachedRequest(const Msg &msg, LlcFrame &entry);
-    void startFetch(const Msg &msg);
+    // -- dispatch: one row per event, one switch over its step ----------
+    /** The Table II guards of @p msg's sender on @p frame (no effects). */
+    DirGuards guardsOf(const Msg &msg, const LlcFrame *frame) const;
+    SenderRole senderRole(const DirTxn &txn, const Msg &msg,
+                          const LlcFrame *frame) const;
+    void stepTxn(DirTxn &txn, DirEvent ev, const Msg &msg, LlcFrame *frame);
+    /** An internal event for @p line's open transaction, as a message. */
+    void ownEvent(DirEvent ev, sim::Addr line, LlcFrame *frame,
+                  const mem::LineData *data = nullptr);
+    /** The one switch: a Table II step gets @p rule, others @p txn. */
+    void runStep(DirStep step, const Msg &msg, LlcFrame *frame,
+                 DirTxn *txn, const DirRule *rule);
+    /** Leave @p frame in @p rule's `to`, tracing its note if any. */
+    void enter(LlcFrame &frame, const DirRule &rule, sim::Addr line,
+               std::uint64_t arg = 0);
+    /** Merge a message's line (if any) into the LLC copy. */
+    void absorbData(LlcFrame *frame, const Msg &msg);
+
+    // -- steps that span several events ----------------------------------
     void grant(sim::NodeId dst, sim::Addr line, GrantState state,
                const LlcFrame &llc_entry);
-
-    // -- eviction notifications (no transaction open) ------------------
-    void handlePutS(const Msg &msg);
-    void handlePutEM(const Msg &msg);
-    void handlePutW(const Msg &msg);
-
-    // -- messages while a transaction is open (dirTxnRules()) -----------
-    SenderRole senderRole(const DirTxn &txn, const Msg &msg) const;
-    void stepTxn(DirTxn &txn, DirEvent ev, const Msg &msg);
-    /** Merge a message's line (if any) into the LLC copy. */
-    void absorbData(sim::Addr line, const Msg &msg);
-
-    // -- WiDir transitions (Table II) --------------------------------------
-    void startToWireless(const Msg &msg, DirEntry &entry);
-    void finishToWireless(sim::Addr line);
-    void startWJoin(const Msg &msg);
+    /** End the line's transaction and grant @p requester its copy. */
+    void endAndGrant(LlcFrame &frame, sim::NodeId requester,
+                     GrantState state);
+    /** Inv every target of @p e but @p except; returns how many. */
+    std::uint32_t sendInvs(const LlcFrame &e, sim::NodeId except);
+    void startToWireless(const Msg &msg, LlcFrame &entry);
     void admitJoiner(DirTxn &txn, sim::NodeId requester);
-    void maybeStartToShared(sim::Addr line);
-    void startToShared(sim::Addr line);
-    void maybeFinishToShared(sim::Addr line);
-    void finishToShared(sim::Addr line);
+    void maybeStartToShared(LlcFrame &entry);
+    void maybeFinishToShared(DirTxn &txn, LlcFrame &entry);
+    void finishToShared(DirTxn &txn, LlcFrame &entry);
 
     // -- LLC management -----------------------------------------------------
     /**
-     * Find or create room for @p line in the LLC. Returns nullptr if
-     * the set is blocked (recall started or all frames locked), in
-     * which case the requester must be bounced.
+     * Create room for @p line, which is not resident, in the LLC.
+     * Returns nullptr if the set is blocked (recall started or all
+     * frames locked), in which case the requester must be bounced.
      */
     LlcFrame *makeRoom(sim::Addr line);
     void startRecall(LlcFrame *victim);
-    void finishRecall(sim::Addr line);
+    void finishRecall(LlcFrame &e);
     void writebackIfDirty(LlcFrame *e);
 
     // -- tracing (sim/trace.h; no-ops unless the tracer is enabled) ----
     void traceState(sim::Addr line, DirState from, DirState to,
                     const char *why, std::uint64_t arg = 0);
+    void traceTxn(sim::TraceKind kind, const DirTxn &txn);
+    sim::TraceRecord record(sim::TraceKind kind, sim::Addr line) const;
 
     // -- plumbing -------------------------------------------------------------
     DirTxn *txnOf(sim::Addr line);
-    /** The LLC frame (and entry) of a line that must be resident. */
-    LlcFrame &entryAt(sim::Addr line);
-    DirTxn &beginTxn(TxnType type, sim::Addr line);
-    void endTxn(sim::Addr line);
+    /** Open a transaction; it locks @p frame (null: not resident). */
+    DirTxn &beginTxn(TxnType type, sim::Addr line, LlcFrame *frame);
+    void endTxn(sim::Addr line, LlcFrame *frame);
     void nack(const Msg &msg);
     void send(Msg msg, sim::Tick extra_delay = 0);
 
@@ -222,6 +231,7 @@ class DirectoryController
     mem::FlatAddrMap<DirTxn> txns_;
     Stats stats_;
     sim::BinnedHistogram sharersUpdated_{{5, 10, 25, 49}, true};
+    std::array<std::uint32_t, kNumDirRules> stableRuleHits_{};
     std::array<std::uint32_t, kNumDirTxnRules> txnRuleHits_{};
 };
 

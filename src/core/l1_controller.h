@@ -124,7 +124,7 @@ class L1Controller
         std::uint64_t wirelessWrites = 0;    ///< committed WirUpd frames
         std::uint64_t wirelessSquashes = 0;  ///< pending writes squashed
         std::uint64_t updatesApplied = 0;    ///< remote WirUpd applied
-        /** Always 0; the benchmark PR deletes it (ROADMAP item 3). */
+        /** Always 0; the benchmark PR deletes it (ROADMAP item 1). */
         std::uint64_t wirelessFallbacks = 0;
     };
     const Stats &stats() const { return stats_; }

@@ -1,6 +1,7 @@
 #include "core/protocol_table.h"
 
 #include <array>
+#include <string>
 
 #include "sim/log.h"
 
@@ -135,10 +136,10 @@ dirEventName(DirEvent e)
       case DirEvent::MsgOwnerData:  return "MsgOwnerData";
       case DirEvent::MsgWirUpgrAck: return "MsgWirUpgrAck";
       case DirEvent::MsgWirDwgrAck: return "MsgWirDwgrAck";
-      case DirEvent::FrameWirUpd:   return "FrameWirUpd";
-      case DirEvent::FrameWirInv:   return "FrameWirInv";
-      case DirEvent::LlcEvict:      return "LlcEvict";
+      case DirEvent::MemData:       return "MemData";
       case DirEvent::CensusDone:    return "CensusDone";
+      case DirEvent::FrameWirInv:   return "FrameWirInv";
+      case DirEvent::FrameWirDwgr:  return "FrameWirDwgr";
     }
     return "?";
 }
@@ -188,9 +189,21 @@ const char *
 dirStepName(DirStep s)
 {
     switch (s) {
+      case DirStep::GrantExclusive:     return "GrantExclusive";
+      case DirStep::AddSharer:          return "AddSharer";
+      case DirStep::SetBroadcast:       return "SetBroadcast";
+      case DirStep::StartCensus:        return "StartCensus";
+      case DirStep::Upgrade:            return "Upgrade";
+      case DirStep::InvalidateSharers:  return "InvalidateSharers";
+      case DirStep::Forward:            return "Forward";
+      case DirStep::FetchFromMemory:    return "FetchFromMemory";
+      case DirStep::JoinWireless:       return "JoinWireless";
+      case DirStep::DropPointer:        return "DropPointer";
+      case DirStep::OwnerPut:           return "OwnerPut";
+      case DirStep::ShrinkGroup:        return "ShrinkGroup";
       case DirStep::Nack:               return "Nack";
-      case DirStep::AdmitJoiner:        return "AdmitJoiner";
       case DirStep::Ignore:             return "Ignore";
+      case DirStep::AdmitJoiner:        return "AdmitJoiner";
       case DirStep::LeaveCensus:        return "LeaveCensus";
       case DirStep::RequesterLeft:      return "RequesterLeft";
       case DirStep::LeaveGroup:         return "LeaveGroup";
@@ -198,13 +211,52 @@ dirStepName(DirStep s)
       case DirStep::DropSurvivor:       return "DropSurvivor";
       case DirStep::OwnerToShared:      return "OwnerToShared";
       case DirStep::OwnerHandOff:       return "OwnerHandOff";
-      case DirStep::RecallOwner:        return "RecallOwner";
+      case DirStep::FinishRecall:       return "FinishRecall";
       case DirStep::CollectUpgradeAck:  return "CollectUpgradeAck";
       case DirStep::CollectRecallAck:   return "CollectRecallAck";
       case DirStep::CollectJoinAck:     return "CollectJoinAck";
       case DirStep::CollectDwgrAck:     return "CollectDwgrAck";
+      case DirStep::FillFromMemory:     return "FillFromMemory";
+      case DirStep::CommitCensus:       return "CommitCensus";
+      case DirStep::DowngradeSent:      return "DowngradeSent";
     }
     return "?";
+}
+
+std::string
+dirGuardText(DirGuardTest t)
+{
+    static constexpr const char *kNames[] = {
+        "InLlc", "Sharer", "IsSharer", "Bcast",
+        "Crowded", "PtrsFull", "Alone", "Owner",
+    };
+    static_assert(std::size(kNames) == kNumDirGuards);
+    std::string out;
+    for (std::size_t g = 0; g < kNumDirGuards; ++g) {
+        if (!((t.care >> g) & 1u))
+            continue;
+        out += out.empty() ? "" : ", ";
+        out += ((t.want >> g) & 1u) ? kNames[g] : std::string("!") + kNames[g];
+    }
+    return out.empty() ? "-" : out;
+}
+
+DirState
+dirTxnState(DirTxnType t)
+{
+    switch (t) {
+      case DirTxnType::Fetch:      return DirState::I;
+      case DirTxnType::FwdS:
+      case DirTxnType::FwdX:
+      case DirTxnType::RecallEM:   return DirState::EM;
+      case DirTxnType::InvColl:
+      case DirTxnType::RecallS:
+      case DirTxnType::ToWireless: return DirState::S;
+      case DirTxnType::RecallW:
+      case DirTxnType::WJoin:
+      case DirTxnType::ToShared:   return DirState::W;
+    }
+    return DirState::I;
 }
 
 // ---------------------------------------------------------------------
@@ -448,130 +500,84 @@ static_assert(std::size(kL1TxnRules) == kNumL1TxnRules);
 } // namespace l1_txn_rows
 
 // ---------------------------------------------------------------------
-// Rules: Table II (directory side)
+// Rules: Table II (directory side, no transaction open)
 // ---------------------------------------------------------------------
 
-constexpr DirState D_I = DirState::I;
-constexpr DirState D_S = DirState::S;
-constexpr DirState D_EM = DirState::EM;
-constexpr DirState D_W = DirState::W;
+namespace dir_rows {
 
+using enum DirState;
+using enum DirEvent;
+using enum DirGuard;
+using enum DirStep;
+
+constexpr DirGuardTest kAny{};
+
+// Rows for one (state, event) split on guards so that they never
+// match the same guard set; read together they keep the order the
+// protocol tests its conditions in. A cell with no row is a protocol
+// bug and panics; docs/PROTOCOL.md ("Table II as executed") argues
+// why each missing one cannot happen.
 constexpr DirRule kDirRules[] = {
-    // GetS: first reader gets E (traced with the request name, or
-    // "fetch" on an LLC miss); in S the sharer set grows (or a census
-    // begins); in EM a FwdS transaction opens; in W a join opens.
-    // The S->W / EM->S / W->W transitions are traced when the census,
-    // the owner return, or the join ack completes (see those events).
-    {D_I, DirEvent::MsgGetS, D_EM, "GetS"},
-    {D_I, DirEvent::MsgGetS, D_EM, "fetch"},
-    {D_S, DirEvent::MsgGetS, D_S, nullptr},
-    {D_EM, DirEvent::MsgGetS, D_EM, nullptr},
-    {D_W, DirEvent::MsgGetS, D_W, nullptr},
+    // GetS. I: fetch on an LLC miss (the memory read's completion
+    // traces I->EM "fetch"), else the first reader gets E. S: a new
+    // sharer past MaxWiredSharers starts the S->W census (never from
+    // a bcast entry: SharerCount is seeded from the pointers), else
+    // it takes a free pointer, else the broadcast bit. EM: forward to
+    // the owner. W: a wired join.
+    {I, MsgGetS, no(InLlc), FetchFromMemory, I, nullptr},
+    {I, MsgGetS, is(InLlc), GrantExclusive, EM, "GetS"},
+    {S, MsgGetS, no(Sharer) & is(Crowded) & no(Bcast), StartCensus, S,
+     nullptr},
+    {S, MsgGetS, no(Sharer) & no(Crowded) & no(PtrsFull), AddSharer, S,
+     nullptr},
+    {S, MsgGetS, no(Sharer) & no(Crowded) & is(PtrsFull), SetBroadcast, S,
+     nullptr},
+    {EM, MsgGetS, no(Owner), Forward, EM, nullptr},
+    {W, MsgGetS, kAny, JoinWireless, W, nullptr},
 
-    // GetX: like GetS, plus the immediate sole-sharer upgrade in S.
-    {D_I, DirEvent::MsgGetX, D_EM, "GetX"},
-    {D_I, DirEvent::MsgGetX, D_EM, "fetch"},
-    {D_S, DirEvent::MsgGetX, D_EM, "upgrade"},
-    {D_S, DirEvent::MsgGetX, D_S, nullptr},
-    {D_EM, DirEvent::MsgGetX, D_EM, nullptr},
-    {D_W, DirEvent::MsgGetX, D_W, nullptr},
+    // GetX: like GetS, but in S the census comes first, then the sole
+    // sharer's immediate upgrade, then an invalidation collect. In W a
+    // sharer's upgrade is stale (the census already made its copy W)
+    // and is discarded (Table II, W->W case 2).
+    {I, MsgGetX, no(InLlc), FetchFromMemory, I, nullptr},
+    {I, MsgGetX, is(InLlc), GrantExclusive, EM, "GetX"},
+    {S, MsgGetX, no(Sharer) & is(Crowded) & no(Bcast), StartCensus, S,
+     nullptr},
+    {S, MsgGetX, is(Sharer) & is(Alone), Upgrade, EM, "upgrade"},
+    {S, MsgGetX, is(Sharer) & no(Alone), InvalidateSharers, S, nullptr},
+    {S, MsgGetX, no(Sharer) & no(Crowded) & no(Alone), InvalidateSharers,
+     S, nullptr},
+    {EM, MsgGetX, no(Owner), Forward, EM, nullptr},
+    {W, MsgGetX, is(IsSharer), Ignore, W, nullptr},
+    {W, MsgGetX, no(IsSharer), JoinWireless, W, nullptr},
 
-    // PutS: drop the sharer pointer; the last sharer empties the
-    // entry. A PutS finding the entry already in W predates the S->W
-    // transition: the directory takes it as a PutW (rows below).
-    {D_I, DirEvent::MsgPutS, D_I, nullptr},
-    {D_S, DirEvent::MsgPutS, D_I, "PutS"},
-    {D_S, DirEvent::MsgPutS, D_S, nullptr},
-    {D_EM, DirEvent::MsgPutS, D_EM, nullptr},
+    // PutS: drop the pointer; the last one empties the entry. A PutS
+    // finding the entry in W predates the S->W transition and is
+    // taken as a PutW.
+    {S, MsgPutS, is(Alone), DropPointer, I, "PutS"},
+    {S, MsgPutS, no(Alone), DropPointer, S, nullptr},
 
-    // PutE: the owner evicted clean. A PutE racing a Fwd*/RecallEM
-    // completes that transaction in the owner's stead.
-    {D_I, DirEvent::MsgPutE, D_I, nullptr},
-    {D_S, DirEvent::MsgPutE, D_S, nullptr},
-    {D_EM, DirEvent::MsgPutE, D_I, "PutE"},
-    {D_EM, DirEvent::MsgPutE, D_S, "FwdGetS"},
-    {D_EM, DirEvent::MsgPutE, D_EM, "FwdGetX"},
-    {D_EM, DirEvent::MsgPutE, D_I, "recall"},
-    {D_W, DirEvent::MsgPutE, D_W, nullptr},
+    // PutE / PutM: the owner evicted.
+    {EM, MsgPutE, is(Owner), OwnerPut, I, "PutE"},
+    {EM, MsgPutM, is(Owner), OwnerPut, I, "PutM"},
 
-    // PutM: like PutE but carries the dirty line.
-    {D_I, DirEvent::MsgPutM, D_I, nullptr},
-    {D_S, DirEvent::MsgPutM, D_S, nullptr},
-    {D_EM, DirEvent::MsgPutM, D_I, "PutM"},
-    {D_EM, DirEvent::MsgPutM, D_S, "FwdGetS"},
-    {D_EM, DirEvent::MsgPutM, D_EM, "FwdGetX"},
-    {D_EM, DirEvent::MsgPutM, D_I, "recall"},
-    {D_W, DirEvent::MsgPutM, D_W, nullptr},
+    // PutW: SharerCount - 1; falling to MaxWiredSharers starts W->S
+    // (traced under ToShared's rows, even when nothing is left to
+    // ack). A PutW sent as a WirInv recalled the line is stale.
+    {I, MsgPutW, kAny, Ignore, I, nullptr},
+    {W, MsgPutW, kAny, ShrinkGroup, W, "PutW"},
 
-    // PutW: SharerCount--; the count falling to MaxWiredSharers
-    // triggers W->S, and a group emptied outright collapses W->I
-    // (finishToShared with no survivors). During transactions the
-    // decrement is transaction bookkeeping (no traced transition).
-    {D_I, DirEvent::MsgPutW, D_I, nullptr},
-    {D_S, DirEvent::MsgPutW, D_S, nullptr},
-    {D_EM, DirEvent::MsgPutW, D_EM, nullptr},
-    {D_W, DirEvent::MsgPutW, D_W, "PutW"},
-    {D_W, DirEvent::MsgPutW, D_W, nullptr},
-    {D_W, DirEvent::MsgPutW, D_S, "WirDwgr"},
-    {D_W, DirEvent::MsgPutW, D_I, "WirDwgr"},
-
-    // InvAck: completes InvColl (grant M) and RecallS/RecallEM.
-    {D_I, DirEvent::MsgInvAck, D_I, nullptr},
-    {D_S, DirEvent::MsgInvAck, D_S, nullptr},
-    {D_S, DirEvent::MsgInvAck, D_EM, "InvColl"},
-    {D_S, DirEvent::MsgInvAck, D_I, "recall"},
-    {D_EM, DirEvent::MsgInvAck, D_EM, nullptr},
-    {D_EM, DirEvent::MsgInvAck, D_I, "recall"},
-    {D_W, DirEvent::MsgInvAck, D_W, nullptr},
-
-    // OwnerData: completes FwdS (EM->S), FwdX (owner hand-off) or
-    // RecallEM; stale after a racing PutE/PutM completed the txn.
-    {D_I, DirEvent::MsgOwnerData, D_I, nullptr},
-    {D_S, DirEvent::MsgOwnerData, D_S, nullptr},
-    {D_EM, DirEvent::MsgOwnerData, D_S, "FwdGetS"},
-    {D_EM, DirEvent::MsgOwnerData, D_EM, "FwdGetX"},
-    {D_EM, DirEvent::MsgOwnerData, D_I, "recall"},
-    {D_W, DirEvent::MsgOwnerData, D_W, nullptr},
-
-    // WirUpgrAck: a join completed; SharerCount++ (W->W). Any other
-    // state would be a protocol bug (the directory panics).
-    {D_W, DirEvent::MsgWirUpgrAck, D_W, "join"},
-
-    // WirDwgrAck: a survivor identified itself; the last expected ack
-    // commits W->S (survivors always exist here -- a group that
-    // drained to zero finishes via the PutW path instead).
-    {D_I, DirEvent::MsgWirDwgrAck, D_I, nullptr},
-    {D_S, DirEvent::MsgWirDwgrAck, D_S, nullptr},
-    {D_EM, DirEvent::MsgWirDwgrAck, D_EM, nullptr},
-    {D_W, DirEvent::MsgWirDwgrAck, D_W, nullptr},
-    {D_W, DirEvent::MsgWirDwgrAck, D_S, "WirDwgr"},
-
-    // WirUpd observed at the home: write the word through to the LLC
-    // copy (W only; anything else is stale).
-    {D_I, DirEvent::FrameWirUpd, D_I, nullptr},
-    {D_S, DirEvent::FrameWirUpd, D_S, nullptr},
-    {D_EM, DirEvent::FrameWirUpd, D_EM, nullptr},
-    {D_W, DirEvent::FrameWirUpd, D_W, nullptr},
-
-    // Own WirInv delivery: the W recall's broadcast completed.
-    {D_I, DirEvent::FrameWirInv, D_I, nullptr},
-    {D_S, DirEvent::FrameWirInv, D_S, nullptr},
-    {D_EM, DirEvent::FrameWirInv, D_EM, nullptr},
-    {D_W, DirEvent::FrameWirInv, D_I, "recall"},
-
-    // LLC eviction: silent replacement in I, a Recall* transaction
-    // otherwise (completion is traced under the ack events above).
-    {D_I, DirEvent::LlcEvict, D_I, nullptr},
-    {D_S, DirEvent::LlcEvict, D_S, nullptr},
-    {D_EM, DirEvent::LlcEvict, D_EM, nullptr},
-    {D_W, DirEvent::LlcEvict, D_W, nullptr},
-
-    // ToneAck census complete: commit S->W with the counted sharers.
-    {D_S, DirEvent::CensusDone, D_W, "census"},
+    // The owner's InvAck after its own Put ended a RecallEM outlives
+    // the transaction.
+    {I, MsgInvAck, kAny, Ignore, I, nullptr},
 };
 
+static_assert(std::size(kDirRules) == kNumDirRules);
+
+} // namespace dir_rows
+
 // ---------------------------------------------------------------------
-// Rules: directory messages during a transaction
+// Rules: directory events during a transaction
 // ---------------------------------------------------------------------
 
 namespace txn_rows {
@@ -580,86 +586,103 @@ using enum DirTxnType;
 using enum DirEvent;
 using enum DirStep;
 
+constexpr std::uint8_t kEndI = stateBit(DirState::I);
+constexpr std::uint8_t kEndS = stateBit(DirState::S);
+constexpr std::uint8_t kEndEM = stateBit(DirState::EM);
+constexpr std::uint8_t kEndW = stateBit(DirState::W);
+
 // The blocking directory bounces every request except a W join. A
 // PutS that finds the entry in W arrives as a PutW. A combination no
-// row covers is a protocol bug and panics; docs/PROTOCOL.md ("Messages
+// row covers is a protocol bug and panics; docs/PROTOCOL.md ("Events
 // during a transaction") argues why each missing one cannot happen.
+// A row with a note traces the transaction's end when its step ends
+// it (a collect step only on its last ack).
 constexpr DirTxnRule kDirTxnRules[] = {
-    // Fetch: memory read in flight, no directory entry yet.
-    {Fetch, MsgGetS, kByAny, Nack},
-    {Fetch, MsgGetX, kByAny, Nack},
-    {Fetch, MsgPutW, kByAny, Ignore},
-    {Fetch, MsgInvAck, kByAny, Ignore},
+    // Fetch: memory read in flight, no directory entry yet. The read
+    // installs the line and grants it, or bounces the requester when
+    // recalls fill the set meanwhile.
+    {Fetch, MsgGetS, kByAny, Nack, 0, nullptr},
+    {Fetch, MsgGetX, kByAny, Nack, 0, nullptr},
+    {Fetch, MsgPutW, kByAny, Ignore, 0, nullptr},
+    {Fetch, MsgInvAck, kByAny, Ignore, 0, nullptr},
+    {Fetch, MemData, kByAny, FillFromMemory, kEndEM, "fetch"},
 
     // FwdS / FwdX: the owner's OwnerData completes the forward, and
     // so does its PutE/PutM when it evicted first (the forward then
     // finds no copy and is dropped).
-    {FwdS, MsgGetS, kByAny, Nack},
-    {FwdS, MsgGetX, kByAny, Nack},
-    {FwdS, MsgPutE, kByAny, OwnerToShared},
-    {FwdS, MsgPutM, kByAny, OwnerToShared},
-    {FwdS, MsgOwnerData, kByAny, OwnerToShared},
-    {FwdX, MsgGetS, kByAny, Nack},
-    {FwdX, MsgGetX, kByAny, Nack},
-    {FwdX, MsgPutE, kByAny, OwnerHandOff},
-    {FwdX, MsgPutM, kByAny, OwnerHandOff},
-    {FwdX, MsgOwnerData, kByAny, OwnerHandOff},
+    {FwdS, MsgGetS, kByAny, Nack, 0, nullptr},
+    {FwdS, MsgGetX, kByAny, Nack, 0, nullptr},
+    {FwdS, MsgPutE, kByAny, OwnerToShared, kEndS, "FwdGetS"},
+    {FwdS, MsgPutM, kByAny, OwnerToShared, kEndS, "FwdGetS"},
+    {FwdS, MsgOwnerData, kByAny, OwnerToShared, kEndS, "FwdGetS"},
+    {FwdX, MsgGetS, kByAny, Nack, 0, nullptr},
+    {FwdX, MsgGetX, kByAny, Nack, 0, nullptr},
+    {FwdX, MsgPutE, kByAny, OwnerHandOff, kEndEM, "FwdGetX"},
+    {FwdX, MsgPutM, kByAny, OwnerHandOff, kEndEM, "FwdGetX"},
+    {FwdX, MsgOwnerData, kByAny, OwnerHandOff, kEndEM, "FwdGetX"},
 
     // InvColl / RecallS: every Inv is acked, even by a sharer that
     // evicted first, so its PutS changes nothing.
-    {InvColl, MsgGetS, kByAny, Nack},
-    {InvColl, MsgGetX, kByAny, Nack},
-    {InvColl, MsgPutS, kByAny, Ignore},
-    {InvColl, MsgInvAck, kByAny, CollectUpgradeAck},
-    {RecallS, MsgGetS, kByAny, Nack},
-    {RecallS, MsgGetX, kByAny, Nack},
-    {RecallS, MsgPutS, kByAny, Ignore},
-    {RecallS, MsgInvAck, kByAny, CollectRecallAck},
+    {InvColl, MsgGetS, kByAny, Nack, 0, nullptr},
+    {InvColl, MsgGetX, kByAny, Nack, 0, nullptr},
+    {InvColl, MsgPutS, kByAny, Ignore, 0, nullptr},
+    {InvColl, MsgInvAck, kByAny, CollectUpgradeAck, kEndEM, "InvColl"},
+    {RecallS, MsgGetS, kByAny, Nack, 0, nullptr},
+    {RecallS, MsgGetX, kByAny, Nack, 0, nullptr},
+    {RecallS, MsgPutS, kByAny, Ignore, 0, nullptr},
+    {RecallS, MsgInvAck, kByAny, CollectRecallAck, kEndI, "recall"},
 
     // RecallEM: the owner's InvAck (with data when dirty) ends the
     // recall, or its racing PutE/PutM does.
-    {RecallEM, MsgGetS, kByAny, Nack},
-    {RecallEM, MsgGetX, kByAny, Nack},
-    {RecallEM, MsgPutE, kByAny, RecallOwner},
-    {RecallEM, MsgPutM, kByAny, RecallOwner},
-    {RecallEM, MsgInvAck, kByAny, RecallOwner},
+    {RecallEM, MsgGetS, kByAny, Nack, 0, nullptr},
+    {RecallEM, MsgGetX, kByAny, Nack, 0, nullptr},
+    {RecallEM, MsgPutE, kByAny, FinishRecall, kEndI, "recall"},
+    {RecallEM, MsgPutM, kByAny, FinishRecall, kEndI, "recall"},
+    {RecallEM, MsgInvAck, kByAny, FinishRecall, kEndI, "recall"},
 
-    // RecallW: the WirInv frame's own delivery ends the recall
-    // (receiveFrame), so a member's PutW changes nothing.
-    {RecallW, MsgGetS, kByAny, Nack},
-    {RecallW, MsgGetX, kByAny, Nack},
-    {RecallW, MsgPutW, kByAny, Ignore},
+    // RecallW: the WirInv frame's own delivery ends the recall, so a
+    // member's PutW changes nothing.
+    {RecallW, MsgGetS, kByAny, Nack, 0, nullptr},
+    {RecallW, MsgGetX, kByAny, Nack, 0, nullptr},
+    {RecallW, MsgPutW, kByAny, Ignore, 0, nullptr},
+    {RecallW, FrameWirInv, kByAny, FinishRecall, kEndI, "recall"},
 
     // ToWireless: a counted sharer that evicts before the census ends
     // will not join the group; neither will a requester that already
     // left its fresh W copy. Requests bounce, a sharer's upgrade
     // included: the bounce releases its tone (Section III-B1, case
-    // iii) and the retry meets the settled W state.
-    {ToWireless, MsgGetS, kByAny, Nack},
-    {ToWireless, MsgGetX, kByAny, Nack},
-    {ToWireless, MsgPutS, kBySharer, LeaveCensus},
-    {ToWireless, MsgPutW, kByRequester, RequesterLeft},
-    {ToWireless, MsgPutW, kBySharer, LeaveCensus},
+    // iii) and the retry meets the settled W state. The silent tone
+    // commits S->W with the sharers it counted.
+    {ToWireless, MsgGetS, kByAny, Nack, 0, nullptr},
+    {ToWireless, MsgGetX, kByAny, Nack, 0, nullptr},
+    {ToWireless, MsgPutS, kBySharer, LeaveCensus, 0, nullptr},
+    {ToWireless, MsgPutW, kByRequester, RequesterLeft, 0, nullptr},
+    {ToWireless, MsgPutW, kBySharer, LeaveCensus, 0, nullptr},
+    {ToWireless, CensusDone, kByAny, CommitCensus, kEndW, "census"},
 
     // WJoin: further joiners ride the open join; a sharer's stale
     // upgrade (the census already made it W) waits for the join.
-    {WJoin, MsgGetS, kByAny, AdmitJoiner},
-    {WJoin, MsgGetX, kBySharer, Nack},
-    {WJoin, MsgGetX, kByRequester | kByAcked | kByOther, AdmitJoiner},
-    {WJoin, MsgPutW, kByAny, LeaveGroup},
-    {WJoin, MsgWirUpgrAck, kByAny, CollectJoinAck},
+    {WJoin, MsgGetS, kByAny, AdmitJoiner, 0, nullptr},
+    {WJoin, MsgGetX, kBySharer, Nack, 0, nullptr},
+    {WJoin, MsgGetX, kByRequester | kByAcked | kByOther, AdmitJoiner, 0,
+     nullptr},
+    {WJoin, MsgPutW, kByAny, LeaveGroup, 0, nullptr},
+    {WJoin, MsgWirUpgrAck, kByAny, CollectJoinAck, kEndW, "join"},
 
     // ToShared: a W copy that leaves before the WirDwgr reaches it
     // never acks, so expect one ack fewer. A node that acked and then
     // evicted its new S copy was counted by its ack: it only stops
     // being a survivor (docs/PROTOCOL.md, the W->S ack-then-PutS
-    // race).
-    {ToShared, MsgGetS, kByAny, Nack},
-    {ToShared, MsgGetX, kByAny, Nack},
-    {ToShared, MsgPutW, kByAcked, DropSurvivor},
+    // race). The downgrade ends once every ack is in and its own
+    // frame has left the MAC, in S, or in I when no survivor is left.
+    {ToShared, MsgGetS, kByAny, Nack, 0, nullptr},
+    {ToShared, MsgGetX, kByAny, Nack, 0, nullptr},
+    {ToShared, MsgPutW, kByAcked, DropSurvivor, 0, nullptr},
     {ToShared, MsgPutW, kByRequester | kBySharer | kByOther,
-     LeaveDowngrade},
-    {ToShared, MsgWirDwgrAck, kByAny, CollectDwgrAck},
+     LeaveDowngrade, kEndS | kEndI, "WirDwgr"},
+    {ToShared, MsgWirDwgrAck, kByAny, CollectDwgrAck, kEndS, "WirDwgr"},
+    {ToShared, FrameWirDwgr, kByAny, DowngradeSent, kEndS | kEndI,
+     "WirDwgr"},
 };
 
 static_assert(std::size(kDirTxnRules) == kNumDirTxnRules);
@@ -678,6 +701,15 @@ l1TxnCell(L1Phase p, L1Event e)
 }
 
 constexpr std::size_t
+dirCell(DirState s, DirEvent e, DirGuards g)
+{
+    return (static_cast<std::size_t>(s) * kNumDirEvents +
+            static_cast<std::size_t>(e)) *
+               (std::size_t{1} << kNumDirGuards) +
+           g;
+}
+
+constexpr std::size_t
 txnCell(DirTxnType t, DirEvent e, SenderRole r)
 {
     return (static_cast<std::size_t>(t) * kNumDirEvents +
@@ -690,6 +722,10 @@ struct DerivedTables
 {
     /** Row index into l1_txn_rows::kL1TxnRules per cell, -1 when none. */
     std::array<std::int8_t, kNumL1Phases * kNumL1Events> l1Txn;
+    /** Row index into dir_rows::kDirRules per cell, -1 when none. */
+    std::array<std::int8_t,
+               kNumDirStates * kNumDirEvents * (1u << kNumDirGuards)>
+        dir;
     /** Row index into txn_rows::kDirTxnRules per cell, -1 when none. */
     std::array<std::int16_t,
                kNumDirTxnTypes * kNumDirEvents * kNumSenderRoles>
@@ -704,6 +740,7 @@ buildTables()
 {
     DerivedTables t{};
     t.l1Txn.fill(-1);
+    t.dir.fill(-1);
     t.dirTxn.fill(-1);
     t.l1Edges.fill(0);
     t.dirEdges.fill(0);
@@ -711,11 +748,6 @@ buildTables()
     for (const L1Rule &r : kL1Rules) {
         if (r.note)
             t.l1Edges[static_cast<std::size_t>(r.from)] |=
-                std::uint8_t{1} << static_cast<std::uint8_t>(r.to);
-    }
-    for (const DirRule &r : kDirRules) {
-        if (r.note)
-            t.dirEdges[static_cast<std::size_t>(r.from)] |=
                 std::uint8_t{1} << static_cast<std::uint8_t>(r.to);
     }
     for (std::size_t i = 0; i < std::size(l1_txn_rows::kL1TxnRules); ++i) {
@@ -726,8 +758,30 @@ buildTables()
                      l1EventName(r.event));
         cell = static_cast<std::int8_t>(i);
     }
+    for (std::size_t i = 0; i < std::size(dir_rows::kDirRules); ++i) {
+        const DirRule &r = dir_rows::kDirRules[i];
+        if (r.note)
+            t.dirEdges[static_cast<std::size_t>(r.from)] |= stateBit(r.to);
+        for (std::size_t g = 0; g < (1u << kNumDirGuards); ++g) {
+            if (!r.guard.matches(static_cast<DirGuards>(g)))
+                continue;
+            std::int8_t &cell = t.dir[dirCell(r.from, r.event,
+                                              static_cast<DirGuards>(g))];
+            WIDIR_ASSERT(cell < 0,
+                         "Table II rows %d and %zu overlap on (%s, %s, "
+                         "%s)",
+                         cell, i, dirStateName(r.from),
+                         dirEventName(r.event),
+                         dirGuardText({0xff, static_cast<DirGuards>(g)})
+                             .c_str());
+            cell = static_cast<std::int8_t>(i);
+        }
+    }
     for (std::size_t i = 0; i < std::size(txn_rows::kDirTxnRules); ++i) {
         const DirTxnRule &r = txn_rows::kDirTxnRules[i];
+        if (r.note)
+            t.dirEdges[static_cast<std::size_t>(dirTxnState(r.txn))] |=
+                r.ends;
         for (std::size_t role = 0; role < kNumSenderRoles; ++role) {
             if (!((r.roles >> role) & 1u))
                 continue;
@@ -763,7 +817,13 @@ l1Rules()
 std::span<const DirRule>
 dirRules()
 {
-    return kDirRules;
+    return dir_rows::kDirRules;
+}
+
+int
+dirRuleFor(DirState s, DirEvent e, DirGuards g)
+{
+    return tables().dir[dirCell(s, e, g)];
 }
 
 std::span<const L1TxnRule>

@@ -3,18 +3,20 @@
  * Declarative transition table for both coherence state machines --
  * the single source of truth for the protocol's transition relation.
  *
- * Tables I and II of the paper are encoded as flat rule arrays: for
- * each (stable state, event) cell that can occur, one or more
- * `L1Rule` / `DirRule` rows name every outcome state the cell can
- * produce. Two more arrays say what a controller does with an event
- * for a line whose transaction is still open: `L1TxnRule` for the
- * L1 and `DirTxnRule` for the directory. The rows feed four
- * consumers:
+ * Tables I and II of the paper are encoded as flat rule arrays. For
+ * the L1, `L1Rule` rows name every outcome state each (stable state,
+ * event) cell can produce. For the directory, Table II is executed:
+ * each `DirRule` row names, for a (state, event, guards) cell, the
+ * `DirStep` the directory runs and the state it leaves the line in.
+ * Two more arrays say what a controller does with an event for a line
+ * whose transaction is still open: `L1TxnRule` for the L1 and
+ * `DirTxnRule` for the directory. The rows feed four consumers:
  *
- *  - `L1Controller` looks up `l1TxnRuleFor()` and
- *    `DirectoryController::receive` looks up `dirTxnRuleFor()`
- *    whenever the line has a transaction open; with none open, the
- *    handlers apply Table I / Table II to the stable state;
+ *  - `L1Controller` looks up `l1TxnRuleFor()` whenever the line has a
+ *    transaction open (with none open, its handlers apply Table I);
+ *    `DirectoryController` decides every wired message, and every
+ *    completion of its own transactions, by looking up
+ *    `dirRuleFor()` or `dirTxnRuleFor()` and running the row's step;
  *  - `sys::checkTraceLegality` derives its legal-edge sets from
  *    `l1EdgeLegal()` / `dirEdgeLegal()` instead of a private copy;
  *  - `tools/gen_protocol_docs` renders the rows into the generated
@@ -22,7 +24,7 @@
  *    that section is stale);
  *  - `tests/test_state_explorer.cc` walks small machines and asserts
  *    the observed transition edges are exactly the noted rows and
- *    that every in-transaction row is taken.
+ *    that every executed row is taken.
  *
  * Rows with a non-null `note` are *traced edges*: the controller emits
  * an `L1Transition`/`DirTransition` record with that note when the
@@ -41,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 
 #include "core/messages.h"
 #include "core/protocol_config.h"
@@ -131,9 +134,8 @@ inline constexpr std::size_t kNumL1Events = 15;
 
 /**
  * Everything that can happen to a directory entry: wired messages
- * addressed to a home slice, frames observed on the data channel, and
- * the internal events (LLC replacement, census completion) that drive
- * transitions without a message arriving.
+ * addressed to a home slice, and the internal events that complete
+ * the directory's own transactions without a message arriving.
  */
 enum class DirEvent : std::uint8_t
 {
@@ -147,10 +149,10 @@ enum class DirEvent : std::uint8_t
     MsgOwnerData,
     MsgWirUpgrAck,
     MsgWirDwgrAck,
-    FrameWirUpd,    ///< committed update observed at the home
-    FrameWirInv,    ///< own W->I broadcast completed
-    LlcEvict,       ///< replacement selected this line as victim
+    MemData,        ///< a Fetch's memory read returned the line
     CensusDone,     ///< ToneAck census fell silent (S->W commit)
+    FrameWirInv,    ///< own W->I broadcast delivered
+    FrameWirDwgr,   ///< own W->S broadcast delivered
 };
 inline constexpr std::size_t kNumDirEvents = 14;
 
@@ -188,22 +190,13 @@ struct L1Rule
     const char *note;
 };
 
-/** One row of Table II; same contract as L1Rule. */
-struct DirRule
-{
-    DirState from;
-    DirEvent event;
-    DirState to;
-    const char *note;
-};
-
-/** The full rule sets (a cell with no row cannot occur). */
+/** The L1 rule set (a cell with no row cannot occur). */
 std::span<const L1Rule> l1Rules();
-std::span<const DirRule> dirRules();
 
 /**
  * Trace-legality relation derived from the noted rules: true when
- * some rule row traces a `from -> to` edge. Self-loops are legal only
+ * some rule row traces a `from -> to` edge (for the directory, a
+ * Table II row or an in-transaction row). Self-loops are legal only
  * where a row notes one (EM->EM owner hand-off, W->W count changes).
  */
 bool l1EdgeLegal(L1State from, L1State to);
@@ -258,7 +251,148 @@ inline constexpr std::size_t kNumL1TxnRules = 23;
 int l1TxnRuleFor(L1Phase p, L1Event e);
 
 // ---------------------------------------------------------------------
-// Directory messages during a transaction
+// Directory steps: Table II and the in-transaction rows
+// ---------------------------------------------------------------------
+
+/** What the directory does with an event: the one action vocabulary. */
+enum class DirStep : std::uint8_t
+{
+    // Table II: a line with no transaction open
+    GrantExclusive = 0, ///< I->EM: first reader gets E, first writer M
+    AddSharer,         ///< one more pointer, grant S
+    SetBroadcast,      ///< pointers full (Dir_iB): set the bit, grant S
+    StartCensus,       ///< S->W: BrWirUpgr, WirUpgr to the requester
+    Upgrade,           ///< the sole sharer's GetX: S->EM, grant M
+    InvalidateSharers, ///< open InvColl: Inv every other sharer
+    Forward,           ///< open FwdS/FwdX: forward to the owner
+    FetchFromMemory,   ///< make room and open a Fetch, or bounce
+    JoinWireless,      ///< open WJoin: WirUpgr the requester into W
+    DropPointer,       ///< a sharer evicted: drop its pointer
+    OwnerPut,          ///< the owner evicted: EM->I, keep its data
+    ShrinkGroup,       ///< SharerCount - 1; at MaxWiredSharers start W->S
+    // Either table
+    Nack,              ///< blocking directory: bounce, the sender retries
+    Ignore,            ///< stale, or already accounted for elsewhere
+    // In-transaction rows
+    AdmitJoiner,       ///< W->W: batch one more joiner under the join
+    LeaveCensus,       ///< a counted sharer left: census count - 1
+    RequesterLeft,     ///< census requester evicted its fresh W copy
+    LeaveGroup,        ///< SharerCount - 1 (W->S is checked at the end)
+    LeaveDowngrade,    ///< one WirDwgrAck fewer to wait for
+    DropSurvivor,      ///< an acked survivor evicted: forget its id
+    OwnerToShared,     ///< FwdS done: EM->S, grant S
+    OwnerHandOff,      ///< FwdX done: EM->EM, grant M to the requester
+    FinishRecall,      ///< recall done: write back, drop the line
+    CollectUpgradeAck, ///< InvColl: the last InvAck grants M
+    CollectRecallAck,  ///< RecallS: the last InvAck drops the line
+    CollectJoinAck,    ///< WirUpgrAck: SharerCount + 1
+    CollectDwgrAck,    ///< WirDwgrAck: record a survivor
+    FillFromMemory,    ///< Fetch done: install the line, grant E/M
+    CommitCensus,      ///< census done: S->W with the counted sharers
+    DowngradeSent,     ///< own WirDwgr delivered: W->S may complete
+};
+
+const char *dirStepName(DirStep s);
+
+// ---------------------------------------------------------------------
+// Table II: a line with no transaction open
+// ---------------------------------------------------------------------
+
+/**
+ * What the directory reads off a stable line, for the message's
+ * sender, before it picks a Table II row. `receive` computes all of
+ * them once per message, from the LLC frame alone.
+ */
+enum class DirGuard : std::uint8_t
+{
+    InLlc = 0, ///< the line is resident in the LLC slice
+    Sharer,    ///< the sender is in the entry's sharer pointers
+    IsSharer,  ///< the message says its sender holds an S copy
+    Bcast,     ///< the broadcast bit is set (Dir_iB overflow)
+    Crowded,   ///< WiDir, and at least MaxWiredSharers pointers
+    PtrsFull,  ///< no free sharer pointer (dirPointers)
+    Alone,     ///< no invalidation target besides the sender
+    Owner,     ///< the sender owns the line
+};
+inline constexpr std::size_t kNumDirGuards = 8;
+
+/** A set of guards, bit g set when guard g holds. */
+using DirGuards = std::uint8_t;
+
+constexpr DirGuards
+guardBit(DirGuard g)
+{
+    return static_cast<DirGuards>(1u << static_cast<unsigned>(g));
+}
+
+/**
+ * A row's guard column: the guards in `care` must read as in `want`,
+ * the others do not matter. Written `is(Sharer) & no(Bcast)`.
+ */
+struct DirGuardTest
+{
+    DirGuards care = 0;
+    DirGuards want = 0;
+
+    constexpr bool
+    matches(DirGuards g) const
+    {
+        return (g & care) == want;
+    }
+};
+
+constexpr DirGuardTest
+is(DirGuard g)
+{
+    return {guardBit(g), guardBit(g)};
+}
+
+constexpr DirGuardTest
+no(DirGuard g)
+{
+    return {guardBit(g), 0};
+}
+
+constexpr DirGuardTest
+operator&(DirGuardTest a, DirGuardTest b)
+{
+    return {static_cast<DirGuards>(a.care | b.care),
+            static_cast<DirGuards>(a.want | b.want)};
+}
+
+/**
+ * "Sharer, !Bcast" for the guards @p t tests, or "-" when it tests
+ * none. With `care` = every guard it spells out a full guard set.
+ */
+std::string dirGuardText(DirGuardTest t);
+
+/**
+ * One row of Table II: event `event` meeting a line in state `from`,
+ * with no transaction open and guards matching `guard`, runs `step`
+ * and leaves the line in `to`. `note` is the exact string of the
+ * DirTransition record the step emits, or null when it emits none
+ * (then `to == from`). Rows for one (from, event) never match the same
+ * guards; a cell no row matches is a protocol bug and the directory
+ * panics naming it.
+ */
+struct DirRule
+{
+    DirState from;
+    DirEvent event;
+    DirGuardTest guard;
+    DirStep step;
+    DirState to;
+    const char *note;
+};
+
+std::span<const DirRule> dirRules();
+inline constexpr std::size_t kNumDirRules = 23;
+
+/** Index into dirRules() of the row for a cell, or -1 if none. */
+int dirRuleFor(DirState s, DirEvent e, DirGuards g);
+
+// ---------------------------------------------------------------------
+// Directory events during a transaction
 // ---------------------------------------------------------------------
 
 /**
@@ -281,33 +415,25 @@ inline constexpr std::uint8_t kBySharer = 1u << 2;
 inline constexpr std::uint8_t kByOther = 1u << 3;
 inline constexpr std::uint8_t kByAny = 0xf;
 
-/** What the directory does with a message mid-transaction. */
-enum class DirStep : std::uint8_t
-{
-    Nack = 0,          ///< blocking directory: bounce, the sender retries
-    AdmitJoiner,       ///< W->W: batch one more joiner under the join
-    Ignore,            ///< stale, or already accounted for elsewhere
-    LeaveCensus,       ///< a counted sharer left: census count - 1
-    RequesterLeft,     ///< census requester evicted its fresh W copy
-    LeaveGroup,        ///< SharerCount - 1 (W->S is checked at the end)
-    LeaveDowngrade,    ///< one WirDwgrAck fewer to wait for
-    DropSurvivor,      ///< an acked survivor evicted: forget its id
-    OwnerToShared,     ///< FwdS done: EM->S, grant S
-    OwnerHandOff,      ///< FwdX done: EM->EM, grant M to the requester
-    RecallOwner,       ///< RecallEM done: write back, drop the line
-    CollectUpgradeAck, ///< InvColl: the last InvAck grants M
-    CollectRecallAck,  ///< RecallS: the last InvAck drops the line
-    CollectJoinAck,    ///< WirUpgrAck: SharerCount + 1
-    CollectDwgrAck,    ///< WirDwgrAck: record a survivor
-};
-
 const char *senderRoleName(SenderRole r);
-const char *dirStepName(DirStep s);
+
+/** The state a line is in while a `t` transaction is open. */
+DirState dirTxnState(DirTxnType t);
+
+/** A set of directory states, bit s set for state s (DirTxnRule::ends). */
+constexpr std::uint8_t
+stateBit(DirState s)
+{
+    return static_cast<std::uint8_t>(1u << static_cast<unsigned>(s));
+}
 
 /**
- * One in-transaction rule: a wired message `event` from a sender whose
- * role is in `roles`, arriving while a `txn` transaction is open,
- * takes `step`. Rows for one (txn, event) never share a role; a
+ * One in-transaction rule: event `event` (a wired message from a
+ * sender whose role is in `roles`, or an internal completion) arriving
+ * while a `txn` transaction is open takes `step`. When the step ends
+ * the transaction it traces `note` from `dirTxnState(txn)` into one of
+ * the states in `ends`; a row that never traces has a null note and
+ * `ends` 0. Rows for one (txn, event) never share a role; a
  * combination no row covers is a protocol bug and the directory
  * panics.
  */
@@ -317,10 +443,12 @@ struct DirTxnRule
     DirEvent event;
     std::uint8_t roles;
     DirStep step;
+    std::uint8_t ends;
+    const char *note;
 };
 
 std::span<const DirTxnRule> dirTxnRules();
-inline constexpr std::size_t kNumDirTxnRules = 45;
+inline constexpr std::size_t kNumDirTxnRules = 49;
 
 /** Index into dirTxnRules() of the row for a cell, or -1 if none. */
 int dirTxnRuleFor(DirTxnType t, DirEvent e, SenderRole r);

@@ -86,6 +86,10 @@ ExperimentSpec::validate() const
         add("no app selected");
     if (cores == 0)
         add("cores must be positive");
+    else if (cores > kMaxCores)
+        add(sim::strfmt("cores must be at most %u (the directory's "
+                        "sharer bitset width)",
+                        kMaxCores));
     if (scale == 0)
         add("scale must be positive");
     if (meshConcentration == 0)

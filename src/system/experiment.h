@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/protocol_config.h"
+#include "core/sharer_set.h"
 #include "energy/energy_model.h"
 #include "fault/fault.h"
 #include "frontend/frontend.h"
@@ -109,10 +110,10 @@ struct ExperimentResult
     std::uint64_t frameCrcErrors = 0;      ///< corrupted data frames
     std::uint64_t framePreambleLosses = 0; ///< undetected frame starts
     std::uint64_t faultRetries = 0;        ///< frame re-transmissions
-    /** Always 0; the benchmark PR deletes it (ROADMAP item 3). */
+    /** Always 0; the benchmark PR deletes it (ROADMAP item 1). */
     std::uint64_t frameFaultDrops = 0;
     std::uint64_t toneRetries = 0;         ///< missed silence re-polls
-    /** Always 0; the benchmark PR deletes it (ROADMAP item 3). */
+    /** Always 0; the benchmark PR deletes it (ROADMAP item 1). */
     std::uint64_t wirelessFallbacks = 0;
     /// @}
 
@@ -153,6 +154,12 @@ struct TraceOptions
     /** Empty when consistent, else a "; "-joined problem list. */
     std::string validate() const;
 };
+
+/**
+ * Most tiles a machine can have: a directory tracks sharers in a
+ * fixed-width bitset, so every node id must fit it.
+ */
+inline constexpr std::uint32_t kMaxCores = coherence::SharerBits::kMaxNodes;
 
 /**
  * One experiment configuration.

@@ -150,7 +150,7 @@ class DataChannel
     std::uint64_t preambleLosses() const { return preambleLosses_; }
     /** Backoff retries caused by injected faults. */
     std::uint64_t faultRetries() const { return faultRetries_; }
-    /** Always 0; the benchmark PR deletes it (ROADMAP item 3). */
+    /** Always 0; the benchmark PR deletes it (ROADMAP item 1). */
     std::uint64_t faultDrops() const { return 0; }
     /// @}
     /** Busy cycles (for energy: medium occupied). */

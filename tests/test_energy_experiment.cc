@@ -181,6 +181,21 @@ TEST(Experiment, MaxWiredSharersSweepGrowsPointers)
     EXPECT_NE(spec.validate().find("maxWiredSharers"), std::string::npos);
 }
 
+TEST(Experiment, ValidateBoundsCoresBySharerBitsWidth)
+{
+    // Every node id must fit the directory's sharer bitset: the
+    // widest machine validates, one more tile is refused up front
+    // (naming the limit) instead of panicking mid-run.
+    sys::ExperimentSpec spec;
+    spec.app = workload::findApp("fft");
+    spec.cores = sys::kMaxCores;
+    EXPECT_EQ(spec.validate(), "");
+    spec.cores = sys::kMaxCores + 1;
+    const std::string err = spec.validate();
+    EXPECT_NE(err.find("cores must be at most 1024"), std::string::npos)
+        << err;
+}
+
 TEST(Experiment, BenchScaleReadsEnvironment)
 {
     unsetenv("WIDIR_BENCH_SCALE");

@@ -16,10 +16,10 @@
  * Every run also streams its trace through a strict
  * `sys::TraceLegalityChecker` and ends with `sys::checkCoherence`.
  *
- * The in-transaction tables (`l1TxnRules()`, `dirTxnRules()`) are
- * checked the same two ways. Soundness is structural: an event no row
- * covers panics the run, so every step a controller takes is a row.
- * Completeness: the explorer sums every controller's per-row hit
+ * The executed tables (`dirRules()`, `l1TxnRules()`, `dirTxnRules()`)
+ * are checked the same two ways. Soundness is structural: an event no
+ * row covers panics the run, so every step a controller takes is a
+ * row. Completeness: the explorer sums every controller's per-row hit
  * counts, and every row must be taken.
  *
  * Faults only delay frames, so fault storms must stay coherent, legal
@@ -82,7 +82,11 @@ keyName(const EdgeKey &k)
     return out + " \"" + note + "\"";
 }
 
-/** Coverage targets from the table: every noted rule key. */
+/**
+ * Coverage targets from the tables: every noted rule key. An
+ * in-transaction row traces from the state its transaction holds the
+ * line in to each state it may end in.
+ */
 std::set<EdgeKey>
 tableTargets()
 {
@@ -97,6 +101,16 @@ tableTargets()
             t.insert({true, static_cast<std::uint8_t>(r.from),
                       static_cast<std::uint8_t>(r.to), r.note});
     }
+    for (const coherence::DirTxnRule &r : coherence::dirTxnRules()) {
+        if (!r.note)
+            continue;
+        for (std::uint8_t to = 0; to < coherence::kNumDirStates; ++to)
+            if ((r.ends >> to) & 1u)
+                t.insert({true,
+                          static_cast<std::uint8_t>(
+                              coherence::dirTxnState(r.txn)),
+                          to, r.note});
+    }
     return t;
 }
 
@@ -105,6 +119,8 @@ class Explorer
 {
   public:
     std::set<EdgeKey> observed;
+    /** Per-row hits of dirRules(), summed over every directory. */
+    std::array<std::uint64_t, coherence::kNumDirRules> stableRuleHits{};
     /** Per-row hits of dirTxnRules(), summed over every directory. */
     std::array<std::uint64_t, coherence::kNumDirTxnRules> txnRuleHits{};
     /** Per-row hits of l1TxnRules(), summed over every L1. */
@@ -130,6 +146,9 @@ class Explorer
         m.run(program);
         ++runs;
         for (sim::NodeId n = 0; n < m.numCores(); ++n) {
+            const auto &stable = m.dir(n).stableRuleHits();
+            for (std::size_t i = 0; i < stable.size(); ++i)
+                stableRuleHits[i] += stable[i];
             const auto &hits = m.dir(n).txnRuleHits();
             for (std::size_t i = 0; i < hits.size(); ++i)
                 txnRuleHits[i] += hits[i];
@@ -168,10 +187,20 @@ class Explorer
         }
     }
 
-    /** Every in-transaction row was taken. */
+    /** Every executed row (Table II and in-transaction) was taken. */
     void
-    expectTxnRulesTaken() const
+    expectRulesTaken() const
     {
+        auto stable = coherence::dirRules();
+        for (std::size_t i = 0; i < stable.size(); ++i) {
+            const coherence::DirRule &r = stable[i];
+            EXPECT_GT(stableRuleHits[i], 0u)
+                << "Table II row " << i << " never taken: "
+                << dirStateName(r.from) << " "
+                << coherence::dirEventName(r.event) << " ["
+                << coherence::dirGuardText(r.guard) << "] -> "
+                << coherence::dirStepName(r.step);
+        }
         auto rules = coherence::dirTxnRules();
         for (std::size_t i = 0; i < rules.size(); ++i) {
             const coherence::DirTxnRule &r = rules[i];
@@ -340,6 +369,24 @@ mesiBasics(Thread &t)
 }
 
 /** Tiny-L1 capacity evictions: PutS/PutE/PutM and LLC re-hits. */
+/**
+ * Dir_iB overflow (Baseline, two pointers): the third reader sets the
+ * broadcast bit, and the writer then invalidates by broadcast.
+ */
+Task
+pointerOverflow(Thread &t)
+{
+    const Addr L = hl(0);
+    const Addr F = flag(8);
+    co_await t.load(L);
+    co_await t.fence();
+    BUMP_FLAG(t, F);
+    AWAIT_FLAG(t, F, 4);
+    if (t.id() == 3)
+        co_await t.store(L, 1);
+    co_return;
+}
+
 Task
 evictions(Thread &t)
 {
@@ -849,9 +896,83 @@ TEST(ProtocolTable, EveryCellDispatches)
     EXPECT_EQ(owned, named);
 }
 
+/**
+ * Whether request @p ev with guard set @p g can meet a stable line in
+ * @p s. A line that is not resident reads I, with only the message's
+ * own IsSharer. The owner never asks: it requests again only after
+ * its PutE/PutM, which the mesh delivers first. Pointers and the
+ * broadcast bit exist only in S, and there:
+ *  - a pointer sharer holds its copy (a PutS drops the pointer before
+ *    any later request arrives), so it sends no GetS;
+ *  - a crowded entry is precise: MaxWiredSharers never exceeds the
+ *    pointers (Manycore asserts it), so WiDir starts a census before
+ *    they can overflow, and Baseline never reads Crowded;
+ *  - a precise S entry has a pointer (the last PutS empties it to I),
+ *    so a sender that is no pointer always has another target.
+ */
+bool
+requestCanMeet(coherence::DirState s, coherence::DirEvent ev,
+               coherence::DirGuards g)
+{
+    using coherence::DirGuard;
+    auto has = [g](DirGuard d) { return (g & coherence::guardBit(d)) != 0; };
+    if (!has(DirGuard::InLlc))
+        return s == coherence::DirState::I &&
+               (g & ~coherence::guardBit(DirGuard::IsSharer)) == 0;
+    if (has(DirGuard::Owner))
+        return false;
+    if (s != coherence::DirState::S)
+        return true;
+    if (ev == coherence::DirEvent::MsgGetS && has(DirGuard::Sharer))
+        return false;
+    return !(has(DirGuard::Crowded) && has(DirGuard::Bcast)) &&
+           (has(DirGuard::Sharer) || !has(DirGuard::Alone));
+}
+
+TEST(ProtocolTable, EveryStableCellDispatches)
+{
+    // Each Table II row owns exactly the guard sets its guard column
+    // matches (overlapping rows panic when the table is built).
+    using coherence::DirEvent;
+    using coherence::DirState;
+    auto rules = coherence::dirRules();
+    constexpr std::size_t kGuardSets = 1u << coherence::kNumDirGuards;
+    std::size_t owned = 0, named = 0;
+    for (const coherence::DirRule &r : rules)
+        for (std::size_t g = 0; g < kGuardSets; ++g)
+            named += r.guard.matches(static_cast<coherence::DirGuards>(g));
+    for (std::size_t st = 0; st < coherence::kNumDirStates; ++st)
+        for (std::size_t e = 0; e < coherence::kNumDirEvents; ++e)
+            for (std::size_t g = 0; g < kGuardSets; ++g) {
+                const auto s = static_cast<DirState>(st);
+                const auto ev = static_cast<DirEvent>(e);
+                const auto guards = static_cast<coherence::DirGuards>(g);
+                const int row = coherence::dirRuleFor(s, ev, guards);
+                // A request always gets an answer.
+                if ((ev == DirEvent::MsgGetS || ev == DirEvent::MsgGetX) &&
+                    requestCanMeet(s, ev, guards)) {
+                    EXPECT_GE(row, 0)
+                        << dirStateName(s) << " "
+                        << coherence::dirEventName(ev) << " {"
+                        << coherence::dirGuardText({0xff, guards}) << "}";
+                }
+                if (row < 0)
+                    continue;
+                ++owned;
+                const coherence::DirRule &rule =
+                    rules[static_cast<std::size_t>(row)];
+                EXPECT_EQ(rule.from, s);
+                EXPECT_EQ(rule.event, ev);
+                EXPECT_TRUE(rule.guard.matches(guards));
+            }
+    EXPECT_EQ(owned, named);
+}
+
 TEST(ProtocolTable, NotedRowsDefineLegality)
 {
-    // The derived legality relation is exactly the noted rows.
+    // The derived legality relation is exactly the noted rows: Table I
+    // for the L1; Table II and the in-transaction rows (from the state
+    // the transaction holds the line in) for the directory.
     std::set<std::pair<std::uint8_t, std::uint8_t>> l1_edges, dir_edges;
     for (const coherence::L1Rule &r : l1Rules()) {
         if (r.note)
@@ -863,6 +984,18 @@ TEST(ProtocolTable, NotedRowsDefineLegality)
             dir_edges.insert({static_cast<std::uint8_t>(r.from),
                               static_cast<std::uint8_t>(r.to)});
     }
+    for (const coherence::DirTxnRule &r : coherence::dirTxnRules()) {
+        EXPECT_EQ(r.note != nullptr, r.ends != 0)
+            << coherence::dirTxnTypeName(r.txn) << " "
+            << coherence::dirEventName(r.event);
+        if (!r.note)
+            continue;
+        for (std::uint8_t to = 0; to < coherence::kNumDirStates; ++to)
+            if ((r.ends >> to) & 1u)
+                dir_edges.insert(
+                    {static_cast<std::uint8_t>(coherence::dirTxnState(r.txn)),
+                     to});
+    }
     for (std::size_t f = 0; f < coherence::kNumL1States; ++f)
         for (std::size_t t = 0; t < coherence::kNumL1States; ++t)
             EXPECT_EQ(coherence::l1EdgeLegal(
@@ -871,15 +1004,26 @@ TEST(ProtocolTable, NotedRowsDefineLegality)
                       l1_edges.count({static_cast<std::uint8_t>(f),
                                       static_cast<std::uint8_t>(t)}) > 0)
                 << "L1 " << f << "->" << t;
+    // The directory relation itself, pinned: rows may move between
+    // the tables, but the edges the checker accepts stay these.
+    // Rows: I, S, EM, W; columns likewise.
+    constexpr bool kDirLegal[4][4] = {
+        {false, false, true, false},
+        {true, false, true, true},
+        {true, true, true, false},
+        {true, true, false, true},
+    };
     for (std::size_t f = 0; f < coherence::kNumDirStates; ++f)
-        for (std::size_t t = 0; t < coherence::kNumDirStates; ++t)
-            EXPECT_EQ(coherence::dirEdgeLegal(
-                          static_cast<coherence::DirState>(f),
-                          static_cast<coherence::DirState>(t)),
+        for (std::size_t t = 0; t < coherence::kNumDirStates; ++t) {
+            const bool legal = coherence::dirEdgeLegal(
+                static_cast<coherence::DirState>(f),
+                static_cast<coherence::DirState>(t));
+            EXPECT_EQ(legal,
                       dir_edges.count({static_cast<std::uint8_t>(f),
-                                       static_cast<std::uint8_t>(t)}) >
-                          0)
+                                       static_cast<std::uint8_t>(t)}) > 0)
                 << "dir " << f << "->" << t;
+            EXPECT_EQ(legal, kDirLegal[f][t]) << "dir " << f << "->" << t;
+        }
 }
 
 TEST(StateExplorer, EveryTableEdgeReachable)
@@ -897,6 +1041,12 @@ TEST(StateExplorer, EveryTableEdgeReachable)
         SystemConfig cfg = smallWidir();
         tinyLlc(cfg);
         ex.run(cfg, recalls);
+    }
+    {
+        SystemConfig cfg = SystemConfig::baseline(4);
+        cfg.protocol.dirPointers = 2;
+        cfg.protocol.maxWiredSharers = 2;
+        ex.run(cfg, pointerOverflow);
     }
     ex.run(wirelessCfg(), wireless);
     {
@@ -960,7 +1110,7 @@ TEST(StateExplorer, EveryTableEdgeReachable)
 
     ex.expectObservedSubsetOfTable();
     ex.expectEveryTableEdgeObserved();
-    ex.expectTxnRulesTaken();
+    ex.expectRulesTaken();
 }
 
 /** @p cfg on a bursty channel: Bad-state runs fault frame after frame. */

@@ -87,6 +87,7 @@ check_enum src/core/protocol_table.h L1Phase
 check_enum src/core/protocol_table.h L1Step
 check_enum src/core/protocol_table.h SenderRole
 check_enum src/core/protocol_table.h DirStep
+check_enum src/core/protocol_table.h DirGuard
 check_enum src/wireless/frame.h FrameKind
 check_enum src/sim/trace.h TraceKind docs/TRACING.md
 check_enum src/sim/trace.h TraceComponent docs/TRACING.md

@@ -62,6 +62,26 @@ rolesText(std::uint8_t roles)
     return out;
 }
 
+/** A trace note in backticks, or "-" for none. */
+std::string
+noteText(const char *note)
+{
+    return note ? std::string("`") + note + "`" : "-";
+}
+
+/** A DirTxnRule `ends` mask: the states it names, or "-". */
+std::string
+endsText(std::uint8_t ends)
+{
+    std::string out;
+    for (std::size_t s = 0; s < kNumDirStates; ++s) {
+        if ((ends >> s) & 1u)
+            out += (out.empty() ? "" : ", ") +
+                   std::string(dirStateName(static_cast<DirState>(s)));
+    }
+    return out.empty() ? "-" : out;
+}
+
 /** The legality matrix for one domain as a markdown table. */
 template <typename State, typename LegalFn>
 std::string
@@ -98,12 +118,14 @@ protocolTable()
            "with a trace note are *traced edges*: the controller emits\n"
            "a transition record with exactly that note when the row\n"
            "fires. Rows without a note are tolerated no-ops or\n"
-           "transient bookkeeping, and a (state, event) cell with no\n"
-           "row cannot occur. The two in-transaction tables say\n"
-           "what the L1 does with an event, and the directory with a\n"
-           "wired message, for a line whose transaction is still open;\n"
-           "a combination they do not list makes the controller\n"
-           "panic.\n\n";
+           "transient bookkeeping. The L1's Table I lists the outcomes\n"
+           "of each (state, event) cell, and a cell with no row cannot\n"
+           "occur. The directory executes its tables: Table II picks\n"
+           "a step by state, event and guards for a line with no\n"
+           "transaction open, the in-transaction table by transaction,\n"
+           "event and sender for a line with one open, and a\n"
+           "combination neither lists makes the directory panic. The\n"
+           "L1's in-transaction table works the same way.\n\n";
 
     out += "### L1 transition legality (derived)\n\n";
     out += legalityMatrix<L1State>(kNumL1States, l1StateName,
@@ -124,8 +146,7 @@ protocolTable()
     for (const L1Rule &r : l1Rules()) {
         out += std::string("| ") + l1StateName(r.from) + " | " +
                l1EventName(r.event) + " | " + l1StateName(r.to) + " | " +
-               (r.note ? (std::string("`") + r.note + "`") : "-") +
-               " |\n";
+               noteText(r.note) + " |\n";
     }
     out += "\n### L1 events during a transaction\n\n";
     out += "| Phase | Event | Step |\n";
@@ -136,22 +157,22 @@ protocolTable()
                " |\n";
     }
     out += "\n### Directory rules (Table II)\n\n";
-    out += "| From | Event | To | Trace note |\n";
-    out += "|---|---|---|---|\n";
+    out += "| From | Event | Guard | Step | To | Trace note |\n";
+    out += "|---|---|---|---|---|---|\n";
     for (const DirRule &r : dirRules()) {
         out += std::string("| ") + dirStateName(r.from) + " | " +
-               dirEventName(r.event) + " | " + dirStateName(r.to) +
-               " | " +
-               (r.note ? (std::string("`") + r.note + "`") : "-") +
-               " |\n";
+               dirEventName(r.event) + " | " + dirGuardText(r.guard) +
+               " | " + dirStepName(r.step) + " | " + dirStateName(r.to) +
+               " | " + noteText(r.note) + " |\n";
     }
-    out += "\n### Directory messages during a transaction\n\n";
-    out += "| Transaction | Event | Sender | Step |\n";
-    out += "|---|---|---|---|\n";
+    out += "\n### Directory events during a transaction\n\n";
+    out += "| Transaction | Event | Sender | Step | Ends in | Trace note |\n";
+    out += "|---|---|---|---|---|---|\n";
     for (const DirTxnRule &r : dirTxnRules()) {
         out += std::string("| ") + dirTxnTypeName(r.txn) + " | " +
                dirEventName(r.event) + " | " + rolesText(r.roles) +
-               " | " + dirStepName(r.step) + " |\n";
+               " | " + dirStepName(r.step) + " | " + endsText(r.ends) +
+               " | " + noteText(r.note) + " |\n";
     }
     out += "\n";
     return out;
